@@ -123,6 +123,8 @@ def cmd_hom(args) -> dict:
 
 
 def cmd_ext(args) -> dict:
+    if args.max_i < 0:
+        raise ParameterError("--max-i must be nonnegative")
     from .equivariant import build_P, build_Q
     from .homcalc import ext_stable, ext_truncated
 
@@ -195,6 +197,8 @@ def cmd_kclass(args) -> dict:
 
 
 def cmd_cas(args) -> dict:
+    if min(args.m, args.n, args.s) < 0:
+        raise ParameterError("--m, --n and --s must be nonnegative")
     from .cas_cat import compare_with_P_homs, hom_dimension, injective_I
 
     if args.op == "hom":
@@ -324,7 +328,7 @@ def main(argv=None) -> int:
         k: v for k, v in vars(args).items()
         if k not in ("func", "command", "format", "max_dim", "cap_N") and v is not None
     }
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         outcome = args.func(args)
     except ParameterError as exc:
@@ -344,7 +348,7 @@ def main(argv=None) -> int:
         "operation": args.command,
         "parameters": params,
         "result": result,
-        "runtime_ms": int((time.time() - t0) * 1000),
+        "runtime_ms": int((time.perf_counter() - t0) * 1000),
     }
     _emit(args, payload)
     return code

@@ -4,10 +4,18 @@ An ``EquivModule`` carries, over a fixed ``RingConfig(N, s)``:
 
 - a list of hashable basis labels (for the standard families these are pairs
   ``(tuple_of_positions, exponent_vector)``);
-- one multiplication matrix per variable;
-- one permutation matrix per adjacent transposition (arbitrary permutations
-  act through a reduced word, so storage is linear in N);
+- one action per variable and one per adjacent transposition (arbitrary
+  permutations act through a reduced word, so storage is linear in N);
 - an optional grading assigning each basis label an exponent vector.
+
+The actions come in one of two forms.  A permutation-like module (the P and
+Q families, their direct sums and filtration layers, the periodic Tor
+complex) stores integer label maps: ``xmaps[i][t]`` is the label that x_i
+sends label t to, or None where x_i kills it, and ``swaps[j]`` is the label
+permutation of the swap (j, j+1).  Its Fraction matrices ``xmul`` and
+``coxeter`` are derived from the maps on first access and kept.  Any other
+module (free covers, kernels, induced modules) stores the matrices alone and
+has ``xmaps is None``.
 
 Modules are immutable after construction; submodules and quotients are new
 objects.  The two standard families:
@@ -63,32 +71,61 @@ __all__ = [
 
 class EquivModule:
     """A finite-dimensional module with commuting variable actions and a
-    compatible symmetric-group action stored on adjacent transpositions."""
+    compatible symmetric-group action stored on adjacent transpositions.
 
-    __slots__ = ("cfg", "labels", "label_index", "xmul", "coxeter", "grading",
-                 "permutation_like", "name")
+    Give the actions either as matrices (``xmul``, ``coxeter``) or as label
+    maps (``xmaps``, ``swaps``); see the module docstring.
+    """
 
-    def __init__(self, cfg, labels, xmul, coxeter, grading=None,
-                 permutation_like=False, name=""):
+    __slots__ = ("cfg", "labels", "label_index", "xmaps", "swaps", "_xmul", "_coxeter",
+                 "grading", "name")
+
+    def __init__(self, cfg, labels, xmul=None, coxeter=None, grading=None, name="", *,
+                 xmaps=None, swaps=None):
         self.cfg = cfg
         self.labels = list(labels)
         self.label_index = {lab: i for i, lab in enumerate(self.labels)}
         if len(self.label_index) != len(self.labels):
             raise ValueError("duplicate basis labels")
-        self.xmul = list(xmul)
-        self.coxeter = list(coxeter)
-        if len(self.xmul) != cfg.N or len(self.coxeter) != max(cfg.N - 1, 0):
-            raise ValueError("expected one matrix per variable and per adjacent swap")
+        as_maps = xmaps is not None
+        if (swaps is not None) != as_maps or (xmul is None) != as_maps or (coxeter is None) != as_maps:
+            raise ValueError("give the actions either as matrices or as label maps")
+        self.xmaps, self.swaps = (list(xmaps), list(swaps)) if as_maps else (None, None)
+        self._xmul, self._coxeter = (None, None) if as_maps else (list(xmul), list(coxeter))
+        xs, sws = (self.xmaps, self.swaps) if as_maps else (self._xmul, self._coxeter)
+        if len(xs) != cfg.N or len(sws) != max(cfg.N - 1, 0):
+            raise ValueError("expected one action per variable and per adjacent swap")
+        if as_maps and any(len(cm) != self.dim for cm in xs + sws):
+            raise ValueError("a label map has the wrong length")
         self.grading = list(grading) if grading is not None else None
-        self.permutation_like = permutation_like
         self.name = name
 
     @property
     def dim(self) -> int:
         return len(self.labels)
 
+    @property
+    def xmul(self) -> list:
+        """One multiplication matrix per variable."""
+        if self._xmul is None:
+            self._xmul = [_map_matrix(cm) for cm in self.xmaps]
+        return self._xmul
+
+    @property
+    def coxeter(self) -> list:
+        """One permutation matrix per adjacent transposition."""
+        if self._coxeter is None:
+            self._coxeter = [_map_matrix(cm) for cm in self.swaps]
+        return self._coxeter
+
     def perm_matrix(self, g) -> SparseRationalMatrix:
         """Action of an arbitrary permutation, via a reduced word."""
+        if self.swaps is not None:
+            perm = list(range(self.dim))
+            for j in coxeter_word(g):
+                sw = self.swaps[j]
+                perm = [sw[t] for t in perm]
+            return _map_matrix(perm)
         m = SparseRationalMatrix.identity(self.dim)
         for j in coxeter_word(g):
             m = self.coxeter[j] @ m
@@ -109,6 +146,15 @@ class EquivModule:
     def __repr__(self):
         tag = self.name or "EquivModule"
         return f"{tag}(N={self.cfg.N}, s={self.cfg.s}, dim={self.dim})"
+
+
+def _map_matrix(cm) -> SparseRationalMatrix:
+    """The 0/1 matrix of a label map: column t has its one entry in row cm[t]."""
+    m = SparseRationalMatrix(len(cm), len(cm))
+    for t, u in enumerate(cm):
+        if u is not None:
+            m.rows[u][t] = ONE
+    return m
 
 
 def _label_to_json(lab):
@@ -190,13 +236,7 @@ def regular_rep(n: int) -> SnRep:
     """Left regular representation on all permutations of [n]."""
     elems = sorted(itertools.permutations(range(n)))
     index = {g: i for i, g in enumerate(elems)}
-    mats = []
-    for j in range(max(n - 1, 0)):
-        m = SparseRationalMatrix(len(elems), len(elems))
-        for g, i in index.items():
-            h = _compose_swap(j, g)
-            m.set(index[h], i, 1)
-        mats.append(m)
+    mats = [_map_matrix([index[_compose_swap(j, g)] for g in elems]) for j in range(max(n - 1, 0))]
     return SnRep(n, len(elems), tuple(mats))
 
 
@@ -225,48 +265,42 @@ def pq_dimension(kind: str, s: int, n: int, N: int) -> int:
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def _apply_perm_to_label(j, lab):
-    """Swap positions j, j+1 in a (tuple, mono) label."""
-    T, mono = lab
-    newT = tuple(j + 1 if t == j else j if t == j + 1 else t for t in T)
-    m = list(mono)
-    m[j], m[j + 1] = m[j + 1], m[j]
-    return (newT, tuple(m))
-
-
 def _build_pq(kind: str, s: int, n: int, N: int) -> EquivModule:
     cfg = RingConfig(N, s)
     if n > N:
         raise ValueError(f"tuple size n={n} exceeds truncation N={N}")
+    # A label (T, mono) is a pair (tuple index, monomial index), so each label
+    # map combines a small table on tuples with a small table on monomials.
     monos = all_monomials(cfg)
-    labels = []
-    for T in injections(n, N):
-        tset = set(T)
-        for mono in monos:
+    tuples = injections(n, N)
+    mono_index = {m: b for b, m in enumerate(monos)}
+    tuple_index = {T: a for a, T in enumerate(tuples)}
+    labels, tix, mix = [], [], []
+    pos = []  # pos[a][b]: index of the label (tuples[a], monos[b]), None if absent
+    for a, T in enumerate(tuples):
+        row = [None] * len(monos)
+        for b, mono in enumerate(monos):
             if kind == "Q" and any(mono[t] for t in T):
                 continue
+            row[b] = len(labels)
             labels.append((T, mono))
-    index = {lab: i for i, lab in enumerate(labels)}
+            tix.append(a)
+            mix.append(b)
+        pos.append(row)
 
-    xmul = []
+    xmaps = []
     for i in range(N):
-        m = SparseRationalMatrix(len(labels), len(labels))
-        for lab, col in index.items():
-            T, mono = lab
-            if kind == "Q" and i in T:
-                continue
-            if mono[i] == s:
-                continue
-            target = (T, mono[:i] + (mono[i] + 1,) + mono[i + 1:])
-            m.set(index[target], col, ONE)
-        xmul.append(m)
+        up = [mono_index.get(m[:i] + (m[i] + 1,) + m[i + 1:]) for m in monos]  # None at s
+        dead = [kind == "Q" and i in T for T in tuples]
+        xmaps.append([None if dead[a] or up[b] is None else pos[a][up[b]]
+                      for a, b in zip(tix, mix)])
 
-    coxeter = []
+    swaps = []
     for j in range(N - 1):
-        m = SparseRationalMatrix(len(labels), len(labels))
-        for lab, col in index.items():
-            m.set(index[_apply_perm_to_label(j, lab)], col, ONE)
-        coxeter.append(m)
+        tsw = [tuple_index[tuple(j + 1 if t == j else j if t == j + 1 else t for t in T)]
+               for T in tuples]
+        msw = [mono_index[m[:j] + (m[j + 1], m[j]) + m[j + 2:]] for m in monos]
+        swaps.append([pos[tsw[a]][msw[b]] for a, b in zip(tix, mix)])
 
     if kind == "P":
         grading = [mono for _, mono in labels]
@@ -278,8 +312,8 @@ def _build_pq(kind: str, s: int, n: int, N: int) -> EquivModule:
                 d[t] += s
             grading.append(tuple(d))
 
-    return EquivModule(cfg, labels, xmul, coxeter, grading=grading,
-                       permutation_like=True, name=f"{kind}(s={s},n={n})")
+    return EquivModule(cfg, labels, grading=grading, name=f"{kind}(s={s},n={n})",
+                       xmaps=xmaps, swaps=swaps)
 
 
 def build_P(s: int, n: int, N: int) -> EquivModule:
@@ -294,12 +328,16 @@ def build_Q(s: int, n: int, N: int) -> EquivModule:
 
 
 def direct_sum(mods) -> EquivModule:
+    """Direct sum of modules that carry label maps; the label of the k-th
+    summand's label lab is (k, lab)."""
     mods = list(mods)
     if not mods:
         raise ValueError("empty direct sum")
     cfg = mods[0].cfg
     if any(m.cfg != cfg for m in mods):
         raise ValueError("all summands must share the ring configuration")
+    if any(m.xmaps is None for m in mods):
+        raise ValueError("every summand must carry label maps")
     labels = []
     for t, m in enumerate(mods):
         labels.extend((t, lab) for lab in m.labels)
@@ -308,36 +346,25 @@ def direct_sum(mods) -> EquivModule:
     for m in mods:
         offsets.append(off)
         off += m.dim
-    total = off
 
-    def blockdiag(pick):
-        out = SparseRationalMatrix(total, total)
-        for t, m in enumerate(mods):
-            for i, row in enumerate(pick(m).rows):
-                for j, v in row.items():
-                    out.set(offsets[t] + i, offsets[t] + j, v)
-        return out
+    def concat(pick):
+        return [None if u is None else u + base
+                for m, base in zip(mods, offsets) for u in pick(m)]
 
-    xmul = [blockdiag(lambda m, i=i: m.xmul[i]) for i in range(cfg.N)]
-    coxeter = [blockdiag(lambda m, j=j: m.coxeter[j]) for j in range(cfg.N - 1)]
     grading = None
     if all(m.grading is not None for m in mods):
         grading = []
         for m in mods:
             grading.extend(m.grading)
-    return EquivModule(cfg, labels, xmul, coxeter, grading=grading,
-                       permutation_like=all(m.permutation_like for m in mods),
-                       name="(+)".join(m.name or "M" for m in mods))
+    return EquivModule(cfg, labels, grading=grading, name="(+)".join(m.name or "M" for m in mods),
+                       xmaps=[concat(lambda m, i=i: m.xmaps[i]) for i in range(cfg.N)],
+                       swaps=[concat(lambda m, j=j: m.swaps[j]) for j in range(cfg.N - 1)])
 
 
 def _slot_swap_matrix(mod: EquivModule, c: int) -> SparseRationalMatrix:
     """Permutation of tuple slots c, c+1 on a P/Q module basis."""
-    m = SparseRationalMatrix(mod.dim, mod.dim)
-    for col, (T, mono) in enumerate(mod.labels):
-        newT = list(T)
-        newT[c], newT[c + 1] = newT[c + 1], newT[c]
-        m.set(mod.label_index[(tuple(newT), mono)], col, ONE)
-    return m
+    return _map_matrix([mod.label_index[(T[:c] + (T[c + 1], T[c]) + T[c + 2:], mono)]
+                        for T, mono in mod.labels])
 
 
 def build_induced(kind: str, s: int, rep: SnRep, N: int) -> EquivModule:
@@ -395,7 +422,7 @@ def build_induced(kind: str, s: int, rep: SnRep, N: int) -> EquivModule:
     coxeter = [restrict(kron(base.coxeter[j], SparseRationalMatrix.identity(e))) for j in range(N - 1)]
     labels = [("inv", kind, s, n, t) for t in range(len(basis))]
     return EquivModule(RingConfig(N, s), labels, xmul, coxeter, grading=None,
-                       permutation_like=False, name=f"{kind}_ind(s={s},n={n},dimV={e})")
+                       name=f"{kind}_ind(s={s},n={n},dimV={e})")
 
 
 def _kernel_free_rows(basis) -> list:
@@ -465,26 +492,17 @@ def filtration_layers(s: int, n: int, N: int):
     P = build_P(s, n, N)
     layers = []
     for pat in _layer_order(s, n):
-        labels = [lab for lab in P.labels
-                  if tuple(lab[1][t] for t in lab[0]) == pat]
-        index = {lab: i for i, lab in enumerate(labels)}
-        keep = set(labels)
+        members = [t for t, (T, mono) in enumerate(P.labels)
+                   if tuple(mono[k] for k in T) == pat]
+        index = {t: k for k, t in enumerate(members)}  # P label -> layer label
 
-        def project(mat: SparseRationalMatrix) -> SparseRationalMatrix:
-            out = SparseRationalMatrix(len(labels), len(labels))
-            for col, lab in enumerate(labels):
-                src = P.label_index[lab]
-                for r, v in mat.column(src).items():
-                    rl = P.labels[r]
-                    if rl in keep:
-                        out.set(index[rl], col, v)
-            return out
+        def project(cm):  # a P label map, restricted to the layer; None leaves it
+            return [index.get(cm[t]) for t in members]
 
-        xmul = [project(P.xmul[i]) for i in range(N)]
-        coxeter = [project(P.coxeter[j]) for j in range(N - 1)]
-        layers.append(EquivModule(P.cfg, labels, xmul, coxeter,
-                                  permutation_like=True,
-                                  name=f"P(s={s},n={n})/layer{pat}"))
+        layers.append(EquivModule(P.cfg, [P.labels[t] for t in members],
+                                  name=f"P(s={s},n={n})/layer{pat}",
+                                  xmaps=[project(cm) for cm in P.xmaps],
+                                  swaps=[project(cm) for cm in P.swaps]))
     return P, layers
 
 

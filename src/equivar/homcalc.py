@@ -28,6 +28,7 @@ from .equivariant import (
     EquivMap,
     EquivModule,
     SnRep,
+    _map_matrix,
     build_P,
     build_Q,
     character_of,
@@ -39,6 +40,7 @@ from .linalg import (
     ONE,
     SpanBasis,
     SparseRationalMatrix,
+    apply_columns,
     kernel_of_vectors,
     matrix_rank,
     nullspace,
@@ -163,22 +165,11 @@ def _source_constraint_blocks(profile: PQFamily, T: EquivModule) -> list:
     return blocks
 
 
-def _column_map(mat: SparseRationalMatrix):
-    """For a permutation-like matrix, the partial map column -> row.
-
-    Requires every column and every row to carry at most one entry, equal
-    to 1 (so the matrix is a partial injection on basis labels).
-    """
-    out = [None] * mat.ncols
-    seen_rows = set()
-    for i, row in enumerate(mat.rows):
-        if len(row) > 1:
-            return None
-        for j, v in row.items():
-            if (v is not ONE and v != ONE) or out[j] is not None or i in seen_rows:
-                return None
-            out[j] = i
-            seen_rows.add(i)
+def _power_map(cm, k: int) -> list:
+    """The label map of k applications of the partial label map cm."""
+    out = list(range(len(cm)))
+    for _ in range(k):
+        out = [None if t is None else cm[t] for t in out]
     return out
 
 
@@ -187,59 +178,43 @@ def _pq_constraint_maps(profile: PQFamily, T: EquivModule):
     target: (ops, swaps), where each op is a partial injection label -> label
     (a killing operator: a solution must vanish wherever it is defined) and
     each swap is a total label permutation the solution must commute with.
-
-    Returns None when the target is not genuinely permutation-like.
     """
     N, n = T.cfg.N, profile.n
     if n > N:
         raise ValueError(f"profile tuple size {n} exceeds truncation {N}")
-    xmaps = []
-    for i in range(N):
-        cm = _column_map(T.xmul[i])
-        if cm is None:
-            return None
-        xmaps.append(cm)
-    swaps = []
-    for j in range(n, N - 1):
-        cm = _column_map(T.coxeter[j])
-        if cm is None or any(v is None for v in cm):
-            return None
-        swaps.append(cm)
-
-    def chase(cm, times):
-        out = list(range(T.dim))
-        for _ in range(times):
-            out = [None if t is None else cm[t] for t in out]
-        return out
 
     ops = []
     if profile.kind == "Q":
-        for i in range(n):
-            ops.append(xmaps[i])
+        ops.extend(T.xmaps[:n])
         power_vars = range(n, N)
     else:
         power_vars = range(N)
     r = profile.s
+    if r >= T.cfg.s:
+        power_vars = ()  # x_i^(s+1) acts as zero on every module over the ring
     for i in power_vars:
-        p = chase(xmaps[i], r + 1)
-        if any(t is not None for t in p):
+        p = _power_map(T.xmaps[i], r + 1)
+        if p.count(None) < len(p):
             ops.append(p)
-    return ops, swaps
+    return ops, T.swaps[n:N - 1]
 
 
 def _mapping_solutions(profile: PQFamily, T: EquivModule) -> list:
     """Basis of the joint kernel of the source constraints inside T."""
-    if T.permutation_like:
-        fast = _mapping_solutions_fast(profile, T)
-        if fast is not None:
-            return fast
+    if T.xmaps is not None:
+        return _mapping_solutions_fast(profile, T)
+    return _mapping_solutions_generic(profile, T)
+
+
+def _mapping_solutions_generic(profile: PQFamily, T: EquivModule) -> list:
+    """The reference solver: elimination on the stacked constraint matrices."""
     blocks = _source_constraint_blocks(profile, T)
     if not blocks:
         return [{t: ONE} for t in range(T.dim)]
     return nullspace(SparseRationalMatrix.vstack(blocks))
 
 
-def _mapping_solutions_fast(profile: PQFamily, T: EquivModule) -> list | None:
+def _mapping_solutions_fast(profile: PQFamily, T: EquivModule) -> list:
     """Orbit-sum solution basis for permutation-like targets.
 
     The x-type constraints are partial injections on labels, so a solution
@@ -247,10 +222,7 @@ def _mapping_solutions_fast(profile: PQFamily, T: EquivModule) -> list | None:
     constant on orbits of the residual symmetric group.  This computes the
     identical kernel as the generic elimination, exactly.
     """
-    data = _pq_constraint_maps(profile, T)
-    if data is None:
-        return None
-    ops, swap_maps = data
+    ops, swap_maps = _pq_constraint_maps(profile, T)
     moved = set()
     for cm in ops:
         moved.update(j for j, v in enumerate(cm) if v is not None)
@@ -272,7 +244,7 @@ def _mapping_solutions_fast(profile: PQFamily, T: EquivModule) -> list | None:
                     orbit.add(w)
                     frontier.append(w)
         seen |= orbit
-        if all(u in allowed_set for u in orbit):
+        if orbit <= allowed_set:
             basis.append({u: ONE for u in sorted(orbit)})
     return basis
 
@@ -368,55 +340,72 @@ def _embed_vector(v: dict, small: EquivModule, big: EquivModule) -> dict:
     return out
 
 
+def _constraint_images_by_maps(profile: PQFamily, T: EquivModule, vectors) -> list:
+    """Each vector's images under the stacked source constraints on T (one
+    block of T.dim rows per constraint), read off T's label maps."""
+    ops, swaps = _pq_constraint_maps(profile, T)
+    dim = T.dim
+    columns = []
+    for w in vectors:
+        stacked: dict = {}
+        offset = 0
+        for cm in ops:  # an injection: no two labels of w share a row
+            for j, val in w.items():
+                t = cm[j]
+                if t is not None:
+                    stacked[offset + t] = val
+            offset += dim
+        for cm in swaps:  # (swap - 1) w; a fixed label contributes nothing
+            for j, val in w.items():
+                u = cm[j]
+                if u == j:
+                    continue
+                for key, sgn in ((offset + u, val), (offset + j, -val)):
+                    acc = stacked.get(key)
+                    acc = sgn if acc is None else acc + sgn
+                    if acc:
+                        stacked[key] = acc
+                    else:
+                        del stacked[key]
+            offset += dim
+        columns.append(stacked)
+    return columns
+
+
+def _constraint_images_by_blocks(profile: PQFamily, T: EquivModule, vectors) -> list:
+    """The same images as ``_constraint_images_by_maps``, through the
+    constraint matrices of any module."""
+    blocks = _source_constraint_blocks(profile, T)
+    block_cols = [blk.columns() for blk in blocks]
+    columns = []
+    for w in vectors:
+        stacked: dict = {}
+        offset = 0
+        for blk, cols in zip(blocks, block_cols):
+            for j, val in w.items():
+                for r, bv in cols[j].items():
+                    key = offset + r
+                    acc = stacked.get(key, Fraction(0)) + val * bv
+                    if acc:
+                        stacked[key] = acc
+                    else:
+                        stacked.pop(key, None)
+            offset += blk.nrows
+        columns.append(stacked)
+    return columns
+
+
 def _stable_subspace(profile: PQFamily, solutions, small: EquivModule,
                      big: EquivModule) -> list:
     """Members of span(solutions) whose level-(N+1) push still satisfies the
     source constraints evaluated in the larger module."""
     if not solutions:
         return []
-    data = _pq_constraint_maps(profile, big)
-    columns = []
-    if data is not None:
-        ops, swaps = data
-        dim = big.dim
-        for v in solutions:
-            w = _embed_vector(v, small, big)
-            stacked: dict = {}
-            offset = 0
-            for cm in ops:
-                for j, val in w.items():
-                    t = cm[j]
-                    if t is not None:
-                        stacked[offset + t] = stacked.get(offset + t, Fraction(0)) + val
-                offset += dim
-            for cm in swaps:
-                for j, val in w.items():
-                    for key, sgn in ((offset + cm[j], val), (offset + j, -val)):
-                        acc = stacked.get(key, Fraction(0)) + sgn
-                        if acc:
-                            stacked[key] = acc
-                        else:
-                            stacked.pop(key, None)
-                offset += dim
-            columns.append({k: v2 for k, v2 in stacked.items() if v2})
+    pushed = [_embed_vector(v, small, big) for v in solutions]
+    if big.xmaps is not None:
+        columns = _constraint_images_by_maps(profile, big, pushed)
     else:
-        blocks = _source_constraint_blocks(profile, big)
-        block_cols = [blk.columns() for blk in blocks]
-        for v in solutions:
-            w = _embed_vector(v, small, big)
-            stacked = {}
-            offset = 0
-            for blk, cols in zip(blocks, block_cols):
-                for j, val in w.items():
-                    for r, bv in cols[j].items():
-                        key = offset + r
-                        acc = stacked.get(key, Fraction(0)) + val * bv
-                        if acc:
-                            stacked[key] = acc
-                        else:
-                            stacked.pop(key, None)
-                offset += blk.nrows
-            columns.append(stacked)
+        columns = _constraint_images_by_blocks(profile, big, pushed)
     kept = []
     for coeffs in kernel_of_vectors(columns):
         vec: dict = {}
@@ -456,15 +445,10 @@ def _compositions_of(total: int, parts: int):
             yield (first,) + rest
 
 
-def _mult_by_tuple_power(P: EquivModule, pos: int, exp: int) -> SparseRationalMatrix:
-    """Multiplication by (variable at tuple slot pos)^exp on a P module."""
-    m = SparseRationalMatrix(P.dim, P.dim)
-    for col, (T, mono) in enumerate(P.labels):
-        var = T[pos]
-        if mono[var] + exp <= P.cfg.s:
-            target = mono[:var] + (mono[var] + exp,) + mono[var + 1:]
-            m.set(P.label_index[(T, target)], col, 1)
-    return m
+def _tuple_power_map(P: EquivModule, pos: int, exp: int) -> list:
+    """Label map of multiplication by (variable at tuple slot pos)^exp on a P module."""
+    powers = [_power_map(cm, exp) for cm in P.xmaps]
+    return [powers[T[pos]][col] for col, (T, _) in enumerate(P.labels)]
 
 
 def coresolution_Q(s: int, n: int, N: int, length: int) -> Complex:
@@ -489,10 +473,8 @@ def coresolution_Q(s: int, n: int, N: int, length: int) -> Complex:
     def make_term(j):
         idxs = term_indices(j)
         if not idxs:
-            cfg = RingConfig(N, s)
-            zero = SparseRationalMatrix(0, 0)
-            return EquivModule(cfg, [], [zero] * N, [zero] * max(N - 1, 0),
-                               permutation_like=True, name="0"), idxs
+            return EquivModule(RingConfig(N, s), [], name="0",
+                               xmaps=[[]] * N, swaps=[[]] * max(N - 1, 0)), idxs
         if len(idxs) == 1:
             return P, idxs
         return direct_sum([P] * len(idxs)), idxs
@@ -522,12 +504,12 @@ def coresolution_Q(s: int, n: int, N: int, length: int) -> Complex:
                     if b not in dst_pos:
                         continue
                     sign = (-1) ** sum(a[:pos])
-                    block = _mult_by_tuple_power(P, pos, step[a[pos] % 2])
+                    cm = _tuple_power_map(P, pos, step[a[pos] % 2])
                     roff = dst_pos[b] * P.dim
                     coff = src_pos[a] * P.dim
-                    for i, row in enumerate(block.rows):
-                        for c, v in row.items():
-                            mat.add_to(roff + i, coff + c, sign * v)
+                    for c, i in enumerate(cm):
+                        if i is not None:
+                            mat.add_to(roff + i, coff + c, sign)
         maps.append(EquivMap(modules[j + 1], modules[j + 2], mat))
 
     cx = Complex(modules, maps)
@@ -658,14 +640,9 @@ def _free_cover(M: EquivModule):
     index = {lab: t for t, lab in enumerate(labels)}
     dimF = len(labels)
 
-    xmul = []
-    for i in range(cfg.N):
-        m = SparseRationalMatrix(dimF, dimF)
-        for col, (mono, f) in enumerate(labels):
-            if mono[i] < cfg.s:
-                target = (mono[:i] + (mono[i] + 1,) + mono[i + 1:], f)
-                m.set(index[target], col, ONE)
-        xmul.append(m)
+    # x_i raises the exponent of the monomial part; past s the label is absent
+    xmul = [_map_matrix([index.get((mono[:i] + (mono[i] + 1,) + mono[i + 1:], f))
+                         for mono, f in labels]) for i in range(cfg.N)]
     coxeter = []
     for j in range(cfg.N - 1):
         m = SparseRationalMatrix(dimF, dimF)
@@ -679,13 +656,20 @@ def _free_cover(M: EquivModule):
         coxeter.append(m)
     F = EquivModule(cfg, labels, xmul, coxeter, name=f"free_cover({M.name})")
 
+    # the image of (mono, f) is x_i times the image of (mono - e_i, f), for
+    # the last variable i in mono; that label comes earlier in the list
     sec_cols = sec.columns()
+    x_cols = [m.columns() for m in M.xmul]
+    images = []
     d = SparseRationalMatrix(M.dim, dimF)
     for col, (mono, f) in enumerate(labels):
-        w = sec_cols[f]
-        for i, e in enumerate(mono):
-            for _ in range(e):
-                w = M.xmul[i].apply(w)
+        i = max((k for k, e in enumerate(mono) if e), default=None)
+        if i is None:
+            w = sec_cols[f]
+        else:
+            prev = index[(mono[:i] + (mono[i] - 1,) + mono[i + 1:], f)]
+            w = apply_columns(x_cols[i], images[prev])
+        images.append(w)
         for r, v in w.items():
             d.set(r, col, v)
     cover = EquivMap(F, M, d)
@@ -843,7 +827,8 @@ def ext_truncated(M: EquivModule, T: EquivModule, max_i: int,
 
     ranks = [0] * (max_i + 1)
     for i in range(max_i + 1):
-        images = [d_mats[i].apply(v) for v in inv_bases[i]]
+        d_cols = d_mats[i].columns()
+        images = [apply_columns(d_cols, v) for v in inv_bases[i]]
         images = [w for w in images if w]
         ranks[i] = rank_of_vectors(images, reps[i + 1].dim * T.dim)
 
@@ -868,38 +853,20 @@ def tor_complex(s: int, N: int):
     if s < 1:
         raise ValueError("the periodic complex needs s >= 1")
     Q = build_Q(s, 1, N)
+    d = Q.dim
+    # label (i, Q.labels[q]) sits at index i * d + q
     labels = [(i, lab) for i in range(N) for lab in Q.labels]
-    index = {lab: t for t, lab in enumerate(labels)}
-    dim = len(labels)
-    cfg = Q.cfg
-
-    xmul = []
-    for v in range(N):
-        m = SparseRationalMatrix(dim, dim)
-        for col, (i, qlab) in enumerate(labels):
-            for r, val in Q.xmul[v].column(Q.label_index[qlab]).items():
-                m.add_to(index[(i, Q.labels[r])], col, val)
-        xmul.append(m)
-    coxeter = []
-    for j in range(N - 1):
-        m = SparseRationalMatrix(dim, dim)
-        for col, (i, qlab) in enumerate(labels):
-            i2 = j + 1 if i == j else j if i == j + 1 else i
-            for r, val in Q.coxeter[j].column(Q.label_index[qlab]).items():
-                m.add_to(index[(i2, Q.labels[r])], col, val)
-        coxeter.append(m)
-    C = EquivModule(cfg, labels, xmul, coxeter, permutation_like=True,
-                    name=f"V(x)Q(s={s})")
+    xmaps = [[None if u is None else i * d + u for i in range(N) for u in cm]
+             for cm in Q.xmaps]
+    swaps = []
+    for j, cm in enumerate(Q.swaps):
+        moved = [j + 1 if i == j else j if i == j + 1 else i for i in range(N)]
+        swaps.append([moved[i] * d + u for i in range(N) for u in cm])
+    C = EquivModule(Q.cfg, labels, name=f"V(x)Q(s={s})", xmaps=xmaps, swaps=swaps)
 
     def delta(exp):
-        m = SparseRationalMatrix(dim, dim)
-        for col, (i, qlab) in enumerate(labels):
-            vec = {Q.label_index[qlab]: ONE}
-            for _ in range(exp):
-                vec = Q.xmul[i].apply(vec)
-            for r, val in vec.items():
-                m.add_to(index[(i, Q.labels[r])], col, val)
-        return m
+        return _map_matrix([None if u is None else i * d + u
+                            for i in range(N) for u in _power_map(Q.xmaps[i], exp)])
 
     delta_odd = delta(1)
     delta_even = delta(s)

@@ -33,8 +33,13 @@ def vec_scale(vec: dict, coef: Fraction) -> dict:
     return {k: coef * v for k, v in vec.items()}
 
 
-def vec_eq(a: dict, b: dict) -> bool:
-    return a == b
+def apply_columns(cols: list, vec: dict) -> dict:
+    """A matrix times a column vector, given the matrix's ``columns()``: the
+    cost is the nnz of the columns vec touches, not of the whole matrix."""
+    out: dict = {}
+    for j, w in vec.items():
+        vec_axpy(out, w, cols[j])
+    return out
 
 
 class SparseRationalMatrix:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .combinat import Partition, partitions
+from .combinat import Partition
 
 
 @dataclass(frozen=True)
@@ -161,8 +161,3 @@ def monomial_from_json(data, cfg: RingConfig):
     if any(e < 0 or e > cfg.s for e in m):
         raise ValueError("exponent out of range")
     return m
-
-
-def partitions_of_level(n: int) -> list:
-    """Cycle types at level n (re-export used by callers of this module)."""
-    return partitions(n)

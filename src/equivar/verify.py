@@ -65,7 +65,7 @@ def _record(suite, name, parameters, expected, got, t0):
         "expected": expected,
         "got": got,
         "ok": expected == got,
-        "runtime_ms": int((time.time() - t0) * 1000),
+        "runtime_ms": int((time.perf_counter() - t0) * 1000),
     }
 
 
@@ -78,7 +78,7 @@ def suite_qqmaps(max_N: int = 5) -> list:
                 N = max(a, b) + 2
                 if N > max_N:
                     continue
-                t0 = time.time()
+                t0 = time.perf_counter()
                 r = stable_hom(PQFamily("Q", s, a), PQFamily("Q", s, b), N)
                 expected = factorial(a) // factorial(a - b) if b <= a else 0
                 out.append(_record(
@@ -98,7 +98,7 @@ def suite_qpmaps(max_N: int = 5) -> list:
                 N = max(a, b) + 2
                 if N > max_N:
                     continue
-                t0 = time.time()
+                t0 = time.perf_counter()
                 rp = stable_hom(PQFamily("Q", s, a), PQFamily("P", s, b), N)
                 rq = stable_hom(PQFamily("Q", s, a), PQFamily("Q", s, b), N)
                 out.append(_record(
@@ -115,7 +115,7 @@ def suite_filtration(max_N: int = 4) -> list:
     for s in (0, 1, 2):
         for n in (0, 1, 2):
             for N in range(max(n, 1), min(4, max_N) + 1):
-                t0 = time.time()
+                t0 = time.perf_counter()
                 chars = filtration_P(s, n, N)
                 chi_q = character_of(build_Q(s, n, N))
                 got = {"layers": len(chars), "all_match": all(c == chi_q for c in chars)}
@@ -133,13 +133,13 @@ def suite_phi(max_N: int = 4) -> list:
     for s in (1, 2):
         for n in (0, 1, 2):
             for N in range(max(n, 1), min(4, max_N) + 1):
-                t0 = time.time()
+                t0 = time.perf_counter()
                 rp = verify_phi_P(s, n, N)
                 out.append(_record(
                     "phi", f"phi_principal_s{s}_n{n}_N{N}",
                     {"s": s, "n": n, "N": N},
                     {"ok": True}, {"ok": rp.ok, **({"mismatch": rp.mismatch} if not rp.ok else {})}, t0))
-                t0 = time.time()
+                t0 = time.perf_counter()
                 rt = verify_phi_T(s, n, N)
                 out.append(_record(
                     "phi", f"phi_torsion_s{s}_n{n}_N{N}",
@@ -156,7 +156,7 @@ def suite_tor(max_N: int = 3) -> list:
         for N in (2, 3):
             if N > max_N:
                 continue
-            t0 = time.time()
+            t0 = time.perf_counter()
             chars = tor_periodic(s, 4, N)
             chi_q = character_of(build_Q(s, 1, N))
             got = {f"r{r}": (chars[r - 1] == chi_q) for r in range(1, 5)}
@@ -174,7 +174,7 @@ def suite_ext_self(max_N: int = 3) -> list:
     out = []
     N = max(2, min(3, max_N))
     for s in (1, 2):
-        t0 = time.time()
+        t0 = time.perf_counter()
         got = ext_stable(s, 1, 1, N, 3)
         out.append(_record(
             "ext-self", f"ext_stable_Q{s}1_N{N}",
@@ -191,7 +191,7 @@ def suite_ext_vanish(max_N: int = 3) -> list:
         for N in range(1, min(3, max_N) + 1):
             for n in range(0, min(2, N) + 1):
                 for d in range(0, min(2, N) + 1):
-                    t0 = time.time()
+                    t0 = time.perf_counter()
                     from .equivariant import build_P
 
                     ext = ext_truncated(build_Q(s, n, N), build_P(s, d, N), 2)
@@ -211,7 +211,7 @@ def suite_torsion_hom(max_N: int = 4) -> list:
                 N = max(m, n) + 2
                 if N > max_N:
                     continue
-                t0 = time.time()
+                t0 = time.perf_counter()
                 r = stable_hom(PQFamily("Q", s - 1, m), PQFamily("P", s, n), N)
                 out.append(_record(
                     "torsion-hom", f"hom_Q{s - 1},{m}_to_P{s},{n}",
@@ -226,7 +226,7 @@ def suite_kgroup(max_N: int = 5) -> list:
     out = []
     for s in range(4):
         for n in range(1, 6):
-            t0 = time.time()
+            t0 = time.perf_counter()
             mat, ps, _ = mu_matrix(n, s)
             out.append(_record(
                 "kgroup", f"mu_invertible_n{n}_s{s}",
@@ -235,7 +235,7 @@ def suite_kgroup(max_N: int = 5) -> list:
     for s in (0, 1, 2):
         for size in range(1, 5):
             for lam in partitions(size):
-                t0 = time.time()
+                t0 = time.perf_counter()
                 fwd = p_class_in_q_basis(lam, s)
                 back = KGenClass()
                 for (_, r, mu), c in fwd.coeffs.items():
@@ -244,7 +244,7 @@ def suite_kgroup(max_N: int = 5) -> list:
                     "kgroup", f"roundtrip_p_q_{'-'.join(map(str, lam))}_s{s}",
                     {"lam": list(lam), "s": s},
                     _kgen_str(KGenClass({("P", s, lam): 1})), _kgen_str(back), t0))
-    t0 = time.time()
+    t0 = time.perf_counter()
     example = p_class_in_q_basis((2,), 1)
     out.append(_record(
         "kgroup", "p_class_example",
@@ -264,7 +264,7 @@ def suite_rank_expand(max_N: int = 5) -> list:
     on the span of the P classes, and normalizes the bound-zero classes."""
     out = []
     for s in (0, 1, 2):
-        t0 = time.time()
+        t0 = time.perf_counter()
         keys = [("P", r, lam) for r in range(s + 1)
                 for size in range(4) for lam in partitions(size)]
         images = [rank_expand(KGenClass({k: 1})) for k in keys]
@@ -281,7 +281,7 @@ def suite_rank_expand(max_N: int = 5) -> list:
         out.append(_record(
             "rank-expand", f"injective_on_P_span_s{s}",
             {"s": s, "span": len(keys)}, expected, got, t0))
-        t0 = time.time()
+        t0 = time.perf_counter()
         normalized = all(
             rank_expand(KGenClass({("P", r, ()): 1})) == KModClass({r: schur(())})
             for r in range(s + 1)
@@ -301,7 +301,7 @@ def suite_tensor(max_N: int = 8) -> list:
             for N in range(n + m, min(8, max_N) + 1):
                 if N < 1:
                     continue
-                t0 = time.time()
+                t0 = time.perf_counter()
                 out.append(_record(
                     "tensor", f"dim_identity_n{n}_m{m}_N{N}",
                     {"n": n, "m": m, "N": N},
@@ -310,7 +310,7 @@ def suite_tensor(max_N: int = 8) -> list:
         for db in (1, 2, 3):
             for lam in partitions(da):
                 for mu in partitions(db):
-                    t0 = time.time()
+                    t0 = time.perf_counter()
                     ind = induce_character([
                         (da, irreducible_class_function(lam)),
                         (db, irreducible_class_function(mu)),
@@ -329,7 +329,7 @@ def suite_cascat(max_N: int = 5) -> list:
 
     out = []
     rng = random.Random(0xA5)
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = 0
     for _ in range(200):
         s = rng.randint(1, 2)
@@ -357,7 +357,7 @@ def suite_cascat(max_N: int = 5) -> list:
                 N = n + m + 1
                 if N > max_N:
                     continue
-                t0 = time.time()
+                t0 = time.perf_counter()
                 ok = compare_with_P_homs(m, n, s, N)
                 out.append(_record(
                     "cascat", f"hom_dim_match_m{m}_n{n}_s{s}",
@@ -367,7 +367,7 @@ def suite_cascat(max_N: int = 5) -> list:
 
     for s in (1, 2):
         for n in range(3):
-            t0 = time.time()
+            t0 = time.perf_counter()
             info = injective_I(s, n, n)
             above = injective_I(s, n, n + 1)
             got = {"socle": info.socle_dim, "dim": info.dim, "above": above.dim}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -117,6 +118,45 @@ def test_bad_parameters_exit_two(capsys):
     capsys.readouterr()
     assert main(["verify", "--suite", "nosuch"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["ext", "--mode", "stable", "--s", "1", "--N", "3", "--max-i", "-1"],
+    ["ext", "--mode", "truncated", "--s", "1", "--N", "3", "--max-i", "-1"],
+    ["cas", "--op", "hom", "--m", "1", "--n", "1", "--s", "-1"],
+    ["cas", "--op", "hom", "--m", "-1", "--n", "1", "--s", "1"],
+    ["cas", "--op", "hom", "--m", "1", "--n", "-1", "--s", "1"],
+    ["cas", "--op", "injective", "--m", "1", "--n", "1", "--s", "-1"],
+])
+def test_negative_parameters_exit_two(capsys, argv):
+    # each of these used to exit 0 with an empty or zero result
+    assert main(["--format", "json", *argv]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "nonnegative" in out.err
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["dim", "--kind", "P", "--s", "1", "--n", "2", "--N", "3", "--dump"],
+     "c9673f1125f033a1febdb45f5175576c3ac744b9100d8f196dc79a4e6eff1caa"),
+    (["dim", "--kind", "Q", "--s", "2", "--n", "1", "--N", "3", "--dump"],
+     "0cc88e6ce5be6803191c49efc19b3dac6c01e9a6fa8c1ad82d9f72ce6fed2856"),
+])
+def test_dim_dump_is_pinned(capsys, argv, digest):
+    # the dumped matrices are derived from label maps; the digests were taken
+    # when the modules stored Fraction matrices, so the JSON is unchanged
+    code, lines = run_json(capsys, argv)
+    assert code == 0
+    result = json.dumps(lines[-1]["result"], sort_keys=True).encode()
+    assert hashlib.sha256(result).hexdigest() == digest
+
+
+def test_direct_sum_dump_is_pinned():
+    from equivar.equivariant import build_P, build_Q, direct_sum
+
+    mod = direct_sum([build_Q(1, 1, 3), build_P(1, 1, 3), build_Q(1, 0, 3)])
+    data = json.dumps(mod.to_json_dict(), sort_keys=True).encode()
+    assert (hashlib.sha256(data).hexdigest()
+            == "7d3f4317829e64ba3e9f5754755390c1099ba3d9a5d79ecb1d134798d70d2573")
 
 
 def test_cap_and_dimension_guard(capsys):

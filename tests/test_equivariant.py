@@ -6,6 +6,7 @@ import pytest
 
 from equivar.combinat import ClassFunction, partitions
 from equivar.equivariant import (
+    EquivModule,
     build_induced,
     build_P,
     build_Q,
@@ -50,13 +51,11 @@ def test_bad_parameters():
         pq_dimension("Q", 1, 4, 3)
 
 
-@pytest.mark.parametrize("kind", ["P", "Q"])
-@pytest.mark.parametrize("s", [0, 1, 2])
-@pytest.mark.parametrize("n", [0, 1, 2, 3])
-@pytest.mark.parametrize("N", [1, 2, 3, 4])
+@pytest.mark.parametrize("N,n,s,kind", [
+    (N, n, s, kind)
+    for N in (1, 2, 3, 4) for n in range(min(N, 3) + 1) for s in (0, 1, 2) for kind in "PQ"
+])
 def test_module_axioms_exhaustive(kind, s, n, N):
-    if n > N:
-        pytest.skip("tuple longer than truncation")
     mod = build_P(s, n, N) if kind == "P" else build_Q(s, n, N)
     assert mod.dim == pq_dimension(kind, s, n, N)
     check_axioms(mod)
@@ -136,6 +135,14 @@ def test_character_of_examples():
     q = build_Q(1, 1, 2)
     both = direct_sum([ring, q])
     assert character_of(both) == chi + character_of(q)
+
+
+def test_direct_sum_needs_label_maps():
+    q = build_Q(1, 1, 2)
+    plain = EquivModule(q.cfg, q.labels, q.xmul, q.coxeter)
+    assert plain.xmaps is None
+    with pytest.raises(ValueError):
+        direct_sum([q, plain])
 
 
 def test_character_multiple_relation_p_vs_q():

@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from equivar.equivariant import build_P, build_Q, character_of
+from equivar.equivariant import EquivModule, build_P, build_Q, character_of
 from equivar.homcalc import (
     AssemblyError,
     PQFamily,
@@ -18,7 +18,12 @@ from equivar.homcalc import (
     stable_hom,
     tor_complex,
     tor_periodic,
+    _constraint_images_by_blocks,
+    _constraint_images_by_maps,
+    _embed_vector,
     _mapping_solutions,
+    _mapping_solutions_generic,
+    _stable_subspace,
 )
 from equivar.linalg import ONE, SpanBasis, matrix_rank, nullspace, rank_of_vectors
 
@@ -84,15 +89,50 @@ def test_map_from_generator_value_is_equivariant():
         f.check()
 
 
+def _targets(s, m, N):
+    """P, Q and direct-sum targets that carry label maps."""
+    from equivar.equivariant import direct_sum
+
+    return [build_Q(s, m, N), build_P(s, m, N),
+            direct_sum([build_Q(s, m, N), build_P(s, max(m - 1, 0), N)])]
+
+
 def test_fast_path_matches_elimination():
-    # strip the permutation flag to force the generic elimination path
-    for s, n, m, N in [(1, 1, 1, 3), (1, 2, 1, 3), (2, 1, 2, 3)]:
-        tgt = build_Q(s, m, N)
-        fast = _mapping_solutions(PQFamily("Q", s, n), tgt)
-        tgt.permutation_like = False
-        slow = _mapping_solutions(PQFamily("Q", s, n), tgt)
-        tgt.permutation_like = True
-        assert SpanBasis(fast, tgt.dim) == SpanBasis(slow, tgt.dim)
+    # the label-map solver against the reference elimination, for Q sources
+    # and for P sources (as in cas_cat.compare_with_P_homs), with the source
+    # bound at and below the target's
+    for kind, r_shift in itertools.product("QP", (0, 1)):
+        for s, n, m, N in [(1, 1, 1, 3), (1, 2, 1, 3), (2, 1, 2, 3)]:
+            profile = PQFamily(kind, s - r_shift, n)
+            for tgt in _targets(s, m, N):
+                assert tgt.xmaps is not None
+                fast = _mapping_solutions(profile, tgt)
+                slow = _mapping_solutions_generic(profile, tgt)
+                assert SpanBasis(fast, tgt.dim) == SpanBasis(slow, tgt.dim)
+
+
+@pytest.mark.parametrize("kind", ["Q", "P"])
+def test_stable_subspace_maps_match_blocks(kind):
+    """The label-map and constraint-matrix images in _stable_subspace agree,
+    and so does the subspace computed on a matrix-only copy of the modules."""
+    for s, n, m, N, r in [(1, 1, 1, 3, 1), (1, 2, 1, 3, 1), (2, 1, 2, 3, 2),
+                          (1, 0, 1, 2, 1), (2, 1, 1, 3, 1), (1, 1, 1, 3, 0)]:
+        profile = PQFamily(kind, r, n)
+        for small, big in zip(_targets(s, m, N), _targets(s, m, N + 1)):
+            sols = _mapping_solutions(profile, small)
+            pushed = [_embed_vector(v, small, big) for v in sols]
+            assert (_constraint_images_by_maps(profile, big, pushed)
+                    == _constraint_images_by_blocks(profile, big, pushed))
+            plain_small, plain_big = _matrix_copy(small), _matrix_copy(big)
+            assert plain_big.xmaps is None
+            stable = _stable_subspace(profile, sols, small, big)
+            reference = _stable_subspace(profile, sols, plain_small, plain_big)
+            assert SpanBasis(stable, small.dim) == SpanBasis(reference, small.dim)
+
+
+def _matrix_copy(mod):
+    return EquivModule(mod.cfg, mod.labels, mod.xmul, mod.coxeter,
+                       grading=mod.grading, name=mod.name)
 
 
 # --- stabilization -------------------------------------------------------------
@@ -353,9 +393,7 @@ def test_tor_dims_against_minimal_cover_oracle(s, N):
 def test_fast_path_matches_elimination_larger_case():
     tgt = build_Q(1, 2, 4)
     fast = _mapping_solutions(PQFamily("Q", 1, 2), tgt)
-    tgt.permutation_like = False
-    slow = _mapping_solutions(PQFamily("Q", 1, 2), tgt)
-    tgt.permutation_like = True
+    slow = _mapping_solutions_generic(PQFamily("Q", 1, 2), tgt)
     assert SpanBasis(fast, tgt.dim) == SpanBasis(slow, tgt.dim)
 
 
