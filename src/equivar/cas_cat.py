@@ -102,7 +102,10 @@ def compose(g: CasMorphism, f: CasMorphism) -> CasMorphism:
 
 def hom_dimension(m: int, n: int, s: int) -> int:
     """Dimension of the full morphism space [m] -> [n]: one coefficient ring
-    copy per injection."""
+    copy per injection.  Raises ValueError on a negative size (so does
+    ``injective_I``, through this function)."""
+    if min(m, n, s) < 0:
+        raise ValueError(f"sizes must be nonnegative: m={m}, n={n}, s={s}")
     return injection_count(m, n) * (s + 1) ** n
 
 

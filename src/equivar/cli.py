@@ -11,7 +11,9 @@ families exist exactly when the destination tuple size is at most the
 source's, one basis map per arrangement.
 
 The dimension guard refuses jobs whose modules would exceed ``--max-dim``
-basis elements (default 50000, overridable via EQUIVAR_MAX_DIM).
+basis elements (default 50000, overridable via EQUIVAR_MAX_DIM).  Truncated
+Ext applies the same bound to each free cover of its resolution, before
+building it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import json
 import os
 import sys
 import time
-from math import factorial
 
 DEFAULT_MAX_DIM = 50_000
 DEFAULT_CAP_N = 5
@@ -31,17 +32,11 @@ class ParameterError(Exception):
     """Invalid or out-of-bounds request; exits with status 2."""
 
 
-def _projected_dim(kind: str, s: int, n: int, N: int) -> int:
-    if n > N:
-        raise ParameterError(f"tuple size n={n} exceeds the truncation N={N}")
-    tuples = factorial(N) // factorial(N - n)
-    free = (s + 1) ** (N if kind == "P" else N - n)
-    return free * tuples
-
-
 def _check_bounds(args, requests) -> None:
     """requests: list of (kind, s, n, N) the command intends to build; the
     guard also accounts for the stabilization level N+1 when asked."""
+    from .equivariant import pq_dimension
+
     cap = args.cap_N
     max_dim = args.max_dim
     for kind, s, n, N in requests:
@@ -49,7 +44,10 @@ def _check_bounds(args, requests) -> None:
             raise ParameterError("parameters must be nonnegative")
         if N > cap:
             raise ParameterError(f"N={N} exceeds the cap {cap} (raise --cap-N)")
-        d = _projected_dim(kind, s, n, N)
+        try:
+            d = pq_dimension(kind, s, n, N)
+        except ValueError as exc:
+            raise ParameterError(str(exc)) from None
         if d > max_dim:
             raise ParameterError(
                 f"a {kind} module of dimension {d} exceeds --max-dim {max_dim}")
@@ -139,7 +137,7 @@ def cmd_ext(args) -> dict:
     build = {"P": build_P, "Q": build_Q}
     M = build[src[0]](src[1], src[2], args.N)
     T = build[dst[0]](dst[1], dst[2], args.N)
-    dims = ext_truncated(M, T, args.max_i)
+    dims = ext_truncated(M, T, args.max_i, dim_cap=args.max_dim)
     return {"mode": "truncated", "dims": dims, "degrees": list(range(args.max_i + 1))}
 
 

@@ -14,11 +14,23 @@ supported on all N variables.  ``stable_hom`` therefore solves at N, pushes
 each solution along the canonical basis-label inclusion into level N+1, and
 keeps only those that still satisfy the level-(N+1) constraints.  The three
 dimensions (at N, at N+1, stable) are always reported separately.
+
+Truncated Ext: ``ext_truncated`` resolves the source by minimal equivariant
+free covers and takes the S_N-invariants of Hom(V_i, T), V_i the generator
+representation at level i.  When T carries label maps it is a permutation
+module, so an invariant map is fixed by its row at one label t0 per orbit,
+and that row only has to be fixed by the stabilizer of t0 (Frobenius
+reciprocity).  The group is enumerated once, by ``_group_walk``: a
+breadth-first walk over adjacent swaps in which each element is an earlier
+element followed by one swap, so a product over the group costs one matrix
+product per element.  Two walk elements that reach the same label give one
+stabilizer constraint.  The same walk builds the averaged equivariant section
+of each free cover.  A target without label maps goes through elimination on
+all dim V * dim T entries, which is also the reference for the orbit solver.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -28,6 +40,7 @@ from .equivariant import (
     EquivMap,
     EquivModule,
     SnRep,
+    _compose_swap,
     _map_matrix,
     build_P,
     build_Q,
@@ -38,6 +51,7 @@ from .equivariant import (
 )
 from .linalg import (
     ONE,
+    Echelon,
     SpanBasis,
     SparseRationalMatrix,
     apply_columns,
@@ -314,8 +328,6 @@ def hom_generic(M: EquivModule, T: EquivModule) -> list:
                         row.pop(key, None)
                 if row:
                     rows.append(row)
-    from .linalg import Echelon
-
     ech = Echelon(dm * dt)
     for row in rows:
         ech.add(row)
@@ -576,8 +588,31 @@ def ext_stable(s: int, n_source: int, n_target: int, N: int, max_degree: int,
 # truncated equivariant Ext via minimal covers
 
 
-def _all_perms(N):
-    return sorted(itertools.permutations(range(N)))
+def _group_walk(N: int) -> list:
+    """Every element of the symmetric group on N letters once, breadth first
+    over adjacent swaps.  Entry k is (parent, j): element k is element
+    ``parent`` followed by the swap (j, j+1), and parent < k.  Entry 0 is the
+    identity, (None, None)."""
+    perms = [tuple(range(N))]
+    index = {perms[0]: 0}
+    walk = [(None, None)]
+    for k, g in enumerate(perms):  # perms grows while it is read: breadth first
+        for j in range(N - 1):
+            h = _compose_swap(j, g)
+            if h not in index:
+                index[h] = len(perms)
+                perms.append(h)
+                walk.append((k, j))
+    return walk
+
+
+def _along_walk(walk: list, first, step) -> list:
+    """The value at each element of a group walk, in walk order: ``first`` at
+    the identity and ``step(j, value at the parent)`` elsewhere."""
+    values = [first]
+    for parent, j in walk[1:]:
+        values.append(step(j, values[parent]))
+    return values
 
 
 def _quotient_by_radical(M: EquivModule):
@@ -613,15 +648,14 @@ def _quotient_by_radical(M: EquivModule):
     rep_cox = tuple(pi_matrix(M.coxeter[j] @ lift) for j in range(N - 1))
     rep = SnRep(N, len(free), rep_cox)
 
-    # equivariant section: average g . lift . g^{-1} over the whole group
-    perms = _all_perms(N)
+    # equivariant section: the average of g . lift . g^{-1} over the group;
+    # the term of g followed by swap j is coxeter[j] @ (term of g) @ rep.coxeter[j]
+    walk = _group_walk(N)
     acc = SparseRationalMatrix(M.dim, len(free))
-    for g in perms:
-        inv = [0] * N
-        for k, img in enumerate(g):
-            inv[img] = k
-        acc = acc + (M.perm_matrix(g) @ lift @ rep.matrix(tuple(inv)))
-    sec = acc.scale(Fraction(1, len(perms)))
+    for term in _along_walk(walk, lift, lambda j, m: M.coxeter[j] @ m @ rep.coxeter[j]):
+        for row, trow in zip(acc.rows, term.rows):
+            vec_axpy(row, ONE, trow)
+    sec = acc.scale(Fraction(1, len(walk)))
     if pi_matrix(sec) != SparseRationalMatrix.identity(len(free)):
         raise AssemblyError("averaged section does not split the reduction")
     for j in range(N - 1):
@@ -630,15 +664,18 @@ def _quotient_by_radical(M: EquivModule):
     return rep, sec
 
 
-def _free_cover(M: EquivModule):
+def _free_cover(M: EquivModule, dim_cap: int | None = None):
     """Minimal equivariant free cover: returns (F, d, rep) with d: F -> M
-    surjective, F the free module on the radical fiber of M."""
+    surjective, F the free module on the radical fiber of M.  Raises
+    RuntimeError, before building F, when dim F would exceed ``dim_cap``."""
     rep, sec = _quotient_by_radical(M)
     cfg = M.cfg
     monos = all_monomials(cfg)
+    dimF = len(monos) * rep.dim
+    if dim_cap is not None and dimF > dim_cap:
+        raise RuntimeError(f"a free cover of dimension {dimF} exceeds the dimension cap {dim_cap}")
     labels = [(mono, f) for mono in monos for f in range(rep.dim)]
     index = {lab: t for t, lab in enumerate(labels)}
-    dimF = len(labels)
 
     # x_i raises the exponent of the monomial part; past s the label is absent
     xmul = [_map_matrix([index.get((mono[:i] + (mono[i] + 1,) + mono[i + 1:], f))
@@ -707,6 +744,108 @@ def _kernel_module(F: EquivModule, d: SparseRationalMatrix):
     return K, B
 
 
+def _resolution(M: EquivModule, levels: int, dim_cap: int | None = None):
+    """The first ``levels`` terms of the minimal free resolution of M:
+    (reps, diffs, free_mods), with reps[i] the generator representation of
+    F_i and diffs[i] the matrix of F_i -> F_{i-1} on full free bases
+    (F_{-1} = M)."""
+    reps, diffs, free_mods = [], [], []
+    current = M
+    inclusion = None  # kernel inclusion into the previous free module
+    for _ in range(levels):
+        F, cover, rep = _free_cover(current, dim_cap)
+        reps.append(rep)
+        diffs.append(cover.matrix if inclusion is None else inclusion @ cover.matrix)
+        free_mods.append(F)
+        current, inclusion = _kernel_module(F, cover.matrix)
+    return reps, diffs, free_mods
+
+
+def _hom_invariants_generic(rep: SnRep, T: EquivModule) -> list:
+    """Basis of the invariant maps V -> T, by elimination on all dimV * dimT
+    entries; entry f * T.dim + t of a vector is the map's coefficient from
+    basis vector f of V to basis label t of T."""
+    dimV, dimT = rep.dim, T.dim
+
+    def key(t, f):
+        return f * dimT + t
+
+    ech = Echelon(dimV * dimT)
+    for rv, rt in zip(rep.coxeter, T.coxeter):
+        rv_cols = rv.columns()
+        for fp in range(dimV):
+            colf = rv_cols[fp]
+            for tp in range(dimT):
+                row = {}
+                for t, vt in rt.rows[tp].items():
+                    for f, vf in colf.items():
+                        k2 = key(t, f)
+                        w = row.get(k2, Fraction(0)) + vt * vf
+                        if w:
+                            row[k2] = w
+                        else:
+                            row.pop(k2, None)
+                k0 = key(tp, fp)
+                w = row.get(k0, Fraction(0)) - 1
+                if w:
+                    row[k0] = w
+                else:
+                    row.pop(k0, None)
+                if row:
+                    ech.add(row)
+    return ech.kernel_basis()
+
+
+def _hom_invariants_by_orbits(rep: SnRep, T: EquivModule) -> list:
+    """The invariant maps V -> T for a target with label maps, in the vector
+    layout of ``_hom_invariants_generic``, spanning the same space.
+
+    Row t of an invariant map phi is a row vector phi_t, and invariance reads
+    phi_{g.t} = phi_t @ rho(g^-1).  So phi is fixed by its row r at one label
+    t0 per orbit, and r is any solution of r @ rho(k) = r for k in the
+    stabilizer of t0 (Frobenius reciprocity).  Along the group walk,
+    mats[k] = rho(g_k^-1) is the product of the walk's swaps in path order.
+    Two elements g, h reaching the same label give the constraint
+    r @ (mats[g] - mats[h]) = 0; pairing each element with the first one
+    that reaches its label spans all of them.  An orbit whose constraints
+    reach full rank contributes nothing, and its remaining ones are skipped.
+    """
+    dimV, dimT = rep.dim, T.dim
+    walk = _group_walk(rep.n)
+    mats = _along_walk(walk, SparseRationalMatrix.identity(dimV),
+                       lambda j, m: m @ rep.coxeter[j])
+    mat_cols = [m.columns() for m in mats]
+    basis = []
+    seen = set()
+    for t0 in range(dimT):
+        if t0 in seen:
+            continue
+        reached = _along_walk(walk, t0, lambda j, t: T.swaps[j][t])
+        first: dict = {}  # label -> the first walk element reaching it
+        ech = Echelon(dimV)
+        for k, t in enumerate(reached):
+            k0 = first.setdefault(t, k)
+            if k0 == k:
+                continue
+            for f in range(dimV):
+                if ech.rank == dimV:
+                    break
+                row = dict(mat_cols[k][f])
+                vec_axpy(row, -ONE, mat_cols[k0][f])
+                if row:
+                    ech.add(row)
+        seen.update(first)
+        if ech.rank == dimV:
+            continue
+        for r in ech.kernel_basis():
+            vec = {}
+            for t, k in first.items():  # row t is r @ mats[k]: mats[k]'s rows weighted by r
+                for f, v in apply_columns(mats[k].rows, r).items():
+                    vec[f * dimT + t] = v
+            basis.append(vec)
+    return basis
+
+
 def ext_truncated(M: EquivModule, T: EquivModule, max_i: int,
                   dim_cap: int = 200_000) -> list:
     """Equivariant Ext at the truncation, degrees 0..max_i.
@@ -715,69 +854,14 @@ def ext_truncated(M: EquivModule, T: EquivModule, max_i: int,
     fiber at each step, with the group action carried along), forms the Hom
     complex into T, restricts to invariants under the full symmetric group,
     and reads off cohomology dimensions.  Exact at the truncation; stable
-    answers across truncations are the business of ``ext_stable``.
+    answers across truncations are the business of ``ext_stable``.  Raises
+    RuntimeError when a free cover would exceed ``dim_cap``.
     """
     if M.cfg != T.cfg:
         raise ValueError(f"config mismatch: {M.cfg} != {T.cfg}")
     N = M.cfg.N
-
-    reps = []
-    diffs = []  # diffs[i]: matrix of F_i -> F_{i-1} on full free bases (F_-1 = M)
-    current = M
-    inclusion = None  # kernel inclusion into previous free module
-    free_mods = []
-    for level in range(max_i + 2):
-        F, cover, rep = _free_cover(current)
-        if F.dim > dim_cap:
-            raise RuntimeError(f"resolution term exceeds the dimension cap ({F.dim})")
-        reps.append(rep)
-        d = cover.matrix if inclusion is None else inclusion @ cover.matrix
-        diffs.append(d)
-        free_mods.append(F)
-        K, B = _kernel_module(F, cover.matrix)
-        current, inclusion = K, B
-
-    perms_needed = range(N - 1)
-
-    def hom_invariant_basis(level):
-        rep = reps[level]
-        dimV, dimT = rep.dim, T.dim
-        total = dimV * dimT
-
-        def key(t, f):
-            return f * dimT + t
-
-        rows = []
-        for j in perms_needed:
-            rv = rep.coxeter[j]
-            rt = T.coxeter[j]
-            rv_cols = rv.columns()
-            for fp in range(dimV):
-                colf = rv_cols[fp]
-                for tp in range(dimT):
-                    row = {}
-                    for t, vt in rt.rows[tp].items():
-                        for f, vf in colf.items():
-                            k2 = key(t, f)
-                            w = row.get(k2, Fraction(0)) + vt * vf
-                            if w:
-                                row[k2] = w
-                            else:
-                                row.pop(k2, None)
-                    k0 = key(tp, fp)
-                    w = row.get(k0, Fraction(0)) - 1
-                    if w:
-                        row[k0] = w
-                    else:
-                        row.pop(k0, None)
-                    if row:
-                        rows.append(row)
-        from .linalg import Echelon
-
-        ech = Echelon(total)
-        for row in rows:
-            ech.add(row)
-        return ech.kernel_basis()
+    reps, diffs, free_mods = _resolution(M, max_i + 2, dim_cap)
+    hom_invariants = _hom_invariants_generic if T.swaps is None else _hom_invariants_by_orbits
 
     # induced differential on Hom spaces: precompute monomial action on T
     mono_action_cache: dict = {}
@@ -822,7 +906,7 @@ def ext_truncated(M: EquivModule, T: EquivModule, max_i: int,
                 mat.set(rk, ck, v)
         return mat
 
-    inv_bases = [hom_invariant_basis(level) for level in range(max_i + 2)]
+    inv_bases = [hom_invariants(rep, T) for rep in reps]
     d_mats = [induced_differential(level) for level in range(1, max_i + 2)]
 
     ranks = [0] * (max_i + 1)

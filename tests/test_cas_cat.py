@@ -31,6 +31,15 @@ def random_morphism(rng, m, n, s, max_terms=2):
     return CasMorphism.make(m, n, s, terms)
 
 
+@pytest.mark.parametrize("m,n,s", [(1, -1, 1), (-1, 1, 1), (1, 1, -1)])
+def test_negative_sizes_are_rejected(m, n, s):
+    # (s + 1) ** n with n < 0 is a float, so these used to answer 0.0
+    with pytest.raises(ValueError):
+        hom_dimension(m, n, s)
+    with pytest.raises(ValueError):
+        injective_I(s, n, m)
+
+
 def test_identity_laws():
     f = CasMorphism.make(1, 2, 1, {((1,), (1, 0)): 2})
     assert compose(identity_morphism(2, 1), f) == f

@@ -166,6 +166,18 @@ def test_cap_and_dimension_guard(capsys):
     capsys.readouterr()
 
 
+def test_max_dim_bounds_free_covers(capsys):
+    # both modules fit in 50 basis elements, but the resolution's free covers
+    # have dimensions 48, 96 and 144
+    argv = ["ext", "--mode", "truncated", "--s", "1", "--src", "Q,1,2", "--dst", "P,1,1",
+            "--N", "3", "--max-i", "1"]
+    assert main(["--format", "json", "--max-dim", "50", *argv]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "free cover of dimension 96" in out.err
+    code, lines = run_json(capsys, ["--max-dim", "144", *argv])
+    assert code == 0 and lines[-1]["result"]["dims"] == [6, 0]
+
+
 def test_env_override_for_dimension_guard(capsys, monkeypatch):
     monkeypatch.setenv("EQUIVAR_MAX_DIM", "10")
     assert main(["dim", "--kind", "Q", "--s", "1", "--n", "1", "--N", "3"]) == 2

@@ -3,8 +3,19 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from equivar.equivariant import EquivModule, build_P, build_Q, character_of
+from equivar.equivariant import (
+    EquivModule,
+    build_P,
+    build_Q,
+    character_of,
+    direct_sum,
+    regular_rep,
+    sign_rep,
+    trivial_rep,
+)
 from equivar.homcalc import (
     AssemblyError,
     PQFamily,
@@ -21,11 +32,26 @@ from equivar.homcalc import (
     _constraint_images_by_blocks,
     _constraint_images_by_maps,
     _embed_vector,
+    _free_cover,
+    _group_walk,
+    _hom_invariants_by_orbits,
+    _hom_invariants_generic,
+    _kernel_module,
     _mapping_solutions,
     _mapping_solutions_generic,
+    _quotient_by_radical,
+    _resolution,
     _stable_subspace,
 )
-from equivar.linalg import ONE, SpanBasis, matrix_rank, nullspace, rank_of_vectors
+from equivar.linalg import (
+    ONE,
+    SpanBasis,
+    SparseRationalMatrix,
+    matrix_rank,
+    nullspace,
+    rank_of_vectors,
+)
+from equivar.truncated_ring import RingConfig
 
 
 def qq_expected(a, b):
@@ -298,6 +324,146 @@ def test_ext_truncated_self_ext_diagnostic_runs():
 def test_ext_truncated_config_mismatch():
     with pytest.raises(ValueError):
         ext_truncated(build_Q(1, 1, 2), build_P(1, 1, 3), 1)
+
+
+def _zero_module(s, N):
+    return EquivModule(RingConfig(N, s), [], xmaps=[[]] * N, swaps=[[]] * max(N - 1, 0))
+
+
+def _kernel_of_cover(M):
+    F, cover, _ = _free_cover(M)
+    return _kernel_module(F, cover.matrix)[0]
+
+
+def assert_same_invariants(rep, T):
+    orbit = _hom_invariants_by_orbits(rep, T)
+    generic = _hom_invariants_generic(rep, T)
+    ambient = rep.dim * T.dim
+    assert len(orbit) == len(generic)
+    assert SpanBasis(orbit, ambient) == SpanBasis(generic, ambient)
+
+
+def test_orbit_invariants_match_generic():
+    N = 3
+    reps = [trivial_rep(N), sign_rep(N), regular_rep(N)]
+    for M in [build_Q(1, 1, N), build_Q(1, 2, N), build_P(2, 1, N),
+              _kernel_of_cover(build_Q(1, 1, N))]:
+        reps.append(_quotient_by_radical(M)[0])
+    targets = [build_P(1, 1, N), build_Q(1, 1, N), build_Q(1, 2, N),
+               direct_sum([build_P(1, 1, N), build_P(1, 0, N)]), _zero_module(1, N)]
+    for rep in reps:
+        for T in targets:
+            assert_same_invariants(rep, T)
+
+
+@pytest.mark.parametrize("N", range(6))
+def test_group_walk_reaches_every_permutation_once(N):
+    walk = _group_walk(N)
+    assert walk[0] == (None, None)
+    perms = [tuple(range(N))]
+    for parent, j in walk[1:]:
+        assert parent < len(perms) and 0 <= j < N - 1
+        perms.append(tuple(j + 1 if v == j else j if v == j + 1 else v
+                           for v in perms[parent]))
+    assert len(perms) == len(set(perms)) == factorial(N)
+    assert set(perms) == set(itertools.permutations(range(N)))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_Q(1, 1, 3), lambda: build_Q(1, 2, 3), lambda: build_P(2, 1, 3),
+    lambda: build_Q(1, 1, 4), lambda: _kernel_of_cover(build_Q(1, 1, 3)),
+], ids=["Q113", "Q123", "P213", "Q114", "kernel"])
+def test_walk_section_matches_average_over_all_words(build):
+    M = build()
+    N = M.cfg.N
+    rep, sec = _quotient_by_radical(M)
+    # the reference: average perm_matrix(g) @ lift @ rep.matrix(g^-1) over
+    # the N! permutations, each through its own coxeter word
+    radical = SpanBasis([c for x in M.xmul for c in x.columns()], M.dim)
+    free = [t for t in range(M.dim) if t not in set(radical.leads)]
+    lift = SparseRationalMatrix(M.dim, len(free))
+    for t, f in enumerate(free):
+        lift.set(f, t, 1)
+    perms = sorted(itertools.permutations(range(N)))
+    acc = SparseRationalMatrix(M.dim, len(free))
+    for g in perms:
+        inv = [0] * N
+        for k, img in enumerate(g):
+            inv[img] = k
+        acc = acc + (M.perm_matrix(g) @ lift @ rep.matrix(tuple(inv)))
+    assert sec == acc.scale(Fraction(1, len(perms)))
+
+
+def test_ext_truncated_generic_branch_matches_label_maps():
+    for src, tgt in [(build_Q(1, 1, 3), build_P(1, 1, 3)), (build_Q(1, 2, 3), build_P(1, 2, 3)),
+                     (build_Q(2, 1, 2), build_Q(2, 1, 2))]:
+        plain = _matrix_copy(tgt)
+        assert plain.swaps is None
+        assert ext_truncated(src, plain, 2) == ext_truncated(src, tgt, 2)
+
+
+# ext_truncated(X(s, n, N), Y(s, d, N), 2) for n, d in 0..2, row-major in
+# (n, d); recorded before the orbit solver and the group walk landed
+EXT_TRUNCATED_TABLE = {
+    ("QQ", 0, 3): [[1, 0, 0], [1, 0, 0], [1, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0],
+                   [1, 0, 0], [3, 0, 0], [6, 0, 0]],
+    ("QQ", 1, 2): [[3, 0, 0], [2, 0, 0], [1, 0, 0], [2, 0, 0], [3, 2, 2], [2, 2, 2],
+                   [1, 0, 0], [2, 2, 2], [2, 4, 6]],
+    ("QQ", 1, 3): [[4, 0, 0], [3, 0, 0], [2, 0, 0], [3, 0, 0], [5, 3, 3], [5, 4, 4],
+                   [2, 0, 0], [5, 4, 4], [8, 12, 16]],
+    ("QQ", 2, 2): [[6, 0, 0], [3, 0, 0], [1, 0, 0], [3, 0, 0], [4, 3, 3], [2, 2, 2],
+                   [1, 0, 0], [2, 2, 2], [2, 4, 6]],
+    ("QQ", 2, 3): [[10, 0, 0], [6, 0, 0], [3, 0, 0], [6, 0, 0], [9, 6, 6], [7, 6, 6],
+                   [3, 0, 0], [7, 6, 6], [10, 16, 22]],
+    ("PP", 0, 3): [[1, 0, 0], [1, 0, 0], [1, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0],
+                   [1, 0, 0], [3, 0, 0], [6, 0, 0]],
+    ("PP", 1, 2): [[3, 0, 0], [4, 0, 0], [4, 0, 0], [4, 0, 0], [8, 0, 0], [8, 0, 0],
+                   [4, 0, 0], [8, 0, 0], [8, 0, 0]],
+    ("PP", 1, 3): [[4, 0, 0], [6, 0, 0], [8, 0, 0], [6, 0, 0], [14, 0, 0], [24, 0, 0],
+                   [8, 0, 0], [24, 0, 0], [48, 0, 0]],
+    ("PP", 2, 2): [[6, 0, 0], [9, 0, 0], [9, 0, 0], [9, 0, 0], [18, 0, 0], [18, 0, 0],
+                   [9, 0, 0], [18, 0, 0], [18, 0, 0]],
+    ("PP", 2, 3): [[10, 0, 0], [18, 0, 0], [27, 0, 0], [18, 0, 0], [45, 0, 0], [81, 0, 0],
+                   [27, 0, 0], [81, 0, 0], [162, 0, 0]],
+    ("PQ", 0, 3): [[1, 0, 0], [1, 0, 0], [1, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0],
+                   [1, 0, 0], [3, 0, 0], [6, 0, 0]],
+    ("PQ", 1, 2): [[3, 0, 0], [2, 0, 0], [1, 0, 0], [4, 0, 0], [4, 0, 0], [2, 0, 0],
+                   [4, 0, 0], [4, 0, 0], [2, 0, 0]],
+    ("PQ", 1, 3): [[4, 0, 0], [3, 0, 0], [2, 0, 0], [6, 0, 0], [7, 0, 0], [6, 0, 0],
+                   [8, 0, 0], [12, 0, 0], [12, 0, 0]],
+    ("PQ", 2, 2): [[6, 0, 0], [3, 0, 0], [1, 0, 0], [9, 0, 0], [6, 0, 0], [2, 0, 0],
+                   [9, 0, 0], [6, 0, 0], [2, 0, 0]],
+    ("PQ", 2, 3): [[10, 0, 0], [6, 0, 0], [3, 0, 0], [18, 0, 0], [15, 0, 0], [9, 0, 0],
+                   [27, 0, 0], [27, 0, 0], [18, 0, 0]],
+}
+
+
+@pytest.mark.parametrize("key", sorted(EXT_TRUNCATED_TABLE))
+def test_ext_truncated_table_is_pinned(key):
+    kinds, s, N = key
+    build = {"P": build_P, "Q": build_Q}
+    got = [ext_truncated(build[kinds[0]](s, n, N), build[kinds[1]](s, d, N), 2)
+           for n in range(3) for d in range(3)]
+    assert got == EXT_TRUNCATED_TABLE[key]
+
+
+@st.composite
+def resolution_cases(draw):
+    N = draw(st.integers(0, 3))
+    top = min(2, N)
+    return (draw(st.sampled_from("PQ")), draw(st.sampled_from("PQ")), draw(st.integers(0, 2)),
+            N, draw(st.integers(0, top)), draw(st.integers(0, top)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(resolution_cases())
+def test_orbit_invariants_match_generic_on_resolutions(case):
+    src_kind, tgt_kind, s, N, n, d = case
+    build = {"P": build_P, "Q": build_Q}
+    T = build[tgt_kind](s, d, N)
+    reps, _, _ = _resolution(build[src_kind](s, n, N), 3)
+    for rep in reps:
+        assert_same_invariants(rep, T)
 
 
 # --- the periodic Tor ---------------------------------------------------------------
