@@ -11,9 +11,10 @@ families exist exactly when the destination tuple size is at most the
 source's, one basis map per arrangement.
 
 The dimension guard refuses jobs whose modules would exceed ``--max-dim``
-basis elements (default 50000, overridable via EQUIVAR_MAX_DIM).  Truncated
-Ext applies the same bound to each free cover of its resolution, before
-building it.
+basis elements (default 50000, overridable via EQUIVAR_MAX_DIM).  Stable
+Ext applies it to the largest term of the target's coresolution, a direct sum
+of P modules at level N+1.  Truncated Ext applies the same bound to each free
+cover of its resolution, before building it.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import json
 import os
 import sys
 import time
+from math import comb
 
 DEFAULT_MAX_DIM = 50_000
 DEFAULT_CAP_N = 5
@@ -32,9 +34,10 @@ class ParameterError(Exception):
     """Invalid or out-of-bounds request; exits with status 2."""
 
 
-def _check_bounds(args, requests) -> None:
-    """requests: list of (kind, s, n, N) the command intends to build; the
-    guard also accounts for the stabilization level N+1 when asked."""
+def _check_bounds(args, requests, copies: int = 1) -> None:
+    """requests: list of (kind, s, n, N) the command intends to build, each
+    as a direct sum of ``copies`` modules; the guard also accounts for the
+    stabilization level N+1 when asked."""
     from .equivariant import pq_dimension
 
     cap = args.cap_N
@@ -45,12 +48,12 @@ def _check_bounds(args, requests) -> None:
         if N > cap:
             raise ParameterError(f"N={N} exceeds the cap {cap} (raise --cap-N)")
         try:
-            d = pq_dimension(kind, s, n, N)
+            d = copies * pq_dimension(kind, s, n, N)
         except ValueError as exc:
             raise ParameterError(str(exc)) from None
         if d > max_dim:
-            raise ParameterError(
-                f"a {kind} module of dimension {d} exceeds --max-dim {max_dim}")
+            what = f"a {kind} module" if copies == 1 else f"a sum of {copies} {kind} modules"
+            raise ParameterError(f"{what} of dimension {d} exceeds --max-dim {max_dim}")
 
 
 def _parse_family(text: str):
@@ -127,7 +130,11 @@ def cmd_ext(args) -> dict:
     from .homcalc import ext_stable, ext_truncated
 
     if args.mode == "stable":
-        _check_bounds(args, [("P", args.s, args.n_target, args.N + 1)])
+        # the last coresolution term, the largest, sums one P per composition
+        # of max_i + 1 into n_target parts
+        n = args.n_target
+        copies = comb(args.max_i + n, n - 1) if args.s > 0 and n > 0 else 1
+        _check_bounds(args, [("P", args.s, n, args.N + 1)], copies)
         dims = ext_stable(args.s, args.n_source, args.n_target, args.N, args.max_i)
         return {"mode": "stable", "dims": dims, "degrees": list(range(args.max_i + 1))}
     src = _parse_family(args.src) if args.src else ("Q", args.s, 1)

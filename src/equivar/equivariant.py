@@ -38,7 +38,7 @@ from .combinat import (
     injections,
     partitions,
 )
-from .linalg import ONE, SparseRationalMatrix
+from .linalg import ONE, SparseRationalMatrix, Subspace, joint_kernel, kron
 from .truncated_ring import (
     RingConfig,
     all_monomials,
@@ -126,10 +126,7 @@ class EquivModule:
                 sw = self.swaps[j]
                 perm = [sw[t] for t in perm]
             return _map_matrix(perm)
-        m = SparseRationalMatrix.identity(self.dim)
-        for j in coxeter_word(g):
-            m = self.coxeter[j] @ m
-        return m
+        return _word_product(self.coxeter, self.dim, g)
 
     def to_json_dict(self) -> dict:
         out = {
@@ -146,6 +143,15 @@ class EquivModule:
     def __repr__(self):
         tag = self.name or "EquivModule"
         return f"{tag}(N={self.cfg.N}, s={self.cfg.s}, dim={self.dim})"
+
+
+def _word_product(gens, dim: int, g) -> SparseRationalMatrix:
+    """The action of the permutation g, given one matrix per adjacent swap:
+    the product of the generators along a reduced word of g."""
+    m = SparseRationalMatrix.identity(dim)
+    for j in coxeter_word(g):
+        m = gens[j] @ m
+    return m
 
 
 def _map_matrix(cm) -> SparseRationalMatrix:
@@ -216,10 +222,7 @@ class SnRep:
                 raise ValueError("generator matrix has wrong shape")
 
     def matrix(self, g) -> SparseRationalMatrix:
-        m = SparseRationalMatrix.identity(self.dim)
-        for j in coxeter_word(g):
-            m = self.coxeter[j] @ m
-        return m
+        return _word_product(self.coxeter, self.dim, g)
 
 
 def trivial_rep(n: int) -> SnRep:
@@ -370,75 +373,22 @@ def _slot_swap_matrix(mod: EquivModule, c: int) -> SparseRationalMatrix:
 def build_induced(kind: str, s: int, rep: SnRep, N: int) -> EquivModule:
     """Isotypic induction: the slot-diagonal invariants of (P or Q) tensor rep.
 
-    The subspace is cut out as the joint kernel of (generator - identity) for
-    the slot action tensored with the representation matrices; its dimension
-    is whatever that kernel computation returns.
+    The subspace is the joint kernel of (generator - identity) for the slot
+    action tensored with the representation matrices; its dimension is
+    whatever that kernel computation returns.
     """
-    from .linalg import nullspace
-
-    n = rep.n
+    n, e = rep.n, rep.dim
     base = _build_pq(kind, s, n, N)
-    d, e = base.dim, rep.dim
-    total = d * e
-
-    def kron(a: SparseRationalMatrix, b: SparseRationalMatrix) -> SparseRationalMatrix:
-        out = SparseRationalMatrix(total, total)
-        for i, arow in enumerate(a.rows):
-            for j, av in arow.items():
-                for p, brow in enumerate(b.rows):
-                    for q, bv in brow.items():
-                        out.set(i * e + p, j * e + q, av * bv)
-        return out
-
+    total = base.dim * e
     ident = SparseRationalMatrix.identity(total)
-    constraints = []
-    for c in range(n - 1):
-        constraints.append(kron(_slot_swap_matrix(base, c), rep.coxeter[c]) - ident)
-
-    if constraints:
-        basis = nullspace(SparseRationalMatrix.vstack(constraints))
-    else:
-        basis = [{t: ONE} for t in range(total)]
-    free = _kernel_free_rows(basis)
-
-    B = SparseRationalMatrix(total, len(basis))
-    for col, v in enumerate(basis):
-        for r, val in v.items():
-            B.set(r, col, val)
-
-    def restrict(big: SparseRationalMatrix) -> SparseRationalMatrix:
-        """Coordinates of big @ B in the kernel basis: read off the free rows."""
-        prod = big @ B
-        out = SparseRationalMatrix(len(basis), len(basis))
-        for t, r in enumerate(free):
-            for j, v in prod.rows[r].items():
-                out.set(t, j, v)
-        # consistency: B @ out must reproduce prod
-        if (B @ out) != prod:
-            raise AssertionError("action does not preserve the invariant subspace")
-        return out
-
-    xmul = [restrict(kron(base.xmul[i], SparseRationalMatrix.identity(e))) for i in range(N)]
-    coxeter = [restrict(kron(base.coxeter[j], SparseRationalMatrix.identity(e))) for j in range(N - 1)]
-    labels = [("inv", kind, s, n, t) for t in range(len(basis))]
+    inv = Subspace(joint_kernel([kron(_slot_swap_matrix(base, c), rep.coxeter[c]) - ident
+                                 for c in range(n - 1)], total), total)
+    eye = SparseRationalMatrix.identity(e)
+    xmul = [inv.restrict(kron(m, eye)) for m in base.xmul]
+    coxeter = [inv.restrict(kron(m, eye)) for m in base.coxeter]
+    labels = [("inv", kind, s, n, t) for t in range(inv.dim)]
     return EquivModule(RingConfig(N, s), labels, xmul, coxeter, grading=None,
                        name=f"{kind}_ind(s={s},n={n},dimV={e})")
-
-
-def _kernel_free_rows(basis) -> list:
-    """For a kernel basis in free-column form, the row where each vector has
-    its defining 1 (and every other vector vanishes)."""
-    counts: dict = {}
-    for v in basis:
-        for k in v:
-            counts[k] = counts.get(k, 0) + 1
-    free = []
-    for v in basis:
-        cands = [k for k, val in v.items() if val == ONE and counts[k] == 1]
-        if not cands:
-            raise AssertionError("kernel basis is not in free-column form")
-        free.append(min(cands))
-    return free
 
 
 def q_into_p_embedding(s: int, n: int, N: int) -> EquivMap:

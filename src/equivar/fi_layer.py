@@ -25,11 +25,11 @@ from .combinat import injection_count, injections
 from .equivariant import (
     EquivModule,
     SnRep,
-    _kernel_free_rows,
+    _map_matrix,
     build_Q,
     regular_rep,
 )
-from .linalg import ONE, SparseRationalMatrix, nullspace
+from .linalg import ONE, SparseRationalMatrix, Subspace, joint_kernel, kron
 from .truncated_ring import RingConfig, all_monomials
 
 __all__ = [
@@ -164,61 +164,30 @@ class Induced(FIModule):
         self.rep = rep
         self._plain = Principal(rep.n)
 
-    def _inclusion(self, m) -> SparseRationalMatrix:
+    def _invariants(self, m) -> Subspace:
         def build():
-            n, e = self.rep.n, self.rep.dim
             inj = self._plain.basis(m)
-            big = len(inj) * e
             idx = {g: i for i, g in enumerate(inj)}
-            constraints = []
-            for c in range(n - 1):
-                mat = SparseRationalMatrix(big, big)
-                repm = self.rep.coxeter[c]
-                for col_g, g in enumerate(inj):
-                    # relabel the source points: swap arguments c, c+1 of g
-                    swapped = list(g)
-                    swapped[c], swapped[c + 1] = swapped[c + 1], swapped[c]
-                    row_g = idx[tuple(swapped)]
-                    for (rr, cc, num, den) in repm.to_triplets():
-                        mat.add_to(row_g * e + rr, col_g * e + cc, Fraction(num, den))
-                eye = SparseRationalMatrix.identity(big)
-                constraints.append(mat - eye)
-            if not constraints:
-                basis = [{t: ONE} for t in range(big)]
-            else:
-                basis = nullspace(SparseRationalMatrix.vstack(constraints))
-            B = SparseRationalMatrix(big, len(basis))
-            for col, vec in enumerate(basis):
-                for r, val in vec.items():
-                    B.set(r, col, val)
-            return B, _kernel_free_rows(basis) if basis else []
+            big = len(inj) * self.rep.dim
+            eye = SparseRationalMatrix.identity(big)
+            # relabel the source points: swap arguments c, c+1 of each injection
+            blocks = [kron(_map_matrix([idx[g[:c] + (g[c + 1], g[c]) + g[c + 2:]] for g in inj]),
+                           self.rep.coxeter[c]) - eye
+                      for c in range(self.rep.n - 1)]
+            return Subspace(joint_kernel(blocks, big), big)
 
         return self._cached(("incl", m), build)
 
     def dim(self, m):
-        return self._inclusion(m)[0].ncols
+        return self._invariants(m).dim
 
     def basis(self, m):
         return [("inv", i) for i in range(self.dim(m))]
 
     def map(self, f, m_src, m_tgt):
         _check_injection(f, m_src, m_tgt)
-        B_src, _ = self._inclusion(m_src)
-        B_tgt, free = self._inclusion(m_tgt)
-        e = self.rep.dim
-        plain = self._plain.map(f, m_src, m_tgt)
-        big = SparseRationalMatrix(plain.nrows * e, plain.ncols * e)
-        for (r, c, num, den) in plain.to_triplets():
-            for t in range(e):
-                big.set(r * e + t, c * e + t, Fraction(num, den))
-        prod = big @ B_src
-        out = SparseRationalMatrix(B_tgt.ncols, B_src.ncols)
-        for t, row_idx in enumerate(free):
-            for j, v in prod.rows[row_idx].items():
-                out.set(t, j, v)
-        if (B_tgt @ out) != prod:
-            raise AssertionError("transition does not preserve the invariant subspace")
-        return out
+        plain = kron(self._plain.map(f, m_src, m_tgt), SparseRationalMatrix.identity(self.rep.dim))
+        return self._invariants(m_tgt).coords(plain @ self._invariants(m_src).B)
 
     def __repr__(self):
         return f"Induced(n={self.rep.n}, dim={self.rep.dim})"
@@ -267,9 +236,8 @@ class DirectSum(FIModule):
         out = SparseRationalMatrix(self.dim(m_tgt), self.dim(m_src))
         roff = coff = 0
         for p in self.parts:
-            blk = p.map(f, m_src, m_tgt)
-            for (r, c, num, den) in blk.to_triplets():
-                out.set(roff + r, coff + c, Fraction(num, den))
+            for r, row in enumerate(p.map(f, m_src, m_tgt).rows):
+                out.rows[roff + r].update((coff + c, v) for c, v in row.items())
             roff += p.dim(m_tgt)
             coff += p.dim(m_src)
         return out
@@ -321,10 +289,10 @@ def phi_s(M: FIModule, s: int, N: int) -> EquivModule:
     total = len(labels)
 
     def block_into(mat_out, alpha, beta, f, m_a, m_b):
-        blk = M.map(f, m_a, m_b)
+        # the blocks of one matrix occupy disjoint columns, so nothing adds up
         ra, rb = offsets[alpha], offsets[beta]
-        for (r, c, num, den) in blk.to_triplets():
-            mat_out.add_to(rb + r, ra + c, Fraction(num, den))
+        for r, row in enumerate(M.map(f, m_a, m_b).rows):
+            mat_out.rows[rb + r].update((ra + c, v) for c, v in row.items())
 
     xmul = []
     for i in range(N):

@@ -51,11 +51,15 @@ from .equivariant import (
 )
 from .linalg import (
     ONE,
+    AssemblyError,
     Echelon,
     SpanBasis,
     SparseRationalMatrix,
+    Subspace,
     apply_columns,
+    joint_kernel,
     kernel_of_vectors,
+    kron,
     matrix_rank,
     nullspace,
     rank_of_vectors,
@@ -78,10 +82,6 @@ __all__ = [
     "tor_periodic",
     "tor_complex",
 ]
-
-
-class AssemblyError(AssertionError):
-    """An internally assembled object failed one of its exact checks."""
 
 
 @dataclass(frozen=True)
@@ -222,10 +222,7 @@ def _mapping_solutions(profile: PQFamily, T: EquivModule) -> list:
 
 def _mapping_solutions_generic(profile: PQFamily, T: EquivModule) -> list:
     """The reference solver: elimination on the stacked constraint matrices."""
-    blocks = _source_constraint_blocks(profile, T)
-    if not blocks:
-        return [{t: ONE} for t in range(T.dim)]
-    return nullspace(SparseRationalMatrix.vstack(blocks))
+    return joint_kernel(_source_constraint_blocks(profile, T), T.dim)
 
 
 def _mapping_solutions_fast(profile: PQFamily, T: EquivModule) -> list:
@@ -300,39 +297,17 @@ def map_from_generator_value(profile: PQFamily, source: EquivModule,
 
 def hom_generic(M: EquivModule, T: EquivModule) -> list:
     """Exact basis of the space of equivariant maps M -> T, by solving the
-    commutation constraints on the full matrix of the map."""
+    commutation constraints X @ a == b @ X on the full matrix X of the map.
+    Entry m_col * T.dim + t_row of a solution vector is X[t_row, m_col], so
+    the constraint on that vector is kron(a^T, I) - kron(I, b)."""
     if M.cfg != T.cfg:
         raise ValueError(f"config mismatch: {M.cfg} != {T.cfg}")
     dm, dt = M.dim, T.dim
-
-    def vec_index(t_row, m_col):
-        return m_col * dt + t_row
-
-    rows = []
-    pairs = [(xm, xt) for xm, xt in zip(M.xmul, T.xmul)]
-    pairs += [(cm, ct) for cm, ct in zip(M.coxeter, T.coxeter)]
-    for xm, xt in pairs:
-        xm_cols = xm.columns()
-        for j in range(dm):
-            colj = xm_cols[j]
-            for t in range(dt):
-                row = {}
-                for c, vv in colj.items():
-                    row[vec_index(t, c)] = row.get(vec_index(t, c), Fraction(0)) + vv
-                for r, vv in xt.rows[t].items():
-                    key = vec_index(r, j)
-                    w = row.get(key, Fraction(0)) - vv
-                    if w:
-                        row[key] = w
-                    else:
-                        row.pop(key, None)
-                if row:
-                    rows.append(row)
-    ech = Echelon(dm * dt)
-    for row in rows:
-        ech.add(row)
+    eye_m, eye_t = SparseRationalMatrix.identity(dm), SparseRationalMatrix.identity(dt)
+    blocks = [kron(a.transpose(), eye_t) - kron(eye_m, b)
+              for a, b in zip(M.xmul + M.coxeter, T.xmul + T.coxeter)]
     maps = []
-    for vec in ech.kernel_basis():
+    for vec in joint_kernel(blocks, dm * dt):
         mat = SparseRationalMatrix(dt, dm)
         for key, val in vec.items():
             m_col, t_row = divmod(key, dt)
@@ -717,83 +692,41 @@ def _free_cover(M: EquivModule, dim_cap: int | None = None):
 
 def _kernel_module(F: EquivModule, d: SparseRationalMatrix):
     """The kernel of d as a module, with its inclusion matrix into F."""
-    basis = nullspace(d)
-    k = len(basis)
-    B = SparseRationalMatrix(F.dim, k)
-    for col, v in enumerate(basis):
-        for r, val in v.items():
-            B.set(r, col, val)
-    from .equivariant import _kernel_free_rows
-
-    free = _kernel_free_rows(basis)
-
-    def restrict(mat: SparseRationalMatrix) -> SparseRationalMatrix:
-        prod = mat @ B
-        out = SparseRationalMatrix(k, k)
-        for t, r in enumerate(free):
-            for j, v in prod.rows[r].items():
-                out.set(t, j, v)
-        if (B @ out) != prod:
-            raise AssemblyError("kernel is not preserved by the action")
-        return out
-
-    xmul = [restrict(m) for m in F.xmul]
-    coxeter = [restrict(m) for m in F.coxeter]
-    K = EquivModule(F.cfg, [("ker", t) for t in range(k)], xmul, coxeter,
+    ker = Subspace(nullspace(d), F.dim)
+    K = EquivModule(F.cfg, [("ker", t) for t in range(ker.dim)],
+                    [ker.restrict(m) for m in F.xmul], [ker.restrict(m) for m in F.coxeter],
                     name=f"ker({F.name})")
-    return K, B
+    return K, ker.B
 
 
 def _resolution(M: EquivModule, levels: int, dim_cap: int | None = None):
     """The first ``levels`` terms of the minimal free resolution of M:
     (reps, diffs, free_mods), with reps[i] the generator representation of
     F_i and diffs[i] the matrix of F_i -> F_{i-1} on full free bases
-    (F_{-1} = M)."""
+    (F_{-1} = M).  The kernel of the last cover is not built."""
     reps, diffs, free_mods = [], [], []
     current = M
     inclusion = None  # kernel inclusion into the previous free module
-    for _ in range(levels):
+    for level in range(levels):
         F, cover, rep = _free_cover(current, dim_cap)
         reps.append(rep)
         diffs.append(cover.matrix if inclusion is None else inclusion @ cover.matrix)
         free_mods.append(F)
-        current, inclusion = _kernel_module(F, cover.matrix)
+        if level < levels - 1:
+            current, inclusion = _kernel_module(F, cover.matrix)
     return reps, diffs, free_mods
 
 
 def _hom_invariants_generic(rep: SnRep, T: EquivModule) -> list:
     """Basis of the invariant maps V -> T, by elimination on all dimV * dimT
     entries; entry f * T.dim + t of a vector is the map's coefficient from
-    basis vector f of V to basis label t of T."""
-    dimV, dimT = rep.dim, T.dim
-
-    def key(t, f):
-        return f * dimT + t
-
-    ech = Echelon(dimV * dimT)
-    for rv, rt in zip(rep.coxeter, T.coxeter):
-        rv_cols = rv.columns()
-        for fp in range(dimV):
-            colf = rv_cols[fp]
-            for tp in range(dimT):
-                row = {}
-                for t, vt in rt.rows[tp].items():
-                    for f, vf in colf.items():
-                        k2 = key(t, f)
-                        w = row.get(k2, Fraction(0)) + vt * vf
-                        if w:
-                            row[k2] = w
-                        else:
-                            row.pop(k2, None)
-                k0 = key(tp, fp)
-                w = row.get(k0, Fraction(0)) - 1
-                if w:
-                    row[k0] = w
-                else:
-                    row.pop(k0, None)
-                if row:
-                    ech.add(row)
-    return ech.kernel_basis()
+    basis vector f of V to basis label t of T.  As a dimT x dimV matrix X,
+    an invariant map is fixed by X -> rho_T @ X @ rho_V for each swap, which
+    on that vector is kron(rho_V^T, rho_T)."""
+    ncols = rep.dim * T.dim
+    eye = SparseRationalMatrix.identity(ncols)
+    return joint_kernel([kron(rv.transpose(), rt) - eye for rv, rt in zip(rep.coxeter, T.coxeter)],
+                        ncols)
 
 
 def _hom_invariants_by_orbits(rep: SnRep, T: EquivModule) -> list:

@@ -15,6 +15,10 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+class AssemblyError(AssertionError):
+    """An internally assembled object failed one of its exact checks."""
+
+
 def vec_axpy(target: dict, coef: Fraction, source: dict) -> None:
     """target += coef * source, dropping entries that cancel."""
     if not coef:
@@ -207,6 +211,19 @@ class SparseRationalMatrix:
         return f"SparseRationalMatrix({self.nrows}x{self.ncols}, nnz={self.nnz()})"
 
 
+def kron(a: SparseRationalMatrix, b: SparseRationalMatrix) -> SparseRationalMatrix:
+    """The Kronecker product: entry (i * b.nrows + p, j * b.ncols + q) is
+    a[i, j] * b[p, q]."""
+    out = SparseRationalMatrix(a.nrows * b.nrows, a.ncols * b.ncols)
+    for i, arow in enumerate(a.rows):
+        for p, brow in enumerate(b.rows):
+            row = out.rows[i * b.nrows + p]
+            for j, av in arow.items():
+                for q, bv in brow.items():
+                    row[j * b.ncols + q] = av * bv
+    return out
+
+
 class Echelon:
     """Incremental row-echelon basis.
 
@@ -289,6 +306,13 @@ def nullspace(mat: SparseRationalMatrix) -> list:
     return ech.kernel_basis()
 
 
+def joint_kernel(blocks, ncols: int) -> list:
+    """Basis of the vectors in Q^ncols that every block kills, in free-column
+    form: the nullspace of the stacked blocks, the standard basis when there
+    are none."""
+    return nullspace(SparseRationalMatrix.vstack([SparseRationalMatrix(0, ncols), *blocks]))
+
+
 def rank_of_vectors(vectors, ncols=None) -> int:
     """Rank of a finite family of dict-vectors."""
     vectors = list(vectors)
@@ -362,6 +386,54 @@ class SpanBasis:
         if not isinstance(other, SpanBasis):
             return NotImplemented
         return self.leads == other.leads and self.vectors == other.vectors
+
+
+class Subspace:
+    """The span of a kernel basis in free-column form (``nullspace``,
+    ``joint_kernel``) inside Q^ambient_dim.
+
+    ``B`` is the inclusion matrix, column k being basis vector k, and
+    ``free[k]`` is the row where vector k has its defining 1 and every other
+    vector vanishes, so a member's coordinates are its entries at those rows.
+    """
+
+    __slots__ = ("B", "free")
+
+    def __init__(self, basis, ambient_dim: int):
+        counts: dict = {}
+        for v in basis:
+            for k in v:
+                counts[k] = counts.get(k, 0) + 1
+        self.free = []
+        for v in basis:
+            cands = [k for k, val in v.items() if val == ONE and counts[k] == 1]
+            if not cands:
+                raise AssemblyError("kernel basis is not in free-column form")
+            self.free.append(min(cands))
+        self.B = SparseRationalMatrix(ambient_dim, len(basis))
+        for col, v in enumerate(basis):
+            for r, val in v.items():
+                self.B.set(r, col, val)
+
+    @property
+    def dim(self) -> int:
+        return self.B.ncols
+
+    def coords(self, prod: SparseRationalMatrix) -> SparseRationalMatrix:
+        """The matrix X with B @ X == prod, read off prod's free rows; raises
+        AssemblyError when a column of prod leaves the subspace."""
+        out = SparseRationalMatrix(self.dim, prod.ncols)
+        for t, r in enumerate(self.free):
+            for j, v in prod.rows[r].items():
+                out.set(t, j, v)
+        if (self.B @ out) != prod:
+            raise AssemblyError("a vector leaves the subspace")
+        return out
+
+    def restrict(self, mat: SparseRationalMatrix) -> SparseRationalMatrix:
+        """The action of mat on the subspace: the coordinates of mat @ B;
+        raises AssemblyError when mat does not preserve the subspace."""
+        return self.coords(mat @ self.B)
 
 
 def solve_columns(A: SparseRationalMatrix, ys) -> list:

@@ -178,6 +178,16 @@ def test_max_dim_bounds_free_covers(capsys):
     assert code == 0 and lines[-1]["result"]["dims"] == [6, 0]
 
 
+def test_stable_ext_guard_counts_the_largest_coresolution_term(capsys):
+    # one P(1, 3, 5) has dimension 1920, but the last coresolution term is a
+    # sum of C(11, 2) = 55 of them; this request used to run for about 22 s
+    argv = ["ext", "--mode", "stable", "--s", "1", "--n-target", "3", "--N", "4",
+            "--max-i", "8"]
+    assert main(["--format", "json", *argv]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "a sum of 55 P modules of dimension 105600" in out.err
+
+
 def test_env_override_for_dimension_guard(capsys, monkeypatch):
     monkeypatch.setenv("EQUIVAR_MAX_DIM", "10")
     assert main(["dim", "--kind", "Q", "--s", "1", "--n", "1", "--N", "3"]) == 2

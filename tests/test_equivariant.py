@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 from math import factorial
 
@@ -192,6 +194,13 @@ def test_induced_sign_plus_trivial_fills_module():
     q = build_Q(s, n, N)
     assert triv.dim + sgn.dim == q.dim
     assert character_of(triv) + character_of(sgn) == character_of(q)
+
+
+def test_induced_module_is_pinned():
+    # recorded before the invariant subspace was cut out by Kronecker products
+    data = build_induced("Q", 1, regular_rep(2), 3).to_json_dict()
+    assert (hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+            == "8521e0215ce91481b4751b084b1926a37d756c56857edf537f0683f5f4f18fbc")
 
 
 def test_embed_label_and_embedding_matrix():

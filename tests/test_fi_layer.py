@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 from collections import Counter
 
 import pytest
@@ -180,6 +182,22 @@ def test_phi_of_induced_matches_invariant_construction():
         check_axioms(A)
         assert A.dim == B.dim
         assert character_of(A) == character_of(B)
+
+
+def test_phi_of_induced_is_pinned():
+    # recorded before Induced built its transitions from Kronecker products.
+    # to_json_dict cannot encode phi_s labels (alpha, index), so the labels
+    # are written out here and the rest is what to_json_dict would hold
+    A = phi_s(Induced(sign_rep(2)), 1, 3)
+    data = {
+        "labels": [[list(alpha), b] for alpha, b in A.labels],
+        "xmul": [m.to_triplets() for m in A.xmul],
+        "coxeter": [m.to_triplets() for m in A.coxeter],
+        "grading": [list(d) for d in A.grading],
+    }
+    assert A.dim == 6
+    assert (hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+            == "5f9edb7e8e5c547d973c39c02d8b548e0014c059f5b15fdd94aa06f4d24b35d4")
 
 
 def test_theta_principal_is_the_tuple_permutation_representation():

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 from math import factorial
 
@@ -99,6 +101,39 @@ def test_generic_vs_mapping_property_cross_check(s, n, m):
     span_a = SpanBasis(values, tgt.dim)
     span_b = SpanBasis(sols, tgt.dim)
     assert span_a == span_b
+
+
+def _digest(obj):
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def _vector_triplets(vec):
+    return sorted((k, v.numerator, v.denominator) for k, v in vec.items())
+
+
+# digests of the generic solvers' exact outputs, recorded before their
+# constraints were built from Kronecker products
+
+def test_hom_generic_is_pinned():
+    maps = hom_generic(build_Q(1, 1, 3), build_Q(1, 2, 3))
+    assert len(maps) == 5
+    assert (_digest([f.matrix.to_triplets() for f in maps])
+            == "5cfbe2e82450d3a02a6d42f2934d99212e342a28948452ec02f95733578e5f70")
+
+
+def test_hom_invariants_generic_is_pinned():
+    basis = _hom_invariants_generic(regular_rep(3), build_P(1, 1, 3))
+    assert len(basis) == 24
+    assert (_digest([_vector_triplets(v) for v in basis])
+            == "daa4edf5b7c3a3507e548eb34be43f61820b8d80f6a49d6e923514980bbebe94")
+
+
+def test_kernel_module_is_pinned():
+    F, cover, _ = _free_cover(build_Q(1, 1, 3))
+    K, B = _kernel_module(F, cover.matrix)
+    assert K.dim == 12
+    assert (_digest({"module": K.to_json_dict(), "inclusion": B.to_triplets()})
+            == "937322596759699915f09e5c6ede6659cbf6176645c5b43bf248a123ef318dad")
 
 
 def test_mapping_property_rejects_p_sources():

@@ -1,13 +1,18 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from equivar.linalg import (
+    AssemblyError,
     Echelon,
     SpanBasis,
     SparseRationalMatrix,
+    Subspace,
+    joint_kernel,
     kernel_of_vectors,
+    kron,
     matrix_rank,
     nullspace,
     rank_of_vectors,
@@ -142,3 +147,60 @@ def test_power_and_vstack():
     assert n.power(2).is_zero()
     stacked = SparseRationalMatrix.vstack([n, SparseRationalMatrix.identity(2)])
     assert stacked.nrows == 4 and matrix_rank(stacked) == 2
+
+
+def test_kron_against_dense_oracle():
+    rng = random.Random(11)
+    for m, n, p, q in itertools.product(range(4), repeat=4):
+        a = random_matrix(rng, m, n, 0.8)
+        b = random_matrix(rng, p, q, 0.8)
+        da, db = a.to_dense(), b.to_dense()
+        expected = [[da[i][j] * db[p][q] for j in range(a.ncols) for q in range(b.ncols)]
+                    for i in range(a.nrows) for p in range(b.nrows)]
+        got = kron(a, b)
+        assert (got.nrows, got.ncols) == (a.nrows * b.nrows, a.ncols * b.ncols)
+        assert got.to_dense() == expected
+        assert all(v for row in got.rows for v in row.values())
+
+
+def test_joint_kernel_against_dense_oracle():
+    rng = random.Random(12)
+    for trial in range(30):
+        ncols = rng.randint(1, 6)
+        blocks = [random_matrix(rng, rng.randint(1, 3), ncols, 0.4)
+                  for _ in range(rng.randint(1, 3))]
+        kernel = joint_kernel(blocks, ncols)
+        stacked = [row for blk in blocks for row in blk.to_dense()]
+        assert len(kernel) == ncols - dense_rank(stacked)
+        for v in kernel:
+            for blk in blocks:
+                assert blk.apply(v) == {}
+        assert kernel == nullspace(SparseRationalMatrix.vstack(blocks))
+
+
+def test_joint_kernel_without_blocks_is_the_standard_basis():
+    assert joint_kernel([], 3) == [{0: 1}, {1: 1}, {2: 1}]
+    assert joint_kernel([], 0) == []
+    with pytest.raises(ValueError):
+        joint_kernel([SparseRationalMatrix(1, 2)], 3)
+
+
+def test_subspace_restrict_and_coords():
+    # the vectors of Q^3 fixed by swapping the first two coordinates
+    swap = SparseRationalMatrix.from_entries(3, 3, [(0, 1, 1), (1, 0, 1), (2, 2, 1)])
+    sub = Subspace(nullspace(swap - SparseRationalMatrix.identity(3)), 3)
+    assert sub.B.to_dense() == [[1, 0], [1, 0], [0, 1]]
+    act = SparseRationalMatrix.from_entries(3, 3, [(0, 1, 1), (1, 0, 1), (2, 2, 2)])
+    assert sub.restrict(act).to_dense() == [[1, 0], [0, 2]]
+    assert sub.coords(sub.B) == SparseRationalMatrix.identity(2)
+
+
+def test_subspace_check_fails_outside_the_subspace():
+    sub = Subspace([{0: Fraction(1), 1: Fraction(1)}], 2)  # the line through (1, 1)
+    stretch = SparseRationalMatrix.from_entries(2, 2, [(0, 0, 1), (1, 1, 2)])
+    with pytest.raises(AssemblyError):
+        sub.restrict(stretch)
+    with pytest.raises(AssemblyError):
+        sub.coords(SparseRationalMatrix.from_entries(2, 1, [(0, 0, 1)]))
+    with pytest.raises(AssemblyError):  # no free row: not in free-column form
+        Subspace([{0: Fraction(2)}], 1)
