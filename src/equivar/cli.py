@@ -12,9 +12,11 @@ source's, one basis map per arrangement.
 
 The dimension guard refuses jobs whose modules would exceed ``--max-dim``
 basis elements (default 50000, overridable via EQUIVAR_MAX_DIM).  Stable
-Ext applies it to the largest term of the target's coresolution, a direct sum
-of P modules at level N+1.  Truncated Ext applies the same bound to each free
-cover of its resolution, before building it.
+Ext builds its coresolution at level N and a single P module at level N+1;
+the guard counts the copies of P in the last coresolution term times
+dim P(s, n, N+1), a conservative bound on both.  Truncated Ext applies the
+same bound to each free cover of its resolution, before building it.
+``cas --op injective`` at m = n applies it to the morphism space [n] -> [n].
 """
 
 from __future__ import annotations
@@ -209,6 +211,12 @@ def cmd_cas(args) -> dict:
     if args.op == "hom":
         return {"dim": hom_dimension(args.m, args.n, args.s)}
     if args.op == "injective":
+        # at m = n the socle is solved on the whole morphism space [n] -> [n]
+        if args.m == args.n:
+            d = hom_dimension(args.n, args.n, args.s)
+            if d > args.max_dim:
+                raise ParameterError(f"a morphism space of dimension {d} exceeds "
+                                     f"--max-dim {args.max_dim}")
         info = injective_I(args.s, args.n, args.m)
         return {"dim": info.dim, "socle_dim": info.socle_dim}
     if args.op == "compare":

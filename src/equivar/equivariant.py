@@ -164,7 +164,7 @@ def _map_matrix(cm) -> SparseRationalMatrix:
 
 
 def _label_to_json(lab):
-    if isinstance(lab, tuple) and len(lab) == 2 and isinstance(lab[0], tuple):
+    if isinstance(lab, tuple) and len(lab) == 2 and all(isinstance(x, tuple) for x in lab):
         return {"tuple": list(lab[0]), "mono": list(lab[1])}
     return {"raw": repr(lab)}
 

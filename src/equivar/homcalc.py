@@ -27,6 +27,14 @@ product per element.  Two walk elements that reach the same label give one
 stabilizer constraint.  The same walk builds the averaged equivariant section
 of each free cover.  A target without label maps goes through elimination on
 all dim V * dim T entries, which is also the reference for the orbit solver.
+
+Stable Ext: ``ext_stable`` coresolves the target Q family by P terms and
+takes the cohomology of the stable-Hom complex.  Term k is a direct sum of
+b_k copies of P, and the source constraints are label maps acting on each
+copy alone, so the stable space of a term is b_k copies of the stable space
+of P at N into P at N+1, and it is solved once per request.  Level N+1 enters
+only through that one P module: the differentials the answer uses are the
+level-N ones, so no coresolution is built at N+1.
 """
 
 from __future__ import annotations
@@ -449,8 +457,8 @@ def coresolution_Q(s: int, n: int, N: int, length: int) -> Complex:
     """
     if length < 1:
         raise ValueError("need at least one coresolution term")
-    Q = build_Q(s, n, N)
-    P = build_P(s, n, N)
+    embedding = q_into_p_embedding(s, n, N)
+    Q, P = embedding.source, embedding.target
 
     def term_indices(j):
         if s == 0 or n == 0:
@@ -473,11 +481,12 @@ def coresolution_Q(s: int, n: int, N: int, length: int) -> Complex:
         modules.append(mod)
         terms.append(idxs)
 
-    maps = [q_into_p_embedding(s, n, N)]
+    maps = [embedding]
     if terms[0] != [()] and terms[0] != [(0,) * n]:
         raise AssemblyError("coresolution head has unexpected shape")
 
     step = {0: 1, 1: s}  # exponent used from an even / odd strand position
+    slot_maps: dict = {}  # (pos, exp) -> label map of x_{T[pos]}^exp on the labels (T, mono)
 
     for j in range(length - 1):
         src_idxs, dst_idxs = terms[j], terms[j + 1]
@@ -490,19 +499,37 @@ def coresolution_Q(s: int, n: int, N: int, length: int) -> Complex:
                     b = a[:pos] + (a[pos] + 1,) + a[pos + 1:]
                     if b not in dst_pos:
                         continue
-                    sign = (-1) ** sum(a[:pos])
-                    cm = _tuple_power_map(P, pos, step[a[pos] % 2])
+                    entry = -ONE if sum(a[:pos]) % 2 else ONE
+                    key = (pos, step[a[pos] % 2])
+                    if key not in slot_maps:
+                        slot_maps[key] = _tuple_power_map(P, *key)
                     roff = dst_pos[b] * P.dim
                     coff = src_pos[a] * P.dim
-                    for c, i in enumerate(cm):
+                    # an injective map into block b: each entry is written once
+                    for c, i in enumerate(slot_maps[key]):
                         if i is not None:
-                            mat.add_to(roff + i, coff + c, sign)
+                            mat.rows[roff + i][coff + c] = entry
         maps.append(EquivMap(modules[j + 1], modules[j + 2], mat))
 
     cx = Complex(modules, maps)
     cx.check_composites()
     cx.check_exactness()
     return cx
+
+
+def _stable_term_spaces(src: PQFamily, cx: Complex, P_big: EquivModule) -> list:
+    """The stable solution space of each P-type term of the coresolution cx.
+
+    Term k is a direct sum of copies of P = cx.modules[1], and the source
+    constraints are label maps acting on each copy alone.  So its space is
+    the stable space of P -> P_big, P_big the P module at level N+1, placed
+    in each copy at offset c * dim P.
+    """
+    P = cx.modules[1]
+    stable = _stable_subspace(src, _mapping_solutions(src, P), P, P_big)
+    return [[{c * P.dim + t: v for t, v in vec.items()}
+             for c in range(T.dim // P.dim) for vec in stable]
+            for T in cx.modules[1:]]
 
 
 def ext_stable(s: int, n_source: int, n_target: int, N: int, max_degree: int,
@@ -523,17 +550,7 @@ def ext_stable(s: int, n_source: int, n_target: int, N: int, max_degree: int,
         )
     src = PQFamily("Q", s, n_source)
     cx_small = coresolution_Q(s, n_target, N, length)
-    cx_big = coresolution_Q(s, n_target, N + 1, length)
-
-    spaces = []
-    for k in range(length):
-        T_small = cx_small.modules[k + 1]
-        T_big = cx_big.modules[k + 1]
-        if T_small.dim == 0:
-            spaces.append([])
-            continue
-        sols = _mapping_solutions(src, T_small)
-        spaces.append(_stable_subspace(src, sols, T_small, T_big))
+    spaces = _stable_term_spaces(src, cx_small, build_P(s, n_target, N + 1))
 
     # ranks of the induced differentials restricted to the stable spaces
     ranks = [0] * (length - 1)

@@ -188,6 +188,20 @@ def test_stable_ext_guard_counts_the_largest_coresolution_term(capsys):
     assert out.out == "" and "a sum of 55 P modules of dimension 105600" in out.err
 
 
+def test_injective_guard_counts_the_morphism_space(capsys):
+    # at m = n the socle is solved on all 9! * 3^9 morphisms [9] -> [9];
+    # this request used to run for more than 8 s
+    assert main(["cas", "--op", "injective", "--m", "9", "--n", "9", "--s", "2"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "dimension 7142567040 exceeds --max-dim 50000" in out.err
+    code, lines = run_json(capsys, ["--max-dim", "162", "cas", "--op", "injective",
+                                    "--m", "3", "--n", "3", "--s", "2"])
+    assert code == 0 and lines[-1]["result"] == {"dim": 162, "socle_dim": 6}
+    # away from the top degree nothing is built, so the guard does not apply
+    code, lines = run_json(capsys, ["cas", "--op", "injective", "--m", "2", "--n", "9", "--s", "2"])
+    assert code == 0 and lines[-1]["result"] == {"dim": 1417176, "socle_dim": 0}
+
+
 def test_env_override_for_dimension_guard(capsys, monkeypatch):
     monkeypatch.setenv("EQUIVAR_MAX_DIM", "10")
     assert main(["dim", "--kind", "Q", "--s", "1", "--n", "1", "--N", "3"]) == 2

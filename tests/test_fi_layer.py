@@ -185,9 +185,9 @@ def test_phi_of_induced_matches_invariant_construction():
 
 
 def test_phi_of_induced_is_pinned():
-    # recorded before Induced built its transitions from Kronecker products.
-    # to_json_dict cannot encode phi_s labels (alpha, index), so the labels
-    # are written out here and the rest is what to_json_dict would hold
+    # recorded before Induced built its transitions from Kronecker products,
+    # when to_json_dict could not encode phi_s labels (alpha, index), so the
+    # labels are written out here and the rest is what to_json_dict holds
     A = phi_s(Induced(sign_rep(2)), 1, 3)
     data = {
         "labels": [[list(alpha), b] for alpha, b in A.labels],
@@ -198,6 +198,15 @@ def test_phi_of_induced_is_pinned():
     assert A.dim == 6
     assert (hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
             == "5f9edb7e8e5c547d973c39c02d8b548e0014c059f5b15fdd94aa06f4d24b35d4")
+
+
+def test_phi_module_encodes_as_json():
+    # phi_s labels (alpha, index) are not (tuple, mono) labels: they take
+    # the raw form
+    A = phi_s(Induced(sign_rep(2)), 1, 3)
+    data = json.loads(json.dumps(A.to_json_dict()))
+    assert data["dim"] == A.dim == 6
+    assert data["labels"] == [{"raw": repr(lab)} for lab in A.labels]
 
 
 def test_theta_principal_is_the_tuple_permutation_representation():

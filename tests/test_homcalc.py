@@ -2,7 +2,7 @@ import hashlib
 import itertools
 import json
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +44,7 @@ from equivar.homcalc import (
     _quotient_by_radical,
     _resolution,
     _stable_subspace,
+    _stable_term_spaces,
 )
 from equivar.linalg import (
     ONE,
@@ -328,6 +329,87 @@ def test_stable_ext_vanishes_at_bound_zero():
 def test_stable_ext_length_guard():
     with pytest.raises(ValueError):
         ext_stable(1, 1, 1, 3, 3, length=4)
+
+
+# ext_stable(s, a, b, N, 2) for a in 0..3, b in 0..2, row-major in (a, b),
+# the same at N = 2, 3, 4 (a <= N); recorded before stable Ext solved one P
+# per coresolution term
+EXT_STABLE_TABLE = {
+    0: [[1, 0, 0], [0, 0, 0], [0, 0, 0], [1, 0, 0], [1, 0, 0], [0, 0, 0],
+        [1, 0, 0], [2, 0, 0], [2, 0, 0], [1, 0, 0], [3, 0, 0], [6, 0, 0]],
+    1: [[1, 0, 0], [0, 0, 0], [0, 0, 0], [1, 0, 0], [1, 1, 1], [0, 0, 0],
+        [1, 0, 0], [2, 2, 2], [2, 4, 6], [1, 0, 0], [3, 3, 3], [6, 12, 18]],
+    2: [[1, 0, 0], [0, 0, 0], [0, 0, 0], [1, 0, 0], [1, 1, 1], [0, 0, 0],
+        [1, 0, 0], [2, 2, 2], [2, 4, 6], [1, 0, 0], [3, 3, 3], [6, 12, 18]],
+}
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+@pytest.mark.parametrize("s", sorted(EXT_STABLE_TABLE))
+def test_ext_stable_table_is_pinned(s, N):
+    for a in range(min(3, N) + 1):
+        for b in range(3):
+            expected = EXT_STABLE_TABLE[s][3 * a + b]
+            for max_i in range(3):
+                assert ext_stable(s, a, b, N, max_i) == expected[:max_i + 1], (a, b, max_i)
+
+
+# sha256 of the term dimensions, labels and differentials, recorded before
+# coresolution_Q took its modules from the embedding and wrote each entry once
+CORESOLUTION_DIGESTS = {
+    (0, 1, 2, 3): "80afc8e5c1a0c955237f13a87f71ad0b33956bb0ccc2bd066e9e41739628d6ef",
+    (1, 1, 2, 4): "8e47b16579ae52eade1733965fc27d95fe5ad3fe0e64474861b3e76c6238dde4",
+    (2, 1, 3, 4): "c0b2d8242a433cae3e840bb010c5669df7549174a9a6192c377b8007e730152f",
+    (1, 2, 3, 4): "8e1ee2d45b2a207e85205ed07cace803079d7f7ddb2ce24b829806dfa755b254",
+    (2, 2, 3, 3): "7ea9b493cb8c0a2da939b8a76642ef594ec305c768b4ed0abc821533dfd0a254",
+    (1, 3, 3, 3): "c5af0a41f097cf195156b34dcca251c2978d10fd6e6856c61500ae222feb4c74",
+    (1, 0, 2, 3): "3317ce99de26d896cab10aa2e6bb8bf9ccea8bdc25862167f59233d1c6148d3a",
+}
+
+
+@pytest.mark.parametrize("params", sorted(CORESOLUTION_DIGESTS))
+def test_coresolution_is_pinned(params):
+    cx = coresolution_Q(*params)
+    h = hashlib.sha256()
+    h.update(json.dumps([m.dim for m in cx.modules]).encode())
+    h.update(json.dumps([[repr(lab) for lab in m.labels] for m in cx.modules]).encode())
+    h.update(json.dumps([f.matrix.to_triplets() for f in cx.maps]).encode())
+    assert h.hexdigest() == CORESOLUTION_DIGESTS[params]
+
+
+@pytest.mark.parametrize("s,n_source,n_target,N,length", [
+    (0, 1, 1, 3, 3), (1, 1, 0, 2, 3), (1, 2, 1, 3, 4), (1, 2, 2, 3, 4), (2, 2, 2, 2, 3),
+    (2, 3, 2, 3, 3), (1, 1, 3, 3, 3),
+])
+def test_term_spaces_match_the_direct_sums(s, n_source, n_target, N, length):
+    # the reference solves every term as a whole direct sum against the
+    # matching term of the level-(N+1) coresolution
+    src = PQFamily("Q", s, n_source)
+    cx = coresolution_Q(s, n_target, N, length)
+    cx_big = coresolution_Q(s, n_target, N + 1, length)
+    spaces = _stable_term_spaces(src, cx, build_P(s, n_target, N + 1))
+    assert len(spaces) == length
+    for space, T, T_big in zip(spaces, cx.modules[1:], cx_big.modules[1:]):
+        ref = _stable_subspace(src, _mapping_solutions(src, T), T, T_big) if T.dim else []
+        assert len(space) == len(ref)
+        assert SpanBasis(space, T.dim) == SpanBasis(ref, T.dim)
+
+
+@st.composite
+def stable_ext_cases(draw):
+    a, b = draw(st.integers(0, 3)), draw(st.integers(1, 2))
+    return (draw(st.sampled_from([1, 2])), a, b, draw(st.integers(max(a, b) + 1, 4)),
+            draw(st.integers(0, 2)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(stable_ext_cases())
+def test_ext_stable_matches_the_closed_form(case):
+    # Ext^i between the Q families of tuple sizes a and b (s >= 1) is one
+    # copy of Hom per composition of i into b parts
+    s, a, b, N, max_i = case
+    expected = [qq_expected(a, b) * comb(i + b - 1, b - 1) for i in range(max_i + 1)]
+    assert ext_stable(s, a, b, N, max_i) == expected
 
 
 # --- truncated Ext ---------------------------------------------------------------
