@@ -31,10 +31,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 from .combinat import (
     ClassFunction,
+    injection_count,
     injections,
     partitions,
 )
@@ -260,7 +260,7 @@ def pq_dimension(kind: str, s: int, n: int, N: int) -> int:
     """Closed-form dimension of the P or Q module at truncation N."""
     if n > N:
         raise ValueError(f"tuple size n={n} exceeds truncation N={N}")
-    tuples = factorial(N) // factorial(N - n)
+    tuples = injection_count(n, N)
     if kind == "P":
         return (s + 1) ** N * tuples
     if kind == "Q":

@@ -27,6 +27,7 @@ from .combinat import (
     SymFunc,
     decompose,
     induce_from_young,
+    injection_count,
     irreducible_character,
     irreducible_class_function,
     partitions,
@@ -274,8 +275,8 @@ def truncation_dim_check(n: int, m: int, N: int) -> bool:
 
     if n + m > N:
         raise ValueError("need n + m <= N so that every summand is nonzero")
-    lhs = (factorial(N) // factorial(N - n)) * (factorial(N) // factorial(N - m))
+    lhs = injection_count(n, N) * injection_count(m, N)
     rhs = 0
     for r in range(min(n, m) + 1):
-        rhs += comb(n, r) * comb(m, r) * factorial(r) * (factorial(N) // factorial(N - (n + m - r)))
+        rhs += comb(n, r) * comb(m, r) * factorial(r) * injection_count(n + m - r, N)
     return lhs == rhs

@@ -10,9 +10,12 @@ annihilated by the first a variables (plus (r+1)st-power conditions when the
 source has a smaller exponent bound r than the ambient ring).
 
 Stabilization: truncation-level solution spaces contain boundary junk
-supported on all N variables.  ``stable_hom`` therefore solves at N, pushes
-each solution along the canonical basis-label inclusion into level N+1, and
-keeps only those that still satisfy the level-(N+1) constraints.  The three
+supported on all N variables.  ``stable_hom`` therefore solves at N and at
+N+1, pushes each level-N solution along the canonical basis-label inclusion
+into level N+1, and keeps the combinations whose push lies in the span of
+the level-(N+1) solutions.  Over label maps both bases are indicators of
+residual-group orbits, so this is a set of equal-or-zero relations on the
+coefficients; other targets reduce each push modulo the span.  The three
 dimensions (at N, at N+1, stable) are always reported separately.
 
 Truncated Ext: ``ext_truncated`` resolves the source by minimal equivariant
@@ -335,72 +338,47 @@ def _embed_vector(v: dict, small: EquivModule, big: EquivModule) -> dict:
     return out
 
 
-def _constraint_images_by_maps(profile: PQFamily, T: EquivModule, vectors) -> list:
-    """Each vector's images under the stacked source constraints on T (one
-    block of T.dim rows per constraint), read off T's label maps."""
-    ops, swaps = _pq_constraint_maps(profile, T)
-    dim = T.dim
-    columns = []
-    for w in vectors:
-        stacked: dict = {}
-        offset = 0
-        for cm in ops:  # an injection: no two labels of w share a row
-            for j, val in w.items():
-                t = cm[j]
-                if t is not None:
-                    stacked[offset + t] = val
-            offset += dim
-        for cm in swaps:  # (swap - 1) w; a fixed label contributes nothing
-            for j, val in w.items():
-                u = cm[j]
-                if u == j:
-                    continue
-                for key, sgn in ((offset + u, val), (offset + j, -val)):
-                    acc = stacked.get(key)
-                    acc = sgn if acc is None else acc + sgn
-                    if acc:
-                        stacked[key] = acc
-                    else:
-                        del stacked[key]
-            offset += dim
-        columns.append(stacked)
+def _orbit_relations(pushed: list, big_solutions: list) -> list:
+    """Columns whose kernel is the set of c with sum_k c_k pushed[k] in
+    span(big_solutions), both families indicators of disjoint label sets:
+    the pushes that meet one big solution have equal coefficients, zero
+    unless they cover it, and a push with a label outside every big solution
+    has coefficient zero.  Column k holds c_k's coefficient in each relation.
+    """
+    orbit_of = {t: b for b, vec in enumerate(big_solutions) for t in vec}
+    meets: dict = {}  # big solution (None: none) -> {k: labels of pushed[k] in it}
+    for k, vec in enumerate(pushed):
+        for t in vec:
+            hits = meets.setdefault(orbit_of.get(t), {})
+            hits[k] = hits.get(k, 0) + 1
+    columns = [{} for _ in pushed]
+    row = 0
+    for k in meets.pop(None, ()):  # c_k = 0
+        columns[k][row] = ONE
+        row += 1
+    for b, hits in meets.items():
+        k0, *rest = hits
+        for k in rest:  # c_k = c_k0
+            columns[k][row], columns[k0][row] = ONE, -ONE
+            row += 1
+        if sum(hits.values()) < len(big_solutions[b]):  # c_k0 = 0
+            columns[k0][row] = ONE
+            row += 1
     return columns
 
 
-def _constraint_images_by_blocks(profile: PQFamily, T: EquivModule, vectors) -> list:
-    """The same images as ``_constraint_images_by_maps``, through the
-    constraint matrices of any module."""
-    blocks = _source_constraint_blocks(profile, T)
-    block_cols = [blk.columns() for blk in blocks]
-    columns = []
-    for w in vectors:
-        stacked: dict = {}
-        offset = 0
-        for blk, cols in zip(blocks, block_cols):
-            for j, val in w.items():
-                for r, bv in cols[j].items():
-                    key = offset + r
-                    acc = stacked.get(key, Fraction(0)) + val * bv
-                    if acc:
-                        stacked[key] = acc
-                    else:
-                        stacked.pop(key, None)
-            offset += blk.nrows
-        columns.append(stacked)
-    return columns
-
-
-def _stable_subspace(profile: PQFamily, solutions, small: EquivModule,
+def _stable_subspace(solutions, big_solutions, small: EquivModule,
                      big: EquivModule) -> list:
-    """Members of span(solutions) whose level-(N+1) push still satisfies the
-    source constraints evaluated in the larger module."""
+    """Members of span(solutions) whose push along the label inclusion into
+    the larger module lies in span(big_solutions), the solutions there."""
     if not solutions:
         return []
     pushed = [_embed_vector(v, small, big) for v in solutions]
-    if big.xmaps is not None:
-        columns = _constraint_images_by_maps(profile, big, pushed)
+    if small.xmaps is not None and big.xmaps is not None:
+        columns = _orbit_relations(pushed, big_solutions)
     else:
-        columns = _constraint_images_by_blocks(profile, big, pushed)
+        span = SpanBasis(big_solutions, big.dim)
+        columns = [span.residue(w) for w in pushed]
     kept = []
     for coeffs in kernel_of_vectors(columns):
         vec: dict = {}
@@ -422,7 +400,7 @@ def stable_hom(source: PQFamily, target, N: int) -> StableHomResult:
     T_big = build(N + 1)
     sols = _mapping_solutions(source, T_small)
     big_sols = _mapping_solutions(source, T_big)
-    stable = _stable_subspace(source, sols, T_small, T_big)
+    stable = _stable_subspace(sols, big_sols, T_small, T_big)
     return StableHomResult(len(sols), len(big_sols), len(stable), stable)
 
 
@@ -526,7 +504,8 @@ def _stable_term_spaces(src: PQFamily, cx: Complex, P_big: EquivModule) -> list:
     in each copy at offset c * dim P.
     """
     P = cx.modules[1]
-    stable = _stable_subspace(src, _mapping_solutions(src, P), P, P_big)
+    stable = _stable_subspace(_mapping_solutions(src, P), _mapping_solutions(src, P_big),
+                              P, P_big)
     return [[{c * P.dim + t: v for t, v in vec.items()}
              for c in range(T.dim // P.dim) for vec in stable]
             for T in cx.modules[1:]]
@@ -557,8 +536,8 @@ def ext_stable(s: int, n_source: int, n_target: int, N: int, max_degree: int,
     for k in range(length - 1):
         if not spaces[k]:
             continue
-        d = cx_small.maps[k + 1].matrix
-        images = [d.apply(v) for v in spaces[k]]
+        d_cols = cx_small.maps[k + 1].matrix.columns()
+        images = [apply_columns(d_cols, v) for v in spaces[k]]
         images = [w for w in images if w]
         if images and spaces[k + 1]:
             span = SpanBasis(spaces[k + 1], cx_small.modules[k + 2].dim)

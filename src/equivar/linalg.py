@@ -325,7 +325,7 @@ def rank_of_vectors(vectors, ncols=None) -> int:
     return ech.rank
 
 
-def kernel_of_vectors(columns, ncols_out=None) -> list:
+def kernel_of_vectors(columns) -> list:
     """Kernel of the linear map sending basis vector t to columns[t].
 
     Returns coefficient vectors c (dicts over column positions) with
@@ -365,22 +365,22 @@ class SpanBasis:
     def dim(self) -> int:
         return len(self.vectors)
 
+    def residue(self, w: dict) -> dict:
+        """w minus the member of the span that agrees with it at the leading
+        indices: linear in w, empty exactly when w is in the span."""
+        out = dict(w)
+        for c, vec in zip(self.leads, self.vectors):
+            vec_axpy(out, -w.get(c, ZERO), vec)
+        return out
+
     def coords(self, w: dict) -> list:
         """Coordinates of w in this basis; raises ValueError if w is outside."""
-        coeffs = [w.get(c, ZERO) for c in self.leads]
-        residue = dict(w)
-        for c, vec in zip(coeffs, self.vectors):
-            vec_axpy(residue, -c, vec)
-        if residue:
+        if self.residue(w):
             raise ValueError("vector is not in the span")
-        return coeffs
+        return [w.get(c, ZERO) for c in self.leads]
 
     def contains(self, w: dict) -> bool:
-        try:
-            self.coords(w)
-            return True
-        except ValueError:
-            return False
+        return not self.residue(w)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SpanBasis):

@@ -23,6 +23,7 @@ from .cas_cat import compare_with_P_homs, hom_dimension, injective_I
 from .combinat import (
     frobenius_char,
     induce_character,
+    injection_count,
     irreducible_class_function,
     partitions,
     schur,
@@ -80,7 +81,7 @@ def suite_qqmaps(max_N: int = 5) -> list:
                     continue
                 t0 = time.perf_counter()
                 r = stable_hom(PQFamily("Q", s, a), PQFamily("Q", s, b), N)
-                expected = factorial(a) // factorial(a - b) if b <= a else 0
+                expected = injection_count(b, a)
                 out.append(_record(
                     "qqmaps", f"hom_Q{s},{a}_to_Q{s},{b}",
                     {"s": s, "source_n": a, "target_n": b, "N": N,

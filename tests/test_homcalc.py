@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import random
 from fractions import Fraction
 from math import comb, factorial
 
@@ -31,9 +32,6 @@ from equivar.homcalc import (
     stable_hom,
     tor_complex,
     tor_periodic,
-    _constraint_images_by_blocks,
-    _constraint_images_by_maps,
-    _embed_vector,
     _free_cover,
     _group_walk,
     _hom_invariants_by_orbits,
@@ -41,6 +39,7 @@ from equivar.homcalc import (
     _kernel_module,
     _mapping_solutions,
     _mapping_solutions_generic,
+    _orbit_relations,
     _quotient_by_radical,
     _resolution,
     _stable_subspace,
@@ -50,6 +49,7 @@ from equivar.linalg import (
     ONE,
     SpanBasis,
     SparseRationalMatrix,
+    kernel_of_vectors,
     matrix_rank,
     nullspace,
     rank_of_vectors,
@@ -175,26 +175,64 @@ def test_fast_path_matches_elimination():
 
 @pytest.mark.parametrize("kind", ["Q", "P"])
 def test_stable_subspace_maps_match_blocks(kind):
-    """The label-map and constraint-matrix images in _stable_subspace agree,
-    and so does the subspace computed on a matrix-only copy of the modules."""
+    """_stable_subspace returns the same basis on a matrix-only copy of the
+    modules, where it reduces each push modulo the level-(N+1) span."""
     for s, n, m, N, r in [(1, 1, 1, 3, 1), (1, 2, 1, 3, 1), (2, 1, 2, 3, 2),
                           (1, 0, 1, 2, 1), (2, 1, 1, 3, 1), (1, 1, 1, 3, 0)]:
         profile = PQFamily(kind, r, n)
         for small, big in zip(_targets(s, m, N), _targets(s, m, N + 1)):
             sols = _mapping_solutions(profile, small)
-            pushed = [_embed_vector(v, small, big) for v in sols]
-            assert (_constraint_images_by_maps(profile, big, pushed)
-                    == _constraint_images_by_blocks(profile, big, pushed))
+            big_sols = _mapping_solutions(profile, big)
             plain_small, plain_big = _matrix_copy(small), _matrix_copy(big)
             assert plain_big.xmaps is None
-            stable = _stable_subspace(profile, sols, small, big)
-            reference = _stable_subspace(profile, sols, plain_small, plain_big)
-            assert SpanBasis(stable, small.dim) == SpanBasis(reference, small.dim)
+            stable = _stable_subspace(sols, big_sols, small, big)
+            reference = _stable_subspace(sols, big_sols, plain_small, plain_big)
+            assert stable == reference
 
 
 def _matrix_copy(mod):
     return EquivModule(mod.cfg, mod.labels, mod.xmul, mod.coxeter,
                        grading=mod.grading, name=mod.name)
+
+
+def test_orbit_relations_on_merged_orbits():
+    # in the P and Q families no level-(N+1) orbit holds two pushed orbits,
+    # so the equal-coefficient relation is checked here on random disjoint
+    # orbits, several of them inside one big orbit, against the residues
+    rng = random.Random(5)
+    for trial in range(300):
+        labels = list(range(rng.randint(1, 12)))
+        rng.shuffle(labels)
+        cuts = sorted(rng.sample(range(1, len(labels)), rng.randint(0, len(labels) - 1)))
+        blocks = [labels[i:j] for i, j in zip([0] + cuts, cuts + [len(labels)])]
+        pushed = [{t: ONE for t in blk} for blk in blocks if rng.random() < 0.8]
+        big, pool = [], list(blocks)
+        while pool:
+            merged = [t for _ in range(rng.randint(1, 3)) if pool for t in pool.pop()]
+            if rng.random() < 0.7:
+                big.append({t: ONE for t in merged})
+        span = SpanBasis(big, len(labels))
+        assert (kernel_of_vectors(_orbit_relations(pushed, big))
+                == kernel_of_vectors([span.residue(w) for w in pushed]))
+
+
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_orbit_relations_match_the_residue_path(s):
+    # the orbit relations over label maps against the residue of each push
+    # modulo the span of the generic solver's level-(N+1) solutions, on a
+    # matrix-only copy: the same list, not only the same span
+    for kind, r in [("Q", s), ("P", s)] + ([("Q", s - 1)] if s else []):
+        for n, m in itertools.product(range(3), repeat=2):
+            for N in range(max(n, m, 1), 4):
+                profile = PQFamily(kind, r, n)
+                for small, big in zip(_targets(s, m, N), _targets(s, m, N + 1)):
+                    sols = _mapping_solutions(profile, small)
+                    stable = _stable_subspace(sols, _mapping_solutions(profile, big), small, big)
+                    plain_big = _matrix_copy(big)
+                    reference = _stable_subspace(
+                        sols, _mapping_solutions_generic(profile, plain_big),
+                        _matrix_copy(small), plain_big)
+                    assert stable == reference, (kind, r, n, m, N, big.name)
 
 
 # --- stabilization -------------------------------------------------------------
@@ -265,6 +303,39 @@ def test_stable_vanishing_for_smaller_bound_sources():
                 N = max(m, n) + 2
                 r = stable_hom(PQFamily("Q", s - 1, m), PQFamily("P", s, n), N)
                 assert r.dim_stable == 0
+
+
+def _stable_hom_grid():
+    """The stable-hom benchmark grid: Q into Q and P, lower-bound Q into P,
+    and P into P, each at the N the benchmark uses."""
+    grid = {"qq-qp": [], "lower-bound": [], "p-source": []}
+    for s in (1, 2):
+        for a, b in itertools.product(range(4), repeat=2):
+            for kind in "QP":
+                grid["qq-qp"].append((("Q", s, a), (kind, s, b), max(a, b) + 2))
+        for m, n in itertools.product(range(3), repeat=2):
+            grid["lower-bound"].append((("Q", s - 1, m), ("P", s, n), max(m, n) + 2))
+            grid["p-source"].append((("P", s, n), ("P", s, m), n + m + 1))
+    return grid
+
+
+# sha256 of (dim_at_N, dim_at_N_plus_1, dim_stable, basis) over each part of
+# the grid, recorded before stabilization read the level-(N+1) solutions
+STABLE_HOM_DIGESTS = {
+    "qq-qp": "bdd9a950f2b3695ec5cb821228c1256ae1d91a90559acaf2ae8b4c27cf9e876d",
+    "lower-bound": "53ccdf9427e7c8335879043701ea1136e0eee49e092c4ff3ab247d5f3f62a8cd",
+    "p-source": "b3f5cbf6ab85089f5315a17749fd1b6e398c11f20240fd52fdf5d89f2dd4a026",
+}
+
+
+@pytest.mark.parametrize("part", sorted(STABLE_HOM_DIGESTS))
+def test_stable_hom_grid_is_pinned(part):
+    rows = []
+    for src, tgt, N in _stable_hom_grid()[part]:
+        r = stable_hom(PQFamily(*src), PQFamily(*tgt), N)
+        rows.append([r.dim_at_N, r.dim_at_N_plus_1, r.dim_stable,
+                     [_vector_triplets(v) for v in r.basis]])
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == STABLE_HOM_DIGESTS[part]
 
 
 def test_stable_result_invariant_guard():
@@ -390,7 +461,8 @@ def test_term_spaces_match_the_direct_sums(s, n_source, n_target, N, length):
     spaces = _stable_term_spaces(src, cx, build_P(s, n_target, N + 1))
     assert len(spaces) == length
     for space, T, T_big in zip(spaces, cx.modules[1:], cx_big.modules[1:]):
-        ref = _stable_subspace(src, _mapping_solutions(src, T), T, T_big) if T.dim else []
+        ref = (_stable_subspace(_mapping_solutions(src, T), _mapping_solutions(src, T_big), T, T_big)
+               if T.dim else [])
         assert len(space) == len(ref)
         assert SpanBasis(space, T.dim) == SpanBasis(ref, T.dim)
 

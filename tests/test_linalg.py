@@ -123,6 +123,43 @@ def test_span_basis_membership_and_coords():
     assert not span.contains({2: Fraction(1)})
 
 
+def test_span_basis_residue_against_dense_oracle():
+    # the residue is empty exactly on members of the span (a rank oracle
+    # decides membership) and is linear; coords keeps its former reduction
+    def former_coords(span, w):
+        coeffs = [w.get(c, Fraction(0)) for c in span.leads]
+        residue = dict(w)
+        for c, vec in zip(coeffs, span.vectors):
+            for k, v in vec.items():
+                residue[k] = residue.get(k, 0) - c * v
+        if any(residue.values()):
+            raise ValueError("vector is not in the span")
+        return coeffs
+
+    def combine(n, terms):
+        out = {k: sum(c * v.get(k, 0) for c, v in terms) for k in range(n)}
+        return {k: v for k, v in out.items() if v}
+
+    rng = random.Random(11)
+    for trial in range(60):
+        n = rng.randint(1, 6)
+        family = random_matrix(rng, rng.randint(0, 4), n).rows
+        span = SpanBasis(family, n)
+        rank = dense_rank([[r.get(j, 0) for j in range(n)] for r in family])
+        members = [combine(n, [(rng.randint(-2, 2), r) for r in family]) for _ in range(2)]
+        for w in random_matrix(rng, 3, n).rows + members:
+            inside = dense_rank([[r.get(j, 0) for j in range(n)] for r in family + [w]]) == rank
+            assert (span.residue(w) == {}) == inside == span.contains(w)
+            if inside:
+                assert span.coords(w) == former_coords(span, w)
+            else:
+                with pytest.raises(ValueError):
+                    span.coords(w)
+        u, w = random_matrix(rng, 2, n).rows
+        assert span.residue(combine(n, [(2, u), (-1, w)])) == \
+            combine(n, [(2, span.residue(u)), (-1, span.residue(w))])
+
+
 def test_solve_columns():
     a = SparseRationalMatrix.from_entries(3, 2, [(0, 0, 2), (1, 1, 3), (2, 0, 1), (2, 1, 1)])
     y = {0: Fraction(4), 1: Fraction(6), 2: Fraction(4)}

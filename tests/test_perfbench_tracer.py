@@ -1,7 +1,10 @@
 """The benchmark's tracer (perfbench/tracing.py) wraps equivar functions by
-name, so a refactor that deletes or renames one of them fails here."""
+name, so a refactor that deletes or renames one of them fails here, and a
+traced benchmark run must finish with correct answers."""
 
+import json
 import pathlib
+import subprocess
 import sys
 
 import equivar.equivariant  # noqa: F401  (the tracer wraps these modules)
@@ -37,3 +40,15 @@ def test_tracer_installs_and_uninstalls():
     assert dict(_traced_attributes(tracing)) == originals
     counters, _ = tracer.summary()
     assert counters["homcalc.stable_hom.calls"] == 1
+
+
+def test_traced_stable_hom_run_succeeds():
+    # the traced summary has no Echelon.add pivot ratio when no add is made,
+    # and run.py reads every per-layer metric of BENCHMARK.json: a stable Hom
+    # without elimination stops the traced run with a KeyError
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "stable-hom",
+         "--seed", "0", "--trace", "1"],
+        cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=170)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True
