@@ -154,9 +154,10 @@ def _word_product(gens, dim: int, g) -> SparseRationalMatrix:
     return m
 
 
-def _map_matrix(cm) -> SparseRationalMatrix:
-    """The 0/1 matrix of a label map: column t has its one entry in row cm[t]."""
-    m = SparseRationalMatrix(len(cm), len(cm))
+def _map_matrix(cm, nrows: int | None = None) -> SparseRationalMatrix:
+    """The 0/1 matrix of a label map: column t has its one entry in row cm[t].
+    Square unless ``nrows`` is given."""
+    m = SparseRationalMatrix(len(cm) if nrows is None else nrows, len(cm))
     for t, u in enumerate(cm):
         if u is not None:
             m.rows[u][t] = ONE
@@ -396,13 +397,13 @@ def q_into_p_embedding(s: int, n: int, N: int) -> EquivMap:
     generator to the product of its own variables to the s-th power times it."""
     Q = build_Q(s, n, N)
     P = build_P(s, n, N)
-    m = SparseRationalMatrix(P.dim, Q.dim)
-    for col, (T, mono) in enumerate(Q.labels):
+    rows = []
+    for T, mono in Q.labels:
         target = list(mono)
         for t in T:
             target[t] += s
-        m.set(P.label_index[(T, tuple(target))], col, ONE)
-    return EquivMap(Q, P, m)
+        rows.append(P.label_index[(T, tuple(target))])
+    return EquivMap(Q, P, _map_matrix(rows, P.dim))
 
 
 def character_of(M: EquivModule) -> ClassFunction:
@@ -528,8 +529,8 @@ def embed_label(lab, N_new: int):
 def embedding_matrix(small: EquivModule, big: EquivModule) -> SparseRationalMatrix:
     """Canonical basis-label inclusion of a module at truncation N into the
     matching module at truncation N+1 (labels padded by zero exponents)."""
-    m = SparseRationalMatrix(big.dim, small.dim)
-    for col, lab in enumerate(small.labels):
+    rows = []
+    for lab in small.labels:
         try:
             target = embed_label(lab, big.cfg.N)
         except (TypeError, ValueError) as exc:
@@ -537,5 +538,5 @@ def embedding_matrix(small: EquivModule, big: EquivModule) -> SparseRationalMatr
         row = big.label_index.get(target)
         if row is None:
             raise ValueError(f"label {target!r} is absent at the larger truncation")
-        m.set(row, col, 1)
-    return m
+        rows.append(row)
+    return _map_matrix(rows, big.dim)

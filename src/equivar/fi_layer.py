@@ -117,13 +117,9 @@ class Principal(FIModule):
 
     def map(self, f, m_src, m_tgt):
         _check_injection(f, m_src, m_tgt)
-        src = self.basis(m_src)
         idx_tgt = self._index(m_tgt)
-        out = SparseRationalMatrix(self.dim(m_tgt), self.dim(m_src))
-        for col, g in enumerate(src):
-            composed = tuple(f[v] for v in g)
-            out.set(idx_tgt[composed], col, ONE)
-        return out
+        return _map_matrix([idx_tgt[tuple(f[v] for v in g)] for g in self.basis(m_src)],
+                           self.dim(m_tgt))
 
     def __repr__(self):
         return f"Principal({self.n})"

@@ -20,7 +20,13 @@ dimensions (at N, at N+1, stable) are always reported separately.
 
 Truncated Ext: ``ext_truncated`` resolves the source by minimal equivariant
 free covers and takes the S_N-invariants of Hom(V_i, T), V_i the generator
-representation at level i.  When T carries label maps it is a permutation
+representation at level i.  A free cover on V has the label (mono, f) at
+rank(mono) * dim V + f, so its actions are Kronecker products: x_i is the
+monomial raise tensor the identity, a swap is the monomial swap tensor its
+action on V.  The resolution keeps only the image of each generator of F_i
+in F_(i-1), and the Hom differential is read off those images: its block
+(f, f') is the sum of coeff * x^mono over the terms coeff * (mono, f') of
+generator f's image.  When T carries label maps it is a permutation
 module, so an invariant map is fixed by its row at one label t0 per orbit,
 and that row only has to be fixed by the stabilizer of t0 (Frobenius
 reciprocity).  The group is enumerated once, by ``_group_walk``: a
@@ -37,7 +43,8 @@ b_k copies of P, and the source constraints are label maps acting on each
 copy alone, so the stable space of a term is b_k copies of the stable space
 of P at N into P at N+1, and it is solved once per request.  Level N+1 enters
 only through that one P module: the differentials the answer uses are the
-level-N ones, so no coresolution is built at N+1.
+level-N ones, so no coresolution is built at N+1.  Both Ext paths read
+their dimensions off one cohomology tail, ``_cohomology``.
 """
 
 from __future__ import annotations
@@ -46,7 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .combinat import ClassFunction, partitions
+from .combinat import ClassFunction, _compositions, partitions
 from .equivariant import (
     EquivMap,
     EquivModule,
@@ -408,16 +415,6 @@ def stable_hom(source: PQFamily, target, N: int) -> StableHomResult:
 # coresolutions and Ext
 
 
-def _compositions_of(total: int, parts: int):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions_of(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def _tuple_power_map(P: EquivModule, pos: int, exp: int) -> list:
     """Label map of multiplication by (variable at tuple slot pos)^exp on a P module."""
     powers = [_power_map(cm, exp) for cm in P.xmaps]
@@ -441,7 +438,7 @@ def coresolution_Q(s: int, n: int, N: int, length: int) -> Complex:
     def term_indices(j):
         if s == 0 or n == 0:
             return [()] if j == 0 else []
-        return sorted(_compositions_of(j, n))
+        return sorted(_compositions(j, n))
 
     def make_term(j):
         idxs = term_indices(j)
@@ -511,48 +508,37 @@ def _stable_term_spaces(src: PQFamily, cx: Complex, P_big: EquivModule) -> list:
             for T in cx.modules[1:]]
 
 
-def ext_stable(s: int, n_source: int, n_target: int, N: int, max_degree: int,
-               length: int | None = None) -> list:
-    """Stable self/cross Ext of Q families, as cohomology of the stable-Hom
-    complex of an exact coresolution of the target by P terms.
+def _images(d: SparseRationalMatrix, vectors) -> list:
+    """The nonzero images of the vectors under d."""
+    cols = d.columns()
+    return [w for w in (apply_columns(cols, v) for v in vectors) if w]
 
-    Needs one coresolution term beyond ``max_degree + 1``; raises ValueError
-    when a supplied ``length`` is too small to determine the last degree.
-    """
-    need = max_degree + 2
-    if length is None:
-        length = need
-    if length < need:
-        raise ValueError(
-            f"coresolution length {length} too small for degree {max_degree}: "
-            f"one extra term is required"
-        )
+
+def _cohomology(spaces: list, images: list, dims: list) -> list:
+    """Cohomology dimensions of a cochain complex restricted to subspaces:
+    spaces[i] spans the degree-i cochains, images[i] holds their nonzero
+    images in degree i+1, of dimension dims[i].  Degree i, for each i with
+    images, has dimension len(spaces[i]) - rank_i - rank_(i-1)."""
+    ranks = [rank_of_vectors(w, dim) for w, dim in zip(images, dims)]
+    return [len(spaces[i]) - ranks[i] - (ranks[i - 1] if i else 0) for i in range(len(ranks))]
+
+
+def ext_stable(s: int, n_source: int, n_target: int, N: int, max_degree: int) -> list:
+    """Stable self/cross Ext of Q families in degrees 0..max_degree, as
+    cohomology of the stable-Hom complex of an exact coresolution of the
+    target by P terms, built with one term beyond ``max_degree + 1``."""
     src = PQFamily("Q", s, n_source)
-    cx_small = coresolution_Q(s, n_target, N, length)
-    spaces = _stable_term_spaces(src, cx_small, build_P(s, n_target, N + 1))
-
-    # ranks of the induced differentials restricted to the stable spaces
-    ranks = [0] * (length - 1)
-    for k in range(length - 1):
-        if not spaces[k]:
-            continue
-        d_cols = cx_small.maps[k + 1].matrix.columns()
-        images = [apply_columns(d_cols, v) for v in spaces[k]]
-        images = [w for w in images if w]
-        if images and spaces[k + 1]:
-            span = SpanBasis(spaces[k + 1], cx_small.modules[k + 2].dim)
-            for w in images:
-                if not span.contains(w):
-                    raise AssemblyError("differential leaves the stable solution space")
-        elif images:
-            raise AssemblyError("differential leaves the stable solution space")
-        ranks[k] = rank_of_vectors(images, cx_small.modules[k + 2].dim)
-
-    out = []
-    for i in range(max_degree + 1):
-        ext = len(spaces[i]) - ranks[i] - (ranks[i - 1] if i > 0 else 0)
-        out.append(ext)
-    return out
+    cx = coresolution_Q(s, n_target, N, max_degree + 2)
+    spaces = _stable_term_spaces(src, cx, build_P(s, n_target, N + 1))
+    images = []
+    for k in range(max_degree + 1):
+        imgs = _images(cx.maps[k + 1].matrix, spaces[k]) if spaces[k] else []
+        if imgs:
+            span = SpanBasis(spaces[k + 1], cx.modules[k + 2].dim)
+            if not all(span.contains(w) for w in imgs):
+                raise AssemblyError("differential leaves the stable solution space")
+        images.append(imgs)
+    return _cohomology(spaces, images, [T.dim for T in cx.modules[2:]])
 
 
 # ---------------------------------------------------------------------------
@@ -589,31 +575,19 @@ def _along_walk(walk: list, first, step) -> list:
 def _quotient_by_radical(M: EquivModule):
     """The fiber M / (sum of variable images): reduction map, lift, and the
     induced symmetric-group representation, with an equivariant section."""
-    span_vecs = []
-    for i in range(M.cfg.N):
-        span_vecs.extend(M.xmul[i].columns())
-    radical = SpanBasis(span_vecs, M.dim)
+    radical = SpanBasis([c for x in M.xmul for c in x.columns()], M.dim)
     leads = set(radical.leads)
     free = [t for t in range(M.dim) if t not in leads]
     pos = {f: t for t, f in enumerate(free)}
 
-    def reduce_vec(w: dict) -> dict:
-        w = dict(w)
-        for c, vec in zip(radical.leads, radical.vectors):
-            if c in w:
-                vec_axpy(w, -w[c], vec)
-        return {pos[k]: v for k, v in w.items()}
-
     def pi_matrix(mat: SparseRationalMatrix) -> SparseRationalMatrix:
         out = SparseRationalMatrix(len(free), mat.ncols)
         for j, col in enumerate(mat.columns()):
-            for k, v in reduce_vec(col).items():
-                out.set(k, j, v)
+            for k, v in radical.residue(col).items():
+                out.set(pos[k], j, v)
         return out
 
-    lift = SparseRationalMatrix(M.dim, len(free))
-    for t, f in enumerate(free):
-        lift.set(f, t, 1)
+    lift = _map_matrix(free, M.dim)
 
     N = M.cfg.N
     rep_cox = tuple(pi_matrix(M.coxeter[j] @ lift) for j in range(N - 1))
@@ -645,23 +619,16 @@ def _free_cover(M: EquivModule, dim_cap: int | None = None):
     dimF = len(monos) * rep.dim
     if dim_cap is not None and dimF > dim_cap:
         raise RuntimeError(f"a free cover of dimension {dimF} exceeds the dimension cap {dim_cap}")
+    # label (mono, f) sits at rank(mono) * dim V + f: x_i raises the exponent
+    # of the monomial part (past s the label is absent), and a swap permutes
+    # the monomial part and acts on the fiber by rep
     labels = [(mono, f) for mono in monos for f in range(rep.dim)]
-    index = {lab: t for t, lab in enumerate(labels)}
-
-    # x_i raises the exponent of the monomial part; past s the label is absent
-    xmul = [_map_matrix([index.get((mono[:i] + (mono[i] + 1,) + mono[i + 1:], f))
-                         for mono, f in labels]) for i in range(cfg.N)]
-    coxeter = []
-    for j in range(cfg.N - 1):
-        m = SparseRationalMatrix(dimF, dimF)
-        rep_m = rep.coxeter[j]
-        for col, (mono, f) in enumerate(labels):
-            swapped = list(mono)
-            swapped[j], swapped[j + 1] = swapped[j + 1], swapped[j]
-            swapped = tuple(swapped)
-            for f2, v in rep_m.column(f).items():
-                m.add_to(index[(swapped, f2)], col, v)
-        coxeter.append(m)
+    rank = {mono: r for r, mono in enumerate(monos)}
+    eye = SparseRationalMatrix.identity(rep.dim)
+    xmul = [kron(_map_matrix([rank.get(mono[:i] + (mono[i] + 1,) + mono[i + 1:]) for mono in monos]),
+                 eye) for i in range(cfg.N)]
+    coxeter = [kron(_map_matrix([rank[mono[:j] + (mono[j + 1], mono[j]) + mono[j + 2:]]
+                                 for mono in monos]), rep.coxeter[j]) for j in range(cfg.N - 1)]
     F = EquivModule(cfg, labels, xmul, coxeter, name=f"free_cover({M.name})")
 
     # the image of (mono, f) is x_i times the image of (mono - e_i, f), for
@@ -675,7 +642,7 @@ def _free_cover(M: EquivModule, dim_cap: int | None = None):
         if i is None:
             w = sec_cols[f]
         else:
-            prev = index[(mono[:i] + (mono[i] - 1,) + mono[i + 1:], f)]
+            prev = rank[mono[:i] + (mono[i] - 1,) + mono[i + 1:]] * rep.dim + f
             w = apply_columns(x_cols[i], images[prev])
         images.append(w)
         for r, v in w.items():
@@ -697,20 +664,25 @@ def _kernel_module(F: EquivModule, d: SparseRationalMatrix):
 
 def _resolution(M: EquivModule, levels: int, dim_cap: int | None = None):
     """The first ``levels`` terms of the minimal free resolution of M:
-    (reps, diffs, free_mods), with reps[i] the generator representation of
-    F_i and diffs[i] the matrix of F_i -> F_{i-1} on full free bases
+    (reps, gens, free_mods), with reps[i] the generator representation of
+    F_i and gens[i][f] the image of generator f of F_i in F_{i-1}
     (F_{-1} = M).  The kernel of the last cover is not built."""
-    reps, diffs, free_mods = [], [], []
+    reps, gens, free_mods = [], [], []
     current = M
-    inclusion = None  # kernel inclusion into the previous free module
+    inc_cols = None  # columns of the kernel inclusion into the previous free module
     for level in range(levels):
         F, cover, rep = _free_cover(current, dim_cap)
+        # generator f is the label ((0,)*N, f), column f of the cover
+        images = [cover.matrix.column(f) for f in range(rep.dim)]
+        if inc_cols is not None:
+            images = [apply_columns(inc_cols, w) for w in images]
         reps.append(rep)
-        diffs.append(cover.matrix if inclusion is None else inclusion @ cover.matrix)
+        gens.append(images)
         free_mods.append(F)
         if level < levels - 1:
             current, inclusion = _kernel_module(F, cover.matrix)
-    return reps, diffs, free_mods
+            inc_cols = inclusion.columns()
+    return reps, gens, free_mods
 
 
 def _hom_invariants_generic(rep: SnRep, T: EquivModule) -> list:
@@ -788,8 +760,7 @@ def ext_truncated(M: EquivModule, T: EquivModule, max_i: int,
     """
     if M.cfg != T.cfg:
         raise ValueError(f"config mismatch: {M.cfg} != {T.cfg}")
-    N = M.cfg.N
-    reps, diffs, free_mods = _resolution(M, max_i + 2, dim_cap)
+    reps, gens, free_mods = _resolution(M, max_i + 2, dim_cap)
     hom_invariants = _hom_invariants_generic if T.swaps is None else _hom_invariants_by_orbits
 
     # induced differential on Hom spaces: precompute monomial action on T
@@ -805,51 +776,24 @@ def ext_truncated(M: EquivModule, T: EquivModule, max_i: int,
         return mono_action_cache[mono]
 
     def induced_differential(level):
-        """Matrix of Hom(V_{level-1}, T) -> Hom(V_level, T)."""
-        rep_src = reps[level - 1]
-        rep_dst = reps[level]
-        F_dst = free_mods[level]
-        d = diffs[level]  # full free basis of F_level -> full free basis of F_{level-1}
+        """Matrix of Hom(V_{level-1}, T) -> Hom(V_level, T): block (f, f') is
+        the sum of coeff * x^mono over the terms coeff * (mono, f') of the
+        image of generator f."""
         dimT = T.dim
-        out_rows: dict = {}
         prev_labels = free_mods[level - 1].labels
-        for f in range(rep_dst.dim):
-            src_col = F_dst.label_index[((0,) * N, f)]
-            gen_image = d.column(src_col)
-            for idx, coeff in gen_image.items():
+        d = SparseRationalMatrix(reps[level].dim * dimT, reps[level - 1].dim * dimT)
+        for f, image in enumerate(gens[level]):
+            for idx, coeff in image.items():
                 mono, fprime = prev_labels[idx]
-                act = mono_action(mono)
-                for t in range(dimT):
-                    for tprime, v in act.rows[t].items():
-                        rk = f * dimT + t
-                        ck = fprime * dimT + tprime
-                        out_rows.setdefault(rk, {})
-                        w = out_rows[rk].get(ck, Fraction(0)) + coeff * v
-                        if w:
-                            out_rows[rk][ck] = w
-                        else:
-                            out_rows[rk].pop(ck, None)
-        mat = SparseRationalMatrix(rep_dst.dim * dimT, rep_src.dim * dimT)
-        for rk, row in out_rows.items():
-            for ck, v in row.items():
-                mat.set(rk, ck, v)
-        return mat
+                for t, row in enumerate(mono_action(mono).rows):
+                    vec_axpy(d.rows[f * dimT + t], coeff,
+                             {fprime * dimT + tprime: v for tprime, v in row.items()})
+        return d
 
     inv_bases = [hom_invariants(rep, T) for rep in reps]
-    d_mats = [induced_differential(level) for level in range(1, max_i + 2)]
-
-    ranks = [0] * (max_i + 1)
-    for i in range(max_i + 1):
-        d_cols = d_mats[i].columns()
-        images = [apply_columns(d_cols, v) for v in inv_bases[i]]
-        images = [w for w in images if w]
-        ranks[i] = rank_of_vectors(images, reps[i + 1].dim * T.dim)
-
-    out = []
-    for i in range(max_i + 1):
-        ext = len(inv_bases[i]) - ranks[i] - (ranks[i - 1] if i > 0 else 0)
-        out.append(ext)
-    return out
+    images = [_images(induced_differential(level), inv_bases[level - 1])
+              for level in range(1, max_i + 2)]
+    return _cohomology(inv_bases, images, [rep.dim * T.dim for rep in reps[1:]])
 
 
 # ---------------------------------------------------------------------------

@@ -61,10 +61,6 @@ class SparseRationalMatrix:
         return cls(n, n, [{i: ONE} for i in range(n)])
 
     @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "SparseRationalMatrix":
-        return cls(nrows, ncols)
-
-    @classmethod
     def from_entries(cls, nrows, ncols, entries) -> "SparseRationalMatrix":
         """entries: iterable of (row, col, value)."""
         m = cls(nrows, ncols)
@@ -130,9 +126,6 @@ class SparseRationalMatrix:
         for i, row in enumerate(other.rows):
             vec_axpy(out.rows[i], -ONE, row)
         return out
-
-    def __neg__(self):
-        return self.scale(-ONE)
 
     def scale(self, coef) -> "SparseRationalMatrix":
         coef = Fraction(coef)
@@ -370,7 +363,8 @@ class SpanBasis:
         indices: linear in w, empty exactly when w is in the span."""
         out = dict(w)
         for c, vec in zip(self.leads, self.vectors):
-            vec_axpy(out, -w.get(c, ZERO), vec)
+            if c in w:
+                vec_axpy(out, -w[c], vec)
         return out
 
     def coords(self, w: dict) -> list:

@@ -137,6 +137,28 @@ def test_kernel_module_is_pinned():
             == "937322596759699915f09e5c6ede6659cbf6176645c5b43bf248a123ef318dad")
 
 
+# digests of free covers, recorded before their actions were built from
+# Kronecker products; the last module is matrix-only
+FREE_COVER_PINS = {
+    "Q113": (24, "8c1ebf3982455658395b61237e6d54b96e594ef59091862b8c24fcd326d1f4a2"),
+    "P213": (81, "ed2f4b10f32fca84e4999117c21e4f51b14ab340c03a580f3d7b8092fbc6865c"),
+    "Q123": (48, "0234173d70ccf7bb4ffefbf45f330c8fafbce412297064b3727f2d266e7e6eb0"),
+    "kernel": (24, "f336cf4247c49edfb1853791aa72b408700c483f5834671ee8ae937552a6b648"),
+}
+
+
+@pytest.mark.parametrize("name,build", [
+    ("Q113", lambda: build_Q(1, 1, 3)), ("P213", lambda: build_P(2, 1, 3)),
+    ("Q123", lambda: build_Q(1, 2, 3)), ("kernel", lambda: _kernel_of_cover(build_Q(1, 1, 3))),
+], ids=["Q113", "P213", "Q123", "kernel"])
+def test_free_cover_is_pinned(name, build):
+    F, cover, rep = _free_cover(build())
+    assert (F.dim, _digest({"xmul": [m.to_triplets() for m in F.xmul],
+                            "coxeter": [m.to_triplets() for m in F.coxeter],
+                            "cover": cover.matrix.to_triplets(),
+                            "rep": [m.to_triplets() for m in rep.coxeter]})) == FREE_COVER_PINS[name]
+
+
 def test_mapping_property_rejects_p_sources():
     with pytest.raises(ValueError):
         hom_mapping_property(PQFamily("P", 1, 1), build_Q(1, 1, 2))
@@ -397,11 +419,6 @@ def test_stable_ext_vanishes_at_bound_zero():
     assert ext_stable(0, 1, 1, 3, 3) == [1, 0, 0, 0]
 
 
-def test_stable_ext_length_guard():
-    with pytest.raises(ValueError):
-        ext_stable(1, 1, 1, 3, 3, length=4)
-
-
 # ext_stable(s, a, b, N, 2) for a in 0..3, b in 0..2, row-major in (a, b),
 # the same at N = 2, 3, 4 (a <= N); recorded before stable Ext solved one P
 # per coresolution term
@@ -653,6 +670,26 @@ def test_orbit_invariants_match_generic_on_resolutions(case):
     reps, _, _ = _resolution(build[src_kind](s, n, N), 3)
     for rep in reps:
         assert_same_invariants(rep, T)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_Q(1, 1, 3), lambda: build_P(2, 1, 3), lambda: build_Q(1, 2, 3),
+    lambda: build_Q(2, 1, 2), lambda: _kernel_of_cover(build_Q(1, 1, 3)),
+], ids=["Q113", "P213", "Q123", "Q212", "kernel"])
+def test_resolution_generator_images_match_full_differentials(build):
+    """gens[i][f] is the generator column of inclusion @ cover.matrix, the
+    full matrix of F_i -> F_{i-1}, rebuilt here level by level."""
+    M = build()
+    levels = 3
+    _, gens, free_mods = _resolution(M, levels)
+    current, inclusion = M, None
+    for level in range(levels):
+        F, cover, rep = _free_cover(current)
+        assert F.labels == free_mods[level].labels
+        full = cover.matrix if inclusion is None else inclusion @ cover.matrix
+        generators = [F.label_index[((0,) * M.cfg.N, f)] for f in range(rep.dim)]
+        assert gens[level] == [full.column(col) for col in generators]
+        current, inclusion = _kernel_module(F, cover.matrix)
 
 
 # --- the periodic Tor ---------------------------------------------------------------
