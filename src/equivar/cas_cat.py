@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinat import injection_count, injections
-from .linalg import SparseRationalMatrix
+from .linalg import SparseRationalMatrix, joint_kernel
 
 __all__ = [
     "CasMorphism",
@@ -138,7 +138,6 @@ def injective_I(s: int, n: int, m: int) -> InjectiveInfo:
         return InjectiveInfo(dim, 0, [])
     basis = _hom_basis(n, n, s)
     index = {b: i for i, b in enumerate(basis)}
-    joint = None
     kills = []
     for i in range(n):
         # action of the i-th variable on the dual: transpose of precomposition
@@ -151,13 +150,7 @@ def injective_I(s: int, n: int, m: int) -> InjectiveInfo:
                 smaller = mono[:target_var] + (mono[target_var] - 1,) + mono[target_var + 1:]
                 mat.set(index[(f, smaller)], col, 1)
         kills.append(mat)
-    from .linalg import nullspace
-
-    stacked = SparseRationalMatrix.vstack(kills) if kills else None
-    if stacked is None:
-        socle_vectors = [{t: Fraction(1)} for t in range(len(basis))]
-    else:
-        socle_vectors = nullspace(stacked)
+    socle_vectors = joint_kernel(kills, len(basis))
     socle_labels = []
     for v in socle_vectors:
         (idx,) = v.keys()

@@ -126,7 +126,7 @@ class EquivModule:
                 sw = self.swaps[j]
                 perm = [sw[t] for t in perm]
             return _map_matrix(perm)
-        return _word_product(self.coxeter, self.dim, g)
+        return _word_product(self.coxeter, self.dim, coxeter_word(g))
 
     def to_json_dict(self) -> dict:
         out = {
@@ -145,11 +145,12 @@ class EquivModule:
         return f"{tag}(N={self.cfg.N}, s={self.cfg.s}, dim={self.dim})"
 
 
-def _word_product(gens, dim: int, g) -> SparseRationalMatrix:
-    """The action of the permutation g, given one matrix per adjacent swap:
-    the product of the generators along a reduced word of g."""
+def _word_product(gens, dim: int, word) -> SparseRationalMatrix:
+    """The product of the generator matrices along a word, first entry acting
+    first: a permutation's action along its ``coxeter_word`` (one matrix per
+    adjacent swap), or x^mono along its ``monomial_word`` (one per variable)."""
     m = SparseRationalMatrix.identity(dim)
-    for j in coxeter_word(g):
+    for j in word:
         m = gens[j] @ m
     return m
 
@@ -223,7 +224,7 @@ class SnRep:
                 raise ValueError("generator matrix has wrong shape")
 
     def matrix(self, g) -> SparseRationalMatrix:
-        return _word_product(self.coxeter, self.dim, g)
+        return _word_product(self.coxeter, self.dim, coxeter_word(g))
 
 
 def trivial_rep(n: int) -> SnRep:

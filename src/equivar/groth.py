@@ -28,12 +28,10 @@ from .combinat import (
     decompose,
     induce_from_young,
     injection_count,
-    irreducible_character,
     irreducible_class_function,
     partitions,
     schur,
     specht_dimension,
-    z_order,
 )
 from .linalg import SparseRationalMatrix, matrix_rank, solve_columns
 from .truncated_ring import RingConfig, fixed_monomial_count

@@ -32,10 +32,11 @@ and that row only has to be fixed by the stabilizer of t0 (Frobenius
 reciprocity).  The group is enumerated once, by ``_group_walk``: a
 breadth-first walk over adjacent swaps in which each element is an earlier
 element followed by one swap, so a product over the group costs one matrix
-product per element.  Two walk elements that reach the same label give one
-stabilizer constraint.  The same walk builds the averaged equivariant section
-of each free cover.  A target without label maps goes through elimination on
-all dim V * dim T entries, which is also the reference for the orbit solver.
+product per element.  The rows fixed by the stabilizer of t0 are the row
+space of the stabilizer sum, the action summed over the walk elements that
+fix t0: the same group average builds the equivariant section of each free
+cover.  A target without label maps goes through elimination on all
+dim V * dim T entries, which is also the reference for the orbit solver.
 
 Stable Ext: ``ext_stable`` coresolves the target Q family by P terms and
 takes the cohomology of the stable-Hom complex.  Term k is a direct sum of
@@ -60,6 +61,7 @@ from .equivariant import (
     SnRep,
     _compose_swap,
     _map_matrix,
+    _word_product,
     build_P,
     build_Q,
     character_of,
@@ -70,7 +72,6 @@ from .equivariant import (
 from .linalg import (
     ONE,
     AssemblyError,
-    Echelon,
     SpanBasis,
     SparseRationalMatrix,
     Subspace,
@@ -83,7 +84,7 @@ from .linalg import (
     rank_of_vectors,
     vec_axpy,
 )
-from .truncated_ring import RingConfig, all_monomials, representative_permutation
+from .truncated_ring import RingConfig, all_monomials, monomial_word, representative_permutation
 
 __all__ = [
     "AssemblyError",
@@ -303,12 +304,9 @@ def map_from_generator_value(profile: PQFamily, source: EquivModule,
         if tup not in perm_cache:
             rest = [p for p in range(N) if p not in tup]
             perm = tuple(list(tup) + rest)  # position k maps to perm[k]
-            perm_cache[tup] = target.perm_matrix(perm).apply(v)
-        w = perm_cache[tup]
-        for i, e in enumerate(mono):
-            for _ in range(e):
-                w = target.xmul[i].apply(w)
-        for r, val in w.items():
+            perm_cache[tup] = apply_columns(target.perm_matrix(perm).columns(), v)
+        xmono = _word_product(target.xmul, target.dim, monomial_word(mono))
+        for r, val in apply_columns(xmono.columns(), perm_cache[tup]).items():
             mat.set(r, col, val)
     return EquivMap(source, target, mat)
 
@@ -706,16 +704,14 @@ def _hom_invariants_by_orbits(rep: SnRep, T: EquivModule) -> list:
     t0 per orbit, and r is any solution of r @ rho(k) = r for k in the
     stabilizer of t0 (Frobenius reciprocity).  Along the group walk,
     mats[k] = rho(g_k^-1) is the product of the walk's swaps in path order.
-    Two elements g, h reaching the same label give the constraint
-    r @ (mats[g] - mats[h]) = 0; pairing each element with the first one
-    that reaches its label spans all of them.  An orbit whose constraints
-    reach full rank contributes nothing, and its remaining ones are skipped.
+    The solutions are the row space of the stabilizer sum S, the sum of
+    mats[k] over the k that fix t0: each row of S is fixed because
+    S @ rho(k) = S, and a fixed r is r @ S / |stabilizer|.
     """
     dimV, dimT = rep.dim, T.dim
     walk = _group_walk(rep.n)
     mats = _along_walk(walk, SparseRationalMatrix.identity(dimV),
                        lambda j, m: m @ rep.coxeter[j])
-    mat_cols = [m.columns() for m in mats]
     basis = []
     seen = set()
     for t0 in range(dimT):
@@ -723,22 +719,14 @@ def _hom_invariants_by_orbits(rep: SnRep, T: EquivModule) -> list:
             continue
         reached = _along_walk(walk, t0, lambda j, t: T.swaps[j][t])
         first: dict = {}  # label -> the first walk element reaching it
-        ech = Echelon(dimV)
+        total = [dict() for _ in range(dimV)]
         for k, t in enumerate(reached):
-            k0 = first.setdefault(t, k)
-            if k0 == k:
-                continue
-            for f in range(dimV):
-                if ech.rank == dimV:
-                    break
-                row = dict(mat_cols[k][f])
-                vec_axpy(row, -ONE, mat_cols[k0][f])
-                if row:
-                    ech.add(row)
+            first.setdefault(t, k)
+            if t == t0:
+                for row, mrow in zip(total, mats[k].rows):
+                    vec_axpy(row, ONE, mrow)
         seen.update(first)
-        if ech.rank == dimV:
-            continue
-        for r in ech.kernel_basis():
+        for r in SpanBasis(total, dimV).vectors:
             vec = {}
             for t, k in first.items():  # row t is r @ mats[k]: mats[k]'s rows weighted by r
                 for f, v in apply_columns(mats[k].rows, r).items():
@@ -763,17 +751,9 @@ def ext_truncated(M: EquivModule, T: EquivModule, max_i: int,
     reps, gens, free_mods = _resolution(M, max_i + 2, dim_cap)
     hom_invariants = _hom_invariants_generic if T.swaps is None else _hom_invariants_by_orbits
 
-    # induced differential on Hom spaces: precompute monomial action on T
-    mono_action_cache: dict = {}
-
+    @lru_cache(maxsize=None)
     def mono_action(mono):
-        if mono not in mono_action_cache:
-            m = SparseRationalMatrix.identity(T.dim)
-            for i, e in enumerate(mono):
-                for _ in range(e):
-                    m = T.xmul[i] @ m
-            mono_action_cache[mono] = m
-        return mono_action_cache[mono]
+        return _word_product(T.xmul, T.dim, monomial_word(mono))
 
     def induced_differential(level):
         """Matrix of Hom(V_{level-1}, T) -> Hom(V_level, T): block (f, f') is
@@ -837,10 +817,10 @@ def _subspace_character(C: EquivModule, span: SpanBasis) -> ClassFunction:
     vals = {}
     for mu in partitions(N):
         g = representative_permutation(mu)
-        mat = C.perm_matrix(g)
+        cols = C.perm_matrix(g).columns()
         tr = Fraction(0)
         for t, vec in enumerate(span.vectors):
-            tr += span.coords(mat.apply(vec))[t]
+            tr += span.coords(apply_columns(cols, vec))[t]
         vals[mu] = tr
     return ClassFunction(N, vals)
 

@@ -161,22 +161,7 @@ class SparseRationalMatrix:
 
     def apply(self, vec: dict) -> dict:
         """Matrix times a column vector given as {index: Fraction}."""
-        out: dict = {}
-        for i, row in enumerate(self.rows):
-            s = ZERO
-            if len(row) <= len(vec):
-                for j, v in row.items():
-                    w = vec.get(j)
-                    if w is not None:
-                        s += v * w
-            else:
-                for j, w in vec.items():
-                    v = row.get(j)
-                    if v is not None:
-                        s += v * w
-            if s:
-                out[i] = s
-        return out
+        return apply_columns(self.columns(), vec)
 
     def column(self, j: int) -> dict:
         return {i: row[j] for i, row in enumerate(self.rows) if j in row}

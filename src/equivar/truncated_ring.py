@@ -140,6 +140,11 @@ def coxeter_word(g) -> list:
     return word
 
 
+def monomial_word(mono) -> list:
+    """Variable word for a monomial: variable i repeated mono[i] times."""
+    return [i for i, e in enumerate(mono) for _ in range(e)]
+
+
 def fixed_monomial_count(mu, cfg: RingConfig) -> int:
     """Number of monomials fixed by a permutation of cycle type mu.
 

@@ -549,14 +549,24 @@ def assert_same_invariants(rep, T):
     assert SpanBasis(orbit, ambient) == SpanBasis(generic, ambient)
 
 
-def test_orbit_invariants_match_generic():
-    N = 3
-    reps = [trivial_rep(N), sign_rep(N), regular_rep(N)]
-    for M in [build_Q(1, 1, N), build_Q(1, 2, N), build_P(2, 1, N),
-              _kernel_of_cover(build_Q(1, 1, N))]:
-        reps.append(_quotient_by_radical(M)[0])
-    targets = [build_P(1, 1, N), build_Q(1, 1, N), build_Q(1, 2, N),
-               direct_sum([build_P(1, 1, N), build_P(1, 0, N)]), _zero_module(1, N)]
+@pytest.mark.parametrize("N", range(1, 5))
+def test_orbit_invariants_match_generic(N):
+    """Tuple-size-2 modules need N >= 2; the regular rep and the kernel of a
+    cover are kept to N <= 3.  P(1, 0), P(0, 2) and the P + Q sum have labels
+    with large stabilizers."""
+    covered = [build_Q(1, 1, N), build_P(2, 1, N)]
+    targets = [build_P(1, 1, N), build_Q(1, 1, N),
+               direct_sum([build_P(1, 1, N), build_P(1, 0, N)]), _zero_module(1, N),
+               build_P(1, 0, N)]
+    if N >= 2:
+        covered.append(build_Q(1, 2, N))
+        targets += [build_Q(1, 2, N), build_P(0, 2, N),
+                    direct_sum([build_P(1, 2, N), build_Q(1, 1, N)])]
+    reps = [trivial_rep(N), sign_rep(N)]
+    if N <= 3:
+        reps.append(regular_rep(N))
+        covered.append(_kernel_of_cover(build_Q(1, 1, N)))
+    reps += [_quotient_by_radical(M)[0] for M in covered]
     for rep in reps:
         for T in targets:
             assert_same_invariants(rep, T)
