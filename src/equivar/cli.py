@@ -16,6 +16,8 @@ Ext builds its coresolution at level N and a single P module at level N+1;
 the guard counts the copies of P in the last coresolution term times
 dim P(s, n, N+1), a conservative bound on both.  Truncated Ext applies the
 same bound to each free cover of its resolution, before building it.
+``tor`` applies it to P(s, 1, N), whose monomials building Q enumerates, and
+to its complex, N copies of Q(s, 1, N), one per position.
 ``cas --op injective`` at m = n applies it to the morphism space [n] -> [n].
 """
 
@@ -156,6 +158,7 @@ def cmd_tor(args) -> dict:
     if args.r < 1:
         raise ParameterError("tor degrees start at 1")
     _check_bounds(args, [("P", args.s, 1, args.N)])
+    _check_bounds(args, [("Q", args.s, 1, args.N)], copies=args.N)
     from .equivariant import build_Q, character_of
     from .homcalc import tor_periodic
 

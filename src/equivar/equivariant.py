@@ -12,10 +12,11 @@ The actions come in one of two forms.  A permutation-like module (the P and
 Q families, their direct sums and filtration layers, the periodic Tor
 complex) stores integer label maps: ``xmaps[i][t]`` is the label that x_i
 sends label t to, or None where x_i kills it, and ``swaps[j]`` is the label
-permutation of the swap (j, j+1).  Its Fraction matrices ``xmul`` and
-``coxeter`` are derived from the maps on first access and kept.  Any other
-module (free covers, kernels, induced modules) stores the matrices alone and
-has ``xmaps is None``.
+permutation of the swap (j, j+1); ``label_perm`` composes them along a
+word, and a character counts fixed labels.  Its Fraction matrices ``xmul``
+and ``coxeter`` are derived from the maps on first access and kept.  Any
+other module (free covers, kernels, induced modules) stores the matrices
+alone, has ``xmaps is None``, and takes traces.
 
 Modules are immutable after construction; submodules and quotients are new
 objects.  The two standard families:
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .combinat import (
     ClassFunction,
@@ -59,7 +59,6 @@ __all__ = [
     "direct_sum",
     "q_into_p_embedding",
     "character_of",
-    "iso_by_character",
     "filtration_P",
     "filtration_layers",
     "check_axioms",
@@ -118,14 +117,19 @@ class EquivModule:
             self._coxeter = [_map_matrix(cm) for cm in self.swaps]
         return self._coxeter
 
+    def label_perm(self, g) -> list:
+        """The label permutation of an arbitrary permutation g: the label maps
+        ``swaps`` composed along ``coxeter_word(g)``.  Needs label maps."""
+        perm = list(range(self.dim))
+        for j in coxeter_word(g):
+            sw = self.swaps[j]
+            perm = [sw[t] for t in perm]
+        return perm
+
     def perm_matrix(self, g) -> SparseRationalMatrix:
         """Action of an arbitrary permutation, via a reduced word."""
         if self.swaps is not None:
-            perm = list(range(self.dim))
-            for j in coxeter_word(g):
-                sw = self.swaps[j]
-                perm = [sw[t] for t in perm]
-            return _map_matrix(perm)
+            return _map_matrix(self.label_perm(g))
         return _word_product(self.coxeter, self.dim, coxeter_word(g))
 
     def to_json_dict(self) -> dict:
@@ -407,24 +411,21 @@ def q_into_p_embedding(s: int, n: int, N: int) -> EquivMap:
     return EquivMap(Q, P, _map_matrix(rows, P.dim))
 
 
-def character_of(M: EquivModule) -> ClassFunction:
-    """Trace of a representative permutation of each cycle type."""
-    N = M.cfg.N
+def character_of(M: EquivModule, labels=None) -> ClassFunction:
+    """Character of M, or of its coordinate subspace on a stable set of label
+    indices: the diagonal of a representative permutation of each cycle type,
+    summed over those labels.  With label maps, the labels it fixes."""
+    labels = range(M.dim) if labels is None else labels
     vals = {}
-    for mu in partitions(N):
+    for mu in partitions(M.cfg.N):
         g = representative_permutation(mu)
-        mat = M.perm_matrix(g)
-        vals[mu] = sum((mat.rows[i].get(i, Fraction(0)) for i in range(M.dim)), Fraction(0))
-    return ClassFunction(N, vals)
-
-
-def iso_by_character(A: EquivModule, B: EquivModule) -> bool:
-    """Equality of characters; in characteristic zero this decides whether the
-    underlying group representations agree (nothing is claimed about the
-    module structure)."""
-    if A.cfg != B.cfg:
-        raise ValueError(f"config mismatch: {A.cfg} != {B.cfg}")
-    return character_of(A) == character_of(B)
+        if M.swaps is not None:
+            perm = M.label_perm(g)
+            vals[mu] = sum(perm[t] == t for t in labels)
+        else:
+            rows = M.perm_matrix(g).rows
+            vals[mu] = sum(rows[t].get(t, 0) for t in labels)
+    return ClassFunction(M.cfg.N, vals)
 
 
 def _layer_order(s: int, n: int) -> list:

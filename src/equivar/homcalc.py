@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .combinat import ClassFunction, _compositions, partitions
+from .combinat import _compositions
 from .equivariant import (
     EquivMap,
     EquivModule,
@@ -84,7 +84,7 @@ from .linalg import (
     rank_of_vectors,
     vec_axpy,
 )
-from .truncated_ring import RingConfig, all_monomials, monomial_word, representative_permutation
+from .truncated_ring import RingConfig, all_monomials, monomial_word
 
 __all__ = [
     "AssemblyError",
@@ -780,13 +780,10 @@ def ext_truncated(M: EquivModule, T: EquivModule, max_i: int,
 # the periodic Tor computation
 
 
-def tor_complex(s: int, N: int):
-    """The tensored periodic complex for the tuple-size-one Q family.
-
-    Returns (C, delta_odd, delta_even): C is the module with labels
-    (position, Q-label) and diagonal group action; the differentials multiply
-    the Q part by that position's variable to the first or s-th power.
-    """
+def _tor_label_maps(s: int, N: int):
+    """The periodic complex for the tuple-size-one Q family as label maps
+    (C, odd, even): C has labels (position, Q-label) and the diagonal action;
+    odd and even multiply position i's Q part by x_i and by x_i^s."""
     if s < 1:
         raise ValueError("the periodic complex needs s >= 1")
     Q = build_Q(s, 1, N)
@@ -802,39 +799,37 @@ def tor_complex(s: int, N: int):
     C = EquivModule(Q.cfg, labels, name=f"V(x)Q(s={s})", xmaps=xmaps, swaps=swaps)
 
     def delta(exp):
-        return _map_matrix([None if u is None else i * d + u
-                            for i in range(N) for u in _power_map(Q.xmaps[i], exp)])
+        return [None if u is None else i * d + u
+                for i in range(N) for u in _power_map(Q.xmaps[i], exp)]
 
-    delta_odd = delta(1)
-    delta_even = delta(s)
-    if not (delta_odd @ delta_even).is_zero() or not (delta_even @ delta_odd).is_zero():
-        raise AssemblyError("periodic differentials do not square to zero")
-    return C, delta_odd, delta_even
+    odd, even = delta(1), delta(s)
+    for first, then in ((odd, even), (even, odd)):
+        if any(then[u] is not None for u in first if u is not None):
+            raise AssemblyError("periodic differentials do not square to zero")
+    return C, odd, even
 
 
-def _subspace_character(C: EquivModule, span: SpanBasis) -> ClassFunction:
-    N = C.cfg.N
-    vals = {}
-    for mu in partitions(N):
-        g = representative_permutation(mu)
-        cols = C.perm_matrix(g).columns()
-        tr = Fraction(0)
-        for t, vec in enumerate(span.vectors):
-            tr += span.coords(apply_columns(cols, vec))[t]
-        vals[mu] = tr
-    return ClassFunction(N, vals)
+def tor_complex(s: int, N: int):
+    """(C, delta_odd, delta_even): the matrices of ``_tor_label_maps``."""
+    C, odd, even = _tor_label_maps(s, N)
+    return C, _map_matrix(odd), _map_matrix(even)
+
+
+def _image_labels(C: EquivModule, cm) -> list:
+    """The labels that cm hits, certified to span its image as a submodule:
+    AssemblyError if cm sends two labels to one or a swap leaves them."""
+    image = [u for u in cm if u is not None]
+    members = set(image)
+    if len(members) != len(image) or any(sw[t] not in members for sw in C.swaps for t in image):
+        raise AssemblyError("a periodic differential is not injective onto a swap-stable image")
+    return image
 
 
 def tor_periodic(s: int, r_max: int, N: int) -> list:
     """Characters of the degree-1..r_max homology of the periodic complex
-    tensored against the tuple-size-one Q family."""
-    C, delta_odd, delta_even = tor_complex(s, N)
-    chi_C = character_of(C)
-    span_odd = SpanBasis((c for c in delta_odd.columns() if c), C.dim)
-    span_even = SpanBasis((c for c in delta_even.columns() if c), C.dim)
-    chi_im = {1: _subspace_character(C, span_odd), 0: _subspace_character(C, span_even)}
-    out = []
-    for r in range(1, r_max + 1):
-        chi = chi_C - chi_im[r % 2] - chi_im[(r + 1) % 2]
-        out.append(chi)
-    return out
+    tensored against the tuple-size-one Q family.  Each degree is the kernel
+    of one differential modulo the image of the other: C minus both images."""
+    C, odd, even = _tor_label_maps(s, N)
+    chi = (character_of(C) - character_of(C, _image_labels(C, odd))
+           - character_of(C, _image_labels(C, even)))
+    return [chi] * r_max

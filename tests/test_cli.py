@@ -3,6 +3,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import time
 
 import jsonschema
 import pytest
@@ -86,6 +87,42 @@ def test_tor_command(capsys):
     result = lines[-1]["result"]
     assert result["matches_Q"] is True
     assert result["dim"] == "12"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--max-dim", "6000", "tor", "--s", "3", "--r", "1", "--N", "5"],
+     "a sum of 5 Q modules of dimension 6400 exceeds --max-dim 6000"),
+    (["--cap-N", "12", "tor", "--s", "1", "--r", "1", "--N", "12"],
+     "a sum of 12 Q modules of dimension 294912 exceeds --max-dim 50000"),
+    # C = 1 fits, but building Q(s, 1, N) enumerates all (s+1)^N monomials
+    (["tor", "--s", "1000000", "--r", "1", "--N", "1"],
+     "a P module of dimension 1000001 exceeds --max-dim 50000"),
+])
+def test_tor_guard_counts_the_complex(capsys, monkeypatch, argv, message):
+    # the guard charges both P(s, 1, N), whose monomials building Q
+    # enumerates, and the complex, N copies of Q(s, 1, N); the first two
+    # requests fit one P(s, 1, N), of dimension 5120 and 49152
+    import equivar.equivariant
+    import equivar.homcalc
+
+    def refuse(*args):
+        raise AssertionError("the complex was built")
+
+    monkeypatch.setattr(equivar.homcalc, "tor_periodic", refuse)
+    monkeypatch.setattr(equivar.homcalc, "build_Q", refuse)
+    monkeypatch.setattr(equivar.equivariant, "build_Q", refuse)
+    assert main(["--format", "json", *argv]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and message in out.err
+
+
+def test_tor_runtime_is_bounded(capsys):
+    # dim C = 6400; reading the image characters off a SpanBasis took 11.8 s
+    start = time.perf_counter()
+    code, lines = run_json(capsys, ["tor", "--s", "3", "--r", "4", "--N", "5"])
+    elapsed = time.perf_counter() - start
+    assert code == 0 and lines[-1]["result"]["matches_Q"] is True
+    assert elapsed < 3.0
 
 
 def test_kclass_commands(capsys):

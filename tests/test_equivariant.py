@@ -19,7 +19,6 @@ from equivar.equivariant import (
     embedding_matrix,
     filtration_layers,
     filtration_P,
-    iso_by_character,
     pq_dimension,
     q_into_p_embedding,
     regular_rep,
@@ -152,15 +151,6 @@ def test_character_multiple_relation_p_vs_q():
         chi_p = character_of(build_P(s, n, N))
         chi_q = character_of(build_Q(s, n, N))
         assert chi_p == chi_q.scale((s + 1) ** n)
-
-
-def test_iso_by_character():
-    q = build_Q(1, 1, 3)
-    p = build_P(1, 1, 3)
-    assert iso_by_character(q, q)
-    assert not iso_by_character(p, q)
-    with pytest.raises(ValueError):
-        iso_by_character(q, build_Q(2, 1, 3))
 
 
 def test_induced_regular_recovers_plain_family():

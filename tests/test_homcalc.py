@@ -9,12 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equivar.cli import _class_function_table
+from equivar.combinat import ClassFunction, partitions
 from equivar.equivariant import (
     EquivModule,
     build_P,
     build_Q,
     character_of,
     direct_sum,
+    filtration_layers,
     regular_rep,
     sign_rep,
     trivial_rep,
@@ -36,6 +39,7 @@ from equivar.homcalc import (
     _group_walk,
     _hom_invariants_by_orbits,
     _hom_invariants_generic,
+    _image_labels,
     _kernel_module,
     _mapping_solutions,
     _mapping_solutions_generic,
@@ -44,17 +48,19 @@ from equivar.homcalc import (
     _resolution,
     _stable_subspace,
     _stable_term_spaces,
+    _tor_label_maps,
 )
 from equivar.linalg import (
     ONE,
     SpanBasis,
     SparseRationalMatrix,
+    apply_columns,
     kernel_of_vectors,
     matrix_rank,
     nullspace,
     rank_of_vectors,
 )
-from equivar.truncated_ring import RingConfig
+from equivar.truncated_ring import RingConfig, representative_permutation
 
 
 def qq_expected(a, b):
@@ -711,6 +717,69 @@ def test_tor_characters_match_singleton_family(s, N):
     assert len(chars) == 4
     for chi in chars:
         assert chi == chi_q
+
+
+def test_tor_periodic_is_pinned():
+    # sha256 of every character table of tor_periodic(s, 4, N), s 1..3 and
+    # N 1..5, recorded while the image characters were read off a SpanBasis
+    rows = [[s, N, [_class_function_table(chi) for chi in tor_periodic(s, 4, N)]]
+            for s in (1, 2, 3) for N in (1, 2, 3, 4, 5)]
+    assert _digest(rows) == "3d16ed9a53fdd5abc54102e2b3b06f58bde08cc530758bedf13b3e0b4f692d64"
+
+
+def _subspace_character(C, span):
+    """Elimination oracle for the character of a C-stable subspace: the trace
+    of a representative permutation of each cycle type on span, read off the
+    coordinates of its image vectors in span's basis."""
+    N = C.cfg.N
+    vals = {}
+    for mu in partitions(N):
+        cols = C.perm_matrix(representative_permutation(mu)).columns()
+        vals[mu] = sum(span.coords(apply_columns(cols, vec))[t]
+                       for t, vec in enumerate(span.vectors))
+    return ClassFunction(N, vals)
+
+
+# the 19 pairs (s, N) with s <= 4 and dim C = N^2 (s+1)^(N-1) <= 2025
+TOR_ORACLE_CASES = [(s, N) for s in range(1, 5) for N in range(1, 8)
+                    if N * N * (s + 1) ** (N - 1) <= 2025]
+
+
+@pytest.mark.parametrize("s,N", TOR_ORACLE_CASES)
+def test_tor_counts_match_elimination_oracle(s, N):
+    C, odd, even = _tor_label_maps(s, N)
+    _, delta_odd, delta_even = tor_complex(s, N)
+    oracle = [_subspace_character(C, SpanBasis((c for c in d.columns() if c), C.dim))
+              for d in (delta_odd, delta_even)]
+    assert [character_of(C, _image_labels(C, cm)) for cm in (odd, even)] == oracle
+    expected = character_of(_matrix_copy(C)) - oracle[0] - oracle[1]
+    assert tor_periodic(s, 2, N) == [expected, expected]
+
+
+def test_image_labels_certificate():
+    C, odd, _ = _tor_label_maps(1, 3)
+    assert sorted(_image_labels(C, odd)) == sorted(u for u in odd if u is not None)
+    twice = list(odd)  # the same swap-stable image, with one label hit twice
+    twice[odd.index(None)] = next(u for u in odd if u is not None)
+    with pytest.raises(AssemblyError, match="not injective"):
+        _image_labels(C, twice)
+    with pytest.raises(AssemblyError, match="not injective"):
+        _image_labels(C, [0] + [None] * (C.dim - 1))  # one label, not swap-stable
+
+
+def test_character_of_counts_match_traces():
+    """character_of counts fixed labels on a module with label maps; on a
+    matrix-only copy it takes the trace of perm_matrix."""
+    for s in (1, 2):
+        for N in (1, 2, 3):
+            mods = [tor_complex(s, N)[0]]
+            for n in range(N + 1):
+                P, Q = build_P(s, n, N), build_Q(s, n, N)
+                mods += [P, Q, direct_sum([P, Q]), *filtration_layers(s, n, N)[1]]
+            for mod in mods:
+                plain = _matrix_copy(mod)
+                assert plain.swaps is None
+                assert character_of(mod) == character_of(plain)
 
 
 def test_tor_dimension_formula():
