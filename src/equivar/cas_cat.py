@@ -24,8 +24,6 @@ __all__ = [
     "injective_I",
     "InjectiveInfo",
     "compare_with_P_homs",
-    "cas_to_json",
-    "cas_from_json",
 ]
 
 
@@ -168,24 +166,3 @@ def compare_with_P_homs(m: int, n: int, s: int, N: int) -> bool:
 
     r = stable_hom(PQFamily("P", s, n), PQFamily("P", s, m), N)
     return r.dim_stable == hom_dimension(m, n, s)
-
-
-def cas_to_json(f: CasMorphism) -> dict:
-    return {
-        "m": f.m,
-        "n": f.n,
-        "s": f.s,
-        "terms": [
-            {"injection": list(inj), "monomial": list(mono),
-             "num": c.numerator, "den": c.denominator}
-            for (inj, mono), c in f.terms
-        ],
-    }
-
-
-def cas_from_json(data) -> CasMorphism:
-    terms = [
-        ((tuple(t["injection"]), tuple(t["monomial"])), Fraction(t["num"], t["den"]))
-        for t in data["terms"]
-    ]
-    return CasMorphism.make(data["m"], data["n"], data["s"], terms)

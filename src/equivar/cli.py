@@ -159,12 +159,12 @@ def cmd_tor(args) -> dict:
         raise ParameterError("tor degrees start at 1")
     _check_bounds(args, [("P", args.s, 1, args.N)])
     _check_bounds(args, [("Q", args.s, 1, args.N)], copies=args.N)
-    from .equivariant import build_Q, character_of
-    from .homcalc import tor_periodic
+    from .equivariant import character_of
+    from .homcalc import PQFamily, tor_periodic
 
     chars = tor_periodic(args.s, args.r, args.N)
     chi = chars[args.r - 1]
-    chi_q = character_of(build_Q(args.s, 1, args.N))
+    chi_q = character_of(PQFamily("Q", args.s, 1).build(args.N))
     return {
         "character": _class_function_table(chi),
         "dim": str(chi.dim()),

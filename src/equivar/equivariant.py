@@ -38,7 +38,7 @@ from .combinat import (
     injections,
     partitions,
 )
-from .linalg import ONE, SparseRationalMatrix, Subspace, joint_kernel, kron
+from .linalg import ONE, SparseRationalMatrix, Subspace, joint_kernel, kron, matrix_rank
 from .truncated_ring import (
     RingConfig,
     all_monomials,
@@ -63,7 +63,6 @@ __all__ = [
     "filtration_layers",
     "check_axioms",
     "embed_label",
-    "embedding_matrix",
     "pq_dimension",
 ]
 
@@ -199,15 +198,7 @@ class EquivMap:
             if (self.matrix @ self.source.coxeter[j]) != (self.target.coxeter[j] @ self.matrix):
                 raise AssertionError(f"map does not commute with swap {j}")
 
-    def compose(self, other: "EquivMap") -> "EquivMap":
-        """self after other."""
-        if other.target is not self.source and other.target.labels != self.source.labels:
-            raise ValueError("composition shape mismatch")
-        return EquivMap(other.source, self.target, self.matrix @ other.matrix)
-
     def rank(self) -> int:
-        from .linalg import matrix_rank
-
         return matrix_rank(self.matrix)
 
 
@@ -526,19 +517,3 @@ def embed_label(lab, N_new: int):
                 raise ValueError("cannot shrink a label")
             return (head, tail + (0,) * (N_new - len(tail)))
     raise ValueError(f"no canonical inclusion for label {lab!r}")
-
-
-def embedding_matrix(small: EquivModule, big: EquivModule) -> SparseRationalMatrix:
-    """Canonical basis-label inclusion of a module at truncation N into the
-    matching module at truncation N+1 (labels padded by zero exponents)."""
-    rows = []
-    for lab in small.labels:
-        try:
-            target = embed_label(lab, big.cfg.N)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"no canonical inclusion for label {lab!r}") from exc
-        row = big.label_index.get(target)
-        if row is None:
-            raise ValueError(f"label {target!r} is absent at the larger truncation")
-        rows.append(row)
-    return _map_matrix(rows, big.dim)

@@ -13,13 +13,15 @@ truncated ring: the component in degree alpha (an exponent vector bounded by
 s) is the module evaluated on the positions where alpha equals s; a variable
 acts by the transition map along the inclusion of those position sets, and
 becomes zero whenever the target degree would exceed the bound.
+``verify_phi_P`` and ``verify_phi_T`` match the images of principal and
+torsion modules with the Q family through an explicit basis bijection, and
+``theta`` reads one level of an FI-module with its symmetric-group action.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .combinat import injection_count, injections
 from .equivariant import (
@@ -39,26 +41,12 @@ __all__ = [
     "Induced",
     "Shift",
     "DirectSum",
-    "FIEvaluation",
-    "evaluate",
     "phi_s",
     "PhiComparison",
     "verify_phi_P",
     "verify_phi_T",
     "theta",
-    "fi_to_json",
-    "fi_from_json",
 ]
-
-
-@dataclass
-class FIEvaluation:
-    """One level of an FI-module: dimension, basis labels, swap matrices."""
-
-    level: int
-    dim: int
-    basis: list
-    coxeter: list
 
 
 class FIModule:
@@ -242,16 +230,6 @@ class DirectSum(FIModule):
         return f"DirectSum({self.parts!r})"
 
 
-def evaluate(M: FIModule, m: int) -> FIEvaluation:
-    """Dimension, basis, and swap matrices of one level of an FI-module."""
-    return FIEvaluation(
-        level=m,
-        dim=M.dim(m),
-        basis=M.basis(m),
-        coxeter=[M.swap_matrix(j, m) for j in range(m - 1)],
-    )
-
-
 def theta(M: FIModule, N: int) -> SnRep:
     """A single level with its symmetric-group action: the finite stand-in
     for the limit along the standard inclusions (which kills torsion)."""
@@ -429,55 +407,3 @@ def verify_phi_T(s: int, n: int, N: int) -> PhiComparison:
     A2 = EquivModule(A.cfg, A.labels, A.xmul, A.coxeter, grading=None, name=A.name)
     B2 = EquivModule(B.cfg, B.labels, B.xmul, B.coxeter, grading=None, name=B.name)
     return _compare_with_q(A2, B2, corr)
-
-
-# ---------------------------------------------------------------------------
-# JSON forms: a tagged union mirroring the grammar
-
-
-def _rep_to_json(rep: SnRep) -> dict:
-    return {
-        "n": rep.n,
-        "dim": rep.dim,
-        "coxeter": [m.to_triplets() for m in rep.coxeter],
-    }
-
-
-def _rep_from_json(data) -> SnRep:
-    mats = tuple(
-        SparseRationalMatrix.from_entries(
-            data["dim"], data["dim"],
-            [(r, c, Fraction(num, den)) for (r, c, num, den) in tri],
-        )
-        for tri in data["coxeter"]
-    )
-    return SnRep(data["n"], data["dim"], mats)
-
-
-def fi_to_json(M: FIModule) -> dict:
-    if isinstance(M, Principal):
-        return {"kind": "principal", "n": M.n}
-    if isinstance(M, Torsion):
-        return {"kind": "torsion", "rep": _rep_to_json(M.rep)}
-    if isinstance(M, Induced):
-        return {"kind": "induced", "rep": _rep_to_json(M.rep)}
-    if isinstance(M, Shift):
-        return {"kind": "shift", "k": M.k, "inner": fi_to_json(M.inner)}
-    if isinstance(M, DirectSum):
-        return {"kind": "sum", "parts": [fi_to_json(p) for p in M.parts]}
-    raise ValueError(f"unknown node {M!r}")
-
-
-def fi_from_json(data) -> FIModule:
-    kind = data["kind"]
-    if kind == "principal":
-        return Principal(data["n"])
-    if kind == "torsion":
-        return Torsion(_rep_from_json(data["rep"]))
-    if kind == "induced":
-        return Induced(_rep_from_json(data["rep"]))
-    if kind == "shift":
-        return Shift(fi_from_json(data["inner"]), data["k"])
-    if kind == "sum":
-        return DirectSum([fi_from_json(p) for p in data["parts"]])
-    raise ValueError(f"unknown kind {kind!r}")

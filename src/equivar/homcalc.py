@@ -84,7 +84,7 @@ from .linalg import (
     rank_of_vectors,
     vec_axpy,
 )
-from .truncated_ring import RingConfig, all_monomials, monomial_word
+from .truncated_ring import RingConfig, monomial_word
 
 __all__ = [
     "AssemblyError",
@@ -613,20 +613,16 @@ def _free_cover(M: EquivModule, dim_cap: int | None = None):
     RuntimeError, before building F, when dim F would exceed ``dim_cap``."""
     rep, sec = _quotient_by_radical(M)
     cfg = M.cfg
-    monos = all_monomials(cfg)
-    dimF = len(monos) * rep.dim
+    ring = _build_family("P", cfg.s, 0, cfg.N)  # the ring itself, labels ((), mono) in rank order
+    dimF = ring.dim * rep.dim
     if dim_cap is not None and dimF > dim_cap:
         raise RuntimeError(f"a free cover of dimension {dimF} exceeds the dimension cap {dim_cap}")
-    # label (mono, f) sits at rank(mono) * dim V + f: x_i raises the exponent
-    # of the monomial part (past s the label is absent), and a swap permutes
-    # the monomial part and acts on the fiber by rep
-    labels = [(mono, f) for mono in monos for f in range(rep.dim)]
-    rank = {mono: r for r, mono in enumerate(monos)}
+    # label (mono, f) sits at rank(mono) * dim V + f: F is the ring tensor V,
+    # with the variables acting on the ring and a swap on both factors
+    labels = [(mono, f) for _, mono in ring.labels for f in range(rep.dim)]
     eye = SparseRationalMatrix.identity(rep.dim)
-    xmul = [kron(_map_matrix([rank.get(mono[:i] + (mono[i] + 1,) + mono[i + 1:]) for mono in monos]),
-                 eye) for i in range(cfg.N)]
-    coxeter = [kron(_map_matrix([rank[mono[:j] + (mono[j + 1], mono[j]) + mono[j + 2:]]
-                                 for mono in monos]), rep.coxeter[j]) for j in range(cfg.N - 1)]
+    xmul = [kron(x, eye) for x in ring.xmul]
+    coxeter = [kron(c, r) for c, r in zip(ring.coxeter, rep.coxeter)]
     F = EquivModule(cfg, labels, xmul, coxeter, name=f"free_cover({M.name})")
 
     # the image of (mono, f) is x_i times the image of (mono - e_i, f), for
@@ -640,7 +636,7 @@ def _free_cover(M: EquivModule, dim_cap: int | None = None):
         if i is None:
             w = sec_cols[f]
         else:
-            prev = rank[mono[:i] + (mono[i] - 1,) + mono[i + 1:]] * rep.dim + f
+            prev = ring.label_index[((), mono[:i] + (mono[i] - 1,) + mono[i + 1:])] * rep.dim + f
             w = apply_columns(x_cols[i], images[prev])
         images.append(w)
         for r, v in w.items():
@@ -786,7 +782,7 @@ def _tor_label_maps(s: int, N: int):
     odd and even multiply position i's Q part by x_i and by x_i^s."""
     if s < 1:
         raise ValueError("the periodic complex needs s >= 1")
-    Q = build_Q(s, 1, N)
+    Q = PQFamily("Q", s, 1).build(N)
     d = Q.dim
     # label (i, Q.labels[q]) sits at index i * d + q
     labels = [(i, lab) for i in range(N) for lab in Q.labels]

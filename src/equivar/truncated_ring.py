@@ -1,9 +1,8 @@
 """The truncated polynomial ring in N variables with exponents bounded by s.
 
 A monomial is a length-N tuple with entries in [0, s]; it doubles as a
-base-(s+1) digit vector, so every monomial has an integer rank used to index
-basis arrays.  The zero product is represented by ``None`` (an absent matrix
-entry during assembly), never by a sentinel monomial.
+base-(s+1) digit vector, so the monomials have a rank order
+(``all_monomials``, ``monomial_unrank``) used to index basis arrays.
 
 Permutations are length-N tuples g with g[i] the image of position i, acting
 on monomials by relocating exponents and on the basis by permutation.  All
@@ -38,54 +37,11 @@ def all_monomials(cfg: RingConfig) -> list:
     return [monomial_unrank(r, cfg) for r in range(cfg.monomial_count)]
 
 
-def monomial_rank(m, cfg: RingConfig) -> int:
-    r = 0
-    for i in reversed(range(cfg.N)):
-        r = r * (cfg.s + 1) + m[i]
-    return r
-
-
 def monomial_unrank(r: int, cfg: RingConfig):
     out = []
     for _ in range(cfg.N):
         r, d = divmod(r, cfg.s + 1)
         out.append(d)
-    return tuple(out)
-
-
-def _check_length(m, cfg: RingConfig):
-    if len(m) != cfg.N:
-        raise ValueError(f"monomial length {len(m)} != {cfg.N}")
-
-
-def multiply(a, b, cfg: RingConfig):
-    """Product of two monomials, or None when an exponent overflows s."""
-    _check_length(a, cfg)
-    _check_length(b, cfg)
-    out = []
-    for x, y in zip(a, b):
-        z = x + y
-        if z > cfg.s:
-            return None
-        out.append(z)
-    return tuple(out)
-
-
-def dual_action(a, y, cfg: RingConfig):
-    """Action of monomial a on the dual-basis label y: contraction to y - a.
-
-    Returns None when some coordinate would go negative.  Iterating this
-    action from the top label (s, ..., s) reaches every dual label once,
-    which is the rank-one freeness of the dual module.
-    """
-    _check_length(a, cfg)
-    _check_length(y, cfg)
-    out = []
-    for x, w in zip(a, y):
-        z = w - x
-        if z < 0:
-            return None
-        out.append(z)
     return tuple(out)
 
 
@@ -154,15 +110,3 @@ def fixed_monomial_count(mu, cfg: RingConfig) -> int:
     if sum(mu) != cfg.N:
         raise ValueError(f"cycle type of size {sum(mu)} does not match N={cfg.N}")
     return (cfg.s + 1) ** len(mu)
-
-
-def monomial_to_json(m) -> list:
-    return list(m)
-
-
-def monomial_from_json(data, cfg: RingConfig):
-    m = tuple(int(x) for x in data)
-    _check_length(m, cfg)
-    if any(e < 0 or e > cfg.s for e in m):
-        raise ValueError("exponent out of range")
-    return m

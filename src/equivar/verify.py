@@ -28,7 +28,7 @@ from .combinat import (
     partitions,
     schur,
 )
-from .equivariant import build_Q, character_of, filtration_P
+from .equivariant import build_P, build_Q, character_of, filtration_P
 from .fi_layer import verify_phi_P, verify_phi_T
 from .groth import (
     KGenClass,
@@ -159,7 +159,7 @@ def suite_tor(max_N: int = 3) -> list:
                 continue
             t0 = time.perf_counter()
             chars = tor_periodic(s, 4, N)
-            chi_q = character_of(build_Q(s, 1, N))
+            chi_q = character_of(PQFamily("Q", s, 1).build(N))
             got = {f"r{r}": (chars[r - 1] == chi_q) for r in range(1, 5)}
             expected = {f"r{r}": True for r in range(1, 5)}
             out.append(_record(
@@ -193,8 +193,6 @@ def suite_ext_vanish(max_N: int = 3) -> list:
             for n in range(0, min(2, N) + 1):
                 for d in range(0, min(2, N) + 1):
                     t0 = time.perf_counter()
-                    from .equivariant import build_P
-
                     ext = ext_truncated(build_Q(s, n, N), build_P(s, d, N), 2)
                     out.append(_record(
                         "ext-vanish", f"ext_trunc_Q{s}{n}_P{s}{d}_N{N}",
@@ -417,11 +415,7 @@ def run_suites(names, max_N: int = 5, jobs: int = 1) -> list:
 
     out = []
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [(name, pool.submit(_run_suite_entry, name, max_N)) for name in names]
-        for _, fut in futures:
+        futures = [pool.submit(run_suite, name, max_N) for name in names]
+        for fut in futures:
             out.extend(fut.result())
     return out
-
-
-def _run_suite_entry(name, max_N):
-    return run_suite(name, max_N=max_N)

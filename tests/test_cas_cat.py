@@ -7,8 +7,6 @@ import pytest
 
 from equivar.cas_cat import (
     CasMorphism,
-    cas_from_json,
-    cas_to_json,
     compare_with_P_homs,
     compose,
     hom_dimension,
@@ -135,14 +133,6 @@ def test_compare_with_module_homs_small(m, n, s):
 def test_compare_needs_margin():
     with pytest.raises(ValueError):
         compare_with_P_homs(1, 1, 1, 2)
-
-
-def test_json_roundtrip():
-    rng = random.Random(SEED + 2)
-    f = random_morphism(rng, 1, 2, 2, max_terms=3)
-    data = cas_to_json(f)
-    assert data["m"] == 1 and data["n"] == 2 and data["s"] == 2
-    assert cas_from_json(data) == f
 
 
 def test_make_rejects_bad_terms():

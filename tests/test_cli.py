@@ -125,6 +125,26 @@ def test_tor_runtime_is_bounded(capsys):
     assert elapsed < 3.0
 
 
+def test_tor_builds_q_once(capsys, monkeypatch):
+    # the complex and the matches_Q comparison share one cached Q(s, 1, N)
+    import equivar.equivariant
+    import equivar.homcalc
+
+    calls = []
+    build_Q = equivar.equivariant.build_Q
+
+    def counting(*args):
+        calls.append(args)
+        return build_Q(*args)
+
+    monkeypatch.setattr(equivar.homcalc, "build_Q", counting)
+    monkeypatch.setattr(equivar.equivariant, "build_Q", counting)
+    equivar.homcalc._build_family.cache_clear()
+    code, lines = run_json(capsys, ["tor", "--s", "2", "--r", "1", "--N", "3"])
+    assert code == 0 and lines[-1]["result"]["matches_Q"] is True
+    assert calls == [(2, 1, 3)]
+
+
 def test_kclass_commands(capsys):
     code, lines = run_json(capsys, ["kclass", "--op", "p2q", "--s", "1", "--lambda", "2"])
     assert code == 0

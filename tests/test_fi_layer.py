@@ -20,9 +20,6 @@ from equivar.fi_layer import (
     Principal,
     Shift,
     Torsion,
-    evaluate,
-    fi_from_json,
-    fi_to_json,
     phi_s,
     theta,
     verify_phi_P,
@@ -36,8 +33,6 @@ def test_evaluate_dimensions():
     assert Principal(0).dim(7) == 1
     assert Torsion(regular_rep(2)).dim(3) == 0
     assert Torsion(regular_rep(2)).dim(2) == 2
-    ev = evaluate(Principal(2), 3)
-    assert ev.dim == 6 and len(ev.basis) == 6 and len(ev.coxeter) == 2
 
 
 def test_induced_dimension_is_orbit_count():
@@ -228,19 +223,3 @@ def test_theta_principal_is_the_tuple_permutation_representation():
         th = theta(Principal(n), N)
         chi = character_of(build_Q(0, n, N))
         assert rep_character(th, N) == dict(chi.values)
-
-
-def test_json_roundtrip():
-    mods = [
-        Principal(2),
-        Torsion(regular_rep(2)),
-        Induced(trivial_rep(2)),
-        Shift(Principal(1), 2),
-        DirectSum([Principal(0), Torsion(sign_rep(2))]),
-    ]
-    for M in mods:
-        M2 = fi_from_json(fi_to_json(M))
-        for m in range(4):
-            assert M2.dim(m) == M.dim(m)
-            for j in range(m - 1):
-                assert M2.swap_matrix(j, m) == M.swap_matrix(j, m)

@@ -900,10 +900,3 @@ def test_stable_solutions_into_p_land_in_embedded_q():
                 assert r.dim_stable > 0
                 for v in r.basis:
                     assert span.contains(v)
-
-
-def test_equivmap_compose_matches_matrix_product():
-    cx = coresolution_Q(1, 1, 2, 3)
-    comp = cx.maps[1].compose(cx.maps[0])
-    assert comp.matrix.is_zero()
-    assert comp.source is cx.maps[0].source and comp.target is cx.maps[1].target

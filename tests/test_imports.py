@@ -1,4 +1,5 @@
-"""Every name a package module imports is used there or re-exported."""
+"""Every name a package module imports is used there or re-exported, and
+every name it exports is bound there."""
 
 import ast
 from pathlib import Path
@@ -37,3 +38,33 @@ def test_unused_import_is_reported():
     source = "from __future__ import annotations\nimport os\nfrom a import b, c as d\n" \
              "__all__ = ['b']\n"
     assert unused_imports(source) == ["d", "os"]
+
+
+def undefined_exports(source: str) -> list:
+    """Names listed in ``__all__`` that no top-level def, class, assignment
+    or import of the module binds."""
+    bound, exported = set(), []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            bound |= names
+            if "__all__" in names:
+                exported = ast.literal_eval(node.value)
+    return sorted(set(exported) - bound)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_all_names_are_defined(path):
+    assert undefined_exports(path.read_text()) == []
+
+
+def test_undefined_export_is_reported():
+    source = "import os\nfrom a import b as c\nx: int = 1\ndef f():\n    y = 2\n" \
+             "class C:\n    def g(self):\n        pass\n" \
+             "__all__ = ['os', 'c', 'x', 'f', 'C', 'b', 'g', 'y']\n"
+    assert undefined_exports(source) == ["b", "g", "y"]
