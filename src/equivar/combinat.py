@@ -20,8 +20,6 @@ from fractions import Fraction
 from functools import cache
 from math import factorial
 
-from .linalg import ZERO
-
 Partition = tuple
 
 __all__ = [
@@ -242,7 +240,7 @@ def inner_product(f: ClassFunction, g: ClassFunction) -> Fraction:
     """Standard pairing: sum over cycle types of f*g weighted by 1/z_mu."""
     if f.level != g.level:
         raise ValueError(f"level mismatch: {f.level} != {g.level}")
-    return sum((f.values[mu] * g.values[mu] / z_order(mu) for mu in f.values), ZERO)
+    return sum((f.values[mu] * g.values[mu] / z_order(mu) for mu in f.values), Fraction(0))
 
 
 def decompose(f: ClassFunction) -> dict:
@@ -277,7 +275,7 @@ class SymFunc:
     def __add__(self, other):
         out = dict(self.coeffs)
         for lam, c in other.coeffs.items():
-            w = out.get(lam, ZERO) + c
+            w = out.get(lam, Fraction(0)) + c
             if w:
                 out[lam] = w
             else:

@@ -13,8 +13,8 @@ Q families, their direct sums and filtration layers, the periodic Tor
 complex) stores integer label maps: ``xmaps[i][t]`` is the label that x_i
 sends label t to, or None where x_i kills it, and ``swaps[j]`` is the label
 permutation of the swap (j, j+1); ``label_perm`` composes them along a
-word, and a character counts fixed labels.  Its Fraction matrices ``xmul``
-and ``coxeter`` are derived from the maps on first access and kept.  Any
+word, and a character counts fixed labels.  Its 0/1 integer matrices
+``xmul`` and ``coxeter`` are derived from the maps on first access and kept.  Any
 other module (free covers, kernels, induced modules) stores the matrices
 alone, has ``xmaps is None``, and takes traces.
 

@@ -507,8 +507,14 @@ def _stable_term_spaces(src: PQFamily, cx: Complex, P_big: EquivModule) -> list:
 
 
 def _images(d: SparseRationalMatrix, vectors) -> list:
-    """The nonzero images of the vectors under d."""
-    cols = d.columns()
+    """The nonzero images of the vectors under d, read off the columns the
+    vectors touch: one pass over d's rows, with no full transpose."""
+    cols: dict = {j: {} for v in vectors for j in v}
+    for i, row in enumerate(d.rows):
+        for j, x in row.items():
+            col = cols.get(j)
+            if col is not None:
+                col[i] = x
     return [w for w in (apply_columns(cols, v) for v in vectors) if w]
 
 

@@ -1,25 +1,35 @@
 """Exact sparse linear algebra over the rationals.
 
-Matrices are stored row-sparse as ``{column: Fraction}`` dicts with zero
-entries absent.  All eliminations pick the leading column deterministically,
-keep exact Fraction arithmetic throughout, and never touch floating point,
-so ranks and nullities are exact integers and repeated runs are
-byte-for-byte reproducible.
+Matrices are stored row-sparse as ``{column: entry}`` dicts with zero
+entries absent.  An entry is a Python ``int`` unless a division made it a
+``Fraction``: a matrix stores an ``int`` or a ``Fraction`` as it is and
+converts anything else with ``Fraction(v)``, and ``Echelon`` divides a row
+by its leading entry only when that entry is not 1 or -1.  Label maps,
+Kronecker products and signs therefore stay on integer arithmetic, and ints
+and Fractions compare and hash alike, so results are the same whichever
+type holds a value.  All eliminations pick the leading column
+deterministically and never touch floating point, so ranks and nullities
+are exact integers and repeated runs are byte-for-byte reproducible.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
 
 
 class AssemblyError(AssertionError):
     """An internally assembled object failed one of its exact checks."""
 
 
-def vec_axpy(target: dict, coef: Fraction, source: dict) -> None:
+def _entry(v):
+    """A matrix entry: an int or a Fraction as it is, anything else as a Fraction."""
+    return v if isinstance(v, (int, Fraction)) else Fraction(v)
+
+
+def vec_axpy(target: dict, coef, source: dict) -> None:
     """target += coef * source, dropping entries that cancel."""
     if not coef:
         return
@@ -31,15 +41,16 @@ def vec_axpy(target: dict, coef: Fraction, source: dict) -> None:
             target.pop(k, None)
 
 
-def vec_scale(vec: dict, coef: Fraction) -> dict:
+def vec_scale(vec: dict, coef) -> dict:
     if not coef:
         return {}
     return {k: coef * v for k, v in vec.items()}
 
 
-def apply_columns(cols: list, vec: dict) -> dict:
-    """A matrix times a column vector, given the matrix's ``columns()``: the
-    cost is the nnz of the columns vec touches, not of the whole matrix."""
+def apply_columns(cols, vec: dict) -> dict:
+    """A matrix times a column vector, given the matrix's ``columns()`` or a
+    dict holding at least the columns vec touches: the cost is the nnz of
+    those columns, not of the whole matrix."""
     out: dict = {}
     for j, w in vec.items():
         vec_axpy(out, w, cols[j])
@@ -47,7 +58,8 @@ def apply_columns(cols: list, vec: dict) -> dict:
 
 
 class SparseRationalMatrix:
-    """A nrows x ncols matrix over Q, row-sparse."""
+    """A nrows x ncols matrix over Q, row-sparse; each entry is an int or a
+    Fraction (see the module docstring)."""
 
     __slots__ = ("nrows", "ncols", "rows")
 
@@ -65,25 +77,24 @@ class SparseRationalMatrix:
         """entries: iterable of (row, col, value)."""
         m = cls(nrows, ncols)
         for i, j, v in entries:
-            m.add_to(i, j, Fraction(v))
+            m.add_to(i, j, v)
         return m
 
     def set(self, i: int, j: int, v) -> None:
-        if not isinstance(v, Fraction):
-            v = Fraction(v)
+        v = _entry(v)
         if v:
             self.rows[i][j] = v
         else:
             self.rows[i].pop(j, None)
 
     def add_to(self, i: int, j: int, v) -> None:
-        w = self.rows[i].get(j, ZERO) + v
+        w = self.rows[i].get(j, ZERO) + _entry(v)
         if w:
             self.rows[i][j] = w
         else:
             self.rows[i].pop(j, None)
 
-    def get(self, i: int, j: int) -> Fraction:
+    def get(self, i: int, j: int):
         return self.rows[i].get(j, ZERO)
 
     def copy(self) -> "SparseRationalMatrix":
@@ -128,7 +139,7 @@ class SparseRationalMatrix:
         return out
 
     def scale(self, coef) -> "SparseRationalMatrix":
-        coef = Fraction(coef)
+        coef = _entry(coef)
         return SparseRationalMatrix(self.nrows, self.ncols, [vec_scale(r, coef) for r in self.rows])
 
     def power(self, k: int) -> "SparseRationalMatrix":
@@ -160,7 +171,7 @@ class SparseRationalMatrix:
         return cls(len(rows), ncols, rows)
 
     def apply(self, vec: dict) -> dict:
-        """Matrix times a column vector given as {index: Fraction}."""
+        """Matrix times a column vector given as {index: entry}."""
         return apply_columns(self.columns(), vec)
 
     def column(self, j: int) -> dict:
@@ -232,8 +243,11 @@ class Echelon:
             return None
         c = min(row)
         lead = row[c]
-        if lead != ONE:
-            inv = ONE / lead
+        if lead == -ONE:
+            for k in row:
+                row[k] = -row[k]
+        elif lead != ONE:
+            inv = Fraction(lead.denominator, lead.numerator)
             for k in row:
                 row[k] *= inv
         self.pivots[c] = row

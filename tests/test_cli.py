@@ -1,6 +1,7 @@
 import hashlib
 import json
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -8,6 +9,8 @@ import time
 import jsonschema
 import pytest
 
+import equivar.cli
+from equivar.cli import _emit as cli_emit
 from equivar.cli import main
 
 DOCS = pathlib.Path(__file__).resolve().parents[1] / "docs"
@@ -280,6 +283,58 @@ def test_json_output_is_deterministic(capsys):
     assert payload(argv) == payload(argv)
     argv = ["kclass", "--op", "p2q", "--s", "2", "--lambda", "2,1"]
     assert payload(argv) == payload(argv)
+
+
+# class-function tables and their dimension are written as rational strings
+# ("1/2") on purpose; every other number in a payload is a JSON number
+RATIONAL_STRING_FIELDS = {("tor", "character"), ("tor", "dim"), ("kclass", "values")}
+NUMBER_TEXT = re.compile(r"^-?\d+(/\d+)?$")
+
+
+def _strings(obj, path=()):
+    if isinstance(obj, str):
+        yield path, obj
+    elif isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from _strings(v, path + (k,))
+    elif isinstance(obj, list):
+        for v in obj:
+            yield from _strings(v, path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["dim", "--kind", "P", "--s", "1", "--n", "2", "--N", "3", "--dump"],
+    ["dim", "--kind", "Q", "--s", "2", "--n", "1", "--N", "3", "--dump"],
+    ["hom", "--src", "Q,1,2", "--dst", "Q,1,1", "--N", "4"],
+    ["ext", "--mode", "truncated", "--s", "1", "--N", "3", "--max-i", "2"],
+    ["ext", "--mode", "stable", "--s", "1", "--n-source", "1", "--n-target", "2", "--N", "3",
+     "--max-i", "2"],
+    ["tor", "--s", "2", "--r", "3", "--N", "4"],
+    ["kclass", "--op", "char", "--n", "3", "--s", "1"],
+    ["kclass", "--op", "q2p", "--s", "2", "--lambda", "3,1"],
+    ["kclass", "--op", "expand", "--kind", "Q", "--s", "1", "--lambda", "2,1"],
+    ["cas", "--op", "hom", "--m", "1", "--n", "2", "--s", "1"],
+    ["cas", "--op", "injective", "--m", "2", "--n", "1", "--s", "1"],
+    ["cas", "--op", "compare", "--m", "1", "--n", "1", "--s", "1"],
+])
+def test_json_payloads_have_no_stringified_numbers(capsys, monkeypatch, argv):
+    # _emit dumps with default=str, so a Fraction that reached it would print
+    # as the string "1" where an int prints as the number 1
+    emitted = []
+
+    def record(args, payload):
+        emitted.append(payload)
+        cli_emit(args, payload)
+
+    monkeypatch.setattr(equivar.cli, "_emit", record)
+    code, lines = run_json(capsys, argv)
+    assert code == 0 and len(emitted) == 1
+    assert json.loads(json.dumps(emitted[0])) == lines[-1]  # no value needs default=str
+    op = lines[-1]["operation"]
+    for path, text in _strings(lines[-1]):
+        if path[0] == "result" and (op, path[1]) in RATIONAL_STRING_FIELDS:
+            continue
+        assert not NUMBER_TEXT.match(text), (path, text)
 
 
 def test_verify_single_suite_json_lines(capsys):

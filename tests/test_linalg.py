@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from equivar.equivariant import _map_matrix, build_P
 from equivar.linalg import (
     AssemblyError,
     Echelon,
@@ -241,3 +244,70 @@ def test_subspace_check_fails_outside_the_subspace():
         sub.coords(SparseRationalMatrix.from_entries(2, 1, [(0, 0, 1)]))
     with pytest.raises(AssemblyError):  # no free row: not in free-column form
         Subspace([{0: Fraction(2)}], 1)
+
+
+def _all_ints(mat):
+    return all(type(v) is int for row in mat.rows for v in row.values())
+
+
+def test_integer_entries_stay_integers():
+    a = SparseRationalMatrix.from_entries(2, 3, [(0, 0, 2), (0, 2, -1), (1, 1, 3)])
+    b = SparseRationalMatrix.from_entries(3, 2, [(0, 1, 1), (2, 0, -4), (1, 1, 5)])
+    P = build_P(1, 2, 3)
+    built = [a, b, SparseRationalMatrix.identity(3), kron(a, b), a @ b, a + a,
+             a - a.scale(2), a.transpose(), SparseRationalMatrix.vstack([a, b.transpose()]),
+             _map_matrix([2, None, 0], 4), *P.xmul, *P.coxeter]
+    for mat in built:
+        assert mat.nnz() and _all_ints(mat)
+    # a lead of 1 or -1 divides nothing; any other lead makes Fractions
+    ech = Echelon(3)
+    ech.add({0: 1, 1: 3})
+    ech.add({0: 2, 1: 5, 2: -4})  # reduces to lead -1
+    assert ech.pivots == {0: {0: 1, 1: 3}, 1: {1: 1, 2: 4}}
+    assert all(type(v) is int for row in ech.pivots.values() for v in row.values())
+    ech = Echelon(3)
+    ech.add({1: 2, 2: 3})
+    assert ech.pivots == {1: {1: 1, 2: Fraction(3, 2)}}
+    assert all(type(v) is Fraction for v in ech.pivots[1].values())
+
+
+@st.composite
+def integer_systems(draw):
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    dense = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                          min_size=m, max_size=m))
+    x = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    return dense, x
+
+
+def _eliminations(dense, x, wrap):
+    """The elimination answers on dense's entries and y = dense @ x, each
+    entry passed through wrap first."""
+    m, n = len(dense), len(dense[0])
+    A = SparseRationalMatrix.from_entries(
+        m, n, [(i, j, wrap(v)) for i, row in enumerate(dense) for j, v in enumerate(row)])
+    y = {i: wrap(sum(a * b for a, b in zip(row, x))) for i, row in enumerate(dense)}
+    y = {i: v for i, v in y.items() if v}
+    try:
+        solved = solve_columns(A, [y])
+    except ValueError:  # rank-deficient
+        solved = None
+    return {"rank": matrix_rank(A), "nullspace": nullspace(A),
+            "span": SpanBasis(A.rows, n).vectors, "kernel": kernel_of_vectors(A.columns()),
+            "solved": solved}
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(integer_systems())
+def test_int_and_fraction_entries_give_the_same_answers(system):
+    # the int fast path against the same entries given as Fractions
+    dense, x = system
+    ints, fracs = _eliminations(dense, x, int), _eliminations(dense, x, Fraction)
+    assert ints == fracs
+    n = len(dense[0])
+    for key in ("nullspace", "span", "kernel", "solved"):
+        if ints[key] is None:
+            continue
+        as_mats = [SparseRationalMatrix(len(r[key]), n, [dict(v) for v in r[key]])
+                   for r in (ints, fracs)]
+        assert as_mats[0].to_triplets() == as_mats[1].to_triplets()
