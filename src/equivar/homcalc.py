@@ -34,8 +34,9 @@ breadth-first walk over adjacent swaps in which each element is an earlier
 element followed by one swap, so a product over the group costs one matrix
 product per element.  The rows fixed by the stabilizer of t0 are the row
 space of the stabilizer sum, the action summed over the walk elements that
-fix t0: the same group average builds the equivariant section of each free
-cover.  A target without label maps goes through elimination on all
+fix t0.  A free cover's section is the lift of its fiber when that lift
+commutes with every swap, and otherwise the lift's average along the same
+walk.  A target without label maps goes through elimination on all
 dim V * dim T entries, which is also the reference for the orbit solver.
 
 Stable Ext: ``ext_stable`` coresolves the target Q family by P terms and
@@ -533,7 +534,7 @@ def ext_stable(s: int, n_source: int, n_target: int, N: int, max_degree: int) ->
     target by P terms, built with one term beyond ``max_degree + 1``."""
     src = PQFamily("Q", s, n_source)
     cx = coresolution_Q(s, n_target, N, max_degree + 2)
-    spaces = _stable_term_spaces(src, cx, build_P(s, n_target, N + 1))
+    spaces = _stable_term_spaces(src, cx, _build_family("P", s, n_target, N + 1))
     images = []
     for k in range(max_degree + 1):
         imgs = _images(cx.maps[k + 1].matrix, spaces[k]) if spaces[k] else []
@@ -577,8 +578,10 @@ def _along_walk(walk: list, first, step) -> list:
 
 
 def _quotient_by_radical(M: EquivModule):
-    """The fiber M / (sum of variable images): reduction map, lift, and the
-    induced symmetric-group representation, with an equivariant section."""
+    """The fiber M / (sum of variable images): its symmetric-group
+    representation and an equivariant section of the reduction.  The section
+    is the lift of the free coordinates when it commutes with every swap,
+    else the lift averaged over the group; both are checked to split."""
     radical = SpanBasis([c for x in M.xmul for c in x.columns()], M.dim)
     leads = set(radical.leads)
     free = [t for t in range(M.dim) if t not in leads]
@@ -594,22 +597,24 @@ def _quotient_by_radical(M: EquivModule):
     lift = _map_matrix(free, M.dim)
 
     N = M.cfg.N
-    rep_cox = tuple(pi_matrix(M.coxeter[j] @ lift) for j in range(N - 1))
-    rep = SnRep(N, len(free), rep_cox)
+    moved = [M.coxeter[j] @ lift for j in range(N - 1)]
+    rep = SnRep(N, len(free), tuple(pi_matrix(m) for m in moved))
 
-    # equivariant section: the average of g . lift . g^{-1} over the group;
-    # the term of g followed by swap j is coxeter[j] @ (term of g) @ rep.coxeter[j]
-    walk = _group_walk(N)
-    acc = SparseRationalMatrix(M.dim, len(free))
-    for term in _along_walk(walk, lift, lambda j, m: M.coxeter[j] @ m @ rep.coxeter[j]):
-        for row, trow in zip(acc.rows, term.rows):
-            vec_axpy(row, ONE, trow)
-    sec = acc.scale(Fraction(1, len(walk)))
+    # equivariant section: the average of g . lift . g^{-1} over the group,
+    # which is lift itself when lift commutes with every swap; the term of
+    # g followed by swap j is coxeter[j] @ (term of g) @ rep.coxeter[j]
+    sec = lift
+    if any(m != lift @ r for m, r in zip(moved, rep.coxeter)):
+        walk = _group_walk(N)
+        acc = SparseRationalMatrix(M.dim, len(free))
+        for term in _along_walk(walk, lift, lambda j, m: M.coxeter[j] @ m @ rep.coxeter[j]):
+            for row, trow in zip(acc.rows, term.rows):
+                vec_axpy(row, ONE, trow)
+        sec = acc.scale(Fraction(1, len(walk)))
+        if any(M.coxeter[j] @ sec != sec @ rep.coxeter[j] for j in range(N - 1)):
+            raise AssemblyError("section is not equivariant")
     if pi_matrix(sec) != SparseRationalMatrix.identity(len(free)):
-        raise AssemblyError("averaged section does not split the reduction")
-    for j in range(N - 1):
-        if (M.coxeter[j] @ sec) != (sec @ rep.coxeter[j]):
-            raise AssemblyError("averaged section is not equivariant")
+        raise AssemblyError("section does not split the reduction")
     return rep, sec
 
 

@@ -616,6 +616,44 @@ def test_walk_section_matches_average_over_all_words(build):
     assert sec == acc.scale(Fraction(1, len(perms)))
 
 
+def test_skewed_basis_takes_the_averaged_section():
+    # P(1, 0, 2) with basis vector 0 replaced by 1 + x0: the lift of the
+    # free coordinate no longer commutes with the swap, so the section is
+    # the group average, and it must still split and be equivariant
+    P = build_P(1, 0, 2)
+    C = SparseRationalMatrix.identity(P.dim)
+    C.set(1, 0, 1)
+    C_inv = SparseRationalMatrix.identity(P.dim)
+    C_inv.set(1, 0, -1)
+    M = EquivModule(P.cfg, P.labels, [C_inv @ x @ C for x in P.xmul],
+                    [C_inv @ c @ C for c in P.coxeter], name="skewed P(1,0,2)")
+    rep, sec = _quotient_by_radical(M)
+    assert sorted({v for row in sec.rows for v in row.values()}) == [
+        Fraction(-1, 2), Fraction(1, 2), 1]
+    radical = SpanBasis([c for x in M.xmul for c in x.columns()], M.dim)
+    free = [t for t in range(M.dim) if t not in set(radical.leads)]
+    assert [radical.residue(col) for col in sec.columns()] == [{t: 1} for t in free]
+    for j in range(M.cfg.N - 1):
+        assert M.coxeter[j] @ sec == sec @ rep.coxeter[j]
+    T = build_P(1, 1, 2)
+    assert ext_truncated(M, T, 2) == ext_truncated(P, T, 2) == [4, 0, 0]
+
+
+EXT_VANISH_SOURCES = [(s, n, N) for s in range(3) for N in range(1, 4)
+                      for n in range(min(2, N) + 1)]
+
+
+@pytest.mark.parametrize("s,n,N", EXT_VANISH_SOURCES)
+def test_free_covers_of_ext_vanish_sources_have_integer_entries(s, n, N):
+    # the section of these covers is the lift itself, so no 1/N! enters the
+    # cover matrix or any generator image of the resolution
+    M = build_Q(s, n, N)
+    cover = _free_cover(M)[1].matrix
+    assert all(type(v) is int for row in cover.rows for v in row.values())
+    _, gens, _ = _resolution(M, 4)
+    assert all(type(v) is int for level in gens for w in level for v in w.values())
+
+
 def test_ext_truncated_generic_branch_matches_label_maps():
     for src, tgt in [(build_Q(1, 1, 3), build_P(1, 1, 3)), (build_Q(1, 2, 3), build_P(1, 2, 3)),
                      (build_Q(2, 1, 2), build_Q(2, 1, 2))]:
