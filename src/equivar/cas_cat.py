@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinat import injection_count, injections
+from .combinat import combine, injection_count, injections
 from .linalg import SparseRationalMatrix, joint_kernel
 
 __all__ = [
@@ -44,22 +44,15 @@ class CasMorphism:
 
     @classmethod
     def make(cls, m, n, s, terms) -> "CasMorphism":
-        clean = {}
+        pairs = []
         for (f, mono), c in (terms.items() if isinstance(terms, dict) else terms):
             f = tuple(f)
             mono = tuple(mono)
             if len(f) != m or len(set(f)) != m or any(v < 0 or v >= n for v in f):
                 raise ValueError(f"not an injection [{m}] -> [{n}]: {f!r}")
             _check_monomial(mono, n, s)
-            c = Fraction(c)
-            if c:
-                key = (f, mono)
-                acc = clean.get(key, Fraction(0)) + c
-                if acc:
-                    clean[key] = acc
-                else:
-                    del clean[key]
-        return cls(m, n, s, tuple(sorted(clean.items())))
+            pairs.append(((f, mono), c))
+        return cls(m, n, s, tuple(sorted(combine(pairs).items())))
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -232,11 +232,15 @@ def cmd_cas(args) -> dict:
 def cmd_verify(args) -> tuple:
     from .verify import SUITE_NAMES, run_suites
 
+    if args.max_N < 1:
+        raise ParameterError("--max-N must be at least 1")
     names = SUITE_NAMES if args.suite == "all" else [args.suite]
     try:
         checks = run_suites(names, max_N=args.max_N, jobs=args.jobs)
     except KeyError as exc:
         raise ParameterError(exc.args[0]) from None
+    if not checks:
+        raise ParameterError(f"no check of suite(s) {', '.join(names)} runs at --max-N {args.max_N}")
     failures = [c for c in checks if not c["ok"]]
     for c in checks:
         line = dict(c)

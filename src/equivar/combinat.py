@@ -36,6 +36,7 @@ __all__ = [
     "regular_character",
     "inner_product",
     "decompose",
+    "combine",
     "SymFunc",
     "schur",
     "frobenius_char",
@@ -253,18 +254,27 @@ def decompose(f: ClassFunction) -> dict:
     return out
 
 
+def combine(pairs) -> dict:
+    """The sparse rational combination of (key, coefficient) pairs, as
+    {key: Fraction}: coefficients of equal keys add up, and a key whose sum
+    is zero is dropped."""
+    out: dict = {}
+    for key, c in pairs:
+        w = out.get(key, 0) + Fraction(c)
+        if w:
+            out[key] = w
+        else:
+            out.pop(key, None)
+    return out
+
+
 class SymFunc:
     """A finite rational combination of Schur functions, any degrees mixed."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: dict | None = None):
-        clean = {}
-        for lam, c in (coeffs or {}).items():
-            lam = _check_partition(lam)
-            c = Fraction(c)
-            if c:
-                clean[lam] = c
+        clean = combine((_check_partition(lam), c) for lam, c in (coeffs or {}).items())
         self.coeffs = {lam: clean[lam] for lam in sorted(clean, key=lambda t: (sum(t), t), reverse=True)}
 
     def __eq__(self, other) -> bool:
@@ -273,14 +283,7 @@ class SymFunc:
         return self.coeffs == other.coeffs
 
     def __add__(self, other):
-        out = dict(self.coeffs)
-        for lam, c in other.coeffs.items():
-            w = out.get(lam, Fraction(0)) + c
-            if w:
-                out[lam] = w
-            else:
-                del out[lam]
-        return SymFunc(out)
+        return SymFunc(combine(itertools.chain(self.coeffs.items(), other.coeffs.items())))
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -290,13 +293,10 @@ class SymFunc:
         return SymFunc({lam: coef * c for lam, c in self.coeffs.items()})
 
     def __mul__(self, other):
-        out = SymFunc()
-        for lam, a in self.coeffs.items():
-            for mu, b in other.coeffs.items():
-                prod = _schur_times_schur(lam, mu)
-                for nu, c in prod.items():
-                    out = out + SymFunc({nu: a * b * c})
-        return out
+        return SymFunc(combine((nu, a * b * c)
+                               for lam, a in self.coeffs.items()
+                               for mu, b in other.coeffs.items()
+                               for nu, c in _schur_times_schur(lam, mu).items()))
 
     def is_zero(self) -> bool:
         return not self.coeffs

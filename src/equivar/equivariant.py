@@ -127,8 +127,6 @@ class EquivModule:
 
     def perm_matrix(self, g) -> SparseRationalMatrix:
         """Action of an arbitrary permutation, via a reduced word."""
-        if self.swaps is not None:
-            return _map_matrix(self.label_perm(g))
         return _word_product(self.coxeter, self.dim, coxeter_word(g))
 
     def to_json_dict(self) -> dict:

@@ -18,6 +18,7 @@ every transform from the Q side to the P side exposes denominators.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -25,6 +26,7 @@ from functools import lru_cache
 from .combinat import (
     ClassFunction,
     SymFunc,
+    combine,
     decompose,
     induce_from_young,
     injection_count,
@@ -60,14 +62,11 @@ class KClassRep:
 
     @classmethod
     def make(cls, level: int, mult: dict) -> "KClassRep":
-        clean = []
-        for lam, c in sorted(mult.items(), reverse=True):
+        items = sorted(mult.items(), reverse=True)
+        for lam, _ in items:
             if sum(lam) != level:
                 raise ValueError(f"partition {lam} is not of size {level}")
-            c = Fraction(c)
-            if c:
-                clean.append((lam, c))
-        return cls(level, tuple(clean))
+        return cls(level, tuple(combine(items).items()))
 
     def as_dict(self) -> dict:
         return dict(self.mult)
@@ -91,25 +90,15 @@ class KGenClass:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: dict | None = None):
-        clean = {}
-        for key, c in (coeffs or {}).items():
-            kind, r, lam = key
+        pairs = []
+        for (kind, r, lam), c in (coeffs or {}).items():
             if kind not in ("P", "Q"):
                 raise ValueError(f"unknown kind {kind!r}")
-            c = Fraction(c)
-            if c:
-                clean[(kind, r, tuple(lam))] = c
-        self.coeffs = dict(sorted(clean.items()))
+            pairs.append(((kind, r, tuple(lam)), c))
+        self.coeffs = dict(sorted(combine(pairs).items()))
 
     def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            w = out.get(k, Fraction(0)) + c
-            if w:
-                out[k] = w
-            else:
-                del out[k]
-        return KGenClass(out)
+        return KGenClass(combine(itertools.chain(self.coeffs.items(), other.coeffs.items())))
 
     def scale(self, c):
         c = Fraction(c)

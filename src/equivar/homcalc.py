@@ -175,28 +175,21 @@ class Complex:
 # mapping-property constraints
 
 
-def _source_constraint_blocks(profile: PQFamily, T: EquivModule) -> list:
-    """Matrices whose joint kernel is the space of generator images of maps
-    out of the profile's module into T."""
-    N = T.cfg.N
-    n, r = profile.n, profile.s
+def _source_constraints(profile: PQFamily, cfg: RingConfig):
+    """The mapping property of the profile's generator over the ring cfg, as
+    (kills, swaps): v is the generator image of a module map exactly when
+    x_i^e kills v for every (i, e) in kills and the adjacent swap (j, j+1)
+    fixes v for every j in swaps.  A Q generator is killed by its first n
+    variables; (r+1)st powers kill it (all of a P generator) elsewhere, a
+    condition every module over the ring meets already when r >= cfg.s."""
+    N, n, r = cfg.N, profile.n, profile.s
     if n > N:
         raise ValueError(f"profile tuple size {n} exceeds truncation {N}")
-    blocks = []
-    if profile.kind == "Q":
-        for i in range(n):
-            blocks.append(T.xmul[i])
-        power_vars = range(n, N)
-    else:
-        power_vars = range(N)
-    for i in power_vars:
-        p = T.xmul[i].power(r + 1)
-        if not p.is_zero():
-            blocks.append(p)
-    eye = SparseRationalMatrix.identity(T.dim)
-    for j in range(n, N - 1):
-        blocks.append(T.coxeter[j] - eye)
-    return blocks
+    first = n if profile.kind == "Q" else 0
+    kills = [(i, 1) for i in range(first)]
+    if r < cfg.s:
+        kills += [(i, r + 1) for i in range(first, N)]
+    return kills, range(n, N - 1)
 
 
 def _power_map(cm, k: int) -> list:
@@ -205,32 +198,6 @@ def _power_map(cm, k: int) -> list:
     for _ in range(k):
         out = [None if t is None else cm[t] for t in out]
     return out
-
-
-def _pq_constraint_maps(profile: PQFamily, T: EquivModule):
-    """Label-chasing form of the source constraints on a permutation-like
-    target: (ops, swaps), where each op is a partial injection label -> label
-    (a killing operator: a solution must vanish wherever it is defined) and
-    each swap is a total label permutation the solution must commute with.
-    """
-    N, n = T.cfg.N, profile.n
-    if n > N:
-        raise ValueError(f"profile tuple size {n} exceeds truncation {N}")
-
-    ops = []
-    if profile.kind == "Q":
-        ops.extend(T.xmaps[:n])
-        power_vars = range(n, N)
-    else:
-        power_vars = range(N)
-    r = profile.s
-    if r >= T.cfg.s:
-        power_vars = ()  # x_i^(s+1) acts as zero on every module over the ring
-    for i in power_vars:
-        p = _power_map(T.xmaps[i], r + 1)
-        if p.count(None) < len(p):
-            ops.append(p)
-    return ops, T.swaps[n:N - 1]
 
 
 def _mapping_solutions(profile: PQFamily, T: EquivModule) -> list:
@@ -242,7 +209,10 @@ def _mapping_solutions(profile: PQFamily, T: EquivModule) -> list:
 
 def _mapping_solutions_generic(profile: PQFamily, T: EquivModule) -> list:
     """The reference solver: elimination on the stacked constraint matrices."""
-    return joint_kernel(_source_constraint_blocks(profile, T), T.dim)
+    kills, swaps = _source_constraints(profile, T.cfg)
+    eye = SparseRationalMatrix.identity(T.dim)
+    return joint_kernel([T.xmul[i].power(e) for i, e in kills]
+                        + [T.coxeter[j] - eye for j in swaps], T.dim)
 
 
 def _mapping_solutions_fast(profile: PQFamily, T: EquivModule) -> list:
@@ -253,10 +223,12 @@ def _mapping_solutions_fast(profile: PQFamily, T: EquivModule) -> list:
     constant on orbits of the residual symmetric group.  This computes the
     identical kernel as the generic elimination, exactly.
     """
-    ops, swap_maps = _pq_constraint_maps(profile, T)
+    kills, swaps = _source_constraints(profile, T.cfg)
     moved = set()
-    for cm in ops:
+    for i, e in kills:
+        cm = T.xmaps[i] if e == 1 else _power_map(T.xmaps[i], e)
         moved.update(j for j, v in enumerate(cm) if v is not None)
+    swap_maps = [T.swaps[j] for j in swaps]
     allowed = [t for t in range(T.dim) if t not in moved]
     allowed_set = set(allowed)
     # orbits of the residual group on labels, restricted to allowed ones

@@ -219,11 +219,15 @@ class Echelon:
     Rows are reduced on insertion against existing pivots; the leading entry
     of a stored row is its minimal column and is normalized to 1.  Call
     ``back_substitute`` once all rows are in to reach fully reduced form.
+    The constructor adds a copy of each nonempty row of ``rows``.
     """
 
-    def __init__(self, ncols: int):
+    def __init__(self, ncols: int, rows=()):
         self.ncols = ncols
         self.pivots: dict = {}  # pivot col -> row dict, leading coeff 1
+        for row in rows:
+            if row:
+                self.add(row.copy())
 
     def reduce(self, row: dict) -> dict:
         """Reduce a (mutable) row against the stored pivots, leading-column-wise."""
@@ -282,20 +286,12 @@ class Echelon:
 
 
 def matrix_rank(mat: SparseRationalMatrix) -> int:
-    ech = Echelon(mat.ncols)
-    for row in mat.rows:
-        if row:
-            ech.add(dict(row))
-    return ech.rank
+    return Echelon(mat.ncols, mat.rows).rank
 
 
 def nullspace(mat: SparseRationalMatrix) -> list:
     """Basis of {v : mat @ v = 0}, as dict-vectors in free-column form."""
-    ech = Echelon(mat.ncols)
-    for row in mat.rows:
-        if row:
-            ech.add(dict(row))
-    return ech.kernel_basis()
+    return Echelon(mat.ncols, mat.rows).kernel_basis()
 
 
 def joint_kernel(blocks, ncols: int) -> list:
@@ -305,16 +301,9 @@ def joint_kernel(blocks, ncols: int) -> list:
     return nullspace(SparseRationalMatrix.vstack([SparseRationalMatrix(0, ncols), *blocks]))
 
 
-def rank_of_vectors(vectors, ncols=None) -> int:
-    """Rank of a finite family of dict-vectors."""
-    vectors = list(vectors)
-    if ncols is None:
-        ncols = 1 + max((max(v) for v in vectors if v), default=-1)
-    ech = Echelon(ncols)
-    for v in vectors:
-        if v:
-            ech.add(dict(v))
-    return ech.rank
+def rank_of_vectors(vectors, ncols: int) -> int:
+    """Rank of a finite family of dict-vectors in Q^ncols."""
+    return Echelon(ncols, vectors).rank
 
 
 def kernel_of_vectors(columns) -> list:
@@ -324,15 +313,12 @@ def kernel_of_vectors(columns) -> list:
     sum_t c[t] * columns[t] = 0.
     """
     columns = list(columns)
-    k = len(columns)
     rows: dict = {}
     for t, col in enumerate(columns):
         for i, v in col.items():
             rows.setdefault(i, {})[t] = v
-    ech = Echelon(k)
-    for i in sorted(rows):
-        ech.add(rows[i])
-    return ech.kernel_basis()
+    # popped, so that each transposed row is freed once Echelon has copied it
+    return Echelon(len(columns), (rows.pop(i) for i in sorted(rows))).kernel_basis()
 
 
 class SpanBasis:
@@ -345,10 +331,7 @@ class SpanBasis:
 
     def __init__(self, vectors, ambient_dim: int):
         self.ambient_dim = ambient_dim
-        ech = Echelon(ambient_dim)
-        for v in vectors:
-            if v:
-                ech.add(dict(v))
+        ech = Echelon(ambient_dim, vectors)
         ech.back_substitute()
         self.leads = sorted(ech.pivots)
         self.vectors = [ech.pivots[c] for c in self.leads]

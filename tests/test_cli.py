@@ -348,6 +348,29 @@ def test_verify_single_suite_json_lines(capsys):
         assert check["ok"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "tor", "--max-N", "0"],
+    ["verify", "--suite", "qqmaps", "--max-N", "1"],
+    ["verify", "--suite", "all", "--max-N", "-1"],
+    ["verify", "--suite", "ext-self", "--max-N", "1"],
+])
+def test_verify_without_checks_exits_two(capsys, argv):
+    # a run that checks nothing is a bad request, not a success
+    assert main(["--format", "json", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_verify_ext_self_respects_max_N(capsys):
+    code, lines = run_json(capsys, ["verify", "--suite", "ext-self", "--max-N", "2"])
+    assert code == 0
+    assert [c["parameters"]["N"] for c in lines[:-1]] == [2, 2]
+    code, lines = run_json(capsys, ["verify", "--suite", "all", "--max-N", "1"])
+    assert code == 0
+    assert lines[:-1] and all(c["suite"] != "ext-self" for c in lines[:-1])
+    assert all(c["parameters"].get("N", 1) <= 1 for c in lines[:-1])
+
+
 def test_verify_parallel_jobs_match_serial(capsys):
     code1, lines1 = run_json(capsys, ["verify", "--suite", "all", "--max-N", "2", "--jobs", "1"])
     code2, lines2 = run_json(capsys, ["verify", "--suite", "all", "--max-N", "2", "--jobs", "2"])

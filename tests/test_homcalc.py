@@ -190,8 +190,8 @@ def _targets(s, m, N):
 def test_fast_path_matches_elimination():
     # the label-map solver against the reference elimination, for Q sources
     # and for P sources (as in cas_cat.compare_with_P_homs), with the source
-    # bound at and below the target's
-    for kind, r_shift in itertools.product("QP", (0, 1)):
+    # bound above, at and below the target's
+    for kind, r_shift in itertools.product("QP", (-1, 0, 1)):
         for s, n, m, N in [(1, 1, 1, 3), (1, 2, 1, 3), (2, 1, 2, 3)]:
             profile = PQFamily(kind, s - r_shift, n)
             for tgt in _targets(s, m, N):

@@ -1,7 +1,10 @@
-"""Every name a package module imports is used there or re-exported, and
-every name it exports is bound there."""
+"""Every name a package module imports is used there or re-exported, every
+name it exports is bound there, and every function or class it defines is
+named somewhere else in the sources."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -68,3 +71,46 @@ def test_undefined_export_is_reported():
              "class C:\n    def g(self):\n        pass\n" \
              "__all__ = ['os', 'c', 'x', 'f', 'C', 'b', 'g', 'y']\n"
     assert undefined_exports(source) == ["b", "g", "y"]
+
+
+WORD = re.compile(r"\w+")
+
+
+def unreferenced_definitions(modules: dict, others=()) -> list:
+    """Module-level functions and classes of ``modules`` (name -> source)
+    whose name occurs in no source outside its own definition and its
+    module's ``__all__``; ``others`` are further sources that may use them."""
+    words = Counter()
+    for text in [*modules.values(), *others]:
+        words.update(WORD.findall(text))
+    found = []
+    for module, source in modules.items():
+        lines = source.splitlines()
+        body = ast.parse(source).body
+        listed = [node for node in body if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)]
+        for node in body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            own = 0
+            for span in [node, *listed]:
+                text = "\n".join(lines[span.lineno - 1:span.end_lineno])
+                own += WORD.findall(text).count(node.name)
+            if words[node.name] == own:
+                found.append(f"{module}.{node.name}")
+    return sorted(found)
+
+
+def test_every_definition_is_referenced():
+    root = SRC.parents[1]
+    modules = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    others = [path.read_text() for folder in ("tests", "perfbench")
+              for path in sorted((root / folder).rglob("*.py"))]
+    assert unreferenced_definitions(modules, others) == []
+
+
+def test_unreferenced_definition_is_reported():
+    modules = {"a": "__all__ = ['f', 'g']\ndef f():\n    return f()\n"
+                    "def g():\n    pass\nclass C:\n    pass\nclass D:\n    pass\n",
+               "b": "def h():\n    return C\n"}
+    assert unreferenced_definitions(modules, ["D()"]) == ["a.f", "a.g", "b.h"]
