@@ -11,11 +11,13 @@ families exist exactly when the destination tuple size is at most the
 source's, one basis map per arrangement.
 
 The dimension guard refuses jobs whose modules would exceed ``--max-dim``
-basis elements (default 50000, overridable via EQUIVAR_MAX_DIM).  Stable
-Ext builds its coresolution at level N and a single P module at level N+1;
-the guard counts the copies of P in the last coresolution term times
-dim P(s, n, N+1), a conservative bound on both.  Truncated Ext applies the
-same bound to each free cover of its resolution, before building it.
+basis elements (default 50000, overridable via EQUIVAR_MAX_DIM).  Both Ext
+modes build slot strands, whose last term holds one copy per composition of
+max_i + 1 into n parts (a single copy when s or n is 0, or for a P source).
+Stable Ext builds its coresolution at level N and a single P module at
+level N+1: the guard charges that P, and the last coresolution term, copies
+times dim P(s, n, N).  Truncated Ext charges its source, and the cochains of
+its last strand term, copies times the dimension of the target.
 ``tor`` applies it to P(s, 1, N), whose monomials building Q enumerates, and
 to its complex, N copies of Q(s, 1, N), one per position.
 ``cas --op injective`` at m = n applies it to the morphism space [n] -> [n].
@@ -127,6 +129,13 @@ def cmd_hom(args) -> dict:
     }
 
 
+def _strand_copies(kind: str, s: int, n: int, max_i: int) -> int:
+    """The copies of P(s, n, N) in the last strand term that Ext to degree
+    max_i builds for the family (kind, s, n): one per composition of
+    max_i + 1 into n parts, and a single one for P or when s or n is 0."""
+    return comb(max_i + n, n - 1) if kind == "Q" and s > 0 and n > 0 else 1
+
+
 def cmd_ext(args) -> dict:
     if args.max_i < 0:
         raise ParameterError("--max-i must be nonnegative")
@@ -134,21 +143,20 @@ def cmd_ext(args) -> dict:
     from .homcalc import ext_stable, ext_truncated
 
     if args.mode == "stable":
-        # the last coresolution term, the largest, sums one P per composition
-        # of max_i + 1 into n_target parts
         n = args.n_target
-        copies = comb(args.max_i + n, n - 1) if args.s > 0 and n > 0 else 1
-        _check_bounds(args, [("P", args.s, n, args.N + 1)], copies)
+        _check_bounds(args, [("P", args.s, n, args.N + 1)])
+        _check_bounds(args, [("P", args.s, n, args.N)], _strand_copies("Q", args.s, n, args.max_i))
         dims = ext_stable(args.s, args.n_source, args.n_target, args.N, args.max_i)
         return {"mode": "stable", "dims": dims, "degrees": list(range(args.max_i + 1))}
     src = _parse_family(args.src) if args.src else ("Q", args.s, 1)
     dst = _parse_family(args.dst) if args.dst else ("P", args.s, 1)
-    _check_bounds(args, [(src[0], src[1], src[2], args.N),
-                         (dst[0], dst[1], dst[2], args.N)])
+    _check_bounds(args, [(src[0], src[1], src[2], args.N)])
+    # the cochains of the last strand term: one copy of the target per copy of P
+    _check_bounds(args, [(dst[0], dst[1], dst[2], args.N)], _strand_copies(*src, args.max_i))
     build = {"P": build_P, "Q": build_Q}
     M = build[src[0]](src[1], src[2], args.N)
     T = build[dst[0]](dst[1], dst[2], args.N)
-    dims = ext_truncated(M, T, args.max_i, dim_cap=args.max_dim)
+    dims = ext_truncated(M, T, args.max_i)
     return {"mode": "truncated", "dims": dims, "degrees": list(range(args.max_i + 1))}
 
 

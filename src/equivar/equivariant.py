@@ -72,14 +72,15 @@ class EquivModule:
     compatible symmetric-group action stored on adjacent transpositions.
 
     Give the actions either as matrices (``xmul``, ``coxeter``) or as label
-    maps (``xmaps``, ``swaps``); see the module docstring.
+    maps (``xmaps``, ``swaps``); see the module docstring.  ``family`` is
+    (kind, s, n) on a module ``build_P`` or ``build_Q`` made, else None.
     """
 
     __slots__ = ("cfg", "labels", "label_index", "xmaps", "swaps", "_xmul", "_coxeter",
-                 "grading", "name")
+                 "grading", "name", "family")
 
     def __init__(self, cfg, labels, xmul=None, coxeter=None, grading=None, name="", *,
-                 xmaps=None, swaps=None):
+                 xmaps=None, swaps=None, family=None):
         self.cfg = cfg
         self.labels = list(labels)
         self.label_index = {lab: i for i, lab in enumerate(self.labels)}
@@ -97,6 +98,7 @@ class EquivModule:
             raise ValueError("a label map has the wrong length")
         self.grading = list(grading) if grading is not None else None
         self.name = name
+        self.family = family
 
     @property
     def dim(self) -> int:
@@ -311,7 +313,7 @@ def _build_pq(kind: str, s: int, n: int, N: int) -> EquivModule:
             grading.append(tuple(d))
 
     return EquivModule(cfg, labels, grading=grading, name=f"{kind}(s={s},n={n})",
-                       xmaps=xmaps, swaps=swaps)
+                       xmaps=xmaps, swaps=swaps, family=(kind, s, n))
 
 
 def build_P(s: int, n: int, N: int) -> EquivModule:

@@ -18,26 +18,26 @@ residual-group orbits, so this is a set of equal-or-zero relations on the
 coefficients; other targets reduce each push modulo the span.  The three
 dimensions (at N, at N+1, stable) are always reported separately.
 
-Truncated Ext: ``ext_truncated`` resolves the source by minimal equivariant
-free covers and takes the S_N-invariants of Hom(V_i, T), V_i the generator
-representation at level i.  A free cover on V has the label (mono, f) at
-rank(mono) * dim V + f, so its actions are Kronecker products: x_i is the
-monomial raise tensor the identity, a swap is the monomial swap tensor its
-action on V.  The resolution keeps only the image of each generator of F_i
-in F_(i-1), and the Hom differential is read off those images: its block
-(f, f') is the sum of coeff * x^mono over the terms coeff * (mono, f') of
-generator f's image.  When T carries label maps it is a permutation
-module, so an invariant map is fixed by its row at one label t0 per orbit,
-and that row only has to be fixed by the stabilizer of t0 (Frobenius
-reciprocity).  The group is enumerated once, by ``_group_walk``: a
-breadth-first walk over adjacent swaps in which each element is an earlier
-element followed by one swap, so a product over the group costs one matrix
-product per element.  The rows fixed by the stabilizer of t0 are the row
-space of the stabilizer sum, the action summed over the walk elements that
-fix t0.  A free cover's section is the lift of its fiber when that lift
-commutes with every swap, and otherwise the lift's average along the same
-walk.  A target without label maps goes through elimination on all
-dim V * dim T entries, which is also the reference for the orbit solver.
+Truncated Ext: over k[x]/(x^(s+1)), k[x]/(x) has the 2-periodic free
+resolution ... -> A -x^s-> A -x-> A, and Q(s, n, N) is a sum of such
+quotients, one variable per tuple slot.  So ``ext_truncated`` resolves a P
+or Q source by its slot strands, the same ``_strand_complex`` that
+``coresolution_Q`` builds: degree j is one P(s, n, N) per composition of j
+into n parts (one P in all for a P source, or when s = 0).  The invariant
+maps from one P into T are its generator images, and the Hom differential
+applies the strand steps to them.  A source without a family (a free
+cover, a kernel, a changed basis) goes through the reference,
+``_ext_by_free_covers``, the way ``hom_generic`` is the reference for Hom.
+It resolves by minimal equivariant free covers: a cover on the fiber V has
+the label (mono, f) at rank(mono) * dim V + f, so its actions are Kronecker
+products, and only the image of each generator of F_i in F_(i-1) is kept.
+The Hom differential's block (f, f') is the sum of coeff * x^mono over the
+terms coeff * (mono, f') of generator f's image, and each degree's
+invariant maps V_i -> T come from elimination on all dim V_i * dim T
+entries.  A cover's section is the lift of its fiber when that lift
+commutes with every swap, and otherwise the lift's average over the group,
+enumerated once by ``_group_walk`` (each element an earlier one followed by
+one adjacent swap).
 
 Stable Ext: ``ext_stable`` coresolves the target Q family by P terms and
 takes the cohomology of the stable-Hom complex.  Term k is a direct sum of
@@ -392,75 +392,65 @@ def _tuple_power_map(P: EquivModule, pos: int, exp: int) -> list:
     return [powers[T[pos]][col] for col, (T, _) in enumerate(P.labels)]
 
 
+def _strand_complex(s: int, n: int, length: int, dim: int, block):
+    """The first ``length`` terms of the tensor product of n slot strands, each
+    strand multiplying by its slot's variable and by its s-th power in turn,
+    over a module of dimension dim: (terms, maps).  Term j is one copy of the
+    module per composition of j into n parts, listed in terms[j] in sorted
+    order, each copy at offset (its place in the list) * dim.  maps[j] sends
+    copy a of term j to copy a + e_pos by sign * block(pos, exp), with exp 1
+    from an even a_pos and s from an odd one, and sign
+    (-1)^(a_0 + ... + a_(pos-1)).  With s = 0 or n = 0 there is no strand:
+    term 0 is the single copy () and the later terms are empty."""
+    if s == 0 or n == 0:
+        terms = [[()]] + [[] for _ in range(length - 1)]
+    else:
+        terms = [sorted(_compositions(j, n)) for j in range(length)]
+    entries: dict = {}  # (pos, exp) -> the (row, col, value) entries of block(pos, exp)
+    maps = []
+    for src, dst in zip(terms, terms[1:]):
+        index = {b: t for t, b in enumerate(dst)}
+        mat = SparseRationalMatrix(len(dst) * dim, len(src) * dim)
+        for c, a in enumerate(src):
+            for pos in range(len(a)):
+                key = (pos, s if a[pos] % 2 else 1)
+                if key not in entries:
+                    entries[key] = [(r, col, v) for r, row in enumerate(block(*key).rows)
+                                    for col, v in row.items()]
+                sign = -ONE if sum(a[:pos]) % 2 else ONE
+                roff = index[a[:pos] + (a[pos] + 1,) + a[pos + 1:]] * dim
+                for r, col, v in entries[key]:  # distinct steps write distinct entries
+                    mat.rows[roff + r][c * dim + col] = sign * v
+        maps.append(mat)
+    return terms, maps
+
+
 def coresolution_Q(s: int, n: int, N: int, length: int) -> Complex:
     """The augmented exact complex 0 -> Q -> P^(b_0) -> P^(b_1) -> ...
 
-    Built from one strand per tuple slot (multiplication alternating between
-    exponent 1 and exponent s on that slot's variable), tensored over the n
-    slots; ``length`` is the number of P-type terms.  Exactness is verified by
-    rank bookkeeping and composite checks; failures raise AssemblyError with
-    the offending position.
+    The P terms are the slot strands of ``_strand_complex`` over P, where
+    x_pos acts as the variable at tuple slot pos; ``length`` is the number of
+    P-type terms.  Exactness is verified by rank bookkeeping and composite
+    checks; failures raise AssemblyError with the offending position.
     """
     if length < 1:
         raise ValueError("need at least one coresolution term")
     embedding = q_into_p_embedding(s, n, N)
     Q, P = embedding.source, embedding.target
-
-    def term_indices(j):
-        if s == 0 or n == 0:
-            return [()] if j == 0 else []
-        return sorted(_compositions(j, n))
-
-    def make_term(j):
-        idxs = term_indices(j)
-        if not idxs:
-            return EquivModule(RingConfig(N, s), [], name="0",
-                               xmaps=[[]] * N, swaps=[[]] * max(N - 1, 0)), idxs
-        if len(idxs) == 1:
-            return P, idxs
-        return direct_sum([P] * len(idxs)), idxs
-
-    modules = [Q]
-    terms = []
-    for j in range(length):
-        mod, idxs = make_term(j)
-        modules.append(mod)
-        terms.append(idxs)
-
-    maps = [embedding]
-    if terms[0] != [()] and terms[0] != [(0,) * n]:
-        raise AssemblyError("coresolution head has unexpected shape")
-
-    step = {0: 1, 1: s}  # exponent used from an even / odd strand position
-    slot_maps: dict = {}  # (pos, exp) -> label map of x_{T[pos]}^exp on the labels (T, mono)
-
-    for j in range(length - 1):
-        src_idxs, dst_idxs = terms[j], terms[j + 1]
-        src_pos = {a: t for t, a in enumerate(src_idxs)}
-        dst_pos = {a: t for t, a in enumerate(dst_idxs)}
-        mat = SparseRationalMatrix(modules[j + 2].dim, modules[j + 1].dim)
-        if dst_idxs:
-            for a in src_idxs:
-                for pos in range(n):
-                    b = a[:pos] + (a[pos] + 1,) + a[pos + 1:]
-                    if b not in dst_pos:
-                        continue
-                    entry = -ONE if sum(a[:pos]) % 2 else ONE
-                    key = (pos, step[a[pos] % 2])
-                    if key not in slot_maps:
-                        slot_maps[key] = _tuple_power_map(P, *key)
-                    roff = dst_pos[b] * P.dim
-                    coff = src_pos[a] * P.dim
-                    # an injective map into block b: each entry is written once
-                    for c, i in enumerate(slot_maps[key]):
-                        if i is not None:
-                            mat.rows[roff + i][coff + c] = entry
-        maps.append(EquivMap(modules[j + 1], modules[j + 2], mat))
-
+    terms, diffs = _strand_complex(s, n, length, P.dim,
+                                   lambda pos, exp: _map_matrix(_tuple_power_map(P, pos, exp)))
+    zero = EquivModule(RingConfig(N, s), [], name="0", xmaps=[[]] * N, swaps=[[]] * max(N - 1, 0))
+    modules = [Q] + [direct_sum([P] * len(t)) if len(t) > 1 else P if t else zero for t in terms]
+    maps = [embedding] + [EquivMap(a, b, d) for a, b, d in zip(modules[1:], modules[2:], diffs)]
     cx = Complex(modules, maps)
     cx.check_composites()
     cx.check_exactness()
     return cx
+
+
+def _in_copies(vectors, copies: int, dim: int) -> list:
+    """The vectors placed in each of ``copies`` blocks of size dim, copy by copy."""
+    return [{c * dim + t: v for t, v in vec.items()} for c in range(copies) for vec in vectors]
 
 
 def _stable_term_spaces(src: PQFamily, cx: Complex, P_big: EquivModule) -> list:
@@ -474,9 +464,7 @@ def _stable_term_spaces(src: PQFamily, cx: Complex, P_big: EquivModule) -> list:
     P = cx.modules[1]
     stable = _stable_subspace(_mapping_solutions(src, P), _mapping_solutions(src, P_big),
                               P, P_big)
-    return [[{c * P.dim + t: v for t, v in vec.items()}
-             for c in range(T.dim // P.dim) for vec in stable]
-            for T in cx.modules[1:]]
+    return [_in_copies(stable, T.dim // P.dim, P.dim) for T in cx.modules[1:]]
 
 
 def _images(d: SparseRationalMatrix, vectors) -> list:
@@ -504,6 +492,8 @@ def ext_stable(s: int, n_source: int, n_target: int, N: int, max_degree: int) ->
     """Stable self/cross Ext of Q families in degrees 0..max_degree, as
     cohomology of the stable-Hom complex of an exact coresolution of the
     target by P terms, built with one term beyond ``max_degree + 1``."""
+    if max_degree < 0:
+        raise ValueError("the degree bound must be nonnegative")
     src = PQFamily("Q", s, n_source)
     cx = coresolution_Q(s, n_target, N, max_degree + 2)
     spaces = _stable_term_spaces(src, cx, _build_family("P", s, n_target, N + 1))
@@ -519,7 +509,39 @@ def ext_stable(s: int, n_source: int, n_target: int, N: int, max_degree: int) ->
 
 
 # ---------------------------------------------------------------------------
-# truncated equivariant Ext via minimal covers
+# truncated equivariant Ext
+
+
+def ext_truncated(M: EquivModule, T: EquivModule, max_i: int) -> list:
+    """Equivariant Ext at the truncation, degrees 0..max_i.
+
+    A P or Q source is resolved by its slot strands: term j of the
+    resolution of Q(s, n, N) is one P(s, n, N) per composition of j into n
+    parts (Eisenbud, Trans. AMS 260, 1980), and P is free.  By Frobenius
+    reciprocity the invariant maps from one P into T are the generator
+    images ``_mapping_solutions(PQFamily("P", s, n), T)``, and the Hom
+    differential applies the strand steps to them, x_pos acting as T's
+    variable pos.  Any other source goes through ``_ext_by_free_covers``.
+    Exact at the truncation; stable answers across truncations are the
+    business of ``ext_stable``.
+    """
+    if max_i < 0:
+        raise ValueError("the degree bound must be nonnegative")
+    if M.cfg != T.cfg:
+        raise ValueError(f"config mismatch: {M.cfg} != {T.cfg}")
+    if M.family is None:
+        return _ext_by_free_covers(M, T, max_i)
+    kind, s, n = M.family
+    terms, diffs = _strand_complex(s, n if kind == "Q" else 0, max_i + 2, T.dim,
+                                   lambda pos, exp: T.xmul[pos].power(exp))
+    solutions = _mapping_solutions(PQFamily("P", s, n), T)
+    spaces = [_in_copies(solutions, len(t), T.dim) for t in terms]
+    images = [_images(d, space) for d, space in zip(diffs, spaces)]
+    return _cohomology(spaces, images, [d.nrows for d in diffs])
+
+
+# ---------------------------------------------------------------------------
+# the reference resolution by minimal free covers
 
 
 def _group_walk(N: int) -> list:
@@ -538,15 +560,6 @@ def _group_walk(N: int) -> list:
                 perms.append(h)
                 walk.append((k, j))
     return walk
-
-
-def _along_walk(walk: list, first, step) -> list:
-    """The value at each element of a group walk, in walk order: ``first`` at
-    the identity and ``step(j, value at the parent)`` elsewhere."""
-    values = [first]
-    for parent, j in walk[1:]:
-        values.append(step(j, values[parent]))
-    return values
 
 
 def _quotient_by_radical(M: EquivModule):
@@ -578,8 +591,11 @@ def _quotient_by_radical(M: EquivModule):
     sec = lift
     if any(m != lift @ r for m, r in zip(moved, rep.coxeter)):
         walk = _group_walk(N)
+        terms = [lift]
+        for parent, j in walk[1:]:
+            terms.append(M.coxeter[j] @ terms[parent] @ rep.coxeter[j])
         acc = SparseRationalMatrix(M.dim, len(free))
-        for term in _along_walk(walk, lift, lambda j, m: M.coxeter[j] @ m @ rep.coxeter[j]):
+        for term in terms:
             for row, trow in zip(acc.rows, term.rows):
                 vec_axpy(row, ONE, trow)
         sec = acc.scale(Fraction(1, len(walk)))
@@ -590,16 +606,13 @@ def _quotient_by_radical(M: EquivModule):
     return rep, sec
 
 
-def _free_cover(M: EquivModule, dim_cap: int | None = None):
+def _free_cover(M: EquivModule):
     """Minimal equivariant free cover: returns (F, d, rep) with d: F -> M
-    surjective, F the free module on the radical fiber of M.  Raises
-    RuntimeError, before building F, when dim F would exceed ``dim_cap``."""
+    surjective, F the free module on the radical fiber of M."""
     rep, sec = _quotient_by_radical(M)
     cfg = M.cfg
     ring = _build_family("P", cfg.s, 0, cfg.N)  # the ring itself, labels ((), mono) in rank order
     dimF = ring.dim * rep.dim
-    if dim_cap is not None and dimF > dim_cap:
-        raise RuntimeError(f"a free cover of dimension {dimF} exceeds the dimension cap {dim_cap}")
     # label (mono, f) sits at rank(mono) * dim V + f: F is the ring tensor V,
     # with the variables acting on the ring and a swap on both factors
     labels = [(mono, f) for _, mono in ring.labels for f in range(rep.dim)]
@@ -639,7 +652,7 @@ def _kernel_module(F: EquivModule, d: SparseRationalMatrix):
     return K, ker.B
 
 
-def _resolution(M: EquivModule, levels: int, dim_cap: int | None = None):
+def _resolution(M: EquivModule, levels: int):
     """The first ``levels`` terms of the minimal free resolution of M:
     (reps, gens, free_mods), with reps[i] the generator representation of
     F_i and gens[i][f] the image of generator f of F_i in F_{i-1}
@@ -648,7 +661,7 @@ def _resolution(M: EquivModule, levels: int, dim_cap: int | None = None):
     current = M
     inc_cols = None  # columns of the kernel inclusion into the previous free module
     for level in range(levels):
-        F, cover, rep = _free_cover(current, dim_cap)
+        F, cover, rep = _free_cover(current)
         # generator f is the label ((0,)*N, f), column f of the cover
         images = [cover.matrix.column(f) for f in range(rep.dim)]
         if inc_cols is not None:
@@ -674,61 +687,12 @@ def _hom_invariants_generic(rep: SnRep, T: EquivModule) -> list:
                         ncols)
 
 
-def _hom_invariants_by_orbits(rep: SnRep, T: EquivModule) -> list:
-    """The invariant maps V -> T for a target with label maps, in the vector
-    layout of ``_hom_invariants_generic``, spanning the same space.
-
-    Row t of an invariant map phi is a row vector phi_t, and invariance reads
-    phi_{g.t} = phi_t @ rho(g^-1).  So phi is fixed by its row r at one label
-    t0 per orbit, and r is any solution of r @ rho(k) = r for k in the
-    stabilizer of t0 (Frobenius reciprocity).  Along the group walk,
-    mats[k] = rho(g_k^-1) is the product of the walk's swaps in path order.
-    The solutions are the row space of the stabilizer sum S, the sum of
-    mats[k] over the k that fix t0: each row of S is fixed because
-    S @ rho(k) = S, and a fixed r is r @ S / |stabilizer|.
-    """
-    dimV, dimT = rep.dim, T.dim
-    walk = _group_walk(rep.n)
-    mats = _along_walk(walk, SparseRationalMatrix.identity(dimV),
-                       lambda j, m: m @ rep.coxeter[j])
-    basis = []
-    seen = set()
-    for t0 in range(dimT):
-        if t0 in seen:
-            continue
-        reached = _along_walk(walk, t0, lambda j, t: T.swaps[j][t])
-        first: dict = {}  # label -> the first walk element reaching it
-        total = [dict() for _ in range(dimV)]
-        for k, t in enumerate(reached):
-            first.setdefault(t, k)
-            if t == t0:
-                for row, mrow in zip(total, mats[k].rows):
-                    vec_axpy(row, ONE, mrow)
-        seen.update(first)
-        for r in SpanBasis(total, dimV).vectors:
-            vec = {}
-            for t, k in first.items():  # row t is r @ mats[k]: mats[k]'s rows weighted by r
-                for f, v in apply_columns(mats[k].rows, r).items():
-                    vec[f * dimT + t] = v
-            basis.append(vec)
-    return basis
-
-
-def ext_truncated(M: EquivModule, T: EquivModule, max_i: int,
-                  dim_cap: int = 200_000) -> list:
-    """Equivariant Ext at the truncation, degrees 0..max_i.
-
-    Resolves M by minimal equivariant free covers (free module on the radical
-    fiber at each step, with the group action carried along), forms the Hom
-    complex into T, restricts to invariants under the full symmetric group,
-    and reads off cohomology dimensions.  Exact at the truncation; stable
-    answers across truncations are the business of ``ext_stable``.  Raises
-    RuntimeError when a free cover would exceed ``dim_cap``.
-    """
-    if M.cfg != T.cfg:
-        raise ValueError(f"config mismatch: {M.cfg} != {T.cfg}")
-    reps, gens, free_mods = _resolution(M, max_i + 2, dim_cap)
-    hom_invariants = _hom_invariants_generic if T.swaps is None else _hom_invariants_by_orbits
+def _ext_by_free_covers(M: EquivModule, T: EquivModule, max_i: int) -> list:
+    """The reference for ``ext_truncated``, and its path for a source with no
+    family: resolve M by minimal free covers and take the cohomology of the
+    invariant Hom complex into T, each degree solved by
+    ``_hom_invariants_generic``."""
+    reps, gens, free_mods = _resolution(M, max_i + 2)
 
     @lru_cache(maxsize=None)
     def mono_action(mono):
@@ -749,7 +713,7 @@ def ext_truncated(M: EquivModule, T: EquivModule, max_i: int,
                              {fprime * dimT + tprime: v for tprime, v in row.items()})
         return d
 
-    inv_bases = [hom_invariants(rep, T) for rep in reps]
+    inv_bases = [_hom_invariants_generic(rep, T) for rep in reps]
     images = [_images(induced_differential(level), inv_bases[level - 1])
               for level in range(1, max_i + 2)]
     return _cohomology(inv_bases, images, [rep.dim * T.dim for rep in reps[1:]])

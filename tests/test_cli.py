@@ -227,25 +227,28 @@ def test_cap_and_dimension_guard(capsys):
 
 
 def test_max_dim_bounds_free_covers(capsys):
-    # both modules fit in 50 basis elements, but the resolution's free covers
-    # have dimensions 48, 96 and 144
+    # both modules fit in 50 basis elements, but the strand cochains of
+    # degree 2 are C(3, 1) = 3 copies of the target P(1, 1, 3)
     argv = ["ext", "--mode", "truncated", "--s", "1", "--src", "Q,1,2", "--dst", "P,1,1",
             "--N", "3", "--max-i", "1"]
     assert main(["--format", "json", "--max-dim", "50", *argv]) == 2
     out = capsys.readouterr()
-    assert out.out == "" and "free cover of dimension 96" in out.err
+    assert out.out == "" and "a sum of 3 P modules of dimension 72" in out.err
     code, lines = run_json(capsys, ["--max-dim", "144", *argv])
     assert code == 0 and lines[-1]["result"]["dims"] == [6, 0]
 
 
 def test_stable_ext_guard_counts_the_largest_coresolution_term(capsys):
-    # one P(1, 3, 5) has dimension 1920, but the last coresolution term is a
-    # sum of C(11, 2) = 55 of them; this request used to run for about 22 s
-    argv = ["ext", "--mode", "stable", "--s", "1", "--n-target", "3", "--N", "4",
+    # one P(2, 3, 5) has dimension 14580, but the last coresolution term is a
+    # sum of C(11, 2) = 55 copies of P(2, 3, 4), of dimension 1944 each
+    argv = ["ext", "--mode", "stable", "--s", "2", "--n-target", "3", "--N", "4",
             "--max-i", "8"]
     assert main(["--format", "json", *argv]) == 2
     out = capsys.readouterr()
-    assert out.out == "" and "a sum of 55 P modules of dimension 105600" in out.err
+    assert out.out == "" and "a sum of 55 P modules of dimension 106920" in out.err
+    # at s = 1 that term has 55 * 384 = 21120 basis elements, and the request runs
+    code, lines = run_json(capsys, [*argv[:4], "1", *argv[5:]])
+    assert code == 0 and lines[-1]["result"]["dims"] == [0] * 9
 
 
 def test_injective_guard_counts_the_morphism_space(capsys):

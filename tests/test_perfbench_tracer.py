@@ -7,6 +7,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import equivar.equivariant  # noqa: F401  (the tracer wraps these modules)
 import equivar.homcalc
 import equivar.linalg  # noqa: F401
@@ -42,12 +44,13 @@ def test_tracer_installs_and_uninstalls():
     assert counters["homcalc.stable_hom.calls"] == 1
 
 
-def test_traced_stable_hom_run_succeeds():
+@pytest.mark.parametrize("workload", ["stable-hom", "ext-truncated", "ext-stable"])
+def test_traced_run_succeeds(workload):
     # the traced summary has no Echelon.add pivot ratio when no add is made,
-    # and run.py reads every per-layer metric of BENCHMARK.json: a stable Hom
+    # and run.py reads every per-layer metric of BENCHMARK.json: a workload
     # without elimination stops the traced run with a KeyError
     proc = subprocess.run(
-        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "stable-hom",
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload,
          "--seed", "0", "--trace", "1"],
         cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=170)
     assert proc.returncode == 0, proc.stderr
