@@ -18,8 +18,8 @@ Stable Ext builds its coresolution at level N and a single P module at
 level N+1: the guard charges that P, and the last coresolution term, copies
 times dim P(s, n, N).  Truncated Ext charges its source, and the cochains of
 its last strand term, copies times the dimension of the target.
-``tor`` applies it to P(s, 1, N), whose monomials building Q enumerates, and
-to its complex, N copies of Q(s, 1, N), one per position.
+``tor`` applies it to its complex, N copies of Q(s, 1, N), one per position;
+building Q touches only Q's own monomials, so nothing larger is charged.
 ``cas --op injective`` at m = n applies it to the morphism space [n] -> [n].
 """
 
@@ -165,7 +165,6 @@ def cmd_tor(args) -> dict:
         raise ParameterError("tor needs s >= 1")
     if args.r < 1:
         raise ParameterError("tor degrees start at 1")
-    _check_bounds(args, [("P", args.s, 1, args.N)])
     _check_bounds(args, [("Q", args.s, 1, args.N)], copies=args.N)
     from .equivariant import character_of
     from .homcalc import PQFamily, tor_periodic

@@ -25,6 +25,11 @@ objects.  The two standard families:
   positions, one copy of the truncated ring per tuple;
 - ``build_Q(s, n, N)``: its quotient where each variable listed in the tuple
   annihilates that tuple's generator.
+
+Their labels (T, mono) list the tuples in lexicographic order, and within a
+tuple the monomials on its F free positions (all N for P, the N - n outside
+T for Q) in rank order: label (a, rank) sits at index a * (s+1)^F + rank, so
+the label maps are built by rank arithmetic, not by enumerating the ring.
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ from .combinat import (
 from .linalg import ONE, SparseRationalMatrix, Subspace, joint_kernel, kron, matrix_rank
 from .truncated_ring import (
     RingConfig,
-    all_monomials,
     coxeter_word,
     representative_permutation,
 )
@@ -269,49 +273,46 @@ def _build_pq(kind: str, s: int, n: int, N: int) -> EquivModule:
     cfg = RingConfig(N, s)
     if n > N:
         raise ValueError(f"tuple size n={n} exceeds truncation N={N}")
-    # A label (T, mono) is a pair (tuple index, monomial index), so each label
-    # map combines a small table on tuples with a small table on monomials.
-    monos = all_monomials(cfg)
+    # Tuple a has F free positions (all N for P, the N - n outside it for Q);
+    # its labels are the monomials on them in rank order, label (a, rank) at
+    # index a * (s+1)^F + rank.  x_i adds the stride of i's place among the
+    # free positions, or kills the label when that digit is s (or i is in a
+    # Q tuple).  A swap sends tuple a to the swapped tuple and exchanges two
+    # adjacent reduced digits when both positions are free, else keeps the
+    # rank.  The rank tables depend only on the free positions.
     tuples = injections(n, N)
-    mono_index = {m: b for b, m in enumerate(monos)}
+    size = (s + 1) ** (N - n if kind == "Q" else N)
+    idx = list(range(len(tuples) * size))  # every map entry shares these ints
     tuple_index = {T: a for a, T in enumerate(tuples)}
-    labels, tix, mix = [], [], []
-    pos = []  # pos[a][b]: index of the label (tuples[a], monos[b]), None if absent
+    tables = {}
+
+    def monomials(free, fill):  # free digits in rank order (position 0 fastest), fill elsewhere
+        return [m[::-1] for m in itertools.product(
+            *(range(s + 1) if k in free else (fill,) for k in reversed(range(N))))]
+
+    labels, grading = [], []
+    xmaps, swaps = [[] for _ in range(N)], [[] for _ in range(N - 1)]
     for a, T in enumerate(tuples):
-        row = [None] * len(monos)
-        for b, mono in enumerate(monos):
-            if kind == "Q" and any(mono[t] for t in T):
-                continue
-            row[b] = len(labels)
-            labels.append((T, mono))
-            tix.append(a)
-            mix.append(b)
-        pos.append(row)
-
-    xmaps = []
-    for i in range(N):
-        up = [mono_index.get(m[:i] + (m[i] + 1,) + m[i + 1:]) for m in monos]  # None at s
-        dead = [kind == "Q" and i in T for T in tuples]
-        xmaps.append([None if dead[a] or up[b] is None else pos[a][up[b]]
-                      for a, b in zip(tix, mix)])
-
-    swaps = []
-    for j in range(N - 1):
-        tsw = [tuple_index[tuple(j + 1 if t == j else j if t == j + 1 else t for t in T)]
-               for T in tuples]
-        msw = [mono_index[m[:j] + (m[j + 1], m[j]) + m[j + 2:]] for m in monos]
-        swaps.append([pos[tsw[a]][msw[b]] for a, b in zip(tix, mix)])
-
-    if kind == "P":
-        grading = [mono for _, mono in labels]
-    else:
-        grading = []
-        for T, mono in labels:
-            d = list(mono)
-            for t in T:
-                d[t] += s
-            grading.append(tuple(d))
-
+        free = tuple(k for k in range(N) if kind == "P" or k not in T)
+        if free not in tables:
+            stride = {k: (s + 1) ** p for p, k in enumerate(free)}
+            up = {i: [r + st if r // st % (s + 1) < s else size for r in range(size)]
+                  for i, st in stride.items()}  # size: x_i kills the label
+            moves = {j: [r + (r // st % (s + 1) - r // st // (s + 1) % (s + 1)) * st * s
+                         for r in range(size)]
+                     for j, st in stride.items() if j + 1 in stride}
+            monos = monomials(stride, 0)
+            tables[free] = (monos, monos if kind == "P" else monomials(stride, s), up, moves)
+        monos, grades, up, moves = tables[free]
+        labels.extend(zip(itertools.repeat(T), monos))
+        grading.extend(grades)
+        row = idx[a * size:(a + 1) * size] + [None]
+        for i, cm in enumerate(xmaps):
+            cm.extend(map(row.__getitem__, up[i]) if i in up else itertools.repeat(None, size))
+        for j, cm in enumerate(swaps):
+            b = tuple_index[tuple(j + 1 if t == j else j if t == j + 1 else t for t in T)]
+            dst = idx[b * size:(b + 1) * size]
+            cm.extend(map(dst.__getitem__, moves[j]) if j in moves else dst)
     return EquivModule(cfg, labels, grading=grading, name=f"{kind}(s={s},n={n})",
                        xmaps=xmaps, swaps=swaps, family=(kind, s, n))
 

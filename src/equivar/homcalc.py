@@ -54,6 +54,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress, repeat
+from operator import is_not
 
 from .combinat import _compositions
 from .equivariant import (
@@ -193,10 +195,15 @@ def _source_constraints(profile: PQFamily, cfg: RingConfig):
 
 
 def _power_map(cm, k: int) -> list:
-    """The label map of k applications of the partial label map cm."""
+    """The label map of k applications of the partial label map cm, by
+    repeated squaring."""
     out = list(range(len(cm)))
-    for _ in range(k):
-        out = [None if t is None else cm[t] for t in out]
+    while k:
+        if k & 1:
+            out = [None if t is None else cm[t] for t in out]
+        k >>= 1
+        if k:
+            cm = [None if t is None else cm[t] for t in cm]
     return out
 
 
@@ -224,31 +231,29 @@ def _mapping_solutions_fast(profile: PQFamily, T: EquivModule) -> list:
     identical kernel as the generic elimination, exactly.
     """
     kills, swaps = _source_constraints(profile, T.cfg)
-    moved = set()
+    dim = T.dim
+    allowed = bytearray(b"\x01") * dim
     for i, e in kills:
         cm = T.xmaps[i] if e == 1 else _power_map(T.xmaps[i], e)
-        moved.update(j for j, v in enumerate(cm) if v is not None)
+        for t in compress(range(dim), map(is_not, cm, repeat(None))):
+            allowed[t] = 0
     swap_maps = [T.swaps[j] for j in swaps]
-    allowed = [t for t in range(T.dim) if t not in moved]
-    allowed_set = set(allowed)
-    # orbits of the residual group on labels, restricted to allowed ones
-    seen = set()
+    # orbits of the residual group on labels; those inside allowed are solutions
+    seen = bytearray(dim)
     basis = []
-    for t in allowed:
-        if t in seen:
+    for t in compress(range(dim), allowed):
+        if seen[t]:
             continue
-        orbit = {t}
-        frontier = [t]
-        while frontier:
-            u = frontier.pop()
+        seen[t] = 1
+        orbit = [t]
+        for u in orbit:
             for cm in swap_maps:
                 w = cm[u]
-                if w not in orbit:
-                    orbit.add(w)
-                    frontier.append(w)
-        seen |= orbit
-        if orbit <= allowed_set:
-            basis.append({u: ONE for u in sorted(orbit)})
+                if not seen[w]:
+                    seen[w] = 1
+                    orbit.append(w)
+        if all(map(allowed.__getitem__, orbit)):
+            basis.append(dict.fromkeys(sorted(orbit), ONE))
     return basis
 
 

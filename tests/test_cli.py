@@ -97,14 +97,9 @@ def test_tor_command(capsys):
      "a sum of 5 Q modules of dimension 6400 exceeds --max-dim 6000"),
     (["--cap-N", "12", "tor", "--s", "1", "--r", "1", "--N", "12"],
      "a sum of 12 Q modules of dimension 294912 exceeds --max-dim 50000"),
-    # C = 1 fits, but building Q(s, 1, N) enumerates all (s+1)^N monomials
-    (["tor", "--s", "1000000", "--r", "1", "--N", "1"],
-     "a P module of dimension 1000001 exceeds --max-dim 50000"),
 ])
 def test_tor_guard_counts_the_complex(capsys, monkeypatch, argv, message):
-    # the guard charges both P(s, 1, N), whose monomials building Q
-    # enumerates, and the complex, N copies of Q(s, 1, N); the first two
-    # requests fit one P(s, 1, N), of dimension 5120 and 49152
+    # the guard charges the complex, N copies of Q(s, 1, N)
     import equivar.equivariant
     import equivar.homcalc
 
@@ -117,6 +112,18 @@ def test_tor_guard_counts_the_complex(capsys, monkeypatch, argv, message):
     assert main(["--format", "json", *argv]) == 2
     out = capsys.readouterr()
     assert out.out == "" and message in out.err
+
+
+@pytest.mark.parametrize("s,N,dim", [(60, 3, "11163"), (1000000, 1, "1"), (12000, 2, "24002")])
+def test_tor_with_a_large_bound_runs(capsys, s, N, dim):
+    # building Q(s, 1, N) no longer enumerates the (s+1)^N ring monomials,
+    # and x^s is composed by repeated squaring, so these fit the guard and run
+    start = time.perf_counter()
+    code, lines = run_json(capsys, ["tor", "--s", str(s), "--r", "1", "--N", str(N)])
+    elapsed = time.perf_counter() - start
+    result = lines[-1]["result"]
+    assert code == 0 and result["dim"] == dim and result["matches_Q"] is True
+    assert elapsed < 3.0
 
 
 def test_tor_runtime_is_bounded(capsys):

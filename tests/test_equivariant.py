@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from equivar.combinat import ClassFunction, partitions
+from equivar.combinat import ClassFunction, injections, partitions
 from equivar.equivariant import (
     EquivModule,
     build_induced,
@@ -26,7 +26,7 @@ from equivar.equivariant import (
 )
 from equivar.homcalc import _embed_vector
 from equivar.linalg import SparseRationalMatrix, matrix_rank
-from equivar.truncated_ring import RingConfig
+from equivar.truncated_ring import RingConfig, all_monomials
 
 
 def test_dimension_examples():
@@ -230,3 +230,64 @@ def test_perm_matrix_matches_label_action():
                 new_mono[g[i]] = e
             expected_row = mod.label_index[(newT, tuple(new_mono))]
             assert mat.column(col) == {expected_row: Fraction(1)}
+
+
+def _enumerated_pq(kind, s, n, N):
+    """The P or Q module built by enumerating every (tuple, monomial) pair of
+    the ring and dropping, for Q, the pairs nonzero on the tuple: the oracle
+    for the rank arithmetic of ``_build_pq``."""
+    monos = all_monomials(RingConfig(N, s))
+    tuples = injections(n, N)
+    mono_index = {m: b for b, m in enumerate(monos)}
+    tuple_index = {T: a for a, T in enumerate(tuples)}
+    labels, tix, mix, pos = [], [], [], []
+    for a, T in enumerate(tuples):
+        row = [None] * len(monos)
+        for b, mono in enumerate(monos):
+            if kind == "Q" and any(mono[t] for t in T):
+                continue
+            row[b] = len(labels)
+            labels.append((T, mono))
+            tix.append(a)
+            mix.append(b)
+        pos.append(row)
+    xmaps = []
+    for i in range(N):
+        up = [mono_index.get(m[:i] + (m[i] + 1,) + m[i + 1:]) for m in monos]
+        dead = [kind == "Q" and i in T for T in tuples]
+        xmaps.append([None if dead[a] or up[b] is None else pos[a][up[b]]
+                      for a, b in zip(tix, mix)])
+    swaps = []
+    for j in range(N - 1):
+        tsw = [tuple_index[tuple(j + 1 if t == j else j if t == j + 1 else t for t in T)]
+               for T in tuples]
+        msw = [mono_index[m[:j] + (m[j + 1], m[j]) + m[j + 2:]] for m in monos]
+        swaps.append([pos[tsw[a]][msw[b]] for a, b in zip(tix, mix)])
+    grading = [tuple(e + s * (kind == "Q" and k in T) for k, e in enumerate(mono))
+               for T, mono in labels]
+    return labels, xmaps, swaps, grading, f"{kind}(s={s},n={n})", (kind, s, n)
+
+
+@pytest.mark.parametrize("s", range(4))
+def test_rank_arithmetic_matches_enumeration(s):
+    for kind, N in itertools.product("PQ", range(6)):
+        for n in range(N + 1):
+            mod = (build_P if kind == "P" else build_Q)(s, n, N)
+            got = (mod.labels, mod.xmaps, mod.swaps, mod.grading, mod.name, mod.family)
+            assert got == _enumerated_pq(kind, s, n, N), (kind, s, n, N)
+
+
+def test_q_build_does_not_enumerate_the_ring(monkeypatch):
+    # Q(60, 1, 3) has 11,163 labels; the ring has 61^3 = 226,981 monomials
+    import equivar.equivariant
+    import equivar.truncated_ring
+
+    calls = []
+    for mod in (equivar.truncated_ring, equivar.equivariant):
+        for name in ("all_monomials", "monomial_unrank"):
+            if hasattr(mod, name):
+                real = getattr(mod, name)
+                monkeypatch.setattr(mod, name, lambda *a, real=real: calls.append(1) or real(*a))
+    Q = build_Q(60, 1, 3)
+    assert Q.dim == 3 * 61 ** 2 == pq_dimension("Q", 60, 1, 3)
+    assert len(calls) < 61 ** 3

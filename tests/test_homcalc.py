@@ -41,6 +41,7 @@ from equivar.homcalc import (
     _mapping_solutions,
     _mapping_solutions_generic,
     _orbit_relations,
+    _power_map,
     _quotient_by_radical,
     _resolution,
     _stable_subspace,
@@ -197,6 +198,54 @@ def test_fast_path_matches_elimination():
                 fast = _mapping_solutions(profile, tgt)
                 slow = _mapping_solutions_generic(profile, tgt)
                 assert SpanBasis(fast, tgt.dim) == SpanBasis(slow, tgt.dim)
+
+
+def _solver_pin_cases():
+    """(profile, target) pairs for the orbit solver's pin: Q, P, direct-sum
+    and filtration-layer targets, P and Q sources, the source bound below,
+    at and above the target's."""
+    for kind, r_shift in itertools.product("QP", (-1, 0, 1)):
+        for s, n, m, N in [(1, 1, 1, 3), (1, 2, 1, 3), (2, 1, 2, 3), (2, 2, 1, 4), (1, 0, 2, 4)]:
+            profile = PQFamily(kind, s - r_shift, n)
+            for tgt in _targets(s, m, N) + filtration_layers(s, m, N)[1]:
+                yield profile, tgt
+
+
+def test_mapping_solutions_are_pinned():
+    # the orbit solver's exact output, basis order and entries, recorded
+    # before it moved to flat arrays
+    rows = [[list(v.items()) for v in _mapping_solutions(profile, tgt)]
+            for profile, tgt in _solver_pin_cases()]
+    assert sum(map(len, rows)) == 2985
+    assert _digest(rows) == "c76348e4a6ba3e4416db091b8608f58866ed5ca780bb4b4c79af9415786bfa53"
+
+
+def _naive_power_map(cm, k):
+    out = list(range(len(cm)))
+    for _ in range(k):
+        out = [None if t is None else cm[t] for t in out]
+    return out
+
+
+def _random_partial_injection(rng, dim):
+    images = rng.sample(range(dim), rng.randint(0, dim))
+    sources = rng.sample(range(dim), len(images))
+    cm = [None] * dim
+    for t, u in zip(sources, images):
+        cm[t] = u
+    return cm
+
+
+def test_power_map_matches_repeated_composition():
+    # repeated squaring against k compositions, k = 0 and k past the point
+    # where x^(s+1) kills every label included
+    rng = random.Random(17)
+    maps = [cm for mod in (build_P(2, 1, 3), build_Q(3, 1, 3), build_Q(1, 2, 4))
+            for cm in mod.xmaps + mod.swaps]
+    maps += [_random_partial_injection(rng, rng.randint(0, 40)) for _ in range(40)]
+    for cm in maps:
+        for k in (*range(10), 13, 16, 31):
+            assert _power_map(cm, k) == _naive_power_map(cm, k)
 
 
 @pytest.mark.parametrize("kind", ["Q", "P"])
