@@ -16,8 +16,9 @@ modes build slot strands, whose last term holds one copy per composition of
 max_i + 1 into n parts (a single copy when s or n is 0, or for a P source).
 Stable Ext builds its coresolution at level N and a single P module at
 level N+1: the guard charges that P, and the last coresolution term, copies
-times dim P(s, n, N).  Truncated Ext charges its source, and the cochains of
-its last strand term, copies times the dimension of the target.
+times dim P(s, n, N).  Truncated Ext charges its source, and copies times the
+dimension of the target: an upper bound on the cochains of its last strand
+term, copies times the dimension of the solution space in the target.
 ``tor`` applies it to its complex, N copies of Q(s, 1, N), one per position;
 building Q touches only Q's own monomials, so nothing larger is charged.
 ``cas --op injective`` at m = n applies it to the morphism space [n] -> [n].

@@ -24,29 +24,34 @@ quotients, one variable per tuple slot.  So ``ext_truncated`` resolves a P
 or Q source by its slot strands, the same ``_strand_complex`` that
 ``coresolution_Q`` builds: degree j is one P(s, n, N) per composition of j
 into n parts (one P in all for a P source, or when s = 0).  The invariant
-maps from one P into T are its generator images, and the Hom differential
-applies the strand steps to them.  A source without a family (a free
-cover, a kernel, a changed basis) goes through the reference,
-``_ext_by_free_covers``, the way ``hom_generic`` is the reference for Hom.
-It resolves by minimal equivariant free covers: a cover on the fiber V has
-the label (mono, f) at rank(mono) * dim V + f, so its actions are Kronecker
-products, and only the image of each generator of F_i in F_(i-1) is kept.
+maps from one P into T are its generator images, a subspace S of T that
+every strand step keeps, so the Hom complex is the strand complex over S,
+each step restricted to S by ``Subspace.restrict``.  A source without a
+family (a free cover, a kernel, a changed basis) goes through the
+reference, ``_ext_by_free_covers``, the way ``hom_generic`` is the
+reference for Hom.  It resolves by minimal equivariant free covers: a cover
+on the fiber V has the label (mono, f) at rank(mono) * dim V + f, so its
+actions are Kronecker products, and only the image of each generator of F_i
+in F_(i-1) is kept.
 The Hom differential's block (f, f') is the sum of coeff * x^mono over the
 terms coeff * (mono, f') of generator f's image, and each degree's
 invariant maps V_i -> T come from elimination on all dim V_i * dim T
-entries.  A cover's section is the lift of its fiber when that lift
-commutes with every swap, and otherwise the lift's average over the group,
-enumerated once by ``_group_walk`` (each element an earlier one followed by
-one adjacent swap).
+entries, with the differential written in their coordinates
+(``Subspace.coords``).  A cover's section is the lift of its fiber when
+that lift commutes with every swap, and otherwise the lift's average over
+the group, enumerated once by ``_group_walk`` (each element an earlier one
+followed by one adjacent swap).
 
 Stable Ext: ``ext_stable`` coresolves the target Q family by P terms and
 takes the cohomology of the stable-Hom complex.  Term k is a direct sum of
 b_k copies of P, and the source constraints are label maps acting on each
 copy alone, so the stable space of a term is b_k copies of the stable space
-of P at N into P at N+1, and it is solved once per request.  Level N+1 enters
-only through that one P module: the differentials the answer uses are the
-level-N ones, so no coresolution is built at N+1.  Both Ext paths read
-their dimensions off one cohomology tail, ``_cohomology``.
+S of P at N into P at N+1, solved once per request.  The cochain complex is
+the strand complex over S, each strand block of P restricted to S (which
+checks exactly that the block keeps S).  Level N+1 enters only through that
+one P module, so no coresolution is built at N+1.  All three Ext paths read
+their dimensions off the ranks of their restricted differentials,
+``_cohomology``.
 """
 
 from __future__ import annotations
@@ -84,7 +89,6 @@ from .linalg import (
     kron,
     matrix_rank,
     nullspace,
-    rank_of_vectors,
     vec_axpy,
 )
 from .truncated_ring import RingConfig, monomial_word
@@ -393,7 +397,7 @@ def stable_hom(source: PQFamily, target, N: int) -> StableHomResult:
 
 def _tuple_power_map(P: EquivModule, pos: int, exp: int) -> list:
     """Label map of multiplication by (variable at tuple slot pos)^exp on a P module."""
-    powers = [_power_map(cm, exp) for cm in P.xmaps]
+    powers = P.xmaps if exp == 1 else [_power_map(cm, exp) for cm in P.xmaps]
     return [powers[T[pos]][col] for col, (T, _) in enumerate(P.labels)]
 
 
@@ -416,7 +420,7 @@ def _strand_complex(s: int, n: int, length: int, dim: int, block):
     for src, dst in zip(terms, terms[1:]):
         index = {b: t for t, b in enumerate(dst)}
         mat = SparseRationalMatrix(len(dst) * dim, len(src) * dim)
-        for c, a in enumerate(src):
+        for c, a in enumerate(src if dim else ()):  # with dim 0 no block is built
             for pos in range(len(a)):
                 key = (pos, s if a[pos] % 2 else 1)
                 if key not in entries:
@@ -453,44 +457,13 @@ def coresolution_Q(s: int, n: int, N: int, length: int) -> Complex:
     return cx
 
 
-def _in_copies(vectors, copies: int, dim: int) -> list:
-    """The vectors placed in each of ``copies`` blocks of size dim, copy by copy."""
-    return [{c * dim + t: v for t, v in vec.items()} for c in range(copies) for vec in vectors]
-
-
-def _stable_term_spaces(src: PQFamily, cx: Complex, P_big: EquivModule) -> list:
-    """The stable solution space of each P-type term of the coresolution cx.
-
-    Term k is a direct sum of copies of P = cx.modules[1], and the source
-    constraints are label maps acting on each copy alone.  So its space is
-    the stable space of P -> P_big, P_big the P module at level N+1, placed
-    in each copy at offset c * dim P.
-    """
-    P = cx.modules[1]
-    stable = _stable_subspace(_mapping_solutions(src, P), _mapping_solutions(src, P_big),
-                              P, P_big)
-    return [_in_copies(stable, T.dim // P.dim, P.dim) for T in cx.modules[1:]]
-
-
-def _images(d: SparseRationalMatrix, vectors) -> list:
-    """The nonzero images of the vectors under d, read off the columns the
-    vectors touch: one pass over d's rows, with no full transpose."""
-    cols: dict = {j: {} for v in vectors for j in v}
-    for i, row in enumerate(d.rows):
-        for j, x in row.items():
-            col = cols.get(j)
-            if col is not None:
-                col[i] = x
-    return [w for w in (apply_columns(cols, v) for v in vectors) if w]
-
-
-def _cohomology(spaces: list, images: list, dims: list) -> list:
-    """Cohomology dimensions of a cochain complex restricted to subspaces:
-    spaces[i] spans the degree-i cochains, images[i] holds their nonzero
-    images in degree i+1, of dimension dims[i].  Degree i, for each i with
-    images, has dimension len(spaces[i]) - rank_i - rank_(i-1)."""
-    ranks = [rank_of_vectors(w, dim) for w, dim in zip(images, dims)]
-    return [len(spaces[i]) - ranks[i] - (ranks[i - 1] if i else 0) for i in range(len(ranks))]
+def _cohomology(dims: list, diffs: list) -> list:
+    """Cohomology dimensions of a cochain complex with dims[i] cochains in
+    degree i and differential diffs[i] from degree i to degree i+1: degree
+    i, for each i with a differential, has dimension
+    dims[i] - rank d_i - rank d_(i-1)."""
+    ranks = [matrix_rank(d) for d in diffs]
+    return [dims[i] - ranks[i] - (ranks[i - 1] if i else 0) for i in range(len(ranks))]
 
 
 def ext_stable(s: int, n_source: int, n_target: int, N: int, max_degree: int) -> list:
@@ -501,16 +474,13 @@ def ext_stable(s: int, n_source: int, n_target: int, N: int, max_degree: int) ->
         raise ValueError("the degree bound must be nonnegative")
     src = PQFamily("Q", s, n_source)
     cx = coresolution_Q(s, n_target, N, max_degree + 2)
-    spaces = _stable_term_spaces(src, cx, _build_family("P", s, n_target, N + 1))
-    images = []
-    for k in range(max_degree + 1):
-        imgs = _images(cx.maps[k + 1].matrix, spaces[k]) if spaces[k] else []
-        if imgs:
-            span = SpanBasis(spaces[k + 1], cx.modules[k + 2].dim)
-            if not all(span.contains(w) for w in imgs):
-                raise AssemblyError("differential leaves the stable solution space")
-        images.append(imgs)
-    return _cohomology(spaces, images, [T.dim for T in cx.modules[2:]])
+    P, P_big = cx.modules[1], _build_family("P", s, n_target, N + 1)
+    sub = Subspace(_stable_subspace(_mapping_solutions(src, P), _mapping_solutions(src, P_big),
+                                    P, P_big), P.dim)
+    terms, diffs = _strand_complex(
+        s, n_target, max_degree + 2, sub.dim,
+        lambda pos, exp: sub.restrict(_map_matrix(_tuple_power_map(P, pos, exp))))
+    return _cohomology([len(t) * sub.dim for t in terms], diffs)
 
 
 # ---------------------------------------------------------------------------
@@ -525,10 +495,10 @@ def ext_truncated(M: EquivModule, T: EquivModule, max_i: int) -> list:
     parts (Eisenbud, Trans. AMS 260, 1980), and P is free.  By Frobenius
     reciprocity the invariant maps from one P into T are the generator
     images ``_mapping_solutions(PQFamily("P", s, n), T)``, and the Hom
-    differential applies the strand steps to them, x_pos acting as T's
-    variable pos.  Any other source goes through ``_ext_by_free_covers``.
-    Exact at the truncation; stable answers across truncations are the
-    business of ``ext_stable``.
+    complex is the strand complex over their span, x_pos acting as T's
+    variable pos restricted to it.  Any other source goes through
+    ``_ext_by_free_covers``.  Exact at the truncation; stable answers across
+    truncations are the business of ``ext_stable``.
     """
     if max_i < 0:
         raise ValueError("the degree bound must be nonnegative")
@@ -537,12 +507,10 @@ def ext_truncated(M: EquivModule, T: EquivModule, max_i: int) -> list:
     if M.family is None:
         return _ext_by_free_covers(M, T, max_i)
     kind, s, n = M.family
-    terms, diffs = _strand_complex(s, n if kind == "Q" else 0, max_i + 2, T.dim,
-                                   lambda pos, exp: T.xmul[pos].power(exp))
-    solutions = _mapping_solutions(PQFamily("P", s, n), T)
-    spaces = [_in_copies(solutions, len(t), T.dim) for t in terms]
-    images = [_images(d, space) for d, space in zip(diffs, spaces)]
-    return _cohomology(spaces, images, [d.nrows for d in diffs])
+    sub = Subspace(_mapping_solutions(PQFamily("P", s, n), T), T.dim)
+    terms, diffs = _strand_complex(s, n if kind == "Q" else 0, max_i + 2, sub.dim,
+                                   lambda pos, exp: sub.restrict(T.xmul[pos].power(exp)))
+    return _cohomology([len(t) * sub.dim for t in terms], diffs)
 
 
 # ---------------------------------------------------------------------------
@@ -718,10 +686,10 @@ def _ext_by_free_covers(M: EquivModule, T: EquivModule, max_i: int) -> list:
                              {fprime * dimT + tprime: v for tprime, v in row.items()})
         return d
 
-    inv_bases = [_hom_invariants_generic(rep, T) for rep in reps]
-    images = [_images(induced_differential(level), inv_bases[level - 1])
-              for level in range(1, max_i + 2)]
-    return _cohomology(inv_bases, images, [rep.dim * T.dim for rep in reps[1:]])
+    subs = [Subspace(_hom_invariants_generic(rep, T), rep.dim * T.dim) for rep in reps]
+    diffs = [subs[level].coords(induced_differential(level) @ subs[level - 1].B)
+             for level in range(1, max_i + 2)]
+    return _cohomology([sub.dim for sub in subs], diffs)
 
 
 # ---------------------------------------------------------------------------

@@ -368,14 +368,16 @@ class Subspace:
     """The span of a kernel basis in free-column form (``nullspace``,
     ``joint_kernel``) inside Q^ambient_dim.
 
-    ``B`` is the inclusion matrix, column k being basis vector k, and
-    ``free[k]`` is the row where vector k has its defining 1 and every other
-    vector vanishes, so a member's coordinates are its entries at those rows.
+    ``basis`` holds the vectors, ``B`` is the inclusion matrix, column k
+    being basis vector k, and ``free[k]`` is the row where vector k has its
+    defining 1 and every other vector vanishes, so a member's coordinates are
+    its entries at those rows.
     """
 
-    __slots__ = ("B", "free")
+    __slots__ = ("basis", "B", "free")
 
     def __init__(self, basis, ambient_dim: int):
+        self.basis = basis
         counts: dict = {}
         for v in basis:
             for k in v:
@@ -408,8 +410,28 @@ class Subspace:
 
     def restrict(self, mat: SparseRationalMatrix) -> SparseRationalMatrix:
         """The action of mat on the subspace: the coordinates of mat @ B;
-        raises AssemblyError when mat does not preserve the subspace."""
-        return self.coords(mat @ self.B)
+        raises AssemblyError when mat does not preserve the subspace.  The
+        image of each basis vector is read off the columns of mat it touches,
+        and checked to be the combination of the basis its free rows give."""
+        if mat.ncols != self.B.nrows:
+            raise ValueError(f"shape mismatch: {mat.ncols} != {self.B.nrows}")
+        basis = self.basis
+        cols: dict = {j: {} for v in basis for j in v}
+        for i, row in enumerate(mat.rows):
+            for j, x in row.items():
+                col = cols.get(j)
+                if col is not None:
+                    col[i] = x
+        index = {r: t for t, r in enumerate(self.free)}
+        out = SparseRationalMatrix(self.dim, self.dim)
+        for k, v in enumerate(basis):
+            image = apply_columns(cols, v)
+            coords = {index[r]: x for r, x in image.items() if r in index}
+            if apply_columns(basis, coords) != image:
+                raise AssemblyError("a vector leaves the subspace")
+            for t, x in coords.items():
+                out.rows[t][k] = x
+        return out
 
 
 def solve_columns(A: SparseRationalMatrix, ys) -> list:

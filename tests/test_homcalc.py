@@ -45,7 +45,6 @@ from equivar.homcalc import (
     _quotient_by_radical,
     _resolution,
     _stable_subspace,
-    _stable_term_spaces,
     _strand_complex,
     _tor_label_maps,
 )
@@ -53,6 +52,7 @@ from equivar.linalg import (
     ONE,
     SpanBasis,
     SparseRationalMatrix,
+    Subspace,
     apply_columns,
     kernel_of_vectors,
     matrix_rank,
@@ -524,11 +524,16 @@ def test_coresolution_is_pinned(params):
 ])
 def test_term_spaces_match_the_direct_sums(s, n_source, n_target, N, length):
     # the reference solves every term as a whole direct sum against the
-    # matching term of the level-(N+1) coresolution
+    # matching term of the level-(N+1) coresolution; each space under test
+    # is P's stable space placed in each copy of P, as ext_stable reads it
     src = PQFamily("Q", s, n_source)
     cx = coresolution_Q(s, n_target, N, length)
     cx_big = coresolution_Q(s, n_target, N + 1, length)
-    spaces = _stable_term_spaces(src, cx, build_P(s, n_target, N + 1))
+    P, P_big = cx.modules[1], build_P(s, n_target, N + 1)
+    stable = _stable_subspace(_mapping_solutions(src, P), _mapping_solutions(src, P_big),
+                              P, P_big)
+    spaces = [[{c * P.dim + t: v for t, v in vec.items()}
+               for c in range(T.dim // P.dim) for vec in stable] for T in cx.modules[1:]]
     assert len(spaces) == length
     for space, T, T_big in zip(spaces, cx.modules[1:], cx_big.modules[1:]):
         ref = (_stable_subspace(_mapping_solutions(src, T), _mapping_solutions(src, T_big), T, T_big)
@@ -723,6 +728,17 @@ def test_ext_truncated_table_is_pinned(key):
     assert got == EXT_TRUNCATED_TABLE[key]
 
 
+@pytest.mark.parametrize("src,tgt,max_i,expected", [
+    ((build_Q, 2, 2, 5), (build_P, 2, 3, 5), 2, [297, 0, 0]),
+    ((build_Q, 1, 3, 5), (build_Q, 1, 2, 5), 4, [31, 48, 66, 84, 102]),
+], ids=["Q225-P235", "Q135-Q125"])
+def test_ext_truncated_above_the_ext_vanish_grid(src, tgt, max_i, expected):
+    # N = 5 and three slot strands, past the ext-vanish grid; the second
+    # point has nonzero positive degrees
+    (build_src, *src_params), (build_tgt, *tgt_params) = src, tgt
+    assert ext_truncated(build_src(*src_params), build_tgt(*tgt_params), max_i) == expected
+
+
 # the ext-truncated requests of perfbench/workloads.py, Q(s, n, N) into
 # P(s, d, N): the ext-vanish grid, plus N = 4 for s in 0..1
 PERFBENCH_EXT_TRUNCATED = (
@@ -755,16 +771,20 @@ def test_strands_match_free_covers_on_small_pq_pairs(s):
 
 @pytest.mark.parametrize("s", range(3))
 def test_strand_cochain_differentials_compose_to_zero(s):
-    # on label-map, matrix-only and zero targets, up to three slot strands
+    # on label-map, matrix-only and zero targets, up to three slot strands,
+    # with T's blocks and with their restriction to Hom(P(s, n, N), T)
     for N in range(1, 4):
         for n in range(1, N + 1):
             targets = [*_targets(s, min(n, 2), N), _matrix_copy(build_Q(s, 1, N)),
                        _zero_module(s, N)]
             for T in targets:
-                _, diffs = _strand_complex(s, n, 5, T.dim,
-                                           lambda pos, exp, T=T: T.xmul[pos].power(exp))
-                for d, e in zip(diffs, diffs[1:]):
-                    assert (e @ d).is_zero(), (N, n, T.name)
+                sub = Subspace(_mapping_solutions(PQFamily("P", s, n), T), T.dim)
+                for dim, block in ((T.dim, lambda pos, exp, T=T: T.xmul[pos].power(exp)),
+                                   (sub.dim, lambda pos, exp, T=T, sub=sub:
+                                    sub.restrict(T.xmul[pos].power(exp)))):
+                    _, diffs = _strand_complex(s, n, 5, dim, block)
+                    for d, e in zip(diffs, diffs[1:]):
+                        assert (e @ d).is_zero(), (N, n, T.name, dim)
 
 
 def test_truncated_ext_of_families_builds_no_free_cover(monkeypatch, capsys):

@@ -246,6 +246,44 @@ def test_subspace_check_fails_outside_the_subspace():
         Subspace([{0: Fraction(2)}], 1)
 
 
+@st.composite
+def subspace_actions(draw):
+    """n and dense small integer matrices (A, Y, C, W, E), A having n
+    columns: the subspace is ker A, and B @ Y @ C + W @ A (B its inclusion,
+    Y and C cut to its dimension) preserves it."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(0, 3))
+
+    def dense(rows, cols):
+        return draw(st.lists(st.lists(st.integers(-2, 2), min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows))
+
+    return n, dense(m, n), dense(n, n), dense(n, n), dense(n, m), dense(n, n)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(subspace_actions())
+def test_subspace_restrict_matches_coords_of_the_product(case):
+    # the oracle is the former restrict, coords(mat @ B), on int and Fraction entries
+    n, *dense = case
+    for wrap in (int, Fraction):
+        A, Y, C, W, E = [SparseRationalMatrix.from_entries(
+            len(d), len(d[0]) if d else n, [(i, j, wrap(v)) for i, row in enumerate(d)
+                                           for j, v in enumerate(row)]) for d in dense]
+        sub = Subspace(nullspace(A), n)
+        k = sub.dim
+        Y = SparseRationalMatrix(k, k, [{j: v for j, v in r.items() if j < k} for r in Y.rows[:k]])
+        C = SparseRationalMatrix(k, n, C.rows[:k])
+        for mat, inside in ((sub.B @ Y @ C + W @ A, True), (sub.B @ Y @ C + W @ A + E, False)):
+            try:
+                expected = sub.coords(mat @ sub.B)
+            except AssemblyError:
+                assert not inside
+                with pytest.raises(AssemblyError):
+                    sub.restrict(mat)
+                continue
+            assert sub.restrict(mat) == expected
+
+
 def _all_ints(mat):
     return all(type(v) is int for row in mat.rows for v in row.values())
 
