@@ -160,7 +160,7 @@ class Induced(FIModule):
                       for c in range(self.rep.n - 1)]
             return Subspace(joint_kernel(blocks, big), big)
 
-        return self._cached(("incl", m), build)
+        return self._cached(("invariants", m), build)
 
     def dim(self, m):
         return self._invariants(m).dim
@@ -171,7 +171,7 @@ class Induced(FIModule):
     def map(self, f, m_src, m_tgt):
         _check_injection(f, m_src, m_tgt)
         plain = kron(self._plain.map(f, m_src, m_tgt), SparseRationalMatrix.identity(self.rep.dim))
-        return self._invariants(m_tgt).coords(plain @ self._invariants(m_src).B)
+        return self._invariants(m_tgt).restrict(plain, self._invariants(m_src))
 
     def __repr__(self):
         return f"Induced(n={self.rep.n}, dim={self.rep.dim})"

@@ -25,8 +25,9 @@ or Q source by its slot strands, the same ``_strand_complex`` that
 ``coresolution_Q`` builds: degree j is one P(s, n, N) per composition of j
 into n parts (one P in all for a P source, or when s = 0).  The invariant
 maps from one P into T are its generator images, a subspace S of T that
-every strand step keeps, so the Hom complex is the strand complex over S,
-each step restricted to S by ``Subspace.restrict``.  A source without a
+every variable keeps, so the Hom complex is the strand complex over S:
+``_strand_cohomology`` restricts each slot variable to S once, by
+``Subspace.restrict``, and takes its s-th power there.  A source without a
 family (a free cover, a kernel, a changed basis) goes through the
 reference, ``_ext_by_free_covers``, the way ``hom_generic`` is the
 reference for Hom.  It resolves by minimal equivariant free covers: a cover
@@ -36,22 +37,22 @@ in F_(i-1) is kept.
 The Hom differential's block (f, f') is the sum of coeff * x^mono over the
 terms coeff * (mono, f') of generator f's image, and each degree's
 invariant maps V_i -> T come from elimination on all dim V_i * dim T
-entries, with the differential written in their coordinates
-(``Subspace.coords``).  A cover's section is the lift of its fiber when
-that lift commutes with every swap, and otherwise the lift's average over
-the group, enumerated once by ``_group_walk`` (each element an earlier one
-followed by one adjacent swap).
+entries, with the differential restricted from one degree's invariants to
+the next's (``Subspace.restrict``).  A cover's section is the lift of its
+fiber when that lift commutes with every swap, and otherwise the lift's
+average over the group, enumerated once by ``_group_walk`` (each element an
+earlier one followed by one adjacent swap).
 
 Stable Ext: ``ext_stable`` coresolves the target Q family by P terms and
 takes the cohomology of the stable-Hom complex.  Term k is a direct sum of
 b_k copies of P, and the source constraints are label maps acting on each
 copy alone, so the stable space of a term is b_k copies of the stable space
 S of P at N into P at N+1, solved once per request.  The cochain complex is
-the strand complex over S, each strand block of P restricted to S (which
-checks exactly that the block keeps S).  Level N+1 enters only through that
-one P module, so no coresolution is built at N+1.  All three Ext paths read
-their dimensions off the ranks of their restricted differentials,
-``_cohomology``.
+the strand complex over S, read by the same ``_strand_cohomology`` from the
+slot variables of P (restricting one checks exactly that it keeps S).
+Level N+1 enters only through that one P module, so no coresolution is
+built at N+1.  All three Ext paths read their dimensions off the ranks of
+their restricted differentials, ``_cohomology``.
 """
 
 from __future__ import annotations
@@ -364,7 +365,7 @@ def _stable_subspace(solutions, big_solutions, small: EquivModule,
     if small.xmaps is not None and big.xmaps is not None:
         columns = _orbit_relations(pushed, big_solutions)
     else:
-        span = SpanBasis(big_solutions, big.dim)
+        span = Subspace(big_solutions, big.dim)
         columns = [span.residue(w) for w in pushed]
     kept = []
     for coeffs in kernel_of_vectors(columns):
@@ -466,6 +467,16 @@ def _cohomology(dims: list, diffs: list) -> list:
     return [dims[i] - ranks[i] - (ranks[i - 1] if i else 0) for i in range(len(ranks))]
 
 
+def _strand_cohomology(s: int, n: int, length: int, sub: Subspace, slot) -> list:
+    """Cohomology of the first ``length`` strand terms over the subspace sub,
+    slot(pos) being the variable at tuple slot pos on sub's ambient space:
+    each is restricted to sub once (``restrict`` checks that it keeps sub),
+    and its powers are taken there."""
+    xs = [sub.restrict(slot(pos)) for pos in range(n)]
+    terms, diffs = _strand_complex(s, n, length, sub.dim, lambda pos, exp: xs[pos].power(exp))
+    return _cohomology([len(t) * sub.dim for t in terms], diffs)
+
+
 def ext_stable(s: int, n_source: int, n_target: int, N: int, max_degree: int) -> list:
     """Stable self/cross Ext of Q families in degrees 0..max_degree, as
     cohomology of the stable-Hom complex of an exact coresolution of the
@@ -477,10 +488,8 @@ def ext_stable(s: int, n_source: int, n_target: int, N: int, max_degree: int) ->
     P, P_big = cx.modules[1], _build_family("P", s, n_target, N + 1)
     sub = Subspace(_stable_subspace(_mapping_solutions(src, P), _mapping_solutions(src, P_big),
                                     P, P_big), P.dim)
-    terms, diffs = _strand_complex(
-        s, n_target, max_degree + 2, sub.dim,
-        lambda pos, exp: sub.restrict(_map_matrix(_tuple_power_map(P, pos, exp))))
-    return _cohomology([len(t) * sub.dim for t in terms], diffs)
+    return _strand_cohomology(s, n_target, max_degree + 2, sub,
+                              lambda pos: _map_matrix(_tuple_power_map(P, pos, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -508,9 +517,8 @@ def ext_truncated(M: EquivModule, T: EquivModule, max_i: int) -> list:
         return _ext_by_free_covers(M, T, max_i)
     kind, s, n = M.family
     sub = Subspace(_mapping_solutions(PQFamily("P", s, n), T), T.dim)
-    terms, diffs = _strand_complex(s, n if kind == "Q" else 0, max_i + 2, sub.dim,
-                                   lambda pos, exp: sub.restrict(T.xmul[pos].power(exp)))
-    return _cohomology([len(t) * sub.dim for t in terms], diffs)
+    return _strand_cohomology(s, n if kind == "Q" else 0, max_i + 2, sub,
+                              lambda pos: T.xmul[pos])
 
 
 # ---------------------------------------------------------------------------
@@ -541,8 +549,7 @@ def _quotient_by_radical(M: EquivModule):
     is the lift of the free coordinates when it commutes with every swap,
     else the lift averaged over the group; both are checked to split."""
     radical = SpanBasis([c for x in M.xmul for c in x.columns()], M.dim)
-    leads = set(radical.leads)
-    free = [t for t in range(M.dim) if t not in leads]
+    free = [t for t in range(M.dim) if t not in radical.free]
     pos = {f: t for t, f in enumerate(free)}
 
     def pi_matrix(mat: SparseRationalMatrix) -> SparseRationalMatrix:
@@ -617,12 +624,12 @@ def _free_cover(M: EquivModule):
 
 
 def _kernel_module(F: EquivModule, d: SparseRationalMatrix):
-    """The kernel of d as a module, with its inclusion matrix into F."""
+    """The kernel of d as a module, with its basis in F (label t is vector t)."""
     ker = Subspace(nullspace(d), F.dim)
     K = EquivModule(F.cfg, [("ker", t) for t in range(ker.dim)],
                     [ker.restrict(m) for m in F.xmul], [ker.restrict(m) for m in F.coxeter],
                     name=f"ker({F.name})")
-    return K, ker.B
+    return K, ker.basis
 
 
 def _resolution(M: EquivModule, levels: int):
@@ -632,7 +639,7 @@ def _resolution(M: EquivModule, levels: int):
     (F_{-1} = M).  The kernel of the last cover is not built."""
     reps, gens, free_mods = [], [], []
     current = M
-    inc_cols = None  # columns of the kernel inclusion into the previous free module
+    inc_cols = None  # the kernel basis in the previous free module
     for level in range(levels):
         F, cover, rep = _free_cover(current)
         # generator f is the label ((0,)*N, f), column f of the cover
@@ -643,8 +650,7 @@ def _resolution(M: EquivModule, levels: int):
         gens.append(images)
         free_mods.append(F)
         if level < levels - 1:
-            current, inclusion = _kernel_module(F, cover.matrix)
-            inc_cols = inclusion.columns()
+            current, inc_cols = _kernel_module(F, cover.matrix)
     return reps, gens, free_mods
 
 
@@ -687,7 +693,7 @@ def _ext_by_free_covers(M: EquivModule, T: EquivModule, max_i: int) -> list:
         return d
 
     subs = [Subspace(_hom_invariants_generic(rep, T), rep.dim * T.dim) for rep in reps]
-    diffs = [subs[level].coords(induced_differential(level) @ subs[level - 1].B)
+    diffs = [subs[level].restrict(induced_differential(level), subs[level - 1])
              for level in range(1, max_i + 2)]
     return _cohomology([sub.dim for sub in subs], diffs)
 

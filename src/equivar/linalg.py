@@ -10,10 +10,13 @@ and Fractions compare and hash alike, so results are the same whichever
 type holds a value.  All eliminations pick the leading column
 deterministically and never touch floating point, so ranks and nullities
 are exact integers and repeated runs are byte-for-byte reproducible.
+A span is one type, ``Subspace``, whose ``SpanBasis`` constructor brings
+any spanning family to its reduced form.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 ZERO = 0
@@ -321,117 +324,91 @@ def kernel_of_vectors(columns) -> list:
     return Echelon(len(columns), (rows.pop(i) for i in sorted(rows))).kernel_basis()
 
 
-class SpanBasis:
-    """Reduced basis of the span of a family of dict-vectors.
+class Subspace:
+    """A span inside Q^ambient_dim, its basis in reduced form: ``free``
+    maps, in basis order, a row r to k when ``basis[k]`` is 1 at r and every
+    other basis vector vanishes there, so a member's coordinates are its
+    entries at the free rows.  A kernel basis from ``nullspace`` or
+    ``joint_kernel`` is in this form as it comes, and so are indicators of
+    disjoint label sets."""
 
-    After construction each basis vector has a distinct leading index with
-    coefficient 1 and zeros at the other leading indices, so membership tests
-    and coordinate extraction are a single sparse reduction.
-    """
+    __slots__ = ("ambient_dim", "basis", "free")
 
-    def __init__(self, vectors, ambient_dim: int):
+    def __init__(self, basis, ambient_dim: int):
         self.ambient_dim = ambient_dim
-        ech = Echelon(ambient_dim, vectors)
-        ech.back_substitute()
-        self.leads = sorted(ech.pivots)
-        self.vectors = [ech.pivots[c] for c in self.leads]
+        self.basis = basis
+        counts = Counter(k for v in basis for k in v)
+        self.free: dict = {}
+        for t, v in enumerate(basis):
+            cands = [k for k, val in v.items() if val == ONE and counts[k] == 1]
+            if not cands:
+                raise AssemblyError("basis is not in free-column form")
+            self.free[min(cands)] = t
 
     @property
     def dim(self) -> int:
-        return len(self.vectors)
+        return len(self.basis)
 
     def residue(self, w: dict) -> dict:
-        """w minus the member of the span that agrees with it at the leading
-        indices: linear in w, empty exactly when w is in the span."""
+        """w minus the member of the span that agrees with it at the free
+        rows: linear in w, empty exactly when w is in the span."""
         out = dict(w)
-        for c, vec in zip(self.leads, self.vectors):
-            if c in w:
-                vec_axpy(out, -w[c], vec)
+        for r, x in w.items():
+            t = self.free.get(r)
+            if t is not None:
+                vec_axpy(out, -x, self.basis[t])
         return out
 
     def coords(self, w: dict) -> list:
         """Coordinates of w in this basis; raises ValueError if w is outside."""
         if self.residue(w):
             raise ValueError("vector is not in the span")
-        return [w.get(c, ZERO) for c in self.leads]
+        return [w.get(r, ZERO) for r in self.free]
 
     def contains(self, w: dict) -> bool:
         return not self.residue(w)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, SpanBasis):
+        if not isinstance(other, Subspace):
             return NotImplemented
-        return self.leads == other.leads and self.vectors == other.vectors
+        return self.free == other.free and self.basis == other.basis
 
-
-class Subspace:
-    """The span of a kernel basis in free-column form (``nullspace``,
-    ``joint_kernel``) inside Q^ambient_dim.
-
-    ``basis`` holds the vectors, ``B`` is the inclusion matrix, column k
-    being basis vector k, and ``free[k]`` is the row where vector k has its
-    defining 1 and every other vector vanishes, so a member's coordinates are
-    its entries at those rows.
-    """
-
-    __slots__ = ("basis", "B", "free")
-
-    def __init__(self, basis, ambient_dim: int):
-        self.basis = basis
-        counts: dict = {}
-        for v in basis:
-            for k in v:
-                counts[k] = counts.get(k, 0) + 1
-        self.free = []
-        for v in basis:
-            cands = [k for k, val in v.items() if val == ONE and counts[k] == 1]
-            if not cands:
-                raise AssemblyError("kernel basis is not in free-column form")
-            self.free.append(min(cands))
-        self.B = SparseRationalMatrix(ambient_dim, len(basis))
-        for col, v in enumerate(basis):
-            for r, val in v.items():
-                self.B.set(r, col, val)
-
-    @property
-    def dim(self) -> int:
-        return self.B.ncols
-
-    def coords(self, prod: SparseRationalMatrix) -> SparseRationalMatrix:
-        """The matrix X with B @ X == prod, read off prod's free rows; raises
-        AssemblyError when a column of prod leaves the subspace."""
-        out = SparseRationalMatrix(self.dim, prod.ncols)
-        for t, r in enumerate(self.free):
-            for j, v in prod.rows[r].items():
-                out.set(t, j, v)
-        if (self.B @ out) != prod:
-            raise AssemblyError("a vector leaves the subspace")
-        return out
-
-    def restrict(self, mat: SparseRationalMatrix) -> SparseRationalMatrix:
-        """The action of mat on the subspace: the coordinates of mat @ B;
-        raises AssemblyError when mat does not preserve the subspace.  The
-        image of each basis vector is read off the columns of mat it touches,
-        and checked to be the combination of the basis its free rows give."""
-        if mat.ncols != self.B.nrows:
-            raise ValueError(f"shape mismatch: {mat.ncols} != {self.B.nrows}")
-        basis = self.basis
-        cols: dict = {j: {} for v in basis for j in v}
+    def restrict(self, mat: SparseRationalMatrix, source=None) -> SparseRationalMatrix:
+        """The matrix of mat from the subspace source (by default this one)
+        to this one: column k holds the coordinates of mat applied to
+        source's basis vector k.  Each image is read off the columns of mat
+        it touches; raises AssemblyError when one leaves this subspace."""
+        source = self if source is None else source
+        if (mat.nrows, mat.ncols) != (self.ambient_dim, source.ambient_dim):
+            raise ValueError(f"shape mismatch: {mat.nrows}x{mat.ncols} != "
+                             f"{self.ambient_dim}x{source.ambient_dim}")
+        cols: dict = {j: {} for v in source.basis for j in v}
         for i, row in enumerate(mat.rows):
             for j, x in row.items():
                 col = cols.get(j)
                 if col is not None:
                     col[i] = x
-        index = {r: t for t, r in enumerate(self.free)}
-        out = SparseRationalMatrix(self.dim, self.dim)
-        for k, v in enumerate(basis):
+        out = SparseRationalMatrix(self.dim, source.dim)
+        for k, v in enumerate(source.basis):
             image = apply_columns(cols, v)
-            coords = {index[r]: x for r, x in image.items() if r in index}
-            if apply_columns(basis, coords) != image:
+            if self.residue(image):
                 raise AssemblyError("a vector leaves the subspace")
-            for t, x in coords.items():
-                out.rows[t][k] = x
+            for r, x in image.items():
+                t = self.free.get(r)
+                if t is not None:
+                    out.rows[t][k] = x
         return out
+
+
+class SpanBasis(Subspace):
+    """The reduced row-echelon basis of the span of any family of
+    dict-vectors, as a ``Subspace``: each basis vector's free row is its
+    leading index, and the basis is sorted by it."""
+
+    def __init__(self, vectors, ambient_dim: int):
+        ech = Echelon(ambient_dim, vectors)
+        ech.back_substitute()
+        super().__init__([ech.pivots[c] for c in sorted(ech.pivots)], ambient_dim)
 
 
 def solve_columns(A: SparseRationalMatrix, ys) -> list:

@@ -81,7 +81,7 @@ def test_hom_generic_contains_identity():
         for (i, j, num, den) in f.matrix.to_triplets():
             vec[j * m.dim + i] = Fraction(num, den)
         vecs.append(vec)
-    assert SpanBasis(vecs, m.dim * m.dim).contains(span.vectors[0])
+    assert SpanBasis(vecs, m.dim * m.dim).contains(span.basis[0])
     assert len(maps) >= 1
 
 
@@ -134,9 +134,17 @@ def test_hom_invariants_generic_is_pinned():
             == "daa4edf5b7c3a3507e548eb34be43f61820b8d80f6a49d6e923514980bbebe94")
 
 
+def _kernel_with_inclusion(F, d):
+    """``_kernel_module(F, d)`` with its inclusion matrix into F, column t
+    being kernel basis vector t."""
+    K, basis = _kernel_module(F, d)
+    return K, SparseRationalMatrix.from_entries(
+        F.dim, len(basis), [(r, t, v) for t, vec in enumerate(basis) for r, v in vec.items()])
+
+
 def test_kernel_module_is_pinned():
     F, cover, _ = _free_cover(build_Q(1, 1, 3))
-    K, B = _kernel_module(F, cover.matrix)
+    K, B = _kernel_with_inclusion(F, cover.matrix)
     assert K.dim == 12
     assert (_digest({"module": K.to_json_dict(), "inclusion": B.to_triplets()})
             == "937322596759699915f09e5c6ede6659cbf6176645c5b43bf248a123ef318dad")
@@ -623,7 +631,7 @@ def test_walk_section_matches_average_over_all_words(build):
     # the reference: average perm_matrix(g) @ lift @ rep.matrix(g^-1) over
     # the N! permutations, each through its own coxeter word
     radical = SpanBasis([c for x in M.xmul for c in x.columns()], M.dim)
-    free = [t for t in range(M.dim) if t not in set(radical.leads)]
+    free = [t for t in range(M.dim) if t not in set(radical.free)]
     lift = SparseRationalMatrix(M.dim, len(free))
     for t, f in enumerate(free):
         lift.set(f, t, 1)
@@ -652,7 +660,7 @@ def test_skewed_basis_takes_the_averaged_section():
     assert sorted({v for row in sec.rows for v in row.values()}) == [
         Fraction(-1, 2), Fraction(1, 2), 1]
     radical = SpanBasis([c for x in M.xmul for c in x.columns()], M.dim)
-    free = [t for t in range(M.dim) if t not in set(radical.leads)]
+    free = [t for t in range(M.dim) if t not in set(radical.free)]
     assert [radical.residue(col) for col in sec.columns()] == [{t: 1} for t in free]
     for j in range(M.cfg.N - 1):
         assert M.coxeter[j] @ sec == sec @ rep.coxeter[j]
@@ -831,7 +839,7 @@ def test_resolution_generator_images_match_full_differentials(build):
         full = cover.matrix if inclusion is None else inclusion @ cover.matrix
         generators = [F.label_index[((0,) * M.cfg.N, f)] for f in range(rep.dim)]
         assert gens[level] == [full.column(col) for col in generators]
-        current, inclusion = _kernel_module(F, cover.matrix)
+        current, inclusion = _kernel_with_inclusion(F, cover.matrix)
 
 
 # --- the periodic Tor ---------------------------------------------------------------
@@ -862,7 +870,7 @@ def _subspace_character(C, span):
     for mu in partitions(N):
         cols = C.perm_matrix(representative_permutation(mu)).columns()
         vals[mu] = sum(span.coords(apply_columns(cols, vec))[t]
-                       for t, vec in enumerate(span.vectors))
+                       for t, vec in enumerate(span.basis))
     return ClassFunction(N, vals)
 
 
@@ -935,7 +943,7 @@ def oracle_tor_dims_via_minimal_covers(s, N, r_max):
     the resolution down to its generator fibers, and take homology ranks."""
     from fractions import Fraction
 
-    from equivar.homcalc import _free_cover, _kernel_module
+    from equivar.homcalc import _free_cover
 
     Q = build_Q(s, 1, N)
     qdim = Q.dim
@@ -946,8 +954,7 @@ def oracle_tor_dims_via_minimal_covers(s, N, r_max):
         diffs.append(cover.matrix if inclusion is None else inclusion @ cover.matrix)
         reps.append(rep)
         free_mods.append(F)
-        K, B = _kernel_module(F, cover.matrix)
-        current, inclusion = K, B
+        current, inclusion = _kernel_with_inclusion(F, cover.matrix)
 
     def mono_action(mono):
         from equivar.linalg import SparseRationalMatrix

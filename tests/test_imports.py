@@ -1,6 +1,6 @@
 """Every name a package module imports is used there or re-exported, every
-name it exports is bound there, and every function or class it defines is
-named somewhere else in the sources."""
+name it exports is bound there, and every function, class or method it
+defines is named somewhere else in the sources."""
 
 import ast
 import re
@@ -76,10 +76,14 @@ def test_undefined_export_is_reported():
 WORD = re.compile(r"\w+")
 
 
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
 def unreferenced_definitions(modules: dict, others=()) -> list:
-    """Module-level functions and classes of ``modules`` (name -> source)
-    whose name occurs in no source outside its own definition and its
-    module's ``__all__``; ``others`` are further sources that may use them."""
+    """Module-level functions and classes of ``modules`` (name -> source),
+    and the methods of those classes other than dunders, whose name occurs
+    in no source outside its own definition and its module's ``__all__``;
+    ``others`` are further sources that may use them."""
     words = Counter()
     for text in [*modules.values(), *others]:
         words.update(WORD.findall(text))
@@ -89,15 +93,17 @@ def unreferenced_definitions(modules: dict, others=()) -> list:
         body = ast.parse(source).body
         listed = [node for node in body if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)]
-        for node in body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
+        defs = [(node, module, [node, *listed]) for node in body if isinstance(node, DEFS)]
+        defs += [(meth, f"{module}.{cls.name}", [meth]) for cls, *_ in defs
+                 if isinstance(cls, ast.ClassDef) for meth in cls.body
+                 if isinstance(meth, DEFS) and not meth.name.startswith("__")]
+        for node, owner, spans in defs:
             own = 0
-            for span in [node, *listed]:
+            for span in spans:
                 text = "\n".join(lines[span.lineno - 1:span.end_lineno])
                 own += WORD.findall(text).count(node.name)
             if words[node.name] == own:
-                found.append(f"{module}.{node.name}")
+                found.append(f"{owner}.{node.name}")
     return sorted(found)
 
 
@@ -114,3 +120,11 @@ def test_unreferenced_definition_is_reported():
                     "def g():\n    pass\nclass C:\n    pass\nclass D:\n    pass\n",
                "b": "def h():\n    return C\n"}
     assert unreferenced_definitions(modules, ["D()"]) == ["a.f", "a.g", "b.h"]
+
+
+def test_unreferenced_method_is_reported():
+    modules = {"a": "class C:\n    def __init__(self):\n        self.f()\n"
+                    "    def f(self):\n        return self.f\n"
+                    "    @property\n    def g(self):\n        return 1\n"
+                    "    def h(self):\n        pass\n"}
+    assert unreferenced_definitions(modules, ["C().h()"]) == ["a.C.g"]

@@ -130,9 +130,9 @@ def test_span_basis_residue_against_dense_oracle():
     # the residue is empty exactly on members of the span (a rank oracle
     # decides membership) and is linear; coords keeps its former reduction
     def former_coords(span, w):
-        coeffs = [w.get(c, Fraction(0)) for c in span.leads]
+        coeffs = [w.get(c, Fraction(0)) for c in span.free]
         residue = dict(w)
-        for c, vec in zip(coeffs, span.vectors):
+        for c, vec in zip(coeffs, span.basis):
             for k, v in vec.items():
                 residue[k] = residue.get(k, 0) - c * v
         if any(residue.values()):
@@ -229,10 +229,11 @@ def test_subspace_restrict_and_coords():
     # the vectors of Q^3 fixed by swapping the first two coordinates
     swap = SparseRationalMatrix.from_entries(3, 3, [(0, 1, 1), (1, 0, 1), (2, 2, 1)])
     sub = Subspace(nullspace(swap - SparseRationalMatrix.identity(3)), 3)
-    assert sub.B.to_dense() == [[1, 0], [1, 0], [0, 1]]
+    assert sub.basis == [{0: 1, 1: 1}, {2: 1}] and sub.free == {0: 0, 2: 1}
     act = SparseRationalMatrix.from_entries(3, 3, [(0, 1, 1), (1, 0, 1), (2, 2, 2)])
     assert sub.restrict(act).to_dense() == [[1, 0], [0, 2]]
-    assert sub.coords(sub.B) == SparseRationalMatrix.identity(2)
+    assert [sub.coords(v) for v in sub.basis] == [[1, 0], [0, 1]]
+    assert sub.coords({0: 3, 1: 3, 2: -1}) == [3, -1]
 
 
 def test_subspace_check_fails_outside_the_subspace():
@@ -240,10 +241,16 @@ def test_subspace_check_fails_outside_the_subspace():
     stretch = SparseRationalMatrix.from_entries(2, 2, [(0, 0, 1), (1, 1, 2)])
     with pytest.raises(AssemblyError):
         sub.restrict(stretch)
-    with pytest.raises(AssemblyError):
-        sub.coords(SparseRationalMatrix.from_entries(2, 1, [(0, 0, 1)]))
+    with pytest.raises(ValueError):
+        sub.coords({0: Fraction(1)})
     with pytest.raises(AssemblyError):  # no free row: not in free-column form
         Subspace([{0: Fraction(2)}], 1)
+    # a map into or out of another ambient space is refused by its shape
+    plane = Subspace([{0: 1}, {1: 1}], 3)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        plane.restrict(SparseRationalMatrix.from_entries(2, 3, [(0, 0, 1), (1, 1, 1)]))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        plane.restrict(SparseRationalMatrix.identity(3), sub)
 
 
 @st.composite
@@ -260,28 +267,52 @@ def subspace_actions(draw):
     return n, dense(m, n), dense(n, n), dense(n, n), dense(n, m), dense(n, n)
 
 
+def _inclusion(sub):
+    """The matrix whose column k is sub's basis vector k."""
+    return SparseRationalMatrix.from_entries(
+        sub.ambient_dim, sub.dim, [(r, k, v) for k, vec in enumerate(sub.basis)
+                                   for r, v in vec.items()])
+
+
+def _former_coords(sub, prod):
+    """The former matrix ``coords``: the X with B @ X == prod, read off
+    prod's free rows; AssemblyError when a column of prod leaves sub."""
+    out = SparseRationalMatrix(sub.dim, prod.ncols)
+    for t, r in enumerate(sub.free):
+        for j, v in prod.rows[r].items():
+            out.set(t, j, v)
+    if _inclusion(sub) @ out != prod:
+        raise AssemblyError("a vector leaves the subspace")
+    return out
+
+
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(subspace_actions())
 def test_subspace_restrict_matches_coords_of_the_product(case):
-    # the oracle is the former restrict, coords(mat @ B), on int and Fraction entries
+    # the oracle is the former restrict, coords(mat @ B), on int and Fraction
+    # entries; the rectangular input maps ker A into ker A x Q, one row more
     n, *dense = case
     for wrap in (int, Fraction):
         A, Y, C, W, E = [SparseRationalMatrix.from_entries(
             len(d), len(d[0]) if d else n, [(i, j, wrap(v)) for i, row in enumerate(d)
                                            for j, v in enumerate(row)]) for d in dense]
         sub = Subspace(nullspace(A), n)
+        wide = Subspace(nullspace(SparseRationalMatrix(A.nrows, n + 1, A.rows)), n + 1)
         k = sub.dim
+        B = _inclusion(sub)
         Y = SparseRationalMatrix(k, k, [{j: v for j, v in r.items() if j < k} for r in Y.rows[:k]])
         C = SparseRationalMatrix(k, n, C.rows[:k])
-        for mat, inside in ((sub.B @ Y @ C + W @ A, True), (sub.B @ Y @ C + W @ A + E, False)):
-            try:
-                expected = sub.coords(mat @ sub.B)
-            except AssemblyError:
-                assert not inside
-                with pytest.raises(AssemblyError):
-                    sub.restrict(mat)
-                continue
-            assert sub.restrict(mat) == expected
+        for mat, inside in ((B @ Y @ C + W @ A, True), (B @ Y @ C + W @ A + E, False)):
+            taller = SparseRationalMatrix.vstack([mat, SparseRationalMatrix(1, n, E.rows[:1])])
+            for target, mat in ((sub, mat), (wide, taller)):
+                try:
+                    expected = _former_coords(target, mat @ B)
+                except AssemblyError:
+                    assert not inside
+                    with pytest.raises(AssemblyError):
+                        target.restrict(mat, sub)
+                    continue
+                assert target.restrict(mat, sub) == expected
 
 
 def _all_ints(mat):
@@ -331,7 +362,7 @@ def _eliminations(dense, x, wrap):
     except ValueError:  # rank-deficient
         solved = None
     return {"rank": matrix_rank(A), "nullspace": nullspace(A),
-            "span": SpanBasis(A.rows, n).vectors, "kernel": kernel_of_vectors(A.columns()),
+            "span": SpanBasis(A.rows, n).basis, "kernel": kernel_of_vectors(A.columns()),
             "solved": solved}
 
 
