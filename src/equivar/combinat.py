@@ -4,7 +4,7 @@ Conventions used throughout the package:
 
 - a partition is a tuple of weakly decreasing positive integers;
 - ``partitions(n)`` lists partitions of n in reverse-lexicographic order,
-  from ``(n,)`` down to ``(1,)*n``;
+  from ``(n,)`` down to ``(1,)*n``, as a memoized tuple;
 - irreducible characters are computed by the Murnaghan-Nakayama recursion
   (memoized on the pair of partitions, which is safe for concurrent use);
 - symmetric functions are finite rational combinations of Schur functions,
@@ -60,12 +60,14 @@ def _check_partition(lam) -> Partition:
     return lam
 
 
-def partitions(n: int) -> list:
-    """All partitions of n, reverse-lexicographically from (n,) to (1^n)."""
+@cache
+def partitions(n: int) -> tuple:
+    """All partitions of n, reverse-lexicographically from (n,) to (1^n).
+    Memoized, so the sequence is a tuple that no caller can change."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
-        return [()]
+        return ((),)
     out = []
     part = [n]
     while True:
@@ -75,7 +77,7 @@ def partitions(n: int) -> list:
         while i >= 0 and part[i] == 1:
             i -= 1
         if i < 0:
-            return out
+            return tuple(out)
         rest = len(part) - i  # the ones we absorb, plus 1 from part[i]
         part[i] -= 1
         del part[i + 1:]
@@ -86,8 +88,9 @@ def partitions(n: int) -> list:
             total -= nxt
 
 
+@cache
 def z_order(mu) -> int:
-    """Order of the centralizer of a permutation of cycle type mu."""
+    """Order of the centralizer of a permutation of cycle type mu (memoized)."""
     z = 1
     for v, grp in itertools.groupby(mu):
         m = len(list(grp))

@@ -15,8 +15,13 @@ N+1, pushes each level-N solution along the canonical basis-label inclusion
 into level N+1, and keeps the combinations whose push lies in the span of
 the level-(N+1) solutions.  Over label maps both bases are indicators of
 residual-group orbits, so this is a set of equal-or-zero relations on the
-coefficients; other targets reduce each push modulo the span.  The three
-dimensions (at N, at N+1, stable) are always reported separately.
+coefficients; other targets reduce each push modulo the span.  A P or Q
+family target is never built: ``_family_stable_space`` reads its orbits and
+the push off the label index a * (s+1)^F + rank, and keeps the rank while
+moving only the tuple index, since the new position N is the top free digit
+and is 0.  The module path (``_mapping_solutions_fast``, ``_embed_vector``,
+``_stable_subspace``) serves callable targets and is its cross-check.  The
+three dimensions (at N, at N+1, stable) are always reported separately.
 
 Truncated Ext: over k[x]/(x^(s+1)), k[x]/(x) has the 2-periodic free
 resolution ... -> A -x^s-> A -x-> A, and Q(s, n, N) is a sum of such
@@ -47,12 +52,13 @@ Stable Ext: ``ext_stable`` coresolves the target Q family by P terms and
 takes the cohomology of the stable-Hom complex.  Term k is a direct sum of
 b_k copies of P, and the source constraints are label maps acting on each
 copy alone, so the stable space of a term is b_k copies of the stable space
-S of P at N into P at N+1, solved once per request.  The cochain complex is
-the strand complex over S, read by the same ``_strand_cohomology`` from the
-slot variables of P (restricting one checks exactly that it keeps S).
-Level N+1 enters only through that one P module, so no coresolution is
-built at N+1.  All three Ext paths read their dimensions off the ranks of
-their restricted differentials, ``_cohomology``.
+S of P at N into P at N+1, solved once per request by
+``_family_stable_space``.  The cochain complex is the strand complex over S,
+read by the same ``_strand_cohomology`` from the slot variables of P
+(restricting one checks exactly that it keeps S).  Level N+1 enters only
+through P's label arithmetic, so nothing is built at N+1.  All three Ext
+paths read their dimensions off the ranks of their restricted differentials,
+``_cohomology``.
 """
 
 from __future__ import annotations
@@ -60,10 +66,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, repeat
-from operator import is_not
+from itertools import compress, product, repeat
+from operator import is_not, itemgetter, mul
 
-from .combinat import _compositions
+from .combinat import _compositions, injections
 from .equivariant import (
     EquivMap,
     EquivModule,
@@ -76,6 +82,7 @@ from .equivariant import (
     character_of,
     direct_sum,
     embed_label,
+    pq_dimension,
     q_into_p_embedding,
 )
 from .linalg import (
@@ -355,6 +362,17 @@ def _orbit_relations(pushed: list, big_solutions: list) -> list:
     return columns
 
 
+def _kept_combinations(solutions, columns) -> list:
+    """The members sum_k c_k solutions[k], for c in the kernel of the columns."""
+    kept = []
+    for coeffs in kernel_of_vectors(columns):
+        vec: dict = {}
+        for t, c in coeffs.items():
+            vec_axpy(vec, c, solutions[t])
+        kept.append(vec)
+    return kept
+
+
 def _stable_subspace(solutions, big_solutions, small: EquivModule,
                      big: EquivModule) -> list:
     """Members of span(solutions) whose push along the label inclusion into
@@ -367,13 +385,93 @@ def _stable_subspace(solutions, big_solutions, small: EquivModule,
     else:
         span = Subspace(big_solutions, big.dim)
         columns = [span.residue(w) for w in pushed]
-    kept = []
-    for coeffs in kernel_of_vectors(columns):
-        vec: dict = {}
-        for t, c in coeffs.items():
-            vec_axpy(vec, c, solutions[t])
-        kept.append(vec)
-    return kept
+    return _kept_combinations(solutions, columns)
+
+
+def _family_orbits(profile: PQFamily, family: tuple, N: int) -> list:
+    """``_mapping_solutions_fast(profile, T)`` for T the P or Q module of
+    family (kind, s, n) at N, the same list, read off T's label arithmetic
+    with no module built.
+
+    Label (a, rank) of T has tuple U = injections(n, N)[a] and digits d_p at
+    its free positions.  A kill (i, e) allows it when i is not free or
+    d_i + e > s.  Two allowed labels share an orbit of the residual group
+    Sym{m, ..., N-1} (m the source's tuple size) exactly when they agree on
+    the slot pattern (U[k] if U[k] < m, else *), the digits at free
+    positions below m, the slot digits at positions >= m (P only) and the
+    multiset of the other high digits.  So each orbit is one low part, over
+    the tuples of one pattern, with every arrangement of one multiset on
+    each tuple's other high positions.
+    """
+    kind, s, n = family
+    cfg = RingConfig(N, s)  # _build_pq's ValueErrors, in its order
+    tuples = injections(n, N)
+    size = pq_dimension(kind, s, n, N) // len(tuples)  # labels per tuple
+    kills, _ = _source_constraints(profile, cfg)
+    m = profile.n
+    digits = [[d for d in range(s + 1) if all(d + e > s for i, e in kills if i == p)]
+              for p in range(N)]
+    by_pattern: dict = {}
+    for a, U in enumerate(tuples):
+        by_pattern.setdefault(tuple(t if t < m else None for t in U), []).append((a, U))
+    # the kills treat every position >= m alike, as the residual group must
+    high_digits = digits[m] if m < N else []
+    high_ranks: dict = {}  # strides -> {multiset: ranks of the digits there}
+
+    def other_ranks(U):
+        """{multiset: ascending ranks} of the digits at U's other high positions."""
+        free = [p for p in range(N) if kind == "P" or p not in U]
+        strides = tuple((s + 1) ** k for k, p in enumerate(free) if p >= m and p not in U)[::-1]
+        if strides not in high_ranks:
+            table = high_ranks[strides] = {}
+            for ds in product(high_digits, repeat=len(strides)):  # ascending ranks
+                table.setdefault(tuple(sorted(ds)), []).append(sum(map(mul, ds, strides)))
+        return high_ranks[strides]
+
+    orbits = []
+    for members in by_pattern.values():
+        U0 = members[0][1]
+        # the free low positions with their strides, the high slots and the
+        # number of other high positions are the same for every tuple of the
+        # pattern, so are the multisets
+        low = [p for p in range(m) if kind == "P" or p not in U0]
+        low_strides = [(s + 1) ** (p - sum(t < p for t in U0) if kind == "Q" else p) for p in low]
+        slots = [k for k in range(n) if U0[k] >= m] if kind == "P" else []
+        tables = [(a * size, [(s + 1) ** U[k] for k in slots], other_ranks(U)) for a, U in members]
+        for low_ds in product(*(digits[p] for p in low)):
+            base = sum(map(mul, low_ds, low_strides))
+            for slot_ds in product(high_digits, repeat=len(slots)):
+                offsets = [(off + base + sum(map(mul, slot_ds, slot_strides)), table)
+                           for off, slot_strides, table in tables]
+                for multiset in tables[0][2]:
+                    orbits.append([off + r for off, table in offsets for r in table[multiset]])
+    orbits.sort(key=itemgetter(0))
+    return [dict.fromkeys(orbit, ONE) for orbit in orbits]
+
+
+def _family_push(vectors, family: tuple, N: int) -> list:
+    """``_embed_vector`` from the P or Q module of family (kind, s, n) at N
+    to the one at N+1, by index arithmetic: label (a, rank) goes to (the
+    index of tuple a among the level-(N+1) tuples, rank), because the new
+    position N is the top free digit and is 0."""
+    kind, s, n = family
+    tuples = injections(n, N)
+    size = pq_dimension(kind, s, n, N) // len(tuples)  # labels per tuple
+    index = {U: b for b, U in enumerate(injections(n, N + 1))}
+    lift = [index[U] * size * (s + 1) for U in tuples]
+    return [{lift[t // size] + t % size: c for t, c in v.items()} for v in vectors]
+
+
+def _family_stable_space(profile: PQFamily, family: tuple, N: int):
+    """(solutions at N, solutions at N+1, stable space) for maps from the
+    profile into the P or Q family (kind, s, n): ``_stable_subspace`` on the
+    family's modules at N and N+1, none of which is built."""
+    sols = _family_orbits(profile, family, N)
+    big_sols = _family_orbits(profile, family, N + 1)
+    if not sols:
+        return sols, big_sols, []
+    pushed = _family_push(sols, family, N)
+    return sols, big_sols, _kept_combinations(sols, _orbit_relations(pushed, big_sols))
 
 
 def stable_hom(source: PQFamily, target, N: int) -> StableHomResult:
@@ -381,14 +479,19 @@ def stable_hom(source: PQFamily, target, N: int) -> StableHomResult:
     solutions that survive the canonical inclusion into truncation N+1.
 
     ``target`` is a PQFamily or any callable N -> EquivModule whose labels
-    admit the canonical padding inclusion.
+    admit the canonical padding inclusion.  A family target is solved by
+    ``_family_stable_space`` from its label arithmetic, with no module
+    built; a callable's modules are built at N and N+1 and solved there.
     """
-    build = target.build if isinstance(target, PQFamily) else target
-    T_small = build(N)
-    T_big = build(N + 1)
-    sols = _mapping_solutions(source, T_small)
-    big_sols = _mapping_solutions(source, T_big)
-    stable = _stable_subspace(sols, big_sols, T_small, T_big)
+    if isinstance(target, PQFamily):
+        sols, big_sols, stable = _family_stable_space(
+            source, (target.kind, target.s, target.n), N)
+    else:
+        T_small = target(N)
+        T_big = target(N + 1)
+        sols = _mapping_solutions(source, T_small)
+        big_sols = _mapping_solutions(source, T_big)
+        stable = _stable_subspace(sols, big_sols, T_small, T_big)
     return StableHomResult(len(sols), len(big_sols), len(stable), stable)
 
 
@@ -480,14 +583,15 @@ def _strand_cohomology(s: int, n: int, length: int, sub: Subspace, slot) -> list
 def ext_stable(s: int, n_source: int, n_target: int, N: int, max_degree: int) -> list:
     """Stable self/cross Ext of Q families in degrees 0..max_degree, as
     cohomology of the stable-Hom complex of an exact coresolution of the
-    target by P terms, built with one term beyond ``max_degree + 1``."""
+    target by P terms, built with one term beyond ``max_degree + 1``.  The
+    stable space of P(s, n_target) at N into N+1 comes from
+    ``_family_stable_space``; only the level-N coresolution is built."""
     if max_degree < 0:
         raise ValueError("the degree bound must be nonnegative")
-    src = PQFamily("Q", s, n_source)
     cx = coresolution_Q(s, n_target, N, max_degree + 2)
-    P, P_big = cx.modules[1], _build_family("P", s, n_target, N + 1)
-    sub = Subspace(_stable_subspace(_mapping_solutions(src, P), _mapping_solutions(src, P_big),
-                                    P, P_big), P.dim)
+    P = cx.modules[1]
+    _, _, stable = _family_stable_space(PQFamily("Q", s, n_source), ("P", s, n_target), N)
+    sub = Subspace(stable, P.dim)
     return _strand_cohomology(s, n_target, max_degree + 2, sub,
                               lambda pos: _map_matrix(_tuple_power_map(P, pos, 1)))
 

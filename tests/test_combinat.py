@@ -76,8 +76,8 @@ def oracle_character_table_s3():
 # --- partitions --------------------------------------------------------------
 
 def test_partitions_basic():
-    assert partitions(0) == [()]
-    assert partitions(1) == [(1,)]
+    assert partitions(0) == ((),)
+    assert partitions(1) == ((1,),)
     assert len(partitions(4)) == 5
 
 
@@ -85,7 +85,7 @@ def test_partitions_basic():
 def test_partitions_match_oracle_and_order(n):
     ps = partitions(n)
     assert set(ps) == oracle_partitions(n)
-    assert ps == sorted(ps, reverse=True)  # reverse-lexicographic
+    assert ps == tuple(sorted(ps, reverse=True))  # reverse-lexicographic
 
 
 def test_z_order_sums_to_group_order():

@@ -33,12 +33,17 @@ from equivar.homcalc import (
     stable_hom,
     tor_complex,
     tor_periodic,
+    _embed_vector,
+    _family_orbits,
+    _family_push,
+    _family_stable_space,
     _free_cover,
     _group_walk,
     _hom_invariants_generic,
     _image_labels,
     _kernel_module,
     _mapping_solutions,
+    _mapping_solutions_fast,
     _mapping_solutions_generic,
     _orbit_relations,
     _power_map,
@@ -316,6 +321,55 @@ def test_orbit_relations_match_the_residue_path(s):
                         sols, _mapping_solutions_generic(profile, plain_big),
                         _matrix_copy(small), plain_big)
                     assert stable == reference, (kind, r, n, m, N, big.name)
+
+
+def _items(vectors):
+    return [list(v.items()) for v in vectors]
+
+
+@pytest.mark.parametrize("kind", ["P", "Q"])
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_family_stable_space_matches_the_module_path(kind, s):
+    # the label arithmetic of a P/Q target against its built modules, the
+    # same lists (order and entries): the orbits against the orbit solver for
+    # N <= 5, the push against _embed_vector on every label and the stable
+    # space against _stable_subspace for N <= 4, for P and Q sources with
+    # m <= 3 and the bound one below, at and above s
+    family_of = {"P": build_P, "Q": build_Q}[kind]
+    for n in range(4):
+        modules = {N: family_of(s, n, N) for N in range(n, 6)}
+        for N, T in modules.items():
+            big = modules.get(N + 1)
+            if big is not None:
+                labels = [{t: ONE} for t in range(T.dim)]
+                assert (_family_push(labels, (kind, s, n), N)
+                        == [_embed_vector(v, T, big) for v in labels])
+            for src_kind, m, r in itertools.product("PQ", range(min(3, N) + 1), (s - 1, s, s + 1)):
+                if r < 0:
+                    continue
+                profile = PQFamily(src_kind, r, m)
+                sols = _mapping_solutions_fast(profile, T)
+                assert _items(_family_orbits(profile, (kind, s, n), N)) == _items(sols)
+                if big is not None:
+                    big_sols = _mapping_solutions_fast(profile, big)
+                    got = _family_stable_space(profile, (kind, s, n), N)
+                    assert [_items(part) for part in got] == [
+                        _items(sols), _items(big_sols),
+                        _items(_stable_subspace(sols, big_sols, T, big))]
+
+
+def test_family_orbits_raise_the_module_path_errors():
+    for kind, build in (("P", build_P), ("Q", build_Q)):
+        with pytest.raises(ValueError) as built:
+            build(1, 3, 2)
+        with pytest.raises(ValueError) as helper:
+            _family_orbits(PQFamily("Q", 1, 1), (kind, 1, 3), 2)
+        assert str(helper.value) == str(built.value)
+        with pytest.raises(ValueError) as solved:
+            _mapping_solutions_fast(PQFamily("Q", 1, 3), build(1, 1, 2))
+        with pytest.raises(ValueError) as helper:
+            _family_orbits(PQFamily("Q", 1, 3), (kind, 1, 1), 2)
+        assert str(helper.value) == str(solved.value)
 
 
 # --- stabilization -------------------------------------------------------------
