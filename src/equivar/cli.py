@@ -14,9 +14,10 @@ The dimension guard refuses jobs whose modules would exceed ``--max-dim``
 basis elements (default 50000, overridable via EQUIVAR_MAX_DIM).  Both Ext
 modes build slot strands, whose last term holds one copy per composition of
 max_i + 1 into n parts (a single copy when s or n is 0, or for a P source).
-Stable Ext builds its coresolution at level N and a single P module at
-level N+1: the guard charges that P, and the last coresolution term, copies
-times dim P(s, n, N).  Truncated Ext charges its source, and copies times the
+Stable Ext charges one P module at level N+1, and the last term of the
+target's coresolution, copies times dim P(s, n, N); it builds neither (its
+cochains are copies of the stable space inside P), so this is an upper
+bound.  Truncated Ext charges its source, and copies times the
 dimension of the target: an upper bound on the cochains of its last strand
 term, copies times the dimension of the solution space in the target.
 ``tor`` applies it to its complex, N copies of Q(s, 1, N), one per position;

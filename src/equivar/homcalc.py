@@ -48,17 +48,19 @@ fiber when that lift commutes with every swap, and otherwise the lift's
 average over the group, enumerated once by ``_group_walk`` (each element an
 earlier one followed by one adjacent swap).
 
-Stable Ext: ``ext_stable`` coresolves the target Q family by P terms and
-takes the cohomology of the stable-Hom complex.  Term k is a direct sum of
-b_k copies of P, and the source constraints are label maps acting on each
-copy alone, so the stable space of a term is b_k copies of the stable space
-S of P at N into P at N+1, solved once per request by
-``_family_stable_space``.  The cochain complex is the strand complex over S,
-read by the same ``_strand_cohomology`` from the slot variables of P
-(restricting one checks exactly that it keeps S).  Level N+1 enters only
-through P's label arithmetic, so nothing is built at N+1.  All three Ext
-paths read their dimensions off the ranks of their restricted differentials,
-``_cohomology``.
+Stable Ext: ``ext_stable`` is the cohomology of the stable-Hom complex
+of the coresolution of the target Q family by P terms, and builds neither
+the coresolution nor any module.  Term k is a direct sum of b_k copies of
+P, and the source constraints are label maps acting on each copy alone, so
+the stable space of a term is b_k copies of the stable space S of P at N
+into P at N+1, solved once per request by ``_family_stable_space``.  The
+cochain complex is the strand complex over S, read by the same
+``_strand_cohomology`` from the slot variables of P, which
+``_slot_variable`` reads off P's label arithmetic on S's support alone
+(restricting one checks exactly that it keeps S).  ``coresolution_Q``
+builds and checks the complex itself; ``verify`` and the tests run it.  All
+three Ext paths read their dimensions off the ranks of their restricted
+differentials, ``_cohomology``.
 """
 
 from __future__ import annotations
@@ -580,20 +582,37 @@ def _strand_cohomology(s: int, n: int, length: int, sub: Subspace, slot) -> list
     return _cohomology([len(t) * sub.dim for t in terms], diffs)
 
 
+def _slot_variable(s: int, N: int, tuples: list, labels, pos: int) -> SparseRationalMatrix:
+    """The variable at tuple slot pos on P(s, n, N), whose tuples are
+    ``injections(n, N)``, evaluated on the given labels only, by label
+    arithmetic: label t = a * (s+1)^N + rank has tuple U = tuples[a], and
+    x_(U[pos]) adds the stride (s+1)^U[pos] to the rank when that digit of
+    the rank is below s, and kills t otherwise."""
+    size = (s + 1) ** N  # labels per tuple
+    cm = [None] * (len(tuples) * size)
+    for t in labels:
+        stride = (s + 1) ** tuples[t // size][pos]
+        if t % size // stride % (s + 1) < s:
+            cm[t] = t + stride
+    return _map_matrix(cm)
+
+
 def ext_stable(s: int, n_source: int, n_target: int, N: int, max_degree: int) -> list:
     """Stable self/cross Ext of Q families in degrees 0..max_degree, as
-    cohomology of the stable-Hom complex of an exact coresolution of the
-    target by P terms, built with one term beyond ``max_degree + 1``.  The
-    stable space of P(s, n_target) at N into N+1 comes from
-    ``_family_stable_space``; only the level-N coresolution is built."""
+    cohomology of the stable-Hom complex of the coresolution of the target
+    by P terms (``coresolution_Q``), to one term beyond ``max_degree + 1``.
+    No module is built: the stable space S of P(s, n_target) at N into N+1
+    comes from ``_family_stable_space``, and the slot variables of P on S's
+    support from ``_slot_variable``."""
     if max_degree < 0:
         raise ValueError("the degree bound must be nonnegative")
-    cx = coresolution_Q(s, n_target, N, max_degree + 2)
-    P = cx.modules[1]
+    RingConfig(N, s)  # the target's ValueErrors, in _build_pq's order
+    dim = pq_dimension("P", s, n_target, N)
+    tuples = injections(n_target, N)
     _, _, stable = _family_stable_space(PQFamily("Q", s, n_source), ("P", s, n_target), N)
-    sub = Subspace(stable, P.dim)
-    return _strand_cohomology(s, n_target, max_degree + 2, sub,
-                              lambda pos: _map_matrix(_tuple_power_map(P, pos, 1)))
+    support = {t for v in stable for t in v}
+    return _strand_cohomology(s, n_target, max_degree + 2, Subspace(stable, dim),
+                              lambda pos: _slot_variable(s, N, tuples, support, pos))
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from .groth import (
     rank_expand,
     truncation_dim_check,
 )
-from .homcalc import PQFamily, ext_stable, ext_truncated, stable_hom, tor_periodic
+from .homcalc import PQFamily, coresolution_Q, ext_stable, ext_truncated, stable_hom, tor_periodic
 from .linalg import matrix_rank
 
 SUITE_NAMES = [
@@ -171,13 +171,16 @@ def suite_tor(max_N: int = 3) -> list:
 
 def suite_ext_self(max_N: int = 3) -> list:
     """Stable self-extensions of the singleton Q family are one-dimensional
-    in every degree."""
+    in every degree.  ``ext_stable`` builds no coresolution, so each check
+    also builds the exact coresolution that its answer is the cohomology of,
+    whose composite and exactness checks raise AssemblyError on a fault."""
     out = []
     N = min(3, max_N)
     if N < 2:
         return out
     for s in (1, 2):
         t0 = time.perf_counter()
+        coresolution_Q(s, 1, N, 5)
         got = ext_stable(s, 1, 1, N, 3)
         out.append(_record(
             "ext-self", f"ext_stable_Q{s}1_N{N}",
