@@ -10,12 +10,17 @@ Subpackages:
 - ``linalg``          sparse rational matrices, rank/nullspace engine
 - ``combinat``        partitions, characters, symmetric functions, injections
 - ``truncated_ring``  the monomial basis of the truncated ring
-- ``equivariant``     the P/Q module families and their constructions
+- ``equivariant``     the P/Q module families, direct sums, filtrations, characters
 - ``homcalc``         Hom/Ext/Tor solvers, complexes, stabilization
-- ``fi_layer``        finitely presented FI-modules and the weight-s functor
+- ``fi_layer``        principal and torsion FI-modules and the weight-s functor
 - ``groth``           Grothendieck-group bookkeeping and basis changes
 - ``cas_cat``         the combinatorial category with truncated-ring twists
 - ``cli``             command line front end (``equivar``)
+
+The package holds one path per computation, each reached by a command.
+The independent references that the tests compare it against (generic
+elimination, Ext by minimal free covers, brute-force oracles) live in
+``tests/reference.py``.
 
 All public objects are immutable after construction and all operations are
 pure, so values may be shared freely between threads.

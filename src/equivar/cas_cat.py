@@ -18,7 +18,6 @@ from .linalg import SparseRationalMatrix, joint_kernel
 
 __all__ = [
     "CasMorphism",
-    "identity_morphism",
     "compose",
     "hom_dimension",
     "injective_I",
@@ -65,10 +64,6 @@ class CasMorphism:
     def scale(self, c) -> "CasMorphism":
         return CasMorphism.make(self.m, self.n, self.s,
                                 [(key, Fraction(c) * v) for key, v in self.terms])
-
-
-def identity_morphism(n: int, s: int) -> CasMorphism:
-    return CasMorphism.make(n, n, s, {(tuple(range(n)), (0,) * n): 1})
 
 
 def compose(g: CasMorphism, f: CasMorphism) -> CasMorphism:

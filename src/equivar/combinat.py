@@ -27,13 +27,9 @@ __all__ = [
     "partitions",
     "is_partition",
     "z_order",
-    "specht_dimension",
     "irreducible_character",
     "ClassFunction",
     "irreducible_class_function",
-    "trivial_character",
-    "sign_character",
-    "regular_character",
     "inner_product",
     "decompose",
     "combine",
@@ -96,35 +92,6 @@ def z_order(mu) -> int:
         m = len(list(grp))
         z *= v**m * factorial(m)
     return z
-
-
-def _hook_lengths(lam):
-    conj = conjugate(lam)
-    for i, row in enumerate(lam):
-        for j in range(row):
-            yield row - j + conj[j] - i - 1
-
-
-def conjugate(lam) -> Partition:
-    lam = tuple(lam)
-    if not lam:
-        return ()
-    out = [0] * lam[0]
-    for row in lam:
-        for j in range(row):
-            out[j] += 1
-    return tuple(out)
-
-
-def specht_dimension(lam) -> int:
-    """Dimension of the irreducible module labeled by lam (hook lengths)."""
-    lam = _check_partition(lam)
-    n = sum(lam)
-    d = factorial(n)
-    for h in _hook_lengths(lam):
-        d, rem = divmod(d, h)
-        assert rem == 0
-    return d
 
 
 def _border_strips(lam, k):
@@ -223,21 +190,6 @@ def irreducible_class_function(lam) -> ClassFunction:
     lam = _check_partition(lam)
     n = sum(lam)
     return ClassFunction(n, {mu: irreducible_character(lam, mu) for mu in partitions(n)})
-
-
-def trivial_character(n: int) -> ClassFunction:
-    return ClassFunction(n, {mu: 1 for mu in partitions(n)})
-
-
-def sign_character(n: int) -> ClassFunction:
-    # sign of a permutation of cycle type mu is (-1)^(n - number of parts)
-    return ClassFunction(n, {mu: (-1) ** (n - len(mu)) for mu in partitions(n)})
-
-
-def regular_character(n: int) -> ClassFunction:
-    vals = {mu: 0 for mu in partitions(n)}
-    vals[(1,) * n if n else ()] = factorial(n)
-    return ClassFunction(n, vals)
 
 
 def inner_product(f: ClassFunction, g: ClassFunction) -> Fraction:

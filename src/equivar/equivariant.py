@@ -15,7 +15,7 @@ sends label t to, or None where x_i kills it, and ``swaps[j]`` is the label
 permutation of the swap (j, j+1); ``label_perm`` composes them along a
 word, and a character counts fixed labels.  Its 0/1 integer matrices
 ``xmul`` and ``coxeter`` are derived from the maps on first access and kept.  Any
-other module (free covers, kernels, induced modules) stores the matrices
+other module (the functor images of ``fi_layer.phi_s``) stores the matrices
 alone, has ``xmaps is None``, and takes traces.
 
 Modules are immutable after construction; submodules and quotients are new
@@ -43,7 +43,7 @@ from .combinat import (
     injections,
     partitions,
 )
-from .linalg import ONE, SparseRationalMatrix, Subspace, joint_kernel, kron, matrix_rank
+from .linalg import ONE, SparseRationalMatrix, matrix_rank
 from .truncated_ring import (
     RingConfig,
     coxeter_word,
@@ -54,19 +54,14 @@ __all__ = [
     "EquivModule",
     "EquivMap",
     "SnRep",
-    "trivial_rep",
-    "sign_rep",
     "regular_rep",
     "build_P",
     "build_Q",
-    "build_induced",
     "direct_sum",
     "q_into_p_embedding",
     "character_of",
     "filtration_P",
     "filtration_layers",
-    "check_axioms",
-    "embed_label",
     "pq_dimension",
 ]
 
@@ -154,8 +149,8 @@ class EquivModule:
 
 def _word_product(gens, dim: int, word) -> SparseRationalMatrix:
     """The product of the generator matrices along a word, first entry acting
-    first: a permutation's action along its ``coxeter_word`` (one matrix per
-    adjacent swap), or x^mono along its ``monomial_word`` (one per variable)."""
+    first: a permutation's action along its ``coxeter_word``, one matrix per
+    adjacent swap."""
     m = SparseRationalMatrix.identity(dim)
     for j in word:
         m = gens[j] @ m
@@ -224,16 +219,6 @@ class SnRep:
 
     def matrix(self, g) -> SparseRationalMatrix:
         return _word_product(self.coxeter, self.dim, coxeter_word(g))
-
-
-def trivial_rep(n: int) -> SnRep:
-    one = SparseRationalMatrix.identity(1)
-    return SnRep(n, 1, tuple(one for _ in range(max(n - 1, 0))))
-
-
-def sign_rep(n: int) -> SnRep:
-    neg = SparseRationalMatrix.from_entries(1, 1, [(0, 0, -1)])
-    return SnRep(n, 1, tuple(neg for _ in range(max(n - 1, 0))))
 
 
 def regular_rep(n: int) -> SnRep:
@@ -362,33 +347,6 @@ def direct_sum(mods) -> EquivModule:
                        swaps=[concat(lambda m, j=j: m.swaps[j]) for j in range(cfg.N - 1)])
 
 
-def _slot_swap_matrix(mod: EquivModule, c: int) -> SparseRationalMatrix:
-    """Permutation of tuple slots c, c+1 on a P/Q module basis."""
-    return _map_matrix([mod.label_index[(T[:c] + (T[c + 1], T[c]) + T[c + 2:], mono)]
-                        for T, mono in mod.labels])
-
-
-def build_induced(kind: str, s: int, rep: SnRep, N: int) -> EquivModule:
-    """Isotypic induction: the slot-diagonal invariants of (P or Q) tensor rep.
-
-    The subspace is the joint kernel of (generator - identity) for the slot
-    action tensored with the representation matrices; its dimension is
-    whatever that kernel computation returns.
-    """
-    n, e = rep.n, rep.dim
-    base = _build_pq(kind, s, n, N)
-    total = base.dim * e
-    ident = SparseRationalMatrix.identity(total)
-    inv = Subspace(joint_kernel([kron(_slot_swap_matrix(base, c), rep.coxeter[c]) - ident
-                                 for c in range(n - 1)], total), total)
-    eye = SparseRationalMatrix.identity(e)
-    xmul = [inv.restrict(kron(m, eye)) for m in base.xmul]
-    coxeter = [inv.restrict(kron(m, eye)) for m in base.coxeter]
-    labels = [("inv", kind, s, n, t) for t in range(inv.dim)]
-    return EquivModule(RingConfig(N, s), labels, xmul, coxeter, grading=None,
-                       name=f"{kind}_ind(s={s},n={n},dimV={e})")
-
-
 def q_into_p_embedding(s: int, n: int, N: int) -> EquivMap:
     """The injective map from the Q family into the P family sending a tuple
     generator to the product of its own variables to the s-th power times it."""
@@ -456,65 +414,3 @@ def filtration_P(s: int, n: int, N: int) -> list:
     of the P family; the list has length (s+1)^n."""
     _, layers = filtration_layers(s, n, N)
     return [character_of(layer) for layer in layers]
-
-
-def check_axioms(M: EquivModule) -> None:
-    """Assert every structural identity of an equivariant module, exactly."""
-    N, s = M.cfg.N, M.cfg.s
-    eye = SparseRationalMatrix.identity(M.dim)
-    for i in range(N):
-        for j in range(i + 1, N):
-            if (M.xmul[i] @ M.xmul[j]) != (M.xmul[j] @ M.xmul[i]):
-                raise AssertionError(f"x_{i} and x_{j} do not commute")
-    for i in range(N):
-        if not M.xmul[i].power(s + 1).is_zero():
-            raise AssertionError(f"x_{i}^(s+1) is nonzero")
-    for j in range(N - 1):
-        if (M.coxeter[j] @ M.coxeter[j]) != eye:
-            raise AssertionError(f"swap {j} is not an involution")
-    for j in range(N - 2):
-        a, b = M.coxeter[j], M.coxeter[j + 1]
-        if (a @ b @ a) != (b @ a @ b):
-            raise AssertionError(f"braid relation fails at {j}")
-    for j in range(N - 1):
-        for k in range(j + 2, N - 1):
-            a, b = M.coxeter[j], M.coxeter[k]
-            if (a @ b) != (b @ a):
-                raise AssertionError(f"distant swaps {j},{k} do not commute")
-    for j in range(N - 1):
-        for i in range(N):
-            swapped = j + 1 if i == j else j if i == j + 1 else i
-            lhs = M.coxeter[j] @ M.xmul[i] @ M.coxeter[j]
-            if lhs != M.xmul[swapped]:
-                raise AssertionError(f"swap {j} conjugates x_{i} incorrectly")
-    if M.grading is not None:
-        for i in range(N):
-            for col, row_entries in enumerate(M.xmul[i].columns()):
-                for r in row_entries:
-                    expect = list(M.grading[col])
-                    expect[i] += 1
-                    if tuple(expect) != M.grading[r]:
-                        raise AssertionError("grading is not raised by one step")
-        for j in range(N - 1):
-            for col, row_entries in enumerate(M.coxeter[j].columns()):
-                for r in row_entries:
-                    d = list(M.grading[col])
-                    d[j], d[j + 1] = d[j + 1], d[j]
-                    if tuple(d) != M.grading[r]:
-                        raise AssertionError("grading is not permuted by swaps")
-
-
-def embed_label(lab, N_new: int):
-    """Pad the exponent part of a (tuple, mono) label to a larger truncation.
-
-    Direct-sum labels (component index, inner label) are padded recursively.
-    """
-    if isinstance(lab, tuple) and len(lab) == 2:
-        head, tail = lab
-        if isinstance(head, int) and isinstance(tail, tuple):
-            return (head, embed_label(tail, N_new))
-        if isinstance(head, tuple) and isinstance(tail, tuple):
-            if N_new < len(tail):
-                raise ValueError("cannot shrink a label")
-            return (head, tail + (0,) * (N_new - len(tail)))
-    raise ValueError(f"no canonical inclusion for label {lab!r}")

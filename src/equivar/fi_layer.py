@@ -1,12 +1,12 @@
-"""Finitely presented FI-modules and the weight-bounded functor into graded
-equivariant modules.
+"""Principal and torsion FI-modules and the weight-bounded functor into
+graded equivariant modules.
 
 An FI-module here is a functor from finite sets with injections to vector
-spaces, drawn from a closed grammar: principal (represented) modules,
-induced modules, torsion modules concentrated in one degree, shifts, and
-finite direct sums.  Principal modules follow the covariant convention:
-``Principal(n)`` evaluated on a set S is spanned by the injections from an
-n-element set into S, with transition maps given by post-composition.
+spaces, of one of two kinds: principal (represented) modules and torsion
+modules concentrated in one degree.  Principal modules follow the covariant
+convention: ``Principal(n)`` evaluated on a set S is spanned by the
+injections from an n-element set into S, with transition maps given by
+post-composition.
 
 ``phi_s`` turns an FI-module into a graded equivariant module over the
 truncated ring: the component in degree alpha (an exponent vector bounded by
@@ -14,8 +14,7 @@ s) is the module evaluated on the positions where alpha equals s; a variable
 acts by the transition map along the inclusion of those position sets, and
 becomes zero whenever the target degree would exceed the bound.
 ``verify_phi_P`` and ``verify_phi_T`` match the images of principal and
-torsion modules with the Q family through an explicit basis bijection, and
-``theta`` reads one level of an FI-module with its symmetric-group action.
+torsion modules with the Q family through an explicit basis bijection.
 """
 
 from __future__ import annotations
@@ -31,21 +30,17 @@ from .equivariant import (
     build_Q,
     regular_rep,
 )
-from .linalg import ONE, SparseRationalMatrix, Subspace, joint_kernel, kron
+from .linalg import ONE, SparseRationalMatrix
 from .truncated_ring import RingConfig, all_monomials
 
 __all__ = [
     "FIModule",
     "Principal",
     "Torsion",
-    "Induced",
-    "Shift",
-    "DirectSum",
     "phi_s",
     "PhiComparison",
     "verify_phi_P",
     "verify_phi_T",
-    "theta",
 ]
 
 
@@ -74,10 +69,6 @@ class FIModule:
         if key not in self._memo:
             self._memo[key] = thunk()
         return self._memo[key]
-
-    def swap_matrix(self, j: int, m: int) -> SparseRationalMatrix:
-        swap = tuple(j + 1 if v == j else j if v == j + 1 else v for v in range(m))
-        return self.map(swap, m, m)
 
 
 def _check_injection(f, m_src, m_tgt):
@@ -136,104 +127,6 @@ class Torsion(FIModule):
 
     def __repr__(self):
         return f"Torsion(n={self.rep.n}, dim={self.rep.dim})"
-
-
-class Induced(FIModule):
-    """Invariants of (rep tensor Principal(n)) under the diagonal action of
-    the symmetric group on n letters (acting on injections by relabeling the
-    source points)."""
-
-    def __init__(self, rep: SnRep):
-        super().__init__()
-        self.rep = rep
-        self._plain = Principal(rep.n)
-
-    def _invariants(self, m) -> Subspace:
-        def build():
-            inj = self._plain.basis(m)
-            idx = {g: i for i, g in enumerate(inj)}
-            big = len(inj) * self.rep.dim
-            eye = SparseRationalMatrix.identity(big)
-            # relabel the source points: swap arguments c, c+1 of each injection
-            blocks = [kron(_map_matrix([idx[g[:c] + (g[c + 1], g[c]) + g[c + 2:]] for g in inj]),
-                           self.rep.coxeter[c]) - eye
-                      for c in range(self.rep.n - 1)]
-            return Subspace(joint_kernel(blocks, big), big)
-
-        return self._cached(("invariants", m), build)
-
-    def dim(self, m):
-        return self._invariants(m).dim
-
-    def basis(self, m):
-        return [("inv", i) for i in range(self.dim(m))]
-
-    def map(self, f, m_src, m_tgt):
-        _check_injection(f, m_src, m_tgt)
-        plain = kron(self._plain.map(f, m_src, m_tgt), SparseRationalMatrix.identity(self.rep.dim))
-        return self._invariants(m_tgt).restrict(plain, self._invariants(m_src))
-
-    def __repr__(self):
-        return f"Induced(n={self.rep.n}, dim={self.rep.dim})"
-
-
-class Shift(FIModule):
-    """Evaluation on the disjoint union with k extra fixed points."""
-
-    def __init__(self, inner: FIModule, k: int):
-        super().__init__()
-        if k < 0:
-            raise ValueError("shift must be nonnegative")
-        self.inner = inner
-        self.k = k
-
-    def dim(self, m):
-        return self.inner.dim(m + self.k)
-
-    def basis(self, m):
-        return [("sh", b) for b in self.inner.basis(m + self.k)]
-
-    def map(self, f, m_src, m_tgt):
-        _check_injection(f, m_src, m_tgt)
-        extended = tuple(f) + tuple(m_tgt + i for i in range(self.k))
-        return self.inner.map(extended, m_src + self.k, m_tgt + self.k)
-
-    def __repr__(self):
-        return f"Shift({self.inner!r}, {self.k})"
-
-
-class DirectSum(FIModule):
-    def __init__(self, parts):
-        super().__init__()
-        self.parts = list(parts)
-        if not self.parts:
-            raise ValueError("empty direct sum")
-
-    def dim(self, m):
-        return sum(p.dim(m) for p in self.parts)
-
-    def basis(self, m):
-        return [(t, b) for t, p in enumerate(self.parts) for b in p.basis(m)]
-
-    def map(self, f, m_src, m_tgt):
-        _check_injection(f, m_src, m_tgt)
-        out = SparseRationalMatrix(self.dim(m_tgt), self.dim(m_src))
-        roff = coff = 0
-        for p in self.parts:
-            for r, row in enumerate(p.map(f, m_src, m_tgt).rows):
-                out.rows[roff + r].update((coff + c, v) for c, v in row.items())
-            roff += p.dim(m_tgt)
-            coff += p.dim(m_src)
-        return out
-
-    def __repr__(self):
-        return f"DirectSum({self.parts!r})"
-
-
-def theta(M: FIModule, N: int) -> SnRep:
-    """A single level with its symmetric-group action: the finite stand-in
-    for the limit along the standard inclusions (which kills torsion)."""
-    return SnRep(N, M.dim(N), tuple(M.swap_matrix(j, N) for j in range(N - 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Grothendieck-group bookkeeping: classes of the P/Q families, the
 multiplication-by-the-truncated-ring operator, exact basis changes between
-the two families, the rank-(s+1) expansion, and the tensor decomposition of
-induced representations.
+the two families, the rank-(s+1) expansion, and the dimension identity for
+tensors of tuple modules.
 
 Class data lives at three levels:
 
@@ -28,12 +28,10 @@ from .combinat import (
     SymFunc,
     combine,
     decompose,
-    induce_from_young,
     injection_count,
     irreducible_class_function,
     partitions,
     schur,
-    specht_dimension,
 )
 from .linalg import SparseRationalMatrix, matrix_rank, solve_columns
 from .truncated_ring import RingConfig, fixed_monomial_count
@@ -48,7 +46,6 @@ __all__ = [
     "p_class_in_q_basis",
     "q_class_in_p_basis",
     "rank_expand",
-    "tensor_induced_decompose",
     "truncation_dim_check",
 ]
 
@@ -79,9 +76,6 @@ class KClassRep:
         if out is None:
             return ClassFunction(self.level, {mu: 0 for mu in partitions(self.level)})
         return out
-
-    def dim(self) -> Fraction:
-        return sum((c * specht_dimension(lam) for lam, c in self.mult), Fraction(0))
 
 
 class KGenClass:
@@ -226,32 +220,6 @@ def rank_expand(cls: KGenClass) -> KModClass:
             for (kind2, r2, mu), c2 in q_class_in_p_basis(lam, r).coeffs.items():
                 assert kind2 == "P" and r2 == r
                 out = out + KModClass({r: schur(mu).scale(c * c2)})
-    return out
-
-
-def tensor_induced_decompose(n: int, m: int, V: KClassRep, W: KClassRep) -> list:
-    """Decompose the tensor of two induced modules: one induced piece for
-    each overlap size r, induced from the triple product subgroup where the
-    overlap block acts diagonally on both factors.
-
-    Returns [(r, KClassRep at level n+m-r)] for r = 0..min(n, m).
-    """
-    if V.level != n or W.level != m:
-        raise ValueError("class levels disagree with the stated sizes")
-    chi_v = V.character()
-    chi_w = W.character()
-    out = []
-    for r in range(min(n, m) + 1):
-        sizes = (r, n - r, m - r)
-
-        def value(split, _r=r):
-            rho, alpha, beta = split
-            left = tuple(sorted(rho + alpha, reverse=True))
-            right = tuple(sorted(rho + beta, reverse=True))
-            return chi_v.values[left] * chi_w.values[right]
-
-        ind = induce_from_young(sizes, value)
-        out.append((r, KClassRep.make(n + m - r, decompose(ind))))
     return out
 
 

@@ -13,15 +13,13 @@ Stabilization: truncation-level solution spaces contain boundary junk
 supported on all N variables.  ``stable_hom`` therefore solves at N and at
 N+1, pushes each level-N solution along the canonical basis-label inclusion
 into level N+1, and keeps the combinations whose push lies in the span of
-the level-(N+1) solutions.  Over label maps both bases are indicators of
-residual-group orbits, so this is a set of equal-or-zero relations on the
-coefficients; other targets reduce each push modulo the span.  A P or Q
-family target is never built: ``_family_stable_space`` reads its orbits and
-the push off the label index a * (s+1)^F + rank, and keeps the rank while
-moving only the tuple index, since the new position N is the top free digit
-and is 0.  The module path (``_mapping_solutions_fast``, ``_embed_vector``,
-``_stable_subspace``) serves callable targets and is its cross-check.  The
-three dimensions (at N, at N+1, stable) are always reported separately.
+the level-(N+1) solutions.  Both bases are indicators of residual-group
+orbits, so this is a set of equal-or-zero relations on the coefficients.
+The target is a P or Q family and is never built: ``_family_stable_space``
+reads its orbits and the push off the label index a * (s+1)^F + rank, and
+keeps the rank while moving only the tuple index, since the new position N
+is the top free digit and is 0.  The three dimensions (at N, at N+1,
+stable) are always reported separately.
 
 Truncated Ext: over k[x]/(x^(s+1)), k[x]/(x) has the 2-periodic free
 resolution ... -> A -x^s-> A -x-> A, and Q(s, n, N) is a sum of such
@@ -32,21 +30,8 @@ into n parts (one P in all for a P source, or when s = 0).  The invariant
 maps from one P into T are its generator images, a subspace S of T that
 every variable keeps, so the Hom complex is the strand complex over S:
 ``_strand_cohomology`` restricts each slot variable to S once, by
-``Subspace.restrict``, and takes its s-th power there.  A source without a
-family (a free cover, a kernel, a changed basis) goes through the
-reference, ``_ext_by_free_covers``, the way ``hom_generic`` is the
-reference for Hom.  It resolves by minimal equivariant free covers: a cover
-on the fiber V has the label (mono, f) at rank(mono) * dim V + f, so its
-actions are Kronecker products, and only the image of each generator of F_i
-in F_(i-1) is kept.
-The Hom differential's block (f, f') is the sum of coeff * x^mono over the
-terms coeff * (mono, f') of generator f's image, and each degree's
-invariant maps V_i -> T come from elimination on all dim V_i * dim T
-entries, with the differential restricted from one degree's invariants to
-the next's (``Subspace.restrict``).  A cover's section is the lift of its
-fiber when that lift commutes with every swap, and otherwise the lift's
-average over the group, enumerated once by ``_group_walk`` (each element an
-earlier one followed by one adjacent swap).
+``Subspace.restrict``, and takes its s-th power there.  The source must
+have a family.
 
 Stable Ext: ``ext_stable`` is the cohomology of the stable-Hom complex
 of the coresolution of the target Q family by P terms, and builds neither
@@ -58,15 +43,14 @@ cochain complex is the strand complex over S, read by the same
 ``_strand_cohomology`` from the slot variables of P, which
 ``_slot_variable`` reads off P's label arithmetic on S's support alone
 (restricting one checks exactly that it keeps S).  ``coresolution_Q``
-builds and checks the complex itself; ``verify`` and the tests run it.  All
-three Ext paths read their dimensions off the ranks of their restricted
+builds and checks the complex itself; ``verify`` and the tests run it.  Both
+Ext paths read their dimensions off the ranks of their restricted
 differentials, ``_cohomology``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, product, repeat
 from operator import is_not, itemgetter, mul
@@ -75,48 +59,36 @@ from .combinat import _compositions, injections
 from .equivariant import (
     EquivMap,
     EquivModule,
-    SnRep,
-    _compose_swap,
     _map_matrix,
-    _word_product,
     build_P,
     build_Q,
     character_of,
     direct_sum,
-    embed_label,
     pq_dimension,
     q_into_p_embedding,
 )
 from .linalg import (
     ONE,
     AssemblyError,
-    SpanBasis,
     SparseRationalMatrix,
     Subspace,
-    apply_columns,
-    joint_kernel,
     kernel_of_vectors,
-    kron,
     matrix_rank,
-    nullspace,
     vec_axpy,
 )
-from .truncated_ring import RingConfig, monomial_word
+from .truncated_ring import RingConfig
 
 __all__ = [
     "AssemblyError",
     "PQFamily",
     "StableHomResult",
     "Complex",
-    "hom_generic",
     "hom_mapping_property",
-    "map_from_generator_value",
     "stable_hom",
     "coresolution_Q",
     "ext_stable",
     "ext_truncated",
     "tor_periodic",
-    "tor_complex",
 ]
 
 
@@ -222,28 +194,15 @@ def _power_map(cm, k: int) -> list:
 
 
 def _mapping_solutions(profile: PQFamily, T: EquivModule) -> list:
-    """Basis of the joint kernel of the source constraints inside T."""
-    if T.xmaps is not None:
-        return _mapping_solutions_fast(profile, T)
-    return _mapping_solutions_generic(profile, T)
-
-
-def _mapping_solutions_generic(profile: PQFamily, T: EquivModule) -> list:
-    """The reference solver: elimination on the stacked constraint matrices."""
-    kills, swaps = _source_constraints(profile, T.cfg)
-    eye = SparseRationalMatrix.identity(T.dim)
-    return joint_kernel([T.xmul[i].power(e) for i, e in kills]
-                        + [T.coxeter[j] - eye for j in swaps], T.dim)
-
-
-def _mapping_solutions_fast(profile: PQFamily, T: EquivModule) -> list:
-    """Orbit-sum solution basis for permutation-like targets.
+    """Basis of the joint kernel of the source constraints inside T, a
+    module with label maps, as orbit sums.
 
     The x-type constraints are partial injections on labels, so a solution
     must vanish on every label they move; the swap constraints make it
-    constant on orbits of the residual symmetric group.  This computes the
-    identical kernel as the generic elimination, exactly.
+    constant on orbits of the residual symmetric group.
     """
+    if T.xmaps is None:
+        raise ValueError(f"the orbit solver needs a target with label maps; {T!r} has none")
     kills, swaps = _source_constraints(profile, T.cfg)
     dim = T.dim
     allowed = bytearray(b"\x01") * dim
@@ -278,61 +237,6 @@ def hom_mapping_property(profile: PQFamily, T: EquivModule) -> list:
     if profile.kind != "Q":
         raise ValueError("the mapping-property solver expects a Q-type source")
     return _mapping_solutions(profile, T)
-
-
-def map_from_generator_value(profile: PQFamily, source: EquivModule,
-                             target: EquivModule, v: dict) -> EquivMap:
-    """Equivariant extension of generator-image v to a full module map.
-
-    The source must be the profile's module at the target's truncation; the
-    column at a basis label (T, mono) is mono applied to the relabeling of v
-    along any permutation sending (0..n-1) to T.
-    """
-    N = target.cfg.N
-    n = profile.n
-    mat = SparseRationalMatrix(target.dim, source.dim)
-    perm_cache: dict = {}
-    for col, (tup, mono) in enumerate(source.labels):
-        if tup not in perm_cache:
-            rest = [p for p in range(N) if p not in tup]
-            perm = tuple(list(tup) + rest)  # position k maps to perm[k]
-            perm_cache[tup] = apply_columns(target.perm_matrix(perm).columns(), v)
-        xmono = _word_product(target.xmul, target.dim, monomial_word(mono))
-        for r, val in apply_columns(xmono.columns(), perm_cache[tup]).items():
-            mat.set(r, col, val)
-    return EquivMap(source, target, mat)
-
-
-def hom_generic(M: EquivModule, T: EquivModule) -> list:
-    """Exact basis of the space of equivariant maps M -> T, by solving the
-    commutation constraints X @ a == b @ X on the full matrix X of the map.
-    Entry m_col * T.dim + t_row of a solution vector is X[t_row, m_col], so
-    the constraint on that vector is kron(a^T, I) - kron(I, b)."""
-    if M.cfg != T.cfg:
-        raise ValueError(f"config mismatch: {M.cfg} != {T.cfg}")
-    dm, dt = M.dim, T.dim
-    eye_m, eye_t = SparseRationalMatrix.identity(dm), SparseRationalMatrix.identity(dt)
-    blocks = [kron(a.transpose(), eye_t) - kron(eye_m, b)
-              for a, b in zip(M.xmul + M.coxeter, T.xmul + T.coxeter)]
-    maps = []
-    for vec in joint_kernel(blocks, dm * dt):
-        mat = SparseRationalMatrix(dt, dm)
-        for key, val in vec.items():
-            m_col, t_row = divmod(key, dt)
-            mat.set(t_row, m_col, val)
-        maps.append(EquivMap(M, T, mat))
-    return maps
-
-
-def _embed_vector(v: dict, small: EquivModule, big: EquivModule) -> dict:
-    out = {}
-    for idx, val in v.items():
-        target = embed_label(small.labels[idx], big.cfg.N)
-        row = big.label_index.get(target)
-        if row is None:
-            raise ValueError("no canonical inclusion between the built modules")
-        out[row] = val
-    return out
 
 
 def _orbit_relations(pushed: list, big_solutions: list) -> list:
@@ -375,23 +279,8 @@ def _kept_combinations(solutions, columns) -> list:
     return kept
 
 
-def _stable_subspace(solutions, big_solutions, small: EquivModule,
-                     big: EquivModule) -> list:
-    """Members of span(solutions) whose push along the label inclusion into
-    the larger module lies in span(big_solutions), the solutions there."""
-    if not solutions:
-        return []
-    pushed = [_embed_vector(v, small, big) for v in solutions]
-    if small.xmaps is not None and big.xmaps is not None:
-        columns = _orbit_relations(pushed, big_solutions)
-    else:
-        span = Subspace(big_solutions, big.dim)
-        columns = [span.residue(w) for w in pushed]
-    return _kept_combinations(solutions, columns)
-
-
 def _family_orbits(profile: PQFamily, family: tuple, N: int) -> list:
-    """``_mapping_solutions_fast(profile, T)`` for T the P or Q module of
+    """``_mapping_solutions(profile, T)`` for T the P or Q module of
     family (kind, s, n) at N, the same list, read off T's label arithmetic
     with no module built.
 
@@ -452,10 +341,11 @@ def _family_orbits(profile: PQFamily, family: tuple, N: int) -> list:
 
 
 def _family_push(vectors, family: tuple, N: int) -> list:
-    """``_embed_vector`` from the P or Q module of family (kind, s, n) at N
-    to the one at N+1, by index arithmetic: label (a, rank) goes to (the
-    index of tuple a among the level-(N+1) tuples, rank), because the new
-    position N is the top free digit and is 0."""
+    """The push of vectors along the canonical label inclusion from the P or
+    Q module of family (kind, s, n) at N to the one at N+1, by index
+    arithmetic: label (a, rank) goes to (the index of tuple a among the
+    level-(N+1) tuples, rank), because the new position N is the top free
+    digit and is 0."""
     kind, s, n = family
     tuples = injections(n, N)
     size = pq_dimension(kind, s, n, N) // len(tuples)  # labels per tuple
@@ -466,8 +356,9 @@ def _family_push(vectors, family: tuple, N: int) -> list:
 
 def _family_stable_space(profile: PQFamily, family: tuple, N: int):
     """(solutions at N, solutions at N+1, stable space) for maps from the
-    profile into the P or Q family (kind, s, n): ``_stable_subspace`` on the
-    family's modules at N and N+1, none of which is built."""
+    profile into the P or Q family (kind, s, n): the solutions at N whose
+    push lies in the span of the solutions at N+1, with neither module
+    built."""
     sols = _family_orbits(profile, family, N)
     big_sols = _family_orbits(profile, family, N + 1)
     if not sols:
@@ -476,24 +367,15 @@ def _family_stable_space(profile: PQFamily, family: tuple, N: int):
     return sols, big_sols, _kept_combinations(sols, _orbit_relations(pushed, big_sols))
 
 
-def stable_hom(source: PQFamily, target, N: int) -> StableHomResult:
+def stable_hom(source: PQFamily, target: PQFamily, N: int) -> StableHomResult:
     """Solve for maps source -> target at truncation N, then keep the
     solutions that survive the canonical inclusion into truncation N+1.
-
-    ``target`` is a PQFamily or any callable N -> EquivModule whose labels
-    admit the canonical padding inclusion.  A family target is solved by
-    ``_family_stable_space`` from its label arithmetic, with no module
-    built; a callable's modules are built at N and N+1 and solved there.
-    """
-    if isinstance(target, PQFamily):
-        sols, big_sols, stable = _family_stable_space(
-            source, (target.kind, target.s, target.n), N)
-    else:
-        T_small = target(N)
-        T_big = target(N + 1)
-        sols = _mapping_solutions(source, T_small)
-        big_sols = _mapping_solutions(source, T_big)
-        stable = _stable_subspace(sols, big_sols, T_small, T_big)
+    The target family is solved by ``_family_stable_space`` from its label
+    arithmetic, with no module built; a target that is not a PQFamily is a
+    ValueError."""
+    if not isinstance(target, PQFamily):
+        raise ValueError(f"stable_hom needs a PQFamily target, got {target!r}")
+    sols, big_sols, stable = _family_stable_space(source, (target.kind, target.s, target.n), N)
     return StableHomResult(len(sols), len(big_sols), len(stable), stable)
 
 
@@ -628,197 +510,20 @@ def ext_truncated(M: EquivModule, T: EquivModule, max_i: int) -> list:
     reciprocity the invariant maps from one P into T are the generator
     images ``_mapping_solutions(PQFamily("P", s, n), T)``, and the Hom
     complex is the strand complex over their span, x_pos acting as T's
-    variable pos restricted to it.  Any other source goes through
-    ``_ext_by_free_covers``.  Exact at the truncation; stable answers across
-    truncations are the business of ``ext_stable``.
+    variable pos restricted to it.  A source without a family is a
+    ValueError.  Exact at the truncation; stable answers across truncations
+    are the business of ``ext_stable``.
     """
     if max_i < 0:
         raise ValueError("the degree bound must be nonnegative")
     if M.cfg != T.cfg:
         raise ValueError(f"config mismatch: {M.cfg} != {T.cfg}")
     if M.family is None:
-        return _ext_by_free_covers(M, T, max_i)
+        raise ValueError(f"ext_truncated needs a P or Q source; {M!r} has no family")
     kind, s, n = M.family
     sub = Subspace(_mapping_solutions(PQFamily("P", s, n), T), T.dim)
     return _strand_cohomology(s, n if kind == "Q" else 0, max_i + 2, sub,
                               lambda pos: T.xmul[pos])
-
-
-# ---------------------------------------------------------------------------
-# the reference resolution by minimal free covers
-
-
-def _group_walk(N: int) -> list:
-    """Every element of the symmetric group on N letters once, breadth first
-    over adjacent swaps.  Entry k is (parent, j): element k is element
-    ``parent`` followed by the swap (j, j+1), and parent < k.  Entry 0 is the
-    identity, (None, None)."""
-    perms = [tuple(range(N))]
-    index = {perms[0]: 0}
-    walk = [(None, None)]
-    for k, g in enumerate(perms):  # perms grows while it is read: breadth first
-        for j in range(N - 1):
-            h = _compose_swap(j, g)
-            if h not in index:
-                index[h] = len(perms)
-                perms.append(h)
-                walk.append((k, j))
-    return walk
-
-
-def _quotient_by_radical(M: EquivModule):
-    """The fiber M / (sum of variable images): its symmetric-group
-    representation and an equivariant section of the reduction.  The section
-    is the lift of the free coordinates when it commutes with every swap,
-    else the lift averaged over the group; both are checked to split."""
-    radical = SpanBasis([c for x in M.xmul for c in x.columns()], M.dim)
-    free = [t for t in range(M.dim) if t not in radical.free]
-    pos = {f: t for t, f in enumerate(free)}
-
-    def pi_matrix(mat: SparseRationalMatrix) -> SparseRationalMatrix:
-        out = SparseRationalMatrix(len(free), mat.ncols)
-        for j, col in enumerate(mat.columns()):
-            for k, v in radical.residue(col).items():
-                out.set(pos[k], j, v)
-        return out
-
-    lift = _map_matrix(free, M.dim)
-
-    N = M.cfg.N
-    moved = [M.coxeter[j] @ lift for j in range(N - 1)]
-    rep = SnRep(N, len(free), tuple(pi_matrix(m) for m in moved))
-
-    # equivariant section: the average of g . lift . g^{-1} over the group,
-    # which is lift itself when lift commutes with every swap; the term of
-    # g followed by swap j is coxeter[j] @ (term of g) @ rep.coxeter[j]
-    sec = lift
-    if any(m != lift @ r for m, r in zip(moved, rep.coxeter)):
-        walk = _group_walk(N)
-        terms = [lift]
-        for parent, j in walk[1:]:
-            terms.append(M.coxeter[j] @ terms[parent] @ rep.coxeter[j])
-        acc = SparseRationalMatrix(M.dim, len(free))
-        for term in terms:
-            for row, trow in zip(acc.rows, term.rows):
-                vec_axpy(row, ONE, trow)
-        sec = acc.scale(Fraction(1, len(walk)))
-        if any(M.coxeter[j] @ sec != sec @ rep.coxeter[j] for j in range(N - 1)):
-            raise AssemblyError("section is not equivariant")
-    if pi_matrix(sec) != SparseRationalMatrix.identity(len(free)):
-        raise AssemblyError("section does not split the reduction")
-    return rep, sec
-
-
-def _free_cover(M: EquivModule):
-    """Minimal equivariant free cover: returns (F, d, rep) with d: F -> M
-    surjective, F the free module on the radical fiber of M."""
-    rep, sec = _quotient_by_radical(M)
-    cfg = M.cfg
-    ring = _build_family("P", cfg.s, 0, cfg.N)  # the ring itself, labels ((), mono) in rank order
-    dimF = ring.dim * rep.dim
-    # label (mono, f) sits at rank(mono) * dim V + f: F is the ring tensor V,
-    # with the variables acting on the ring and a swap on both factors
-    labels = [(mono, f) for _, mono in ring.labels for f in range(rep.dim)]
-    eye = SparseRationalMatrix.identity(rep.dim)
-    xmul = [kron(x, eye) for x in ring.xmul]
-    coxeter = [kron(c, r) for c, r in zip(ring.coxeter, rep.coxeter)]
-    F = EquivModule(cfg, labels, xmul, coxeter, name=f"free_cover({M.name})")
-
-    # the image of (mono, f) is x_i times the image of (mono - e_i, f), for
-    # the last variable i in mono; that label comes earlier in the list
-    sec_cols = sec.columns()
-    x_cols = [m.columns() for m in M.xmul]
-    images = []
-    d = SparseRationalMatrix(M.dim, dimF)
-    for col, (mono, f) in enumerate(labels):
-        i = max((k for k, e in enumerate(mono) if e), default=None)
-        if i is None:
-            w = sec_cols[f]
-        else:
-            prev = ring.label_index[((), mono[:i] + (mono[i] - 1,) + mono[i + 1:])] * rep.dim + f
-            w = apply_columns(x_cols[i], images[prev])
-        images.append(w)
-        for r, v in w.items():
-            d.set(r, col, v)
-    cover = EquivMap(F, M, d)
-    if matrix_rank(d) != M.dim:
-        raise AssemblyError("free cover is not surjective")
-    return F, cover, rep
-
-
-def _kernel_module(F: EquivModule, d: SparseRationalMatrix):
-    """The kernel of d as a module, with its basis in F (label t is vector t)."""
-    ker = Subspace(nullspace(d), F.dim)
-    K = EquivModule(F.cfg, [("ker", t) for t in range(ker.dim)],
-                    [ker.restrict(m) for m in F.xmul], [ker.restrict(m) for m in F.coxeter],
-                    name=f"ker({F.name})")
-    return K, ker.basis
-
-
-def _resolution(M: EquivModule, levels: int):
-    """The first ``levels`` terms of the minimal free resolution of M:
-    (reps, gens, free_mods), with reps[i] the generator representation of
-    F_i and gens[i][f] the image of generator f of F_i in F_{i-1}
-    (F_{-1} = M).  The kernel of the last cover is not built."""
-    reps, gens, free_mods = [], [], []
-    current = M
-    inc_cols = None  # the kernel basis in the previous free module
-    for level in range(levels):
-        F, cover, rep = _free_cover(current)
-        # generator f is the label ((0,)*N, f), column f of the cover
-        images = [cover.matrix.column(f) for f in range(rep.dim)]
-        if inc_cols is not None:
-            images = [apply_columns(inc_cols, w) for w in images]
-        reps.append(rep)
-        gens.append(images)
-        free_mods.append(F)
-        if level < levels - 1:
-            current, inc_cols = _kernel_module(F, cover.matrix)
-    return reps, gens, free_mods
-
-
-def _hom_invariants_generic(rep: SnRep, T: EquivModule) -> list:
-    """Basis of the invariant maps V -> T, by elimination on all dimV * dimT
-    entries; entry f * T.dim + t of a vector is the map's coefficient from
-    basis vector f of V to basis label t of T.  As a dimT x dimV matrix X,
-    an invariant map is fixed by X -> rho_T @ X @ rho_V for each swap, which
-    on that vector is kron(rho_V^T, rho_T)."""
-    ncols = rep.dim * T.dim
-    eye = SparseRationalMatrix.identity(ncols)
-    return joint_kernel([kron(rv.transpose(), rt) - eye for rv, rt in zip(rep.coxeter, T.coxeter)],
-                        ncols)
-
-
-def _ext_by_free_covers(M: EquivModule, T: EquivModule, max_i: int) -> list:
-    """The reference for ``ext_truncated``, and its path for a source with no
-    family: resolve M by minimal free covers and take the cohomology of the
-    invariant Hom complex into T, each degree solved by
-    ``_hom_invariants_generic``."""
-    reps, gens, free_mods = _resolution(M, max_i + 2)
-
-    @lru_cache(maxsize=None)
-    def mono_action(mono):
-        return _word_product(T.xmul, T.dim, monomial_word(mono))
-
-    def induced_differential(level):
-        """Matrix of Hom(V_{level-1}, T) -> Hom(V_level, T): block (f, f') is
-        the sum of coeff * x^mono over the terms coeff * (mono, f') of the
-        image of generator f."""
-        dimT = T.dim
-        prev_labels = free_mods[level - 1].labels
-        d = SparseRationalMatrix(reps[level].dim * dimT, reps[level - 1].dim * dimT)
-        for f, image in enumerate(gens[level]):
-            for idx, coeff in image.items():
-                mono, fprime = prev_labels[idx]
-                for t, row in enumerate(mono_action(mono).rows):
-                    vec_axpy(d.rows[f * dimT + t], coeff,
-                             {fprime * dimT + tprime: v for tprime, v in row.items()})
-        return d
-
-    subs = [Subspace(_hom_invariants_generic(rep, T), rep.dim * T.dim) for rep in reps]
-    diffs = [subs[level].restrict(induced_differential(level), subs[level - 1])
-             for level in range(1, max_i + 2)]
-    return _cohomology([sub.dim for sub in subs], diffs)
 
 
 # ---------------------------------------------------------------------------
@@ -852,12 +557,6 @@ def _tor_label_maps(s: int, N: int):
         if any(then[u] is not None for u in first if u is not None):
             raise AssemblyError("periodic differentials do not square to zero")
     return C, odd, even
-
-
-def tor_complex(s: int, N: int):
-    """(C, delta_odd, delta_even): the matrices of ``_tor_label_maps``."""
-    C, odd, even = _tor_label_maps(s, N)
-    return C, _map_matrix(odd), _map_matrix(even)
 
 
 def _image_labels(C: EquivModule, cm) -> list:

@@ -4,10 +4,9 @@ Matrices are stored row-sparse as ``{column: entry}`` dicts with zero
 entries absent.  An entry is a Python ``int`` unless a division made it a
 ``Fraction``: a matrix stores an ``int`` or a ``Fraction`` as it is and
 converts anything else with ``Fraction(v)``, and ``Echelon`` divides a row
-by its leading entry only when that entry is not 1 or -1.  Label maps,
-Kronecker products and signs therefore stay on integer arithmetic, and ints
-and Fractions compare and hash alike, so results are the same whichever
-type holds a value.  All eliminations pick the leading column
+by its leading entry only when that entry is not 1 or -1.  Label maps and
+signs therefore stay on integer arithmetic, and ints and Fractions compare
+and hash alike, so results are the same whichever type holds a value.  All eliminations pick the leading column
 deterministically and never touch floating point, so ranks and nullities
 are exact integers and repeated runs are byte-for-byte reproducible.
 A span is one type, ``Subspace``, whose ``SpanBasis`` constructor brings
@@ -42,12 +41,6 @@ def vec_axpy(target: dict, coef, source: dict) -> None:
             target[k] = w
         else:
             target.pop(k, None)
-
-
-def vec_scale(vec: dict, coef) -> dict:
-    if not coef:
-        return {}
-    return {k: coef * v for k, v in vec.items()}
 
 
 def apply_columns(cols, vec: dict) -> dict:
@@ -143,7 +136,9 @@ class SparseRationalMatrix:
 
     def scale(self, coef) -> "SparseRationalMatrix":
         coef = _entry(coef)
-        return SparseRationalMatrix(self.nrows, self.ncols, [vec_scale(r, coef) for r in self.rows])
+        return SparseRationalMatrix(self.nrows, self.ncols,
+                                    [{k: coef * v for k, v in r.items()} if coef else {}
+                                     for r in self.rows])
 
     def power(self, k: int) -> "SparseRationalMatrix":
         if self.nrows != self.ncols:
@@ -201,19 +196,6 @@ class SparseRationalMatrix:
 
     def __repr__(self):
         return f"SparseRationalMatrix({self.nrows}x{self.ncols}, nnz={self.nnz()})"
-
-
-def kron(a: SparseRationalMatrix, b: SparseRationalMatrix) -> SparseRationalMatrix:
-    """The Kronecker product: entry (i * b.nrows + p, j * b.ncols + q) is
-    a[i, j] * b[p, q]."""
-    out = SparseRationalMatrix(a.nrows * b.nrows, a.ncols * b.ncols)
-    for i, arow in enumerate(a.rows):
-        for p, brow in enumerate(b.rows):
-            row = out.rows[i * b.nrows + p]
-            for j, av in arow.items():
-                for q, bv in brow.items():
-                    row[j * b.ncols + q] = av * bv
-    return out
 
 
 class Echelon:

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .combinat import Partition
-
 
 @dataclass(frozen=True)
 class RingConfig:
@@ -45,31 +43,6 @@ def monomial_unrank(r: int, cfg: RingConfig):
     return tuple(out)
 
 
-def permute(g, m):
-    """Relabel the variables of m by g: exponent of x_{g(i)} becomes m[i]."""
-    out = [0] * len(m)
-    for i, e in enumerate(m):
-        out[g[i]] = e
-    return tuple(out)
-
-
-def cycle_type(g) -> Partition:
-    """Cycle type of a permutation tuple, as a partition."""
-    seen = [False] * len(g)
-    cycles = []
-    for i in range(len(g)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = g[j]
-            length += 1
-        cycles.append(length)
-    return tuple(sorted(cycles, reverse=True))
-
-
 def representative_permutation(mu) -> tuple:
     """A permutation of cycle type mu: one cycle per part, consecutive blocks."""
     g = []
@@ -94,11 +67,6 @@ def coxeter_word(g) -> list:
                 word.append(j)
                 changed = True
     return word
-
-
-def monomial_word(mono) -> list:
-    """Variable word for a monomial: variable i repeated mono[i] times."""
-    return [i for i, e in enumerate(mono) for _ in range(e)]
 
 
 def fixed_monomial_count(mu, cfg: RingConfig) -> int:

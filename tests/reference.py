@@ -1,0 +1,473 @@
+"""Independent references that the tests compare the package against, and
+fixtures that the tests feed it.
+
+The package keeps one path per computation.  The definitions here are the
+other paths: elimination on full constraint matrices where the package
+chases labels, the stable space of built modules where it reads label
+arithmetic, Ext by a resolution of minimal free covers where it builds slot
+strands, and brute-force oracles.  Each one is named by some test, which
+``tests/test_reachability.py`` checks.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from functools import lru_cache
+from math import factorial
+
+from equivar.cas_cat import CasMorphism
+from equivar.combinat import ClassFunction, Partition, _check_partition, partitions
+from equivar.equivariant import (
+    EquivMap,
+    EquivModule,
+    SnRep,
+    _compose_swap,
+    _map_matrix,
+    _word_product,
+)
+from equivar.homcalc import (
+    PQFamily,
+    _build_family,
+    _cohomology,
+    _kept_combinations,
+    _orbit_relations,
+    _source_constraints,
+)
+from equivar.linalg import (
+    ONE,
+    AssemblyError,
+    SpanBasis,
+    SparseRationalMatrix,
+    Subspace,
+    apply_columns,
+    joint_kernel,
+    matrix_rank,
+    nullspace,
+    vec_axpy,
+)
+
+
+# ---------------------------------------------------------------------------
+# linear algebra
+
+
+def kron(a: SparseRationalMatrix, b: SparseRationalMatrix) -> SparseRationalMatrix:
+    """The Kronecker product: entry (i * b.nrows + p, j * b.ncols + q) is
+    a[i, j] * b[p, q]."""
+    out = SparseRationalMatrix(a.nrows * b.nrows, a.ncols * b.ncols)
+    for i, arow in enumerate(a.rows):
+        for p, brow in enumerate(b.rows):
+            row = out.rows[i * b.nrows + p]
+            for j, av in arow.items():
+                for q, bv in brow.items():
+                    row[j * b.ncols + q] = av * bv
+    return out
+
+
+# ---------------------------------------------------------------------------
+# symmetric-group combinatorics
+
+
+def _hook_lengths(lam):
+    conj = conjugate(lam)
+    for i, row in enumerate(lam):
+        for j in range(row):
+            yield row - j + conj[j] - i - 1
+
+
+def conjugate(lam) -> Partition:
+    lam = tuple(lam)
+    if not lam:
+        return ()
+    out = [0] * lam[0]
+    for row in lam:
+        for j in range(row):
+            out[j] += 1
+    return tuple(out)
+
+
+def specht_dimension(lam) -> int:
+    """Dimension of the irreducible module labeled by lam (hook lengths)."""
+    lam = _check_partition(lam)
+    n = sum(lam)
+    d = factorial(n)
+    for h in _hook_lengths(lam):
+        d, rem = divmod(d, h)
+        assert rem == 0
+    return d
+
+
+def trivial_character(n: int) -> ClassFunction:
+    return ClassFunction(n, {mu: 1 for mu in partitions(n)})
+
+
+def regular_character(n: int) -> ClassFunction:
+    vals = {mu: 0 for mu in partitions(n)}
+    vals[(1,) * n if n else ()] = factorial(n)
+    return ClassFunction(n, vals)
+
+
+# ---------------------------------------------------------------------------
+# permutations and monomials
+
+
+def permute(g, m):
+    """Relabel the variables of m by g: exponent of x_{g(i)} becomes m[i]."""
+    out = [0] * len(m)
+    for i, e in enumerate(m):
+        out[g[i]] = e
+    return tuple(out)
+
+
+def cycle_type(g) -> Partition:
+    """Cycle type of a permutation tuple, as a partition."""
+    seen = [False] * len(g)
+    cycles = []
+    for i in range(len(g)):
+        if seen[i]:
+            continue
+        length = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = g[j]
+            length += 1
+        cycles.append(length)
+    return tuple(sorted(cycles, reverse=True))
+
+
+def monomial_word(mono) -> list:
+    """Variable word for a monomial: variable i repeated mono[i] times."""
+    return [i for i, e in enumerate(mono) for _ in range(e)]
+
+
+# ---------------------------------------------------------------------------
+# the combinatorial category
+
+
+def identity_morphism(n: int, s: int) -> CasMorphism:
+    return CasMorphism.make(n, n, s, {(tuple(range(n)), (0,) * n): 1})
+
+
+# ---------------------------------------------------------------------------
+# module axioms and the label inclusion
+
+
+def check_axioms(M: EquivModule) -> None:
+    """Assert every structural identity of an equivariant module, exactly."""
+    N, s = M.cfg.N, M.cfg.s
+    eye = SparseRationalMatrix.identity(M.dim)
+    for i in range(N):
+        for j in range(i + 1, N):
+            if (M.xmul[i] @ M.xmul[j]) != (M.xmul[j] @ M.xmul[i]):
+                raise AssertionError(f"x_{i} and x_{j} do not commute")
+    for i in range(N):
+        if not M.xmul[i].power(s + 1).is_zero():
+            raise AssertionError(f"x_{i}^(s+1) is nonzero")
+    for j in range(N - 1):
+        if (M.coxeter[j] @ M.coxeter[j]) != eye:
+            raise AssertionError(f"swap {j} is not an involution")
+    for j in range(N - 2):
+        a, b = M.coxeter[j], M.coxeter[j + 1]
+        if (a @ b @ a) != (b @ a @ b):
+            raise AssertionError(f"braid relation fails at {j}")
+    for j in range(N - 1):
+        for k in range(j + 2, N - 1):
+            a, b = M.coxeter[j], M.coxeter[k]
+            if (a @ b) != (b @ a):
+                raise AssertionError(f"distant swaps {j},{k} do not commute")
+    for j in range(N - 1):
+        for i in range(N):
+            swapped = j + 1 if i == j else j if i == j + 1 else i
+            lhs = M.coxeter[j] @ M.xmul[i] @ M.coxeter[j]
+            if lhs != M.xmul[swapped]:
+                raise AssertionError(f"swap {j} conjugates x_{i} incorrectly")
+    if M.grading is not None:
+        for i in range(N):
+            for col, row_entries in enumerate(M.xmul[i].columns()):
+                for r in row_entries:
+                    expect = list(M.grading[col])
+                    expect[i] += 1
+                    if tuple(expect) != M.grading[r]:
+                        raise AssertionError("grading is not raised by one step")
+        for j in range(N - 1):
+            for col, row_entries in enumerate(M.coxeter[j].columns()):
+                for r in row_entries:
+                    d = list(M.grading[col])
+                    d[j], d[j + 1] = d[j + 1], d[j]
+                    if tuple(d) != M.grading[r]:
+                        raise AssertionError("grading is not permuted by swaps")
+
+
+def embed_label(lab, N_new: int):
+    """Pad the exponent part of a (tuple, mono) label to a larger truncation.
+
+    Direct-sum labels (component index, inner label) are padded recursively.
+    """
+    if isinstance(lab, tuple) and len(lab) == 2:
+        head, tail = lab
+        if isinstance(head, int) and isinstance(tail, tuple):
+            return (head, embed_label(tail, N_new))
+        if isinstance(head, tuple) and isinstance(tail, tuple):
+            if N_new < len(tail):
+                raise ValueError("cannot shrink a label")
+            return (head, tail + (0,) * (N_new - len(tail)))
+    raise ValueError(f"no canonical inclusion for label {lab!r}")
+
+
+# ---------------------------------------------------------------------------
+# the generic Hom solvers, the module path of stabilization, and Ext by
+# minimal free covers
+
+
+def _mapping_solutions_generic(profile: PQFamily, T: EquivModule) -> list:
+    """The reference solver: elimination on the stacked constraint matrices."""
+    kills, swaps = _source_constraints(profile, T.cfg)
+    eye = SparseRationalMatrix.identity(T.dim)
+    return joint_kernel([T.xmul[i].power(e) for i, e in kills]
+                        + [T.coxeter[j] - eye for j in swaps], T.dim)
+
+
+def map_from_generator_value(profile: PQFamily, source: EquivModule,
+                             target: EquivModule, v: dict) -> EquivMap:
+    """Equivariant extension of generator-image v to a full module map.
+
+    The source must be the profile's module at the target's truncation; the
+    column at a basis label (T, mono) is mono applied to the relabeling of v
+    along any permutation sending (0..n-1) to T.
+    """
+    N = target.cfg.N
+    n = profile.n
+    mat = SparseRationalMatrix(target.dim, source.dim)
+    perm_cache: dict = {}
+    for col, (tup, mono) in enumerate(source.labels):
+        if tup not in perm_cache:
+            rest = [p for p in range(N) if p not in tup]
+            perm = tuple(list(tup) + rest)  # position k maps to perm[k]
+            perm_cache[tup] = apply_columns(target.perm_matrix(perm).columns(), v)
+        xmono = _word_product(target.xmul, target.dim, monomial_word(mono))
+        for r, val in apply_columns(xmono.columns(), perm_cache[tup]).items():
+            mat.set(r, col, val)
+    return EquivMap(source, target, mat)
+
+
+def hom_generic(M: EquivModule, T: EquivModule) -> list:
+    """Exact basis of the space of equivariant maps M -> T, by solving the
+    commutation constraints X @ a == b @ X on the full matrix X of the map.
+    Entry m_col * T.dim + t_row of a solution vector is X[t_row, m_col], so
+    the constraint on that vector is kron(a^T, I) - kron(I, b)."""
+    if M.cfg != T.cfg:
+        raise ValueError(f"config mismatch: {M.cfg} != {T.cfg}")
+    dm, dt = M.dim, T.dim
+    eye_m, eye_t = SparseRationalMatrix.identity(dm), SparseRationalMatrix.identity(dt)
+    blocks = [kron(a.transpose(), eye_t) - kron(eye_m, b)
+              for a, b in zip(M.xmul + M.coxeter, T.xmul + T.coxeter)]
+    maps = []
+    for vec in joint_kernel(blocks, dm * dt):
+        mat = SparseRationalMatrix(dt, dm)
+        for key, val in vec.items():
+            m_col, t_row = divmod(key, dt)
+            mat.set(t_row, m_col, val)
+        maps.append(EquivMap(M, T, mat))
+    return maps
+
+
+def _embed_vector(v: dict, small: EquivModule, big: EquivModule) -> dict:
+    out = {}
+    for idx, val in v.items():
+        target = embed_label(small.labels[idx], big.cfg.N)
+        row = big.label_index.get(target)
+        if row is None:
+            raise ValueError("no canonical inclusion between the built modules")
+        out[row] = val
+    return out
+
+
+def _stable_subspace(solutions, big_solutions, small: EquivModule,
+                     big: EquivModule) -> list:
+    """Members of span(solutions) whose push along the label inclusion into
+    the larger module lies in span(big_solutions), the solutions there."""
+    if not solutions:
+        return []
+    pushed = [_embed_vector(v, small, big) for v in solutions]
+    if small.xmaps is not None and big.xmaps is not None:
+        columns = _orbit_relations(pushed, big_solutions)
+    else:
+        span = Subspace(big_solutions, big.dim)
+        columns = [span.residue(w) for w in pushed]
+    return _kept_combinations(solutions, columns)
+
+
+def _group_walk(N: int) -> list:
+    """Every element of the symmetric group on N letters once, breadth first
+    over adjacent swaps.  Entry k is (parent, j): element k is element
+    ``parent`` followed by the swap (j, j+1), and parent < k.  Entry 0 is the
+    identity, (None, None)."""
+    perms = [tuple(range(N))]
+    index = {perms[0]: 0}
+    walk = [(None, None)]
+    for k, g in enumerate(perms):  # perms grows while it is read: breadth first
+        for j in range(N - 1):
+            h = _compose_swap(j, g)
+            if h not in index:
+                index[h] = len(perms)
+                perms.append(h)
+                walk.append((k, j))
+    return walk
+
+
+def _quotient_by_radical(M: EquivModule):
+    """The fiber M / (sum of variable images): its symmetric-group
+    representation and an equivariant section of the reduction.  The section
+    is the lift of the free coordinates when it commutes with every swap,
+    else the lift averaged over the group; both are checked to split."""
+    radical = SpanBasis([c for x in M.xmul for c in x.columns()], M.dim)
+    free = [t for t in range(M.dim) if t not in radical.free]
+    pos = {f: t for t, f in enumerate(free)}
+
+    def pi_matrix(mat: SparseRationalMatrix) -> SparseRationalMatrix:
+        out = SparseRationalMatrix(len(free), mat.ncols)
+        for j, col in enumerate(mat.columns()):
+            for k, v in radical.residue(col).items():
+                out.set(pos[k], j, v)
+        return out
+
+    lift = _map_matrix(free, M.dim)
+
+    N = M.cfg.N
+    moved = [M.coxeter[j] @ lift for j in range(N - 1)]
+    rep = SnRep(N, len(free), tuple(pi_matrix(m) for m in moved))
+
+    # equivariant section: the average of g . lift . g^{-1} over the group,
+    # which is lift itself when lift commutes with every swap; the term of
+    # g followed by swap j is coxeter[j] @ (term of g) @ rep.coxeter[j]
+    sec = lift
+    if any(m != lift @ r for m, r in zip(moved, rep.coxeter)):
+        walk = _group_walk(N)
+        terms = [lift]
+        for parent, j in walk[1:]:
+            terms.append(M.coxeter[j] @ terms[parent] @ rep.coxeter[j])
+        acc = SparseRationalMatrix(M.dim, len(free))
+        for term in terms:
+            for row, trow in zip(acc.rows, term.rows):
+                vec_axpy(row, ONE, trow)
+        sec = acc.scale(Fraction(1, len(walk)))
+        if any(M.coxeter[j] @ sec != sec @ rep.coxeter[j] for j in range(N - 1)):
+            raise AssemblyError("section is not equivariant")
+    if pi_matrix(sec) != SparseRationalMatrix.identity(len(free)):
+        raise AssemblyError("section does not split the reduction")
+    return rep, sec
+
+
+def _free_cover(M: EquivModule):
+    """Minimal equivariant free cover: returns (F, d, rep) with d: F -> M
+    surjective, F the free module on the radical fiber of M."""
+    rep, sec = _quotient_by_radical(M)
+    cfg = M.cfg
+    ring = _build_family("P", cfg.s, 0, cfg.N)  # the ring itself, labels ((), mono) in rank order
+    dimF = ring.dim * rep.dim
+    # label (mono, f) sits at rank(mono) * dim V + f: F is the ring tensor V,
+    # with the variables acting on the ring and a swap on both factors
+    labels = [(mono, f) for _, mono in ring.labels for f in range(rep.dim)]
+    eye = SparseRationalMatrix.identity(rep.dim)
+    xmul = [kron(x, eye) for x in ring.xmul]
+    coxeter = [kron(c, r) for c, r in zip(ring.coxeter, rep.coxeter)]
+    F = EquivModule(cfg, labels, xmul, coxeter, name=f"free_cover({M.name})")
+
+    # the image of (mono, f) is x_i times the image of (mono - e_i, f), for
+    # the last variable i in mono; that label comes earlier in the list
+    sec_cols = sec.columns()
+    x_cols = [m.columns() for m in M.xmul]
+    images = []
+    d = SparseRationalMatrix(M.dim, dimF)
+    for col, (mono, f) in enumerate(labels):
+        i = max((k for k, e in enumerate(mono) if e), default=None)
+        if i is None:
+            w = sec_cols[f]
+        else:
+            prev = ring.label_index[((), mono[:i] + (mono[i] - 1,) + mono[i + 1:])] * rep.dim + f
+            w = apply_columns(x_cols[i], images[prev])
+        images.append(w)
+        for r, v in w.items():
+            d.set(r, col, v)
+    cover = EquivMap(F, M, d)
+    if matrix_rank(d) != M.dim:
+        raise AssemblyError("free cover is not surjective")
+    return F, cover, rep
+
+
+def _kernel_module(F: EquivModule, d: SparseRationalMatrix):
+    """The kernel of d as a module, with its basis in F (label t is vector t)."""
+    ker = Subspace(nullspace(d), F.dim)
+    K = EquivModule(F.cfg, [("ker", t) for t in range(ker.dim)],
+                    [ker.restrict(m) for m in F.xmul], [ker.restrict(m) for m in F.coxeter],
+                    name=f"ker({F.name})")
+    return K, ker.basis
+
+
+def _resolution(M: EquivModule, levels: int):
+    """The first ``levels`` terms of the minimal free resolution of M:
+    (reps, gens, free_mods), with reps[i] the generator representation of
+    F_i and gens[i][f] the image of generator f of F_i in F_{i-1}
+    (F_{-1} = M).  The kernel of the last cover is not built."""
+    reps, gens, free_mods = [], [], []
+    current = M
+    inc_cols = None  # the kernel basis in the previous free module
+    for level in range(levels):
+        F, cover, rep = _free_cover(current)
+        # generator f is the label ((0,)*N, f), column f of the cover
+        images = [cover.matrix.column(f) for f in range(rep.dim)]
+        if inc_cols is not None:
+            images = [apply_columns(inc_cols, w) for w in images]
+        reps.append(rep)
+        gens.append(images)
+        free_mods.append(F)
+        if level < levels - 1:
+            current, inc_cols = _kernel_module(F, cover.matrix)
+    return reps, gens, free_mods
+
+
+def _hom_invariants_generic(rep: SnRep, T: EquivModule) -> list:
+    """Basis of the invariant maps V -> T, by elimination on all dimV * dimT
+    entries; entry f * T.dim + t of a vector is the map's coefficient from
+    basis vector f of V to basis label t of T.  As a dimT x dimV matrix X,
+    an invariant map is fixed by X -> rho_T @ X @ rho_V for each swap, which
+    on that vector is kron(rho_V^T, rho_T)."""
+    ncols = rep.dim * T.dim
+    eye = SparseRationalMatrix.identity(ncols)
+    return joint_kernel([kron(rv.transpose(), rt) - eye for rv, rt in zip(rep.coxeter, T.coxeter)],
+                        ncols)
+
+
+def _ext_by_free_covers(M: EquivModule, T: EquivModule, max_i: int) -> list:
+    """The reference for ``ext_truncated``, on any source: resolve M by
+    minimal free covers and take the cohomology of the invariant Hom complex
+    into T, each degree solved by ``_hom_invariants_generic``.  A cover on
+    the fiber V has the label (mono, f) at rank(mono) * dim V + f, so its
+    actions are Kronecker products, and only the image of each generator of
+    F_i in F_(i-1) is kept."""
+    reps, gens, free_mods = _resolution(M, max_i + 2)
+
+    @lru_cache(maxsize=None)
+    def mono_action(mono):
+        return _word_product(T.xmul, T.dim, monomial_word(mono))
+
+    def induced_differential(level):
+        """Matrix of Hom(V_{level-1}, T) -> Hom(V_level, T): block (f, f') is
+        the sum of coeff * x^mono over the terms coeff * (mono, f') of the
+        image of generator f."""
+        dimT = T.dim
+        prev_labels = free_mods[level - 1].labels
+        d = SparseRationalMatrix(reps[level].dim * dimT, reps[level - 1].dim * dimT)
+        for f, image in enumerate(gens[level]):
+            for idx, coeff in image.items():
+                mono, fprime = prev_labels[idx]
+                for t, row in enumerate(mono_action(mono).rows):
+                    vec_axpy(d.rows[f * dimT + t], coeff,
+                             {fprime * dimT + tprime: v for tprime, v in row.items()})
+        return d
+
+    subs = [Subspace(_hom_invariants_generic(rep, T), rep.dim * T.dim) for rep in reps]
+    diffs = [subs[level].restrict(induced_differential(level), subs[level - 1])
+             for level in range(1, max_i + 2)]
+    return _cohomology([sub.dim for sub in subs], diffs)

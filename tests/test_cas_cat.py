@@ -10,9 +10,9 @@ from equivar.cas_cat import (
     compare_with_P_homs,
     compose,
     hom_dimension,
-    identity_morphism,
     injective_I,
 )
+from reference import identity_morphism
 
 SEED = 0xA5
 

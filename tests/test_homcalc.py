@@ -28,30 +28,17 @@ from equivar.homcalc import (
     coresolution_Q,
     ext_stable,
     ext_truncated,
-    hom_generic,
     hom_mapping_property,
-    map_from_generator_value,
     stable_hom,
-    tor_complex,
     tor_periodic,
-    _embed_vector,
     _family_orbits,
     _family_push,
     _family_stable_space,
-    _free_cover,
-    _group_walk,
-    _hom_invariants_generic,
     _image_labels,
-    _kernel_module,
     _mapping_solutions,
-    _mapping_solutions_fast,
-    _mapping_solutions_generic,
     _orbit_relations,
     _power_map,
-    _quotient_by_radical,
-    _resolution,
     _slot_variable,
-    _stable_subspace,
     _strand_cohomology,
     _strand_complex,
     _tor_label_maps,
@@ -69,6 +56,20 @@ from equivar.linalg import (
     rank_of_vectors,
 )
 from equivar.truncated_ring import RingConfig, representative_permutation
+from reference import (
+    _embed_vector,
+    _ext_by_free_covers,
+    _free_cover,
+    _group_walk,
+    _hom_invariants_generic,
+    _kernel_module,
+    _mapping_solutions_generic,
+    _quotient_by_radical,
+    _resolution,
+    _stable_subspace,
+    hom_generic,
+    map_from_generator_value,
+)
 
 
 def qq_expected(a, b):
@@ -352,10 +353,10 @@ def test_family_stable_space_matches_the_module_path(kind, s):
                 if r < 0:
                     continue
                 profile = PQFamily(src_kind, r, m)
-                sols = _mapping_solutions_fast(profile, T)
+                sols = _mapping_solutions(profile, T)
                 assert _items(_family_orbits(profile, (kind, s, n), N)) == _items(sols)
                 if big is not None:
-                    big_sols = _mapping_solutions_fast(profile, big)
+                    big_sols = _mapping_solutions(profile, big)
                     got = _family_stable_space(profile, (kind, s, n), N)
                     assert [_items(part) for part in got] == [
                         _items(sols), _items(big_sols),
@@ -370,7 +371,7 @@ def test_family_orbits_raise_the_module_path_errors():
             _family_orbits(PQFamily("Q", 1, 1), (kind, 1, 3), 2)
         assert str(helper.value) == str(built.value)
         with pytest.raises(ValueError) as solved:
-            _mapping_solutions_fast(PQFamily("Q", 1, 3), build(1, 1, 2))
+            _mapping_solutions(PQFamily("Q", 1, 3), build(1, 1, 2))
         with pytest.raises(ValueError) as helper:
             _family_orbits(PQFamily("Q", 1, 3), (kind, 1, 1), 2)
         assert str(helper.value) == str(solved.value)
@@ -813,7 +814,7 @@ def test_skewed_basis_takes_the_averaged_section():
     for j in range(M.cfg.N - 1):
         assert M.coxeter[j] @ sec == sec @ rep.coxeter[j]
     T = build_P(1, 1, 2)
-    assert ext_truncated(M, T, 2) == ext_truncated(P, T, 2) == [4, 0, 0]
+    assert _ext_by_free_covers(M, T, 2) == ext_truncated(P, T, 2) == [4, 0, 0]
 
 
 EXT_VANISH_SOURCES = [(s, n, N) for s in range(3) for N in range(1, 4)
@@ -832,11 +833,17 @@ def test_free_covers_of_ext_vanish_sources_have_integer_entries(s, n, N):
 
 
 def test_ext_truncated_generic_branch_matches_label_maps():
+    # the generator images of P(s, n, N) into T, whose span ext_truncated
+    # takes its Hom complex over: the orbit solver against the generic
+    # elimination on a matrix-only copy of T
     for src, tgt in [(build_Q(1, 1, 3), build_P(1, 1, 3)), (build_Q(1, 2, 3), build_P(1, 2, 3)),
                      (build_Q(2, 1, 2), build_Q(2, 1, 2))]:
+        _, s, n = src.family
         plain = _matrix_copy(tgt)
         assert plain.swaps is None
-        assert ext_truncated(src, plain, 2) == ext_truncated(src, tgt, 2)
+        profile = PQFamily("P", s, n)
+        assert (SpanBasis(_mapping_solutions(profile, tgt), tgt.dim)
+                == SpanBasis(_mapping_solutions_generic(profile, plain), tgt.dim))
 
 
 # ext_truncated(X(s, n, N), Y(s, d, N), 2) for n, d in 0..2, row-major in
@@ -904,14 +911,10 @@ PERFBENCH_EXT_TRUNCATED = (
 
 
 def test_strands_match_free_covers_on_the_perfbench_grid():
-    # a matrix-only copy of the source has no family, so it takes the
-    # reference resolution by free covers
     assert len(PERFBENCH_EXT_TRUNCATED) == 78
     for s, n, d, N in PERFBENCH_EXT_TRUNCATED:
         M, T = build_Q(s, n, N), build_P(s, d, N)
-        plain = _matrix_copy(M)
-        assert M.family == ("Q", s, n) and plain.family is None
-        assert ext_truncated(M, T, 2) == ext_truncated(plain, T, 2), (s, n, d, N)
+        assert ext_truncated(M, T, 2) == _ext_by_free_covers(M, T, 2), (s, n, d, N)
 
 
 @pytest.mark.parametrize("s", range(3))
@@ -922,7 +925,7 @@ def test_strands_match_free_covers_on_small_pq_pairs(s):
             for n, d in itertools.product(range(min(2, N) + 1), repeat=2):
                 M, T = build[src](s, n, N), build[tgt](s, d, N)
                 assert (ext_truncated(M, T, 3)
-                        == ext_truncated(_matrix_copy(M), T, 3)), (src, tgt, N, n, d)
+                        == _ext_by_free_covers(M, T, 3)), (src, tgt, N, n, d)
 
 
 @pytest.mark.parametrize("s", range(3))
@@ -934,32 +937,15 @@ def test_strand_cochain_differentials_compose_to_zero(s):
             targets = [*_targets(s, min(n, 2), N), _matrix_copy(build_Q(s, 1, N)),
                        _zero_module(s, N)]
             for T in targets:
-                sub = Subspace(_mapping_solutions(PQFamily("P", s, n), T), T.dim)
+                # the orbit solver takes label maps only
+                solve = _mapping_solutions if T.xmaps is not None else _mapping_solutions_generic
+                sub = Subspace(solve(PQFamily("P", s, n), T), T.dim)
                 for dim, block in ((T.dim, lambda pos, exp, T=T: T.xmul[pos].power(exp)),
                                    (sub.dim, lambda pos, exp, T=T, sub=sub:
                                     sub.restrict(T.xmul[pos].power(exp)))):
                     _, diffs = _strand_complex(s, n, 5, dim, block)
                     for d, e in zip(diffs, diffs[1:]):
                         assert (e @ d).is_zero(), (N, n, T.name, dim)
-
-
-def test_truncated_ext_of_families_builds_no_free_cover(monkeypatch, capsys):
-    import equivar.homcalc as homcalc
-    from equivar import verify
-    from equivar.cli import main
-
-    calls = []
-    cover = homcalc._free_cover
-    monkeypatch.setattr(homcalc, "_free_cover", lambda M: calls.append(M) or cover(M))
-    checks = verify.run_suite("ext-vanish", 3)
-    assert len(checks) == 66 and all(c["ok"] for c in checks)
-    assert main(["ext", "--mode", "truncated", "--s", "1", "--src", "Q,1,2",
-                 "--dst", "P,1,1", "--N", "3"]) == 0
-    assert "[6, 0, 0, 0]" in capsys.readouterr().out
-    assert calls == []
-    # the wrap is live: a source without a family is resolved by free covers
-    assert ext_truncated(_matrix_copy(build_Q(1, 1, 2)), build_P(1, 1, 2), 1) == [4, 0]
-    assert len(calls) == 3
 
 
 def test_ext_rejects_a_negative_degree_bound():
@@ -1030,9 +1016,8 @@ TOR_ORACLE_CASES = [(s, N) for s in range(1, 5) for N in range(1, 8)
 @pytest.mark.parametrize("s,N", TOR_ORACLE_CASES)
 def test_tor_counts_match_elimination_oracle(s, N):
     C, odd, even = _tor_label_maps(s, N)
-    _, delta_odd, delta_even = tor_complex(s, N)
-    oracle = [_subspace_character(C, SpanBasis((c for c in d.columns() if c), C.dim))
-              for d in (delta_odd, delta_even)]
+    oracle = [_subspace_character(C, SpanBasis((c for c in _map_matrix(cm).columns() if c), C.dim))
+              for cm in (odd, even)]
     assert [character_of(C, _image_labels(C, cm)) for cm in (odd, even)] == oracle
     expected = character_of(_matrix_copy(C)) - oracle[0] - oracle[1]
     assert tor_periodic(s, 2, N) == [expected, expected]
@@ -1054,7 +1039,7 @@ def test_character_of_counts_match_traces():
     matrix-only copy it takes the trace of perm_matrix."""
     for s in (1, 2):
         for N in (1, 2, 3):
-            mods = [tor_complex(s, N)[0]]
+            mods = [_tor_label_maps(s, N)[0]]
             for n in range(N + 1):
                 P, Q = build_P(s, n, N), build_Q(s, n, N)
                 mods += [P, Q, direct_sum([P, Q]), *filtration_layers(s, n, N)[1]]
@@ -1073,8 +1058,8 @@ def test_tor_zero_matches_direct_tensor_count():
     # degree-zero homology is the tensor square: for each ordered pair of
     # positions, a free monomial part away from both
     for s, N in [(1, 2), (1, 3), (2, 2)]:
-        C, delta_odd, delta_even = tor_complex(s, N)
-        tor0 = C.dim - matrix_rank(delta_odd)
+        C, odd, _ = _tor_label_maps(s, N)
+        tor0 = C.dim - matrix_rank(_map_matrix(odd))
         oracle = sum((s + 1) ** (N - len({i, j}))
                      for i in range(N) for j in range(N))
         assert tor0 == oracle
@@ -1082,17 +1067,13 @@ def test_tor_zero_matches_direct_tensor_count():
 
 def test_tor_requires_positive_bound():
     with pytest.raises(ValueError):
-        tor_complex(0, 2)
+        _tor_label_maps(0, 2)
 
 
 def oracle_tor_dims_via_minimal_covers(s, N, r_max):
     """Independent Tor oracle: resolve the singleton Q family by minimal free
     covers (a different algorithm from the explicit periodic complex), tensor
     the resolution down to its generator fibers, and take homology ranks."""
-    from fractions import Fraction
-
-    from equivar.homcalc import _free_cover
-
     Q = build_Q(s, 1, N)
     qdim = Q.dim
     current, inclusion = Q, None
@@ -1149,14 +1130,16 @@ def test_fast_path_matches_elimination_larger_case():
     assert SpanBasis(fast, tgt.dim) == SpanBasis(slow, tgt.dim)
 
 
-def test_stable_hom_accepts_target_builder_callable():
-    from equivar.equivariant import direct_sum
+def test_ext_truncated_refuses_a_source_without_a_family():
+    with pytest.raises(ValueError, match="no family"):
+        ext_truncated(_matrix_copy(build_Q(1, 1, 2)), build_P(1, 1, 2), 1)
+    with pytest.raises(ValueError, match="label maps"):
+        ext_truncated(build_Q(1, 1, 2), _matrix_copy(build_P(1, 1, 2)), 1)
 
-    def double_q(N):
-        return direct_sum([build_Q(1, 1, N), build_Q(1, 1, N)])
 
-    r = stable_hom(PQFamily("Q", 1, 1), double_q, 3)
-    assert r.dim_stable == 2  # one map into each summand
+def test_stable_hom_refuses_a_target_that_is_not_a_family():
+    with pytest.raises(ValueError, match="PQFamily"):
+        stable_hom(PQFamily("Q", 1, 1), lambda N: build_Q(1, 1, N), 3)
 
 
 def test_mapping_solutions_on_zero_module():

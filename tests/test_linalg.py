@@ -15,12 +15,12 @@ from equivar.linalg import (
     Subspace,
     joint_kernel,
     kernel_of_vectors,
-    kron,
     matrix_rank,
     nullspace,
     rank_of_vectors,
     solve_columns,
 )
+from reference import kron
 
 
 def dense_rank(dense):
