@@ -171,8 +171,7 @@ def cmd_tor(args) -> dict:
     from .equivariant import character_of
     from .homcalc import PQFamily, tor_periodic
 
-    chars = tor_periodic(args.s, args.r, args.N)
-    chi = chars[args.r - 1]
+    chi = tor_periodic(args.s, args.N)  # the same in every positive degree
     chi_q = character_of(PQFamily("Q", args.s, 1).build(args.N))
     return {
         "character": _class_function_table(chi),

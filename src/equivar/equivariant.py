@@ -8,15 +8,14 @@ An ``EquivModule`` carries, over a fixed ``RingConfig(N, s)``:
   permutations act through a reduced word, so storage is linear in N);
 - an optional grading assigning each basis label an exponent vector.
 
-The actions come in one of two forms.  A permutation-like module (the P and
-Q families, their direct sums and filtration layers, the periodic Tor
-complex) stores integer label maps: ``xmaps[i][t]`` is the label that x_i
+Every module the package builds (the P and Q families, their direct sums and
+filtration layers, the periodic Tor complex, the functor images of
+``fi_layer.phi_s``) acts on its basis by partial injections of labels, so
+the actions are integer label maps: ``xmaps[i][t]`` is the label that x_i
 sends label t to, or None where x_i kills it, and ``swaps[j]`` is the label
-permutation of the swap (j, j+1); ``label_perm`` composes them along a
-word, and a character counts fixed labels.  Its 0/1 integer matrices
-``xmul`` and ``coxeter`` are derived from the maps on first access and kept.  Any
-other module (the functor images of ``fi_layer.phi_s``) stores the matrices
-alone, has ``xmaps is None``, and takes traces.
+permutation of the swap (j, j+1).  ``label_perm`` composes the swaps along a
+word, and a character counts fixed labels.  The 0/1 matrices ``xmul`` and
+``coxeter`` are derived from the maps on first access and kept.
 
 Modules are immutable after construction; submodules and quotients are new
 objects.  The two standard families:
@@ -43,7 +42,7 @@ from .combinat import (
     injections,
     partitions,
 )
-from .linalg import ONE, SparseRationalMatrix, matrix_rank
+from .linalg import ONE, SparseRationalMatrix
 from .truncated_ring import (
     RingConfig,
     coxeter_word,
@@ -53,8 +52,6 @@ from .truncated_ring import (
 __all__ = [
     "EquivModule",
     "EquivMap",
-    "SnRep",
-    "regular_rep",
     "build_P",
     "build_Q",
     "direct_sum",
@@ -68,33 +65,27 @@ __all__ = [
 
 class EquivModule:
     """A finite-dimensional module with commuting variable actions and a
-    compatible symmetric-group action stored on adjacent transpositions.
-
-    Give the actions either as matrices (``xmul``, ``coxeter``) or as label
-    maps (``xmaps``, ``swaps``); see the module docstring.  ``family`` is
-    (kind, s, n) on a module ``build_P`` or ``build_Q`` made, else None.
+    compatible symmetric-group action stored on adjacent transpositions, both
+    as label maps (``xmaps``, ``swaps``); see the module docstring.
+    ``family`` is (kind, s, n) on a module ``build_P`` or ``build_Q`` made,
+    else None.
     """
 
     __slots__ = ("cfg", "labels", "label_index", "xmaps", "swaps", "_xmul", "_coxeter",
                  "grading", "name", "family")
 
-    def __init__(self, cfg, labels, xmul=None, coxeter=None, grading=None, name="", *,
-                 xmaps=None, swaps=None, family=None):
+    def __init__(self, cfg, labels, xmaps, swaps, grading=None, name="", family=None):
         self.cfg = cfg
         self.labels = list(labels)
         self.label_index = {lab: i for i, lab in enumerate(self.labels)}
         if len(self.label_index) != len(self.labels):
             raise ValueError("duplicate basis labels")
-        as_maps = xmaps is not None
-        if (swaps is not None) != as_maps or (xmul is None) != as_maps or (coxeter is None) != as_maps:
-            raise ValueError("give the actions either as matrices or as label maps")
-        self.xmaps, self.swaps = (list(xmaps), list(swaps)) if as_maps else (None, None)
-        self._xmul, self._coxeter = (None, None) if as_maps else (list(xmul), list(coxeter))
-        xs, sws = (self.xmaps, self.swaps) if as_maps else (self._xmul, self._coxeter)
-        if len(xs) != cfg.N or len(sws) != max(cfg.N - 1, 0):
+        self.xmaps, self.swaps = list(xmaps), list(swaps)
+        if len(self.xmaps) != cfg.N or len(self.swaps) != max(cfg.N - 1, 0):
             raise ValueError("expected one action per variable and per adjacent swap")
-        if as_maps and any(len(cm) != self.dim for cm in xs + sws):
+        if any(len(cm) != self.dim for cm in self.xmaps + self.swaps):
             raise ValueError("a label map has the wrong length")
+        self._xmul = self._coxeter = None
         self.grading = list(grading) if grading is not None else None
         self.name = name
         self.family = family
@@ -105,7 +96,7 @@ class EquivModule:
 
     @property
     def xmul(self) -> list:
-        """One multiplication matrix per variable."""
+        """One 0/1 multiplication matrix per variable."""
         if self._xmul is None:
             self._xmul = [_map_matrix(cm) for cm in self.xmaps]
         return self._xmul
@@ -119,7 +110,7 @@ class EquivModule:
 
     def label_perm(self, g) -> list:
         """The label permutation of an arbitrary permutation g: the label maps
-        ``swaps`` composed along ``coxeter_word(g)``.  Needs label maps."""
+        ``swaps`` composed along ``coxeter_word(g)``."""
         perm = list(range(self.dim))
         for j in coxeter_word(g):
             sw = self.swaps[j]
@@ -127,8 +118,8 @@ class EquivModule:
         return perm
 
     def perm_matrix(self, g) -> SparseRationalMatrix:
-        """Action of an arbitrary permutation, via a reduced word."""
-        return _word_product(self.coxeter, self.dim, coxeter_word(g))
+        """The permutation matrix of an arbitrary permutation g."""
+        return _map_matrix(self.label_perm(g))
 
     def to_json_dict(self) -> dict:
         out = {
@@ -145,16 +136,6 @@ class EquivModule:
     def __repr__(self):
         tag = self.name or "EquivModule"
         return f"{tag}(N={self.cfg.N}, s={self.cfg.s}, dim={self.dim})"
-
-
-def _word_product(gens, dim: int, word) -> SparseRationalMatrix:
-    """The product of the generator matrices along a word, first entry acting
-    first: a permutation's action along its ``coxeter_word``, one matrix per
-    adjacent swap."""
-    m = SparseRationalMatrix.identity(dim)
-    for j in word:
-        m = gens[j] @ m
-    return m
 
 
 def _map_matrix(cm, nrows: int | None = None) -> SparseRationalMatrix:
@@ -184,62 +165,6 @@ class EquivMap:
     def __post_init__(self):
         if self.matrix.nrows != self.target.dim or self.matrix.ncols != self.source.dim:
             raise ValueError("map shape does not match the modules")
-
-    def check(self) -> None:
-        """Assert equivariance: the matrix commutes with every variable and
-        every adjacent transposition."""
-        if self.source.cfg.N != self.target.cfg.N:
-            raise ValueError("truncation levels differ")
-        for i in range(self.source.cfg.N):
-            if (self.matrix @ self.source.xmul[i]) != (self.target.xmul[i] @ self.matrix):
-                raise AssertionError(f"map does not commute with x_{i}")
-        for j in range(self.source.cfg.N - 1):
-            if (self.matrix @ self.source.coxeter[j]) != (self.target.coxeter[j] @ self.matrix):
-                raise AssertionError(f"map does not commute with swap {j}")
-
-    def rank(self) -> int:
-        return matrix_rank(self.matrix)
-
-
-@dataclass(frozen=True)
-class SnRep:
-    """A representation of the symmetric group on n letters: dimension plus
-    one matrix per adjacent transposition."""
-
-    n: int
-    dim: int
-    coxeter: tuple
-
-    def __post_init__(self):
-        if len(self.coxeter) != max(self.n - 1, 0):
-            raise ValueError("expected n-1 generator matrices")
-        for m in self.coxeter:
-            if m.nrows != self.dim or m.ncols != self.dim:
-                raise ValueError("generator matrix has wrong shape")
-
-    def matrix(self, g) -> SparseRationalMatrix:
-        return _word_product(self.coxeter, self.dim, coxeter_word(g))
-
-
-def regular_rep(n: int) -> SnRep:
-    """Left regular representation on all permutations of [n]."""
-    elems = sorted(itertools.permutations(range(n)))
-    index = {g: i for i, g in enumerate(elems)}
-    mats = [_map_matrix([index[_compose_swap(j, g)] for g in elems]) for j in range(max(n - 1, 0))]
-    return SnRep(n, len(elems), tuple(mats))
-
-
-def _compose_swap(j, g):
-    """The permutation (swap j,j+1) composed after g."""
-    out = []
-    for v in g:
-        if v == j:
-            out.append(j + 1)
-        elif v == j + 1:
-            out.append(j)
-        else:
-            out.append(v)
-    return tuple(out)
 
 
 def pq_dimension(kind: str, s: int, n: int, N: int) -> int:
@@ -314,16 +239,14 @@ def build_Q(s: int, n: int, N: int) -> EquivModule:
 
 
 def direct_sum(mods) -> EquivModule:
-    """Direct sum of modules that carry label maps; the label of the k-th
-    summand's label lab is (k, lab)."""
+    """Direct sum of modules; the label of the k-th summand's label lab is
+    (k, lab)."""
     mods = list(mods)
     if not mods:
         raise ValueError("empty direct sum")
     cfg = mods[0].cfg
     if any(m.cfg != cfg for m in mods):
         raise ValueError("all summands must share the ring configuration")
-    if any(m.xmaps is None for m in mods):
-        raise ValueError("every summand must carry label maps")
     labels = []
     for t, m in enumerate(mods):
         labels.extend((t, lab) for lab in m.labels)
@@ -363,18 +286,13 @@ def q_into_p_embedding(s: int, n: int, N: int) -> EquivMap:
 
 def character_of(M: EquivModule, labels=None) -> ClassFunction:
     """Character of M, or of its coordinate subspace on a stable set of label
-    indices: the diagonal of a representative permutation of each cycle type,
-    summed over those labels.  With label maps, the labels it fixes."""
+    indices: the labels among them that a representative permutation of each
+    cycle type fixes."""
     labels = range(M.dim) if labels is None else labels
     vals = {}
     for mu in partitions(M.cfg.N):
-        g = representative_permutation(mu)
-        if M.swaps is not None:
-            perm = M.label_perm(g)
-            vals[mu] = sum(perm[t] == t for t in labels)
-        else:
-            rows = M.perm_matrix(g).rows
-            vals[mu] = sum(rows[t].get(t, 0) for t in labels)
+        perm = M.label_perm(representative_permutation(mu))
+        vals[mu] = sum(perm[t] == t for t in labels)
     return ClassFunction(M.cfg.N, vals)
 
 

@@ -2,39 +2,34 @@
 graded equivariant modules.
 
 An FI-module here is a functor from finite sets with injections to vector
-spaces, of one of two kinds: principal (represented) modules and torsion
-modules concentrated in one degree.  Principal modules follow the covariant
+spaces, of one of two kinds.  Principal modules follow the covariant
 convention: ``Principal(n)`` evaluated on a set S is spanned by the
 injections from an n-element set into S, with transition maps given by
-post-composition.
+post-composition.  ``Torsion(n)`` is its quotient concentrated in degree n:
+the regular representation of S_n, spanned by the permutations of an
+n-element set, where every transition that leaves the degree is zero.  Both
+act on their bases by partial injections, so a transition is a partial
+label map.
 
 ``phi_s`` turns an FI-module into a graded equivariant module over the
 truncated ring: the component in degree alpha (an exponent vector bounded by
 s) is the module evaluated on the positions where alpha equals s; a variable
 acts by the transition map along the inclusion of those position sets, and
-becomes zero whenever the target degree would exceed the bound.
-``verify_phi_P`` and ``verify_phi_T`` match the images of principal and
-torsion modules with the Q family through an explicit basis bijection.
+becomes zero whenever the target degree would exceed the bound.  Its label
+maps are the transitions' label maps, shifted by the offsets of the degree
+blocks.  ``verify_phi_P`` and ``verify_phi_T`` match the images of principal
+and torsion modules with the Q family through an explicit label bijection.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .combinat import injection_count, injections
-from .equivariant import (
-    EquivModule,
-    SnRep,
-    _map_matrix,
-    build_Q,
-    regular_rep,
-)
-from .linalg import ONE, SparseRationalMatrix
+from .equivariant import EquivModule, build_Q
 from .truncated_ring import RingConfig, all_monomials
 
 __all__ = [
-    "FIModule",
     "Principal",
     "Torsion",
     "phi_s",
@@ -44,46 +39,30 @@ __all__ = [
 ]
 
 
-class FIModule:
-    """Base class; concrete nodes implement dim / basis / map.
-
-    ``map(f, m_src, m_tgt)`` is the matrix of the transition along the
-    injection f (a tuple of distinct values in range(m_tgt), one per source
-    point).  Evaluations are memoized per level; the caches are only ever
-    appended to, so concurrent readers are safe.
-    """
-
-    def __init__(self):
-        self._memo: dict = {}
-
-    def dim(self, m: int) -> int:
-        raise NotImplementedError
-
-    def basis(self, m: int) -> list:
-        raise NotImplementedError
-
-    def map(self, f: tuple, m_src: int, m_tgt: int) -> SparseRationalMatrix:
-        raise NotImplementedError
-
-    def _cached(self, key, thunk):
-        if key not in self._memo:
-            self._memo[key] = thunk()
-        return self._memo[key]
-
-
 def _check_injection(f, m_src, m_tgt):
     if len(f) != m_src or len(set(f)) != len(f) or any(v < 0 or v >= m_tgt for v in f):
         raise ValueError(f"not an injection into range({m_tgt}): {f!r}")
 
 
-class Principal(FIModule):
-    """The represented FI-module on an n-element set (covariant)."""
+class Principal:
+    """The represented FI-module on an n-element set (covariant).
+
+    ``map(f, m_src, m_tgt)`` is the label map of the transition along the
+    injection f (a tuple of distinct values in range(m_tgt), one per source
+    point).  Bases are memoized per level; the caches are only ever
+    appended to, so concurrent readers are safe.
+    """
 
     def __init__(self, n: int):
-        super().__init__()
         if n < 0:
             raise ValueError("n must be >= 0")
         self.n = n
+        self._memo: dict = {}
+
+    def _cached(self, key, thunk):
+        if key not in self._memo:
+            self._memo[key] = thunk()
+        return self._memo[key]
 
     def dim(self, m):
         return injection_count(self.n, m)
@@ -97,36 +76,29 @@ class Principal(FIModule):
     def map(self, f, m_src, m_tgt):
         _check_injection(f, m_src, m_tgt)
         idx_tgt = self._index(m_tgt)
-        return _map_matrix([idx_tgt[tuple(f[v] for v in g)] for g in self.basis(m_src)],
-                           self.dim(m_tgt))
+        return [idx_tgt[tuple(f[v] for v in g)] for g in self.basis(m_src)]
 
     def __repr__(self):
         return f"Principal({self.n})"
 
 
-class Torsion(FIModule):
-    """A representation placed in a single degree; every transition that
-    leaves the degree (hence every non-bijective injection) acts by zero."""
-
-    def __init__(self, rep: SnRep):
-        super().__init__()
-        self.rep = rep
+class Torsion(Principal):
+    """The regular representation of S_n placed in degree n: ``Principal(n)``
+    there, whose injections are the permutations, and zero elsewhere; every
+    transition that leaves the degree (hence every non-bijective injection)
+    acts by zero."""
 
     def dim(self, m):
-        return self.rep.dim if m == self.rep.n else 0
-
-    def basis(self, m):
-        return [("t", i) for i in range(self.dim(m))]
+        return super().dim(m) if m == self.n else 0
 
     def map(self, f, m_src, m_tgt):
+        if m_src == m_tgt == self.n:
+            return super().map(f, m_src, m_tgt)
         _check_injection(f, m_src, m_tgt)
-        out = SparseRationalMatrix(self.dim(m_tgt), self.dim(m_src))
-        if m_src == m_tgt == self.rep.n:
-            return self.rep.matrix(f)
-        return out
+        return [None] * self.dim(m_src)
 
     def __repr__(self):
-        return f"Torsion(n={self.rep.n}, dim={self.rep.dim})"
+        return f"Torsion(n={self.n}, dim={self.dim(self.n)})"
 
 
 # ---------------------------------------------------------------------------
@@ -137,100 +109,94 @@ def _weight_positions(alpha, s):
     return tuple(p for p, e in enumerate(alpha) if e == s)
 
 
-def phi_s(M: FIModule, s: int, N: int) -> EquivModule:
+def phi_s(M: Principal, s: int, N: int) -> EquivModule:
     """Graded equivariant module whose degree-alpha part is M on the set of
-    positions where alpha attains the bound s."""
+    positions where alpha attains the bound s.  Degree alpha's labels
+    (alpha, b) sit at offset(alpha) + b, so x_i and the swap (j, j+1) send
+    label offset(alpha) + b to offset(beta) + the transition's image of b,
+    for beta = alpha + e_i and alpha with j, j+1 exchanged."""
     if s < 1:
         raise ValueError("the functor needs s >= 1")
     cfg = RingConfig(N, s)
-    degrees = all_monomials(cfg)
-    dims = {}
     offsets = {}
     labels = []
-    for alpha in degrees:
-        m = len(_weight_positions(alpha, s))
-        d = M.dim(m)
-        dims[alpha] = d
+    for alpha in all_monomials(cfg):
         offsets[alpha] = len(labels)
-        labels.extend((alpha, b) for b in range(d))
-    total = len(labels)
+        labels.extend((alpha, b) for b in range(M.dim(len(_weight_positions(alpha, s)))))
+    xmaps = [[None] * len(labels) for _ in range(N)]
+    swaps = [[None] * len(labels) for _ in range(N - 1)]
 
-    def block_into(mat_out, alpha, beta, f, m_a, m_b):
-        # the blocks of one matrix occupy disjoint columns, so nothing adds up
+    def place(cm, alpha, beta, move):
+        # the transition along the inclusion of alpha's weight positions into
+        # beta's, position p going to move(p)
+        pa, pb = _weight_positions(alpha, s), _weight_positions(beta, s)
+        f = tuple(pb.index(move(p)) for p in pa)
         ra, rb = offsets[alpha], offsets[beta]
-        for r, row in enumerate(M.map(f, m_a, m_b).rows):
-            mat_out.rows[rb + r].update((ra + c, v) for c, v in row.items())
+        for c, u in enumerate(M.map(f, len(pa), len(pb))):
+            if u is not None:
+                cm[ra + c] = rb + u
 
-    xmul = []
-    for i in range(N):
-        mat = SparseRationalMatrix(total, total)
-        for alpha in degrees:
-            if dims[alpha] == 0 or alpha[i] == s:
-                continue
-            beta = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
-            pa = _weight_positions(alpha, s)
-            pb = _weight_positions(beta, s)
-            f = tuple(pb.index(p) for p in pa)
-            block_into(mat, alpha, beta, f, len(pa), len(pb))
-        xmul.append(mat)
-
-    coxeter = []
-    for j in range(N - 1):
-        mat = SparseRationalMatrix(total, total)
-        for alpha in degrees:
-            if dims[alpha] == 0:
-                continue
-            beta = list(alpha)
-            beta[j], beta[j + 1] = beta[j + 1], beta[j]
-            beta = tuple(beta)
-            pa = _weight_positions(alpha, s)
-            pb = _weight_positions(beta, s)
-            sigma = {j: j + 1, j + 1: j}
-            f = tuple(pb.index(sigma.get(p, p)) for p in pa)
-            block_into(mat, alpha, beta, f, len(pa), len(pb))
-        coxeter.append(mat)
-
-    grading = [alpha for alpha, _ in labels]
-    return EquivModule(cfg, labels, xmul, coxeter, grading=grading,
+    for alpha in offsets:
+        for i in range(N):
+            if alpha[i] < s:
+                place(xmaps[i], alpha, alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:], lambda p: p)
+        for j in range(N - 1):
+            place(swaps[j], alpha, alpha[:j] + (alpha[j + 1], alpha[j]) + alpha[j + 2:],
+                  lambda p: j + 1 if p == j else j if p == j + 1 else p)
+    return EquivModule(cfg, labels, xmaps, swaps, grading=[alpha for alpha, _ in labels],
                        name=f"phi_{s}({M!r})")
 
 
 @dataclass
 class PhiComparison:
     """Outcome of matching a functor image against a Q-type module through
-    the canonical basis correspondence."""
+    the canonical label correspondence."""
 
     ok: bool
     mismatch: str
-    matrix: SparseRationalMatrix | None
 
 
 def _compare_with_q(A: EquivModule, B: EquivModule, correspondence) -> PhiComparison:
-    """Check that ``correspondence`` (B label -> A label) is a basis bijection
-    commuting with every variable and swap and preserving the gradings."""
+    """Check that ``correspondence`` (B label -> A label) is a bijection of
+    labels that commutes with every variable and swap label map, and that it
+    preserves the gradings when both modules live over the same ring."""
     if A.dim != B.dim:
-        return PhiComparison(False, f"dimensions differ: {A.dim} != {B.dim}", None)
-    phi = SparseRationalMatrix(A.dim, B.dim)
-    seen = set()
-    for col, lab in enumerate(B.labels):
-        target = correspondence(lab)
-        row = A.label_index.get(target)
+        return PhiComparison(False, f"dimensions differ: {A.dim} != {B.dim}")
+    image, seen = [], set()
+    for lab in B.labels:
+        row = A.label_index.get(correspondence(lab))
         if row is None:
-            return PhiComparison(False, f"no image for label {lab!r}", None)
+            return PhiComparison(False, f"no image for label {lab!r}")
         if row in seen:
-            return PhiComparison(False, f"correspondence not injective at {lab!r}", None)
+            return PhiComparison(False, f"correspondence not injective at {lab!r}")
         seen.add(row)
-        phi.set(row, col, ONE)
-        if A.grading is not None and B.grading is not None:
-            if A.grading[row] != B.grading[col]:
-                return PhiComparison(False, f"grading mismatch at {lab!r}", None)
-    for i in range(A.cfg.N):
-        if (phi @ B.xmul[i]) != (A.xmul[i] @ phi):
-            return PhiComparison(False, f"variable {i} does not commute", phi)
-    for j in range(A.cfg.N - 1):
-        if (phi @ B.coxeter[j]) != (A.coxeter[j] @ phi):
-            return PhiComparison(False, f"swap {j} does not commute", phi)
-    return PhiComparison(True, "", phi)
+        image.append(row)
+    if A.cfg == B.cfg and A.grading is not None and B.grading is not None:
+        for lab, row, deg in zip(B.labels, image, B.grading):
+            if A.grading[row] != deg:
+                return PhiComparison(False, f"grading mismatch at {lab!r}")
+    for what, a_maps, b_maps in (("variable", A.xmaps, B.xmaps), ("swap", A.swaps, B.swaps)):
+        for i, (a_cm, b_cm) in enumerate(zip(a_maps, b_maps)):
+            for lab, row, u in zip(B.labels, image, b_cm):
+                if a_cm[row] != (None if u is None else image[u]):
+                    return PhiComparison(False, f"{what} {i} does not commute at {lab!r}")
+    return PhiComparison(True, "")
+
+
+def _verify_phi(M: Principal, s: int, B: EquivModule) -> PhiComparison:
+    """Compare phi_s(M) with B through the correspondence sending B's label
+    (T, mono) to degree alpha = mono + s on T and the injection of T into
+    alpha's weight positions."""
+
+    def corr(lab):
+        T, mono = lab
+        alpha = list(mono)
+        for t in T:
+            alpha[t] += s
+        positions = _weight_positions(alpha, s)
+        return (tuple(alpha), M._index(len(positions))[tuple(positions.index(t) for t in T)])
+
+    return _compare_with_q(phi_s(M, s, B.cfg.N), B, corr)
 
 
 def verify_phi_P(s: int, n: int, N: int) -> PhiComparison:
@@ -240,63 +206,13 @@ def verify_phi_P(s: int, n: int, N: int) -> PhiComparison:
     correspondence extends over every basis label."""
     if s < 1 or n > N:
         raise ValueError("need s >= 1 and n <= N")
-    M = Principal(n)
-    A = phi_s(M, s, N)
-    B = build_Q(s, n, N)
-
-    basis_index = {}
-
-    def corr(lab):
-        T, mono = lab
-        alpha = list(mono)
-        for t in T:
-            alpha[t] += s
-        alpha = tuple(alpha)
-        positions = _weight_positions(alpha, s)
-        f = tuple(positions.index(t) for t in T)
-        m = len(positions)
-        if m not in basis_index:
-            basis_index[m] = {g: i for i, g in enumerate(M.basis(m))}
-        return (alpha, basis_index[m][f])
-
-    out = _compare_with_q(A, B, corr)
-    if out.ok:
-        gen_b = B.label_index[(tuple(range(n)), (0,) * N)]
-        gen_alpha = tuple(s if p < n else 0 for p in range(N))
-        ident = tuple(range(n))
-        gen_a = A.label_index[(gen_alpha, M.basis(n).index(ident))]
-        if out.matrix.get(gen_a, gen_b) != ONE:
-            return PhiComparison(False, "canonical generators do not match", out.matrix)
-    return out
+    return _verify_phi(Principal(n), s, build_Q(s, n, N))
 
 
 def verify_phi_T(s: int, n: int, N: int) -> PhiComparison:
     """Same comparison for the torsion module on the regular representation,
-    matched against the Q family at exponent bound s-1."""
+    matched against the Q family at exponent bound s-1; the gradings live
+    over different bounds, so only the structure is compared."""
     if s < 1 or n > N:
         raise ValueError("need s >= 1 and n <= N")
-    rep = regular_rep(n)
-    M = Torsion(rep)
-    A = phi_s(M, s, N)
-    B = build_Q(s - 1, n, N)
-    perms = sorted(itertools.permutations(range(n)))
-    perm_index = {g: i for i, g in enumerate(perms)}
-
-    def corr(lab):
-        T, mono = lab
-        alpha = [0] * N
-        for p, e in enumerate(mono):
-            alpha[p] = e
-        for t in T:
-            alpha[t] += s
-        alpha = tuple(alpha)
-        positions = _weight_positions(alpha, s)
-        if len(positions) != n:
-            raise AssertionError("torsion component off its degree")
-        pi = tuple(positions.index(t) for t in T)
-        return (alpha, perm_index[pi])
-
-    # the gradings live over different exponent bounds, so compare structure only
-    A2 = EquivModule(A.cfg, A.labels, A.xmul, A.coxeter, grading=None, name=A.name)
-    B2 = EquivModule(B.cfg, B.labels, B.xmul, B.coxeter, grading=None, name=B.name)
-    return _compare_with_q(A2, B2, corr)
+    return _verify_phi(Torsion(n), s, build_Q(s - 1, n, N))

@@ -88,6 +88,8 @@ class KGenClass:
         for (kind, r, lam), c in (coeffs or {}).items():
             if kind not in ("P", "Q"):
                 raise ValueError(f"unknown kind {kind!r}")
+            if r < 0:
+                raise ValueError(f"a class bound must be nonnegative, got {r}")
             pairs.append(((kind, r, tuple(lam)), c))
         self.coeffs = dict(sorted(combine(pairs).items()))
 

@@ -55,7 +55,7 @@ from functools import lru_cache
 from itertools import compress, product, repeat
 from operator import is_not, itemgetter, mul
 
-from .combinat import _compositions, injections
+from .combinat import ClassFunction, _compositions, injections
 from .equivariant import (
     EquivMap,
     EquivModule,
@@ -194,15 +194,13 @@ def _power_map(cm, k: int) -> list:
 
 
 def _mapping_solutions(profile: PQFamily, T: EquivModule) -> list:
-    """Basis of the joint kernel of the source constraints inside T, a
-    module with label maps, as orbit sums.
+    """Basis of the joint kernel of the source constraints inside T, as
+    orbit sums.
 
     The x-type constraints are partial injections on labels, so a solution
     must vanish on every label they move; the swap constraints make it
     constant on orbits of the residual symmetric group.
     """
-    if T.xmaps is None:
-        raise ValueError(f"the orbit solver needs a target with label maps; {T!r} has none")
     kills, swaps = _source_constraints(profile, T.cfg)
     dim = T.dim
     allowed = bytearray(b"\x01") * dim
@@ -569,11 +567,11 @@ def _image_labels(C: EquivModule, cm) -> list:
     return image
 
 
-def tor_periodic(s: int, r_max: int, N: int) -> list:
-    """Characters of the degree-1..r_max homology of the periodic complex
-    tensored against the tuple-size-one Q family.  Each degree is the kernel
-    of one differential modulo the image of the other: C minus both images."""
+def tor_periodic(s: int, N: int) -> ClassFunction:
+    """The character of every positive homology degree of the periodic
+    complex tensored against the tuple-size-one Q family.  The complex is
+    2-periodic and each degree is the kernel of one differential modulo the
+    image of the other, so every degree is C minus both images."""
     C, odd, even = _tor_label_maps(s, N)
-    chi = (character_of(C) - character_of(C, _image_labels(C, odd))
-           - character_of(C, _image_labels(C, even)))
-    return [chi] * r_max
+    return (character_of(C) - character_of(C, _image_labels(C, odd))
+            - character_of(C, _image_labels(C, even)))

@@ -158,13 +158,13 @@ def suite_tor(max_N: int = 3) -> list:
             if N > max_N:
                 continue
             t0 = time.perf_counter()
-            chars = tor_periodic(s, 4, N)
+            chi = tor_periodic(s, N)
             chi_q = character_of(PQFamily("Q", s, 1).build(N))
-            got = {f"r{r}": (chars[r - 1] == chi_q) for r in range(1, 5)}
+            got = {f"r{r}": chi == chi_q for r in range(1, 5)}
             expected = {f"r{r}": True for r in range(1, 5)}
             out.append(_record(
                 "tor", f"tor_s{s}_N{N}",
-                {"s": s, "N": N, "dims": [int(c.dim()) for c in chars]},
+                {"s": s, "N": N, "dims": [int(chi.dim())] * 4},
                 expected, got, t0))
     return out
 

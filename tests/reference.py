@@ -5,26 +5,22 @@ The package keeps one path per computation.  The definitions here are the
 other paths: elimination on full constraint matrices where the package
 chases labels, the stable space of built modules where it reads label
 arithmetic, Ext by a resolution of minimal free covers where it builds slot
-strands, and brute-force oracles.  Each one is named by some test, which
+strands, modules given by matrices alone where it keeps label maps, and
+brute-force oracles.  Each one is named by some test, which
 ``tests/test_reachability.py`` checks.
 """
 
 from __future__ import annotations
 
+import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
 from equivar.cas_cat import CasMorphism
 from equivar.combinat import ClassFunction, Partition, _check_partition, partitions
-from equivar.equivariant import (
-    EquivMap,
-    EquivModule,
-    SnRep,
-    _compose_swap,
-    _map_matrix,
-    _word_product,
-)
+from equivar.equivariant import EquivMap, EquivModule, _map_matrix
 from equivar.homcalc import (
     PQFamily,
     _build_family,
@@ -45,6 +41,7 @@ from equivar.linalg import (
     nullspace,
     vec_axpy,
 )
+from equivar.truncated_ring import coxeter_word, representative_permutation
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +59,108 @@ def kron(a: SparseRationalMatrix, b: SparseRationalMatrix) -> SparseRationalMatr
                 for q, bv in brow.items():
                     row[j * b.ncols + q] = av * bv
     return out
+
+
+def _word_product(gens, dim: int, word) -> SparseRationalMatrix:
+    """The product of the generator matrices along a word, first entry acting
+    first: a permutation's action along its ``coxeter_word``, one matrix per
+    adjacent swap."""
+    m = SparseRationalMatrix.identity(dim)
+    for j in word:
+        m = gens[j] @ m
+    return m
+
+
+# ---------------------------------------------------------------------------
+# modules and representations given by matrices
+
+
+class MatrixModule:
+    """A module given by its action matrices alone, one per variable and
+    one per adjacent swap: free covers, their kernels, modules in a skewed
+    basis, and copies of package modules whose actions are read off the
+    matrices and not off the label maps."""
+
+    def __init__(self, cfg, labels, xmul, coxeter, grading=None, name=""):
+        self.cfg = cfg
+        self.labels = list(labels)
+        self.label_index = {lab: i for i, lab in enumerate(self.labels)}
+        self.xmul, self.coxeter = list(xmul), list(coxeter)
+        self.grading = grading
+        self.name = name
+
+    dim = EquivModule.dim
+    to_json_dict = EquivModule.to_json_dict
+    __repr__ = EquivModule.__repr__
+
+    def perm_matrix(self, g) -> SparseRationalMatrix:
+        """The action of an arbitrary permutation, along a reduced word."""
+        return _word_product(self.coxeter, self.dim, coxeter_word(g))
+
+
+def trace_character(M) -> ClassFunction:
+    """The character of M as the trace of ``perm_matrix`` of a
+    representative permutation of each cycle type: the oracle for
+    ``character_of``, which counts fixed labels."""
+    vals = {}
+    for mu in partitions(M.cfg.N):
+        rows = M.perm_matrix(representative_permutation(mu)).rows
+        vals[mu] = sum(row.get(t, 0) for t, row in enumerate(rows))
+    return ClassFunction(M.cfg.N, vals)
+
+
+def check_equivariance(f: EquivMap) -> None:
+    """Assert that the matrix of f commutes with every variable and every
+    adjacent transposition."""
+    if f.source.cfg.N != f.target.cfg.N:
+        raise ValueError("truncation levels differ")
+    for i in range(f.source.cfg.N):
+        if (f.matrix @ f.source.xmul[i]) != (f.target.xmul[i] @ f.matrix):
+            raise AssertionError(f"map does not commute with x_{i}")
+    for j in range(f.source.cfg.N - 1):
+        if (f.matrix @ f.source.coxeter[j]) != (f.target.coxeter[j] @ f.matrix):
+            raise AssertionError(f"map does not commute with swap {j}")
+
+
+@dataclass(frozen=True)
+class SnRep:
+    """A representation of the symmetric group on n letters: dimension plus
+    one matrix per adjacent transposition."""
+
+    n: int
+    dim: int
+    coxeter: tuple
+
+    def __post_init__(self):
+        if len(self.coxeter) != max(self.n - 1, 0):
+            raise ValueError("expected n-1 generator matrices")
+        for m in self.coxeter:
+            if m.nrows != self.dim or m.ncols != self.dim:
+                raise ValueError("generator matrix has wrong shape")
+
+    def matrix(self, g) -> SparseRationalMatrix:
+        return _word_product(self.coxeter, self.dim, coxeter_word(g))
+
+
+def _compose_swap(j, g):
+    """The permutation (swap j,j+1) composed after g."""
+    out = []
+    for v in g:
+        if v == j:
+            out.append(j + 1)
+        elif v == j + 1:
+            out.append(j)
+        else:
+            out.append(v)
+    return tuple(out)
+
+
+def regular_rep(n: int) -> SnRep:
+    """Left regular representation on all permutations of [n]."""
+    elems = sorted(itertools.permutations(range(n)))
+    index = {g: i for i, g in enumerate(elems)}
+    mats = [_map_matrix([index[_compose_swap(j, g)] for g in elems]) for j in range(max(n - 1, 0))]
+    return SnRep(n, len(elems), tuple(mats))
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +389,7 @@ def _stable_subspace(solutions, big_solutions, small: EquivModule,
     if not solutions:
         return []
     pushed = [_embed_vector(v, small, big) for v in solutions]
-    if small.xmaps is not None and big.xmaps is not None:
+    if isinstance(small, EquivModule) and isinstance(big, EquivModule):
         columns = _orbit_relations(pushed, big_solutions)
     else:
         span = Subspace(big_solutions, big.dim)
@@ -372,7 +471,7 @@ def _free_cover(M: EquivModule):
     eye = SparseRationalMatrix.identity(rep.dim)
     xmul = [kron(x, eye) for x in ring.xmul]
     coxeter = [kron(c, r) for c, r in zip(ring.coxeter, rep.coxeter)]
-    F = EquivModule(cfg, labels, xmul, coxeter, name=f"free_cover({M.name})")
+    F = MatrixModule(cfg, labels, xmul, coxeter, name=f"free_cover({M.name})")
 
     # the image of (mono, f) is x_i times the image of (mono - e_i, f), for
     # the last variable i in mono; that label comes earlier in the list
@@ -399,9 +498,9 @@ def _free_cover(M: EquivModule):
 def _kernel_module(F: EquivModule, d: SparseRationalMatrix):
     """The kernel of d as a module, with its basis in F (label t is vector t)."""
     ker = Subspace(nullspace(d), F.dim)
-    K = EquivModule(F.cfg, [("ker", t) for t in range(ker.dim)],
-                    [ker.restrict(m) for m in F.xmul], [ker.restrict(m) for m in F.coxeter],
-                    name=f"ker({F.name})")
+    K = MatrixModule(F.cfg, [("ker", t) for t in range(ker.dim)],
+                     [ker.restrict(m) for m in F.xmul], [ker.restrict(m) for m in F.coxeter],
+                     name=f"ker({F.name})")
     return K, ker.basis
 
 

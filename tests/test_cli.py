@@ -126,6 +126,17 @@ def test_tor_with_a_large_bound_runs(capsys, s, N, dim):
     assert elapsed < 3.0
 
 
+def test_tor_degree_is_not_allocated(capsys):
+    # every positive degree has the same character, so a huge degree costs
+    # what degree 1 does; one list entry per degree took 8 GB at r = 10**9
+    results = []
+    for r in ("1", str(10 ** 12)):
+        code, lines = run_json(capsys, ["tor", "--s", "1", "--r", r, "--N", "2"])
+        assert code == 0
+        results.append(lines[-1]["result"])
+    assert results[0] == results[1]
+
+
 def test_tor_runtime_is_bounded(capsys):
     # dim C = 6400; reading the image characters off a SpanBasis took 11.8 s
     start = time.perf_counter()
@@ -194,9 +205,10 @@ def test_bad_parameters_exit_two(capsys):
     ["cas", "--op", "hom", "--m", "-1", "--n", "1", "--s", "1"],
     ["cas", "--op", "hom", "--m", "1", "--n", "-1", "--s", "1"],
     ["cas", "--op", "injective", "--m", "1", "--n", "1", "--s", "-1"],
+    ["kclass", "--op", "expand", "--kind", "P", "--s", "-1", "--lambda", "2"],
 ])
 def test_negative_parameters_exit_two(capsys, argv):
-    # each of these used to exit 0 with an empty or zero result
+    # each of these used to exit 0, with an empty, zero or meaningless result
     assert main(["--format", "json", *argv]) == 2
     out = capsys.readouterr()
     assert out.out == "" and "nonnegative" in out.err

@@ -1,10 +1,11 @@
+import hashlib
 import itertools
 import json
 from collections import Counter
 
 import pytest
 
-from equivar.equivariant import build_Q, pq_dimension, regular_rep
+from equivar.equivariant import EquivModule, build_Q, pq_dimension
 from equivar.fi_layer import Principal, Torsion, phi_s, verify_phi_P, verify_phi_T
 from reference import check_axioms
 
@@ -12,20 +13,20 @@ from reference import check_axioms
 def test_evaluate_dimensions():
     assert Principal(1).dim(3) == 3
     assert Principal(0).dim(7) == 1
-    assert Torsion(regular_rep(2)).dim(3) == 0
-    assert Torsion(regular_rep(2)).dim(2) == 2
+    assert Torsion(2).dim(3) == 0
+    assert Torsion(2).dim(2) == 2
 
 
 def test_functoriality_of_transitions():
-    mods = [Principal(1), Principal(2), Torsion(regular_rep(1))]
+    mods = [Principal(1), Principal(2), Torsion(1)]
     for M in mods:
         for m0, m1, m2 in [(0, 1, 2), (1, 2, 3), (2, 3, 4)]:
             for f in itertools.permutations(range(m1), m0):
                 for g in itertools.permutations(range(m2), m1):
                     gf = tuple(g[v] for v in f)
-                    lhs = M.map(g, m1, m2) @ M.map(f, m0, m1)
-                    rhs = M.map(gf, m0, m2)
-                    assert lhs == rhs
+                    g_map = M.map(g, m1, m2)
+                    lhs = [None if u is None else g_map[u] for u in M.map(f, m0, m1)]
+                    assert lhs == M.map(gf, m0, m2)
 
 
 def test_map_rejects_non_injections():
@@ -46,7 +47,7 @@ def test_phi_degreewise_dimensions_example():
 
 
 def test_phi_torsion_dimension_example():
-    assert phi_s(Torsion(regular_rep(1)), 1, 2).dim == 2
+    assert phi_s(Torsion(1), 1, 2).dim == 2
 
 
 def test_phi_requires_positive_bound():
@@ -67,7 +68,7 @@ def test_phi_exact_on_torsion_quotient_of_principal():
     # degree at every truncation
     for n, N, s in [(1, 2, 1), (1, 3, 1), (2, 3, 1), (1, 2, 2)]:
         mp = phi_s(Principal(n), s, N)
-        mt = phi_s(Torsion(regular_rep(n)), s, N)
+        mt = phi_s(Torsion(n), s, N)
         degp = Counter(alpha for alpha, _ in mp.labels)
         degt = Counter(alpha for alpha, _ in mt.labels)
         from equivar.combinat import injection_count
@@ -106,10 +107,52 @@ def test_phi_mismatch_reporting():
     assert not out.ok and out.mismatch
 
 
+def test_phi_mismatch_locates_a_map_that_does_not_commute():
+    # the identity correspondence of phi_s(Principal(1), 1, 2) against a
+    # copy in which x_1 kills one more label, and one in which swap 0
+    # exchanges the images of labels 0 and 1
+    from equivar.fi_layer import _compare_with_q
+
+    A = phi_s(Principal(1), 1, 2)
+    assert _compare_with_q(A, A, lambda lab: lab).ok
+    xmaps = [list(cm) for cm in A.xmaps]
+    t = next(t for t, u in enumerate(xmaps[1]) if u is not None)
+    xmaps[1][t] = None
+    bad_x = EquivModule(A.cfg, A.labels, xmaps, A.swaps, grading=A.grading)
+    out = _compare_with_q(A, bad_x, lambda lab: lab)
+    assert not out.ok and out.mismatch == f"variable 1 does not commute at {A.labels[t]!r}"
+    swaps = [list(cm) for cm in A.swaps]
+    swaps[0][0], swaps[0][1] = swaps[0][1], swaps[0][0]
+    bad_swap = EquivModule(A.cfg, A.labels, A.xmaps, swaps, grading=A.grading)
+    out = _compare_with_q(A, bad_swap, lambda lab: lab)
+    assert not out.ok and out.mismatch == f"swap 0 does not commute at {A.labels[0]!r}"
+
+
 def test_phi_module_encodes_as_json():
     # phi_s labels (alpha, index) are not (tuple, mono) labels: they take
     # the raw form
-    A = phi_s(Torsion(regular_rep(2)), 1, 3)
+    A = phi_s(Torsion(2), 1, 3)
     data = json.loads(json.dumps(A.to_json_dict()))
     assert data["dim"] == A.dim == 6
     assert data["labels"] == [{"raw": repr(lab)} for lab in A.labels]
+
+
+def _digest(obj):
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+# sha256 of to_json_dict() of phi_s on the phi suite's grid (s in 1..2,
+# n <= 2, max(n, 1) <= N <= 4), recorded while phi_s copied matrix blocks
+PHI_PINS = {
+    "principal": "808e7c5a8b22029fe1ef3bc1414e66d390043bd7be37e769d07851f7e42bd4a9",
+    "torsion": "83bc41bde7a17a1202fa4ac40c3f4fe82b3eab8d558df1a9edef024e95a000b6",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PHI_PINS))
+def test_phi_images_are_pinned(kind):
+    rows = []
+    for s, n in itertools.product((1, 2), range(3)):
+        M = Principal(n) if kind == "principal" else Torsion(n)
+        rows += [[s, n, N, phi_s(M, s, N).to_json_dict()] for N in range(max(n, 1), 5)]
+    assert _digest(rows) == PHI_PINS[kind]

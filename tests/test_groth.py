@@ -59,6 +59,11 @@ def test_p_class_examples():
     assert p_class_in_q_basis((2,), 1) == KGenClass({("Q", 1, (2,)): 3, ("Q", 1, (1, 1)): 1})
 
 
+def test_class_bounds_are_nonnegative():
+    with pytest.raises(ValueError, match="nonnegative"):
+        KGenClass({("P", -1, (2,)): 1})
+
+
 def test_q_class_examples():
     assert q_class_in_p_basis((1,), 1) == KGenClass({("P", 1, (1,)): Fraction(1, 2)})
     assert q_class_in_p_basis((1,), 0) == KGenClass({("P", 0, (1,)): 1})

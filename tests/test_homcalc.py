@@ -19,7 +19,6 @@ from equivar.equivariant import (
     character_of,
     direct_sum,
     filtration_layers,
-    regular_rep,
 )
 from equivar.homcalc import (
     AssemblyError,
@@ -57,6 +56,7 @@ from equivar.linalg import (
 )
 from equivar.truncated_ring import RingConfig, representative_permutation
 from reference import (
+    MatrixModule,
     _embed_vector,
     _ext_by_free_covers,
     _free_cover,
@@ -67,8 +67,11 @@ from reference import (
     _quotient_by_radical,
     _resolution,
     _stable_subspace,
+    check_equivariance,
     hom_generic,
     map_from_generator_value,
+    regular_rep,
+    trace_character,
 )
 
 
@@ -192,8 +195,7 @@ def test_map_from_generator_value_is_equivariant():
     src = build_Q(s, n, N)
     tgt = build_Q(s, 1, N)
     for v in hom_mapping_property(PQFamily("Q", s, n), tgt):
-        f = map_from_generator_value(PQFamily("Q", s, n), src, tgt, v)
-        f.check()
+        check_equivariance(map_from_generator_value(PQFamily("Q", s, n), src, tgt, v))
 
 
 def _targets(s, m, N):
@@ -212,7 +214,6 @@ def test_fast_path_matches_elimination():
         for s, n, m, N in [(1, 1, 1, 3), (1, 2, 1, 3), (2, 1, 2, 3)]:
             profile = PQFamily(kind, s - r_shift, n)
             for tgt in _targets(s, m, N):
-                assert tgt.xmaps is not None
                 fast = _mapping_solutions(profile, tgt)
                 slow = _mapping_solutions_generic(profile, tgt)
                 assert SpanBasis(fast, tgt.dim) == SpanBasis(slow, tgt.dim)
@@ -277,15 +278,14 @@ def test_stable_subspace_maps_match_blocks(kind):
             sols = _mapping_solutions(profile, small)
             big_sols = _mapping_solutions(profile, big)
             plain_small, plain_big = _matrix_copy(small), _matrix_copy(big)
-            assert plain_big.xmaps is None
             stable = _stable_subspace(sols, big_sols, small, big)
             reference = _stable_subspace(sols, big_sols, plain_small, plain_big)
             assert stable == reference
 
 
 def _matrix_copy(mod):
-    return EquivModule(mod.cfg, mod.labels, mod.xmul, mod.coxeter,
-                       grading=mod.grading, name=mod.name)
+    return MatrixModule(mod.cfg, mod.labels, mod.xmul, mod.coxeter,
+                        grading=mod.grading, name=mod.name)
 
 
 def test_orbit_relations_on_merged_orbits():
@@ -516,7 +516,7 @@ def test_coresolution_tensor_term_sizes():
 def test_coresolution_equivariance_of_maps():
     cx = coresolution_Q(1, 2, 2, 3)
     for f in cx.maps:
-        f.check()
+        check_equivariance(f)
 
 
 def test_coresolution_needs_positive_length():
@@ -803,8 +803,8 @@ def test_skewed_basis_takes_the_averaged_section():
     C.set(1, 0, 1)
     C_inv = SparseRationalMatrix.identity(P.dim)
     C_inv.set(1, 0, -1)
-    M = EquivModule(P.cfg, P.labels, [C_inv @ x @ C for x in P.xmul],
-                    [C_inv @ c @ C for c in P.coxeter], name="skewed P(1,0,2)")
+    M = MatrixModule(P.cfg, P.labels, [C_inv @ x @ C for x in P.xmul],
+                     [C_inv @ c @ C for c in P.coxeter], name="skewed P(1,0,2)")
     rep, sec = _quotient_by_radical(M)
     assert sorted({v for row in sec.rows for v in row.values()}) == [
         Fraction(-1, 2), Fraction(1, 2), 1]
@@ -840,7 +840,6 @@ def test_ext_truncated_generic_branch_matches_label_maps():
                      (build_Q(2, 1, 2), build_Q(2, 1, 2))]:
         _, s, n = src.family
         plain = _matrix_copy(tgt)
-        assert plain.swaps is None
         profile = PQFamily("P", s, n)
         assert (SpanBasis(_mapping_solutions(profile, tgt), tgt.dim)
                 == SpanBasis(_mapping_solutions_generic(profile, plain), tgt.dim))
@@ -938,7 +937,8 @@ def test_strand_cochain_differentials_compose_to_zero(s):
                        _zero_module(s, N)]
             for T in targets:
                 # the orbit solver takes label maps only
-                solve = _mapping_solutions if T.xmaps is not None else _mapping_solutions_generic
+                solve = (_mapping_solutions if isinstance(T, EquivModule)
+                         else _mapping_solutions_generic)
                 sub = Subspace(solve(PQFamily("P", s, n), T), T.dim)
                 for dim, block in ((T.dim, lambda pos, exp, T=T: T.xmul[pos].power(exp)),
                                    (sub.dim, lambda pos, exp, T=T, sub=sub:
@@ -980,17 +980,13 @@ def test_resolution_generator_images_match_full_differentials(build):
 
 @pytest.mark.parametrize("s,N", [(1, 2), (1, 3), (2, 2), (2, 3)])
 def test_tor_characters_match_singleton_family(s, N):
-    chars = tor_periodic(s, 4, N)
-    chi_q = character_of(build_Q(s, 1, N))
-    assert len(chars) == 4
-    for chi in chars:
-        assert chi == chi_q
+    assert tor_periodic(s, N) == character_of(build_Q(s, 1, N))
 
 
 def test_tor_periodic_is_pinned():
-    # sha256 of every character table of tor_periodic(s, 4, N), s 1..3 and
-    # N 1..5, recorded while the image characters were read off a SpanBasis
-    rows = [[s, N, [_class_function_table(chi) for chi in tor_periodic(s, 4, N)]]
+    # sha256 of the character tables of degrees 1..4, s 1..3 and N 1..5,
+    # recorded while the image characters were read off a SpanBasis
+    rows = [[s, N, [_class_function_table(tor_periodic(s, N))] * 4]
             for s in (1, 2, 3) for N in (1, 2, 3, 4, 5)]
     assert _digest(rows) == "3d16ed9a53fdd5abc54102e2b3b06f58bde08cc530758bedf13b3e0b4f692d64"
 
@@ -1019,8 +1015,8 @@ def test_tor_counts_match_elimination_oracle(s, N):
     oracle = [_subspace_character(C, SpanBasis((c for c in _map_matrix(cm).columns() if c), C.dim))
               for cm in (odd, even)]
     assert [character_of(C, _image_labels(C, cm)) for cm in (odd, even)] == oracle
-    expected = character_of(_matrix_copy(C)) - oracle[0] - oracle[1]
-    assert tor_periodic(s, 2, N) == [expected, expected]
+    expected = trace_character(_matrix_copy(C)) - oracle[0] - oracle[1]
+    assert tor_periodic(s, N) == expected
 
 
 def test_image_labels_certificate():
@@ -1035,8 +1031,8 @@ def test_image_labels_certificate():
 
 
 def test_character_of_counts_match_traces():
-    """character_of counts fixed labels on a module with label maps; on a
-    matrix-only copy it takes the trace of perm_matrix."""
+    """character_of counts fixed labels; the oracle takes the trace of
+    perm_matrix on a matrix-only copy."""
     for s in (1, 2):
         for N in (1, 2, 3):
             mods = [_tor_label_maps(s, N)[0]]
@@ -1044,14 +1040,11 @@ def test_character_of_counts_match_traces():
                 P, Q = build_P(s, n, N), build_Q(s, n, N)
                 mods += [P, Q, direct_sum([P, Q]), *filtration_layers(s, n, N)[1]]
             for mod in mods:
-                plain = _matrix_copy(mod)
-                assert plain.swaps is None
-                assert character_of(mod) == character_of(plain)
+                assert character_of(mod) == trace_character(_matrix_copy(mod))
 
 
 def test_tor_dimension_formula():
-    chars = tor_periodic(2, 1, 2)
-    assert chars[0].dim() == 6  # N * (s+1)^(N-1)
+    assert tor_periodic(2, 2).dim() == 6  # N * (s+1)^(N-1)
 
 
 def test_tor_zero_matches_direct_tensor_count():
@@ -1118,9 +1111,8 @@ def oracle_tor_dims_via_minimal_covers(s, N, r_max):
 
 @pytest.mark.parametrize("s,N", [(1, 2), (1, 3), (2, 2)])
 def test_tor_dims_against_minimal_cover_oracle(s, N):
-    chars = tor_periodic(s, 3, N)
-    oracle = oracle_tor_dims_via_minimal_covers(s, N, 3)
-    assert [int(c.dim()) for c in chars] == oracle
+    dim = int(tor_periodic(s, N).dim())
+    assert oracle_tor_dims_via_minimal_covers(s, N, 3) == [dim] * 3
 
 
 def test_fast_path_matches_elimination_larger_case():
@@ -1132,9 +1124,7 @@ def test_fast_path_matches_elimination_larger_case():
 
 def test_ext_truncated_refuses_a_source_without_a_family():
     with pytest.raises(ValueError, match="no family"):
-        ext_truncated(_matrix_copy(build_Q(1, 1, 2)), build_P(1, 1, 2), 1)
-    with pytest.raises(ValueError, match="label maps"):
-        ext_truncated(build_Q(1, 1, 2), _matrix_copy(build_P(1, 1, 2)), 1)
+        ext_truncated(direct_sum([build_Q(1, 1, 2)]), build_P(1, 1, 2), 1)
 
 
 def test_stable_hom_refuses_a_target_that_is_not_a_family():

@@ -3,16 +3,17 @@
 The CLI invocations below cover every subcommand and option value, and
 ``verify --suite all`` at the smallest max-N that reaches as much as any
 larger one.  Every module-level function of ``src/equivar/``, and every
-class with methods of its own, must run on one of them; a name that a
-``perfbench/*.py`` source mentions is exempt, because the benchmark finds it
-there.  The references that tests compare against live in
-``tests/reference.py``, and each of them must be named by another test."""
+class with methods of its own, must run on one of them; so must every
+method other than a dunder of the classes in ``METHOD_MODULES``.  A name
+that ``perfbench/`` imports from equivar, or wraps in its ``TRACED`` table,
+is exempt, because the benchmark finds it there.  The references that tests
+compare against live in ``tests/reference.py``, and each of them must be
+named by another test."""
 
 import ast
 import contextlib
 import importlib
 import io
-import re
 import sys
 from pathlib import Path
 
@@ -50,6 +51,7 @@ INVOCATIONS = [
     ["cas", "--op", "compare", "--m", "1", "--n", "1", "--s", "1", "--N", "3"],
 ]
 VERIFY = ["--format", "json", "verify", "--suite", "all", "--max-N", "3"]
+METHOD_MODULES = {"equivariant", "fi_layer"}
 
 
 def reached_functions() -> set:
@@ -83,14 +85,20 @@ def reached_functions() -> set:
 
 def unreached(reached: set, modules: dict, exempt: set) -> list:
     """Module-level functions of ``modules`` (name -> source) that never ran,
-    and classes none of whose own methods ran, other than ``exempt`` names."""
+    classes none of whose own methods ran, and in ``METHOD_MODULES`` the
+    methods other than dunders that never ran, other than ``exempt`` names
+    (a method by its qualified name; an exempt method counts as run)."""
     found = []
     for module, source in modules.items():
         for node in ast.parse(source).body:
             if isinstance(node, ast.ClassDef):
                 methods = [f"{node.name}.{m.name}" for m in node.body
                            if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
-                ran = not methods or any((module, m) in reached for m in methods)
+                ran = not methods or any((module, m) in reached or m in exempt for m in methods)
+                if module in METHOD_MODULES:
+                    found += [f"{module}.{m}" for m in methods
+                              if not m.split(".")[1].startswith("__")
+                              and (module, m) not in reached and m not in exempt]
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 ran = (module, node.name) in reached
             else:
@@ -100,9 +108,24 @@ def unreached(reached: set, modules: dict, exempt: set) -> list:
     return found
 
 
+def perfbench_names() -> set:
+    """The names that ``perfbench/`` imports from equivar, and the functions
+    and methods (as Class.method) that its ``TRACED`` table wraps."""
+    names = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("equivar"):
+                names.update(alias.name for alias in node.names)
+            elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.List)
+                  and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)):
+                for entry in node.value.elts:
+                    cls, attr = (ast.literal_eval(e) for e in entry.elts[2:4])
+                    names.add(f"{cls}.{attr}" if cls else attr)
+    return names
+
+
 def test_every_package_definition_runs_on_a_command():
-    exempt = {word for path in sorted(PERFBENCH.glob("*.py"))
-              for word in re.findall(r"\w+", path.read_text())}
+    exempt = perfbench_names()
     modules = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unreached(reached_functions(), modules, exempt) == []
 
@@ -113,6 +136,22 @@ def test_unreached_definition_is_reported():
                     "class D:\n    def m(self):\n        pass\n"
                     "class E:\n    pass\ndef h():\n    pass\n"}
     assert unreached({("a", "f"), ("a", "C.m")}, modules, {"h"}) == ["a.g", "a.D"]
+
+
+def test_unreached_method_is_reported():
+    modules = {"equivariant": "class C:\n    def __init__(self):\n        pass\n"
+                              "    def f(self):\n        pass\n    def g(self):\n        pass\n"
+                              "    def h(self):\n        pass\n",
+               "other": "class C:\n    def f(self):\n        pass\n    def g(self):\n        pass\n"}
+    reached = {("equivariant", "C.f"), ("other", "C.f")}
+    assert unreached(reached, modules, {"C.h"}) == ["equivariant.C.g"]
+
+
+def test_perfbench_names_are_its_imports_and_wraps():
+    names = perfbench_names()
+    assert {"build_P", "hom_mapping_property", "EquivModule.perm_matrix",
+            "SparseRationalMatrix.apply", "q_into_p_embedding"} <= names
+    assert not {"check", "rank", "dim"} & names
 
 
 def test_every_reference_is_compared_against():
