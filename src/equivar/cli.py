@@ -11,9 +11,11 @@ families exist exactly when the destination tuple size is at most the
 source's, one basis map per arrangement.
 
 The dimension guard refuses jobs whose modules would exceed ``--max-dim``
-basis elements (default 50000, overridable via EQUIVAR_MAX_DIM).  Both Ext
-modes build slot strands, whose last term holds one copy per composition of
-max_i + 1 into n parts (a single copy when s or n is 0, or for a P source).
+basis elements (default 50000, overridable via EQUIVAR_MAX_DIM).  ``hom``
+charges its target at level N, whose labels it lists; level N+1 is only
+counted, so it is charged nothing.  Both Ext modes build slot strands,
+whose last term holds one copy per composition of max_i + 1 into n parts
+(a single copy when s or n is 0, or for a P source).
 Stable Ext charges one P module at level N+1, and the last term of the
 target's coresolution, copies times dim P(s, n, N); it builds neither (its
 cochains are copies of the stable space inside P), so this is an upper
@@ -119,8 +121,8 @@ def cmd_hom(args) -> dict:
     dst = _parse_family(args.dst)
     if src[0] != "Q":
         raise ParameterError("the source family must be Q-type (determined by one generator)")
-    _check_bounds(args, [(dst[0], dst[1], dst[2], args.N),
-                         (dst[0], dst[1], dst[2], args.N + 1)])
+    # level N's labels are listed; level N+1 is only counted
+    _check_bounds(args, [(dst[0], dst[1], dst[2], args.N)])
     from .homcalc import PQFamily, stable_hom
 
     r = stable_hom(PQFamily(*src), PQFamily(*dst), args.N)

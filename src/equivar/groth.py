@@ -65,9 +65,6 @@ class KClassRep:
                 raise ValueError(f"partition {lam} is not of size {level}")
         return cls(level, tuple(combine(items).items()))
 
-    def as_dict(self) -> dict:
-        return dict(self.mult)
-
     def character(self) -> ClassFunction:
         out = None
         for lam, c in self.mult:
@@ -131,12 +128,6 @@ class KModClass:
             else:
                 out[r] = g
         return KModClass(out)
-
-    def scale_sym(self, f: SymFunc) -> "KModClass":
-        return KModClass({r: f * g for r, g in self.parts.items()})
-
-    def is_zero(self) -> bool:
-        return not self.parts
 
     def __eq__(self, other):
         return isinstance(other, KModClass) and self.parts == other.parts

@@ -10,16 +10,20 @@ annihilated by the first a variables (plus (r+1)st-power conditions when the
 source has a smaller exponent bound r than the ambient ring).
 
 Stabilization: truncation-level solution spaces contain boundary junk
-supported on all N variables.  ``stable_hom`` therefore solves at N and at
-N+1, pushes each level-N solution along the canonical basis-label inclusion
-into level N+1, and keeps the combinations whose push lies in the span of
-the level-(N+1) solutions.  Both bases are indicators of residual-group
-orbits, so this is a set of equal-or-zero relations on the coefficients.
-The target is a P or Q family and is never built: ``_family_stable_space``
-reads its orbits and the push off the label index a * (s+1)^F + rank, and
-keeps the rank while moving only the tuple index, since the new position N
-is the top free digit and is 0.  The three dimensions (at N, at N+1,
-stable) are always reported separately.
+supported on all N variables.  ``stable_hom`` therefore keeps the level-N
+solutions whose push along the canonical basis-label inclusion into level
+N+1 lies in the span of the level-(N+1) solutions.  Both bases are
+indicators of residual-group orbits, so this is a set of equal-or-zero
+relations on the coefficients.  The target is a P or Q family and is never
+built: ``_family_stable_space`` lists the level-N orbits off the label index
+a * (s+1)^F + rank, each with its key (slot pattern, low digits, slot
+digits, multiset of the other high digits), and only counts those at level
+N+1.  The push keeps the rank and moves only the tuple index, since the new
+position N is the top free digit and is 0, so an orbit lands in the
+level-(N+1) orbit whose multiset has one more 0.  That orbit is a solution
+unless the source bound r is below s, and the push covers it exactly when
+the two orbits have the same size, which each key gives.  The three
+dimensions (at N, at N+1, stable) are always reported separately.
 
 Truncated Ext: over k[x]/(x^(s+1)), k[x]/(x) has the 2-periodic free
 resolution ... -> A -x^s-> A -x-> A, and Q(s, n, N) is a sum of such
@@ -53,9 +57,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, product, repeat
-from operator import is_not, itemgetter, mul
+from math import comb, factorial
+from operator import is_not, mul
 
-from .combinat import ClassFunction, _compositions, injections
+from .combinat import ClassFunction, _compositions, injection_count, injections
 from .equivariant import (
     EquivMap,
     EquivModule,
@@ -237,30 +242,29 @@ def hom_mapping_property(profile: PQFamily, T: EquivModule) -> list:
     return _mapping_solutions(profile, T)
 
 
-def _orbit_relations(pushed: list, big_solutions: list) -> list:
-    """Columns whose kernel is the set of c with sum_k c_k pushed[k] in
-    span(big_solutions), both families indicators of disjoint label sets:
-    the pushes that meet one big solution have equal coefficients, zero
-    unless they cover it, and a push with a label outside every big solution
-    has coefficient zero.  Column k holds c_k's coefficient in each relation.
+def _orbit_relations(count: int, meets: dict, sizes) -> list:
+    """Columns whose kernel is the set of c in Q^count with
+    sum_k c_k pushed[k] in the span of the big orbits' indicators, the
+    pushes being indicators of disjoint label sets: meets maps each big orbit
+    (None: no big orbit) to {k: the number of labels of pushed[k] in it},
+    and sizes[b] is big orbit b's number of labels.  The pushes that meet one
+    big orbit have equal coefficients, zero unless they cover it, and a push
+    with a label outside every big orbit has coefficient zero.  Column k
+    holds c_k's coefficient in each relation.
     """
-    orbit_of = {t: b for b, vec in enumerate(big_solutions) for t in vec}
-    meets: dict = {}  # big solution (None: none) -> {k: labels of pushed[k] in it}
-    for k, vec in enumerate(pushed):
-        for t in vec:
-            hits = meets.setdefault(orbit_of.get(t), {})
-            hits[k] = hits.get(k, 0) + 1
-    columns = [{} for _ in pushed]
+    columns = [{} for _ in range(count)]
     row = 0
-    for k in meets.pop(None, ()):  # c_k = 0
+    for k in meets.get(None, ()):  # c_k = 0
         columns[k][row] = ONE
         row += 1
     for b, hits in meets.items():
+        if b is None:
+            continue
         k0, *rest = hits
         for k in rest:  # c_k = c_k0
             columns[k][row], columns[k0][row] = ONE, -ONE
             row += 1
-        if sum(hits.values()) < len(big_solutions[b]):  # c_k0 = 0
+        if sum(hits.values()) < sizes[b]:  # c_k0 = 0
             columns[k0][row] = ONE
             row += 1
     return columns
@@ -277,33 +281,41 @@ def _kept_combinations(solutions, columns) -> list:
     return kept
 
 
-def _family_orbits(profile: PQFamily, family: tuple, N: int) -> list:
+def _position_digits(profile: PQFamily, s: int, N: int) -> list:
+    """The digits that a label of a level-N target over k[x]/(x^(s+1)) may
+    carry at each position under the profile's kills: d at position p
+    unless a kill (p, e) has d + e <= s.  The kills treat every position
+    below m (the profile's tuple size) alike, and every position >= m
+    alike, as the residual group Sym{m, ..., N-1} must."""
+    kills, _ = _source_constraints(profile, RingConfig(N, s))
+    return [[d for d in range(s + 1) if all(d + e > s for i, e in kills if i == p)]
+            for p in range(N)]
+
+
+def _family_orbits(profile: PQFamily, family: tuple, N: int):
     """``_mapping_solutions(profile, T)`` for T the P or Q module of
     family (kind, s, n) at N, the same list, read off T's label arithmetic
-    with no module built.
+    with no module built, and the key of each orbit: (orbits, keys).
 
     Label (a, rank) of T has tuple U = injections(n, N)[a] and digits d_p at
     its free positions.  A kill (i, e) allows it when i is not free or
     d_i + e > s.  Two allowed labels share an orbit of the residual group
     Sym{m, ..., N-1} (m the source's tuple size) exactly when they agree on
-    the slot pattern (U[k] if U[k] < m, else *), the digits at free
-    positions below m, the slot digits at positions >= m (P only) and the
-    multiset of the other high digits.  So each orbit is one low part, over
-    the tuples of one pattern, with every arrangement of one multiset on
-    each tuple's other high positions.
+    the key: the slot pattern (U[k] if U[k] < m, else None), the digits at
+    free positions below m, the slot digits at positions >= m (P only) and
+    the multiset of the other high digits, as a sorted tuple.  So each orbit
+    is one low part, over the tuples of one pattern, with every arrangement
+    of one multiset on each tuple's other high positions.
     """
     kind, s, n = family
-    cfg = RingConfig(N, s)  # _build_pq's ValueErrors, in its order
+    RingConfig(N, s)  # _build_pq's ValueErrors, in its order
     tuples = injections(n, N)
     size = pq_dimension(kind, s, n, N) // len(tuples)  # labels per tuple
-    kills, _ = _source_constraints(profile, cfg)
+    digits = _position_digits(profile, s, N)
     m = profile.n
-    digits = [[d for d in range(s + 1) if all(d + e > s for i, e in kills if i == p)]
-              for p in range(N)]
     by_pattern: dict = {}
     for a, U in enumerate(tuples):
         by_pattern.setdefault(tuple(t if t < m else None for t in U), []).append((a, U))
-    # the kills treat every position >= m alike, as the residual group must
     high_digits = digits[m] if m < N else []
     high_ranks: dict = {}  # strides -> {multiset: ranks of the digits there}
 
@@ -317,8 +329,8 @@ def _family_orbits(profile: PQFamily, family: tuple, N: int) -> list:
                 table.setdefault(tuple(sorted(ds)), []).append(sum(map(mul, ds, strides)))
         return high_ranks[strides]
 
-    orbits = []
-    for members in by_pattern.values():
+    orbits = []  # (labels, key)
+    for pattern, members in by_pattern.items():
         U0 = members[0][1]
         # the free low positions with their strides, the high slots and the
         # number of other high positions are the same for every tuple of the
@@ -333,48 +345,85 @@ def _family_orbits(profile: PQFamily, family: tuple, N: int) -> list:
                 offsets = [(off + base + sum(map(mul, slot_ds, slot_strides)), table)
                            for off, slot_strides, table in tables]
                 for multiset in tables[0][2]:
-                    orbits.append([off + r for off, table in offsets for r in table[multiset]])
-    orbits.sort(key=itemgetter(0))
-    return [dict.fromkeys(orbit, ONE) for orbit in orbits]
+                    orbits.append(([off + r for off, table in offsets for r in table[multiset]],
+                                   (pattern, low_ds, slot_ds, multiset)))
+    orbits.sort(key=lambda orbit: orbit[0][0])
+    return [dict.fromkeys(labels, ONE) for labels, _ in orbits], [key for _, key in orbits]
 
 
-def _family_push(vectors, family: tuple, N: int) -> list:
-    """The push of vectors along the canonical label inclusion from the P or
-    Q module of family (kind, s, n) at N to the one at N+1, by index
-    arithmetic: label (a, rank) goes to (the index of tuple a among the
-    level-(N+1) tuples, rank), because the new position N is the top free
-    digit and is 0."""
+def _orbit_size(key: tuple, m: int, N: int) -> int:
+    """The number of labels in the level-N orbit with this key, for a source
+    of tuple size m: the tuples of its slot pattern, injection_count(j, N - m)
+    for j high slots, times the arrangements of its multiset on each tuple's
+    other high positions."""
+    pattern, _, _, multiset = key
+    arrangements = factorial(len(multiset))
+    for d in set(multiset):
+        arrangements //= factorial(multiset.count(d))
+    return injection_count(pattern.count(None), N - m) * arrangements
+
+
+def _family_orbit_count(profile: PQFamily, family: tuple, N: int) -> int:
+    """The number of orbits that ``_family_orbits`` lists, counted with no
+    label listed, as a sum over the number j of high slots.  There are
+    C(n, j) * injection_count(n - j, m) slot patterns with j high slots
+    (which slots are high, and the low positions of the others), and each
+    has as many keys as low-digit choices at its free positions below m,
+    times slot-digit choices (P only), times multisets of its h = N - m - j
+    other high digits, C(h + D - 1, D - 1) for D allowed high digits."""
     kind, s, n = family
-    tuples = injections(n, N)
-    size = pq_dimension(kind, s, n, N) // len(tuples)  # labels per tuple
-    index = {U: b for b, U in enumerate(injections(n, N + 1))}
-    lift = [index[U] * size * (s + 1) for U in tuples]
-    return [{lift[t // size] + t % size: c for t, c in v.items()} for v in vectors]
+    m = profile.n
+    digits = _position_digits(profile, s, N)
+    low = len(digits[0]) if m else 0
+    high = len(digits[m]) if m < N else 0
+    count = 0
+    for j in range(max(n - m, 0), min(n, N - m) + 1):
+        h = N - m - j
+        free_low = m if kind == "P" else m - (n - j)
+        slot_choices = high ** j if kind == "P" else 1
+        multisets = comb(h + high - 1, h) if h else 1  # with m = N, no high digit is defined
+        count += comb(n, j) * injection_count(n - j, m) * low ** free_low * slot_choices * multisets
+    return count
 
 
 def _family_stable_space(profile: PQFamily, family: tuple, N: int):
-    """(solutions at N, solutions at N+1, stable space) for maps from the
-    profile into the P or Q family (kind, s, n): the solutions at N whose
-    push lies in the span of the solutions at N+1, with neither module
-    built."""
-    sols = _family_orbits(profile, family, N)
-    big_sols = _family_orbits(profile, family, N + 1)
+    """(solutions at N, the number of solutions at N+1, stable space) for
+    maps from the profile into the P or Q family (kind, s, n): the solutions
+    at N whose push lies in the span of the solutions at N+1, with no module
+    built and no level-(N+1) label listed.
+
+    The push keeps a label's rank and moves only its tuple index, because
+    the new position N is the top free digit and is 0; so it sends the
+    orbit with key (pattern, low, slot, multiset) into the level-(N+1) orbit
+    whose multiset has one more 0.  That orbit is a solution unless the
+    kills forbid digit 0 at the high positions (source bound r below s), and
+    it meets no other push; the push covers it exactly when both orbits have
+    the same size, ``_orbit_size``."""
+    sols, keys = _family_orbits(profile, family, N)
+    big_count = _family_orbit_count(profile, family, N + 1)
     if not sols:
-        return sols, big_sols, []
-    pushed = _family_push(sols, family, N)
-    return sols, big_sols, _kept_combinations(sols, _orbit_relations(pushed, big_sols))
+        return sols, big_count, []
+    m = profile.n
+    zero = 0 in _position_digits(profile, family[1], N + 1)[m]
+    meets: dict = {}  # level-(N+1) key (None: no solution) -> {k: labels of push k in it}
+    for k, (orbit, (pattern, low_ds, slot_ds, multiset)) in enumerate(zip(sols, keys)):
+        big = (pattern, low_ds, slot_ds, (0, *multiset)) if zero else None
+        meets.setdefault(big, {})[k] = len(orbit)
+    sizes = {big: _orbit_size(big, m, N + 1) for big in meets if big is not None}
+    return sols, big_count, _kept_combinations(sols, _orbit_relations(len(sols), meets, sizes))
 
 
 def stable_hom(source: PQFamily, target: PQFamily, N: int) -> StableHomResult:
     """Solve for maps source -> target at truncation N, then keep the
     solutions that survive the canonical inclusion into truncation N+1.
     The target family is solved by ``_family_stable_space`` from its label
-    arithmetic, with no module built; a target that is not a PQFamily is a
-    ValueError."""
+    arithmetic: the level-N orbits are listed, the level-(N+1) ones only
+    counted, and each push is sized by its orbit key; no module is built.
+    A target that is not a PQFamily is a ValueError."""
     if not isinstance(target, PQFamily):
         raise ValueError(f"stable_hom needs a PQFamily target, got {target!r}")
-    sols, big_sols, stable = _family_stable_space(source, (target.kind, target.s, target.n), N)
-    return StableHomResult(len(sols), len(big_sols), len(stable), stable)
+    sols, big_count, stable = _family_stable_space(source, (target.kind, target.s, target.n), N)
+    return StableHomResult(len(sols), big_count, len(stable), stable)
 
 
 # ---------------------------------------------------------------------------

@@ -44,9 +44,9 @@ def vec_axpy(target: dict, coef, source: dict) -> None:
 
 
 def apply_columns(cols, vec: dict) -> dict:
-    """A matrix times a column vector, given the matrix's ``columns()`` or a
-    dict holding at least the columns vec touches: the cost is the nnz of
-    those columns, not of the whole matrix."""
+    """A matrix times a column vector, given the matrix's columns as dicts,
+    in a list or in a dict holding at least the columns vec touches: the
+    cost is the nnz of those columns, not of the whole matrix."""
     out: dict = {}
     for j, w in vec.items():
         vec_axpy(out, w, cols[j])
@@ -68,36 +68,12 @@ class SparseRationalMatrix:
     def identity(cls, n: int) -> "SparseRationalMatrix":
         return cls(n, n, [{i: ONE} for i in range(n)])
 
-    @classmethod
-    def from_entries(cls, nrows, ncols, entries) -> "SparseRationalMatrix":
-        """entries: iterable of (row, col, value)."""
-        m = cls(nrows, ncols)
-        for i, j, v in entries:
-            m.add_to(i, j, v)
-        return m
-
     def set(self, i: int, j: int, v) -> None:
         v = _entry(v)
         if v:
             self.rows[i][j] = v
         else:
             self.rows[i].pop(j, None)
-
-    def add_to(self, i: int, j: int, v) -> None:
-        w = self.rows[i].get(j, ZERO) + _entry(v)
-        if w:
-            self.rows[i][j] = w
-        else:
-            self.rows[i].pop(j, None)
-
-    def get(self, i: int, j: int):
-        return self.rows[i].get(j, ZERO)
-
-    def copy(self) -> "SparseRationalMatrix":
-        return SparseRationalMatrix(self.nrows, self.ncols, [dict(r) for r in self.rows])
-
-    def nnz(self) -> int:
-        return sum(len(r) for r in self.rows)
 
     def is_zero(self) -> bool:
         return all(not r for r in self.rows)
@@ -121,24 +97,14 @@ class SparseRationalMatrix:
     def __add__(self, other):
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
-        out = self.copy()
+        out = SparseRationalMatrix(self.nrows, self.ncols, [dict(r) for r in self.rows])
         for i, row in enumerate(other.rows):
             vec_axpy(out.rows[i], ONE, row)
         return out
 
     def __sub__(self, other):
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        out = self.copy()
-        for i, row in enumerate(other.rows):
-            vec_axpy(out.rows[i], -ONE, row)
-        return out
-
-    def scale(self, coef) -> "SparseRationalMatrix":
-        coef = _entry(coef)
-        return SparseRationalMatrix(self.nrows, self.ncols,
-                                    [{k: coef * v for k, v in r.items()} if coef else {}
-                                     for r in self.rows])
+        return self + SparseRationalMatrix(other.nrows, other.ncols,
+                                           [{j: -v for j, v in r.items()} for r in other.rows])
 
     def power(self, k: int) -> "SparseRationalMatrix":
         if self.nrows != self.ncols:
@@ -146,13 +112,6 @@ class SparseRationalMatrix:
         out = SparseRationalMatrix.identity(self.nrows)
         for _ in range(k):
             out = out @ self
-        return out
-
-    def transpose(self) -> "SparseRationalMatrix":
-        out = SparseRationalMatrix(self.ncols, self.nrows)
-        for i, row in enumerate(self.rows):
-            for j, v in row.items():
-                out.rows[j][i] = v
         return out
 
     @classmethod
@@ -169,21 +128,13 @@ class SparseRationalMatrix:
         return cls(len(rows), ncols, rows)
 
     def apply(self, vec: dict) -> dict:
-        """Matrix times a column vector given as {index: entry}."""
-        return apply_columns(self.columns(), vec)
-
-    def column(self, j: int) -> dict:
-        return {i: row[j] for i, row in enumerate(self.rows) if j in row}
-
-    def columns(self) -> list:
-        cols: list = [dict() for _ in range(self.ncols)]
+        """Matrix times a column vector given as {index: entry}, row by row."""
+        out = {}
         for i, row in enumerate(self.rows):
-            for j, v in row.items():
-                cols[j][i] = v
-        return cols
-
-    def to_dense(self) -> list:
-        return [[self.rows[i].get(j, ZERO) for j in range(self.ncols)] for i in range(self.nrows)]
+            w = sum(v * vec[j] for j, v in row.items() if j in vec)
+            if w:
+                out[i] = w
+        return out
 
     def to_triplets(self) -> list:
         """Sorted (row, col, numerator, denominator) coordinate form."""
@@ -195,7 +146,7 @@ class SparseRationalMatrix:
         return out
 
     def __repr__(self):
-        return f"SparseRationalMatrix({self.nrows}x{self.ncols}, nnz={self.nnz()})"
+        return f"SparseRationalMatrix({self.nrows}x{self.ncols}, nnz={sum(map(len, self.rows))})"
 
 
 class Echelon:
@@ -340,15 +291,6 @@ class Subspace:
             if t is not None:
                 vec_axpy(out, -x, self.basis[t])
         return out
-
-    def coords(self, w: dict) -> list:
-        """Coordinates of w in this basis; raises ValueError if w is outside."""
-        if self.residue(w):
-            raise ValueError("vector is not in the span")
-        return [w.get(r, ZERO) for r in self.free]
-
-    def contains(self, w: dict) -> bool:
-        return not self.residue(w)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):

@@ -35,6 +35,7 @@ from equivar.linalg import (
     SpanBasis,
     SparseRationalMatrix,
     Subspace,
+    _entry,
     apply_columns,
     joint_kernel,
     matrix_rank,
@@ -46,6 +47,54 @@ from equivar.truncated_ring import coxeter_word, representative_permutation
 
 # ---------------------------------------------------------------------------
 # linear algebra
+
+
+def from_entries(nrows: int, ncols: int, entries) -> SparseRationalMatrix:
+    """The matrix whose entry (i, j) is the sum of the values given for it
+    among the (row, col, value) entries."""
+    m = SparseRationalMatrix(nrows, ncols)
+    for i, j, v in entries:
+        vec_axpy(m.rows[i], ONE, {j: _entry(v)})
+    return m
+
+
+def columns(mat: SparseRationalMatrix) -> list:
+    """The columns of mat, as dicts {row: entry}."""
+    cols: list = [{} for _ in range(mat.ncols)]
+    for i, row in enumerate(mat.rows):
+        for j, v in row.items():
+            cols[j][i] = v
+    return cols
+
+
+def column(mat: SparseRationalMatrix, j: int) -> dict:
+    return {i: row[j] for i, row in enumerate(mat.rows) if j in row}
+
+
+def transpose(mat: SparseRationalMatrix) -> SparseRationalMatrix:
+    return SparseRationalMatrix(mat.ncols, mat.nrows, columns(mat))
+
+
+def scale(mat: SparseRationalMatrix, coef) -> SparseRationalMatrix:
+    coef = _entry(coef)
+    return SparseRationalMatrix(mat.nrows, mat.ncols,
+                                [{k: coef * v for k, v in r.items()} if coef else {}
+                                 for r in mat.rows])
+
+
+def to_dense(mat: SparseRationalMatrix) -> list:
+    return [[row.get(j, 0) for j in range(mat.ncols)] for row in mat.rows]
+
+
+def coords(span: Subspace, w: dict) -> list:
+    """Coordinates of w in the span's basis; raises ValueError if w is outside."""
+    if span.residue(w):
+        raise ValueError("vector is not in the span")
+    return [w.get(r, 0) for r in span.free]
+
+
+def contains(span: Subspace, w: dict) -> bool:
+    return not span.residue(w)
 
 
 def kron(a: SparseRationalMatrix, b: SparseRationalMatrix) -> SparseRationalMatrix:
@@ -283,14 +332,14 @@ def check_axioms(M: EquivModule) -> None:
                 raise AssertionError(f"swap {j} conjugates x_{i} incorrectly")
     if M.grading is not None:
         for i in range(N):
-            for col, row_entries in enumerate(M.xmul[i].columns()):
+            for col, row_entries in enumerate(columns(M.xmul[i])):
                 for r in row_entries:
                     expect = list(M.grading[col])
                     expect[i] += 1
                     if tuple(expect) != M.grading[r]:
                         raise AssertionError("grading is not raised by one step")
         for j in range(N - 1):
-            for col, row_entries in enumerate(M.coxeter[j].columns()):
+            for col, row_entries in enumerate(columns(M.coxeter[j])):
                 for r in row_entries:
                     d = list(M.grading[col])
                     d[j], d[j + 1] = d[j + 1], d[j]
@@ -343,9 +392,9 @@ def map_from_generator_value(profile: PQFamily, source: EquivModule,
         if tup not in perm_cache:
             rest = [p for p in range(N) if p not in tup]
             perm = tuple(list(tup) + rest)  # position k maps to perm[k]
-            perm_cache[tup] = apply_columns(target.perm_matrix(perm).columns(), v)
+            perm_cache[tup] = apply_columns(columns(target.perm_matrix(perm)), v)
         xmono = _word_product(target.xmul, target.dim, monomial_word(mono))
-        for r, val in apply_columns(xmono.columns(), perm_cache[tup]).items():
+        for r, val in apply_columns(columns(xmono), perm_cache[tup]).items():
             mat.set(r, col, val)
     return EquivMap(source, target, mat)
 
@@ -359,7 +408,7 @@ def hom_generic(M: EquivModule, T: EquivModule) -> list:
         raise ValueError(f"config mismatch: {M.cfg} != {T.cfg}")
     dm, dt = M.dim, T.dim
     eye_m, eye_t = SparseRationalMatrix.identity(dm), SparseRationalMatrix.identity(dt)
-    blocks = [kron(a.transpose(), eye_t) - kron(eye_m, b)
+    blocks = [kron(transpose(a), eye_t) - kron(eye_m, b)
               for a, b in zip(M.xmul + M.coxeter, T.xmul + T.coxeter)]
     maps = []
     for vec in joint_kernel(blocks, dm * dt):
@@ -382,6 +431,18 @@ def _embed_vector(v: dict, small: EquivModule, big: EquivModule) -> dict:
     return out
 
 
+def _label_meets(pushed, big_solutions) -> dict:
+    """The meets that ``_orbit_relations`` reads, by label: {index of a big
+    solution (None: none): {k: the number of labels of pushed[k] in it}}."""
+    orbit_of = {t: b for b, vec in enumerate(big_solutions) for t in vec}
+    meets: dict = {}
+    for k, vec in enumerate(pushed):
+        for t in vec:
+            hits = meets.setdefault(orbit_of.get(t), {})
+            hits[k] = hits.get(k, 0) + 1
+    return meets
+
+
 def _stable_subspace(solutions, big_solutions, small: EquivModule,
                      big: EquivModule) -> list:
     """Members of span(solutions) whose push along the label inclusion into
@@ -390,7 +451,8 @@ def _stable_subspace(solutions, big_solutions, small: EquivModule,
         return []
     pushed = [_embed_vector(v, small, big) for v in solutions]
     if isinstance(small, EquivModule) and isinstance(big, EquivModule):
-        columns = _orbit_relations(pushed, big_solutions)
+        columns = _orbit_relations(len(pushed), _label_meets(pushed, big_solutions),
+                                   [len(vec) for vec in big_solutions])
     else:
         span = Subspace(big_solutions, big.dim)
         columns = [span.residue(w) for w in pushed]
@@ -420,13 +482,13 @@ def _quotient_by_radical(M: EquivModule):
     representation and an equivariant section of the reduction.  The section
     is the lift of the free coordinates when it commutes with every swap,
     else the lift averaged over the group; both are checked to split."""
-    radical = SpanBasis([c for x in M.xmul for c in x.columns()], M.dim)
+    radical = SpanBasis([c for x in M.xmul for c in columns(x)], M.dim)
     free = [t for t in range(M.dim) if t not in radical.free]
     pos = {f: t for t, f in enumerate(free)}
 
     def pi_matrix(mat: SparseRationalMatrix) -> SparseRationalMatrix:
         out = SparseRationalMatrix(len(free), mat.ncols)
-        for j, col in enumerate(mat.columns()):
+        for j, col in enumerate(columns(mat)):
             for k, v in radical.residue(col).items():
                 out.set(pos[k], j, v)
         return out
@@ -450,7 +512,7 @@ def _quotient_by_radical(M: EquivModule):
         for term in terms:
             for row, trow in zip(acc.rows, term.rows):
                 vec_axpy(row, ONE, trow)
-        sec = acc.scale(Fraction(1, len(walk)))
+        sec = scale(acc, Fraction(1, len(walk)))
         if any(M.coxeter[j] @ sec != sec @ rep.coxeter[j] for j in range(N - 1)):
             raise AssemblyError("section is not equivariant")
     if pi_matrix(sec) != SparseRationalMatrix.identity(len(free)):
@@ -475,8 +537,8 @@ def _free_cover(M: EquivModule):
 
     # the image of (mono, f) is x_i times the image of (mono - e_i, f), for
     # the last variable i in mono; that label comes earlier in the list
-    sec_cols = sec.columns()
-    x_cols = [m.columns() for m in M.xmul]
+    sec_cols = columns(sec)
+    x_cols = [columns(m) for m in M.xmul]
     images = []
     d = SparseRationalMatrix(M.dim, dimF)
     for col, (mono, f) in enumerate(labels):
@@ -515,7 +577,7 @@ def _resolution(M: EquivModule, levels: int):
     for level in range(levels):
         F, cover, rep = _free_cover(current)
         # generator f is the label ((0,)*N, f), column f of the cover
-        images = [cover.matrix.column(f) for f in range(rep.dim)]
+        images = [column(cover.matrix, f) for f in range(rep.dim)]
         if inc_cols is not None:
             images = [apply_columns(inc_cols, w) for w in images]
         reps.append(rep)
@@ -534,7 +596,7 @@ def _hom_invariants_generic(rep: SnRep, T: EquivModule) -> list:
     on that vector is kron(rho_V^T, rho_T)."""
     ncols = rep.dim * T.dim
     eye = SparseRationalMatrix.identity(ncols)
-    return joint_kernel([kron(rv.transpose(), rt) - eye for rv, rt in zip(rep.coxeter, T.coxeter)],
+    return joint_kernel([kron(transpose(rv), rt) - eye for rv, rt in zip(rep.coxeter, T.coxeter)],
                         ncols)
 
 

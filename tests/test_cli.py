@@ -245,6 +245,22 @@ def test_cap_and_dimension_guard(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("src, dst, N, dims", [
+    ("Q,2,0", "P,2,3", 5, [162, 270, 0]),
+    ("Q,3,3", "P,3,3", 4, [96, 492, 6]),
+])
+def test_hom_guard_charges_only_level_n(capsys, src, dst, N, dims):
+    # level N+1 is counted, not listed, so neither N + 1 = 6 above the cap
+    # 5 nor P(3, 3, 5) of dimension 61440 above --max-dim 50000 refuses
+    code, lines = run_json(capsys, ["hom", "--src", src, "--dst", dst, "--N", str(N)])
+    assert code == 0
+    result = lines[-1]["result"]
+    assert [result["dim_at_N"], result["dim_at_N_plus_1"], result["dim_stable"]] == dims
+    # one level up, the listed level is over the bounds
+    assert main(["hom", "--src", src, "--dst", dst, "--N", str(N + 1)]) == 2
+    capsys.readouterr()
+
+
 def test_max_dim_bounds_free_covers(capsys):
     # both modules fit in 50 basis elements, but the strand cochains of
     # degree 2 are C(3, 1) = 3 copies of the target P(1, 1, 3)

@@ -19,6 +19,7 @@ from equivar.equivariant import (
     character_of,
     direct_sum,
     filtration_layers,
+    pq_dimension,
 )
 from equivar.homcalc import (
     AssemblyError,
@@ -30,12 +31,13 @@ from equivar.homcalc import (
     hom_mapping_property,
     stable_hom,
     tor_periodic,
+    _family_orbit_count,
     _family_orbits,
-    _family_push,
     _family_stable_space,
     _image_labels,
     _mapping_solutions,
     _orbit_relations,
+    _orbit_size,
     _power_map,
     _slot_variable,
     _strand_cohomology,
@@ -53,6 +55,7 @@ from equivar.linalg import (
     matrix_rank,
     nullspace,
     rank_of_vectors,
+    vec_axpy,
 )
 from equivar.truncated_ring import RingConfig, representative_permutation
 from reference import (
@@ -63,14 +66,21 @@ from reference import (
     _group_walk,
     _hom_invariants_generic,
     _kernel_module,
+    _label_meets,
     _mapping_solutions_generic,
     _quotient_by_radical,
     _resolution,
     _stable_subspace,
     check_equivariance,
+    column,
+    columns,
+    contains,
+    coords,
+    from_entries,
     hom_generic,
     map_from_generator_value,
     regular_rep,
+    scale,
     trace_character,
 )
 
@@ -94,7 +104,7 @@ def test_hom_generic_contains_identity():
         for (i, j, num, den) in f.matrix.to_triplets():
             vec[j * m.dim + i] = Fraction(num, den)
         vecs.append(vec)
-    assert SpanBasis(vecs, m.dim * m.dim).contains(span.basis[0])
+    assert contains(SpanBasis(vecs, m.dim * m.dim), span.basis[0])
     assert len(maps) >= 1
 
 
@@ -116,7 +126,7 @@ def test_generic_vs_mapping_property_cross_check(s, n, m):
     sols = hom_mapping_property(PQFamily("Q", s, n), tgt)
     assert len(generic) == len(sols)
     gen_label = src.label_index[(tuple(range(n)), (0,) * N)]
-    values = [f.matrix.column(gen_label) for f in generic]
+    values = [column(f.matrix, gen_label) for f in generic]
     span_a = SpanBasis(values, tgt.dim)
     span_b = SpanBasis(sols, tgt.dim)
     assert span_a == span_b
@@ -151,7 +161,7 @@ def _kernel_with_inclusion(F, d):
     """``_kernel_module(F, d)`` with its inclusion matrix into F, column t
     being kernel basis vector t."""
     K, basis = _kernel_module(F, d)
-    return K, SparseRationalMatrix.from_entries(
+    return K, from_entries(
         F.dim, len(basis), [(r, t, v) for t, vec in enumerate(basis) for r, v in vec.items()])
 
 
@@ -305,8 +315,8 @@ def test_orbit_relations_on_merged_orbits():
             if rng.random() < 0.7:
                 big.append({t: ONE for t in merged})
         span = SpanBasis(big, len(labels))
-        assert (kernel_of_vectors(_orbit_relations(pushed, big))
-                == kernel_of_vectors([span.residue(w) for w in pushed]))
+        columns = _orbit_relations(len(pushed), _label_meets(pushed, big), [len(b) for b in big])
+        assert kernel_of_vectors(columns) == kernel_of_vectors([span.residue(w) for w in pushed])
 
 
 @pytest.mark.parametrize("s", [0, 1, 2])
@@ -337,30 +347,60 @@ def _items(vectors):
 def test_family_stable_space_matches_the_module_path(kind, s):
     # the label arithmetic of a P/Q target against its built modules, the
     # same lists (order and entries): the orbits against the orbit solver for
-    # N <= 5, the push against _embed_vector on every label and the stable
-    # space against _stable_subspace for N <= 4, for P and Q sources with
-    # m <= 3 and the bound one below, at and above s
+    # N <= 5; for N <= 4 the push of each orbit (_embed_vector) lies in the
+    # level-(N+1) orbit listed under its key with one more 0, or in no
+    # solution when none is listed there, the counted level-(N+1) orbits
+    # are the solver's, and the stable space is _stable_subspace's; for P
+    # and Q sources with m <= 3 and the bound one below, at and above s
     family_of = {"P": build_P, "Q": build_Q}[kind]
     for n in range(4):
         modules = {N: family_of(s, n, N) for N in range(n, 6)}
         for N, T in modules.items():
             big = modules.get(N + 1)
-            if big is not None:
-                labels = [{t: ONE} for t in range(T.dim)]
-                assert (_family_push(labels, (kind, s, n), N)
-                        == [_embed_vector(v, T, big) for v in labels])
             for src_kind, m, r in itertools.product("PQ", range(min(3, N) + 1), (s - 1, s, s + 1)):
                 if r < 0:
                     continue
                 profile = PQFamily(src_kind, r, m)
                 sols = _mapping_solutions(profile, T)
-                assert _items(_family_orbits(profile, (kind, s, n), N)) == _items(sols)
-                if big is not None:
-                    big_sols = _mapping_solutions(profile, big)
-                    got = _family_stable_space(profile, (kind, s, n), N)
-                    assert [_items(part) for part in got] == [
-                        _items(sols), _items(big_sols),
-                        _items(_stable_subspace(sols, big_sols, T, big))]
+                orbits, keys = _family_orbits(profile, (kind, s, n), N)
+                assert _items(orbits) == _items(sols)
+                if big is None:
+                    continue
+                big_sols = _mapping_solutions(profile, big)
+                big_orbits, big_keys = _family_orbits(profile, (kind, s, n), N + 1)
+                listed = dict(zip(big_keys, big_orbits))
+                solved = {t for vec in big_sols for t in vec}
+                for orbit, (pattern, low_ds, slot_ds, multiset) in zip(orbits, keys):
+                    pushed = _embed_vector(orbit, T, big)
+                    into = listed.get((pattern, low_ds, slot_ds, (0, *multiset)))
+                    if into is None:
+                        assert solved.isdisjoint(pushed)
+                    else:
+                        assert pushed.keys() <= into.keys()
+                got = _family_stable_space(profile, (kind, s, n), N)
+                assert got[1] == len(big_sols)
+                assert [_items(got[0]), _items(got[2])] == [
+                    _items(sols), _items(_stable_subspace(sols, big_sols, T, big))]
+
+
+@pytest.mark.parametrize("kind", ["P", "Q"])
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_family_orbit_count_and_sizes_match_the_listing(kind, s):
+    # the counted orbits against the listed ones, and the size that each key
+    # gives against its orbit's labels, for P and Q sources with m <= 3 and
+    # the bound one below, at and above s, for N <= 6, and N = 7 where the
+    # target has at most 20,000 labels
+    for n in range(4):
+        for N in range(n, 8):
+            if N == 7 and pq_dimension(kind, s, n, N) > 20_000:
+                continue
+            for src_kind, m, r in itertools.product("PQ", range(min(3, N) + 1), (s - 1, s, s + 1)):
+                if r < 0:
+                    continue
+                profile = PQFamily(src_kind, r, m)
+                orbits, keys = _family_orbits(profile, (kind, s, n), N)
+                assert _family_orbit_count(profile, (kind, s, n), N) == len(orbits)
+                assert [_orbit_size(key, m, N) for key in keys] == list(map(len, orbits))
 
 
 def test_family_orbits_raise_the_module_path_errors():
@@ -779,7 +819,7 @@ def test_walk_section_matches_average_over_all_words(build):
     rep, sec = _quotient_by_radical(M)
     # the reference: average perm_matrix(g) @ lift @ rep.matrix(g^-1) over
     # the N! permutations, each through its own coxeter word
-    radical = SpanBasis([c for x in M.xmul for c in x.columns()], M.dim)
+    radical = SpanBasis([c for x in M.xmul for c in columns(x)], M.dim)
     free = [t for t in range(M.dim) if t not in set(radical.free)]
     lift = SparseRationalMatrix(M.dim, len(free))
     for t, f in enumerate(free):
@@ -791,7 +831,7 @@ def test_walk_section_matches_average_over_all_words(build):
         for k, img in enumerate(g):
             inv[img] = k
         acc = acc + (M.perm_matrix(g) @ lift @ rep.matrix(tuple(inv)))
-    assert sec == acc.scale(Fraction(1, len(perms)))
+    assert sec == scale(acc, Fraction(1, len(perms)))
 
 
 def test_skewed_basis_takes_the_averaged_section():
@@ -808,9 +848,9 @@ def test_skewed_basis_takes_the_averaged_section():
     rep, sec = _quotient_by_radical(M)
     assert sorted({v for row in sec.rows for v in row.values()}) == [
         Fraction(-1, 2), Fraction(1, 2), 1]
-    radical = SpanBasis([c for x in M.xmul for c in x.columns()], M.dim)
+    radical = SpanBasis([c for x in M.xmul for c in columns(x)], M.dim)
     free = [t for t in range(M.dim) if t not in set(radical.free)]
-    assert [radical.residue(col) for col in sec.columns()] == [{t: 1} for t in free]
+    assert [radical.residue(col) for col in columns(sec)] == [{t: 1} for t in free]
     for j in range(M.cfg.N - 1):
         assert M.coxeter[j] @ sec == sec @ rep.coxeter[j]
     T = build_P(1, 1, 2)
@@ -972,7 +1012,7 @@ def test_resolution_generator_images_match_full_differentials(build):
         assert F.labels == free_mods[level].labels
         full = cover.matrix if inclusion is None else inclusion @ cover.matrix
         generators = [F.label_index[((0,) * M.cfg.N, f)] for f in range(rep.dim)]
-        assert gens[level] == [full.column(col) for col in generators]
+        assert gens[level] == [column(full, col) for col in generators]
         current, inclusion = _kernel_with_inclusion(F, cover.matrix)
 
 
@@ -998,8 +1038,8 @@ def _subspace_character(C, span):
     N = C.cfg.N
     vals = {}
     for mu in partitions(N):
-        cols = C.perm_matrix(representative_permutation(mu)).columns()
-        vals[mu] = sum(span.coords(apply_columns(cols, vec))[t]
+        cols = columns(C.perm_matrix(representative_permutation(mu)))
+        vals[mu] = sum(coords(span, apply_columns(cols, vec))[t]
                        for t, vec in enumerate(span.basis))
     return ClassFunction(N, vals)
 
@@ -1012,7 +1052,7 @@ TOR_ORACLE_CASES = [(s, N) for s in range(1, 5) for N in range(1, 8)
 @pytest.mark.parametrize("s,N", TOR_ORACLE_CASES)
 def test_tor_counts_match_elimination_oracle(s, N):
     C, odd, even = _tor_label_maps(s, N)
-    oracle = [_subspace_character(C, SpanBasis((c for c in _map_matrix(cm).columns() if c), C.dim))
+    oracle = [_subspace_character(C, SpanBasis((c for c in columns(_map_matrix(cm)) if c), C.dim))
               for cm in (odd, even)]
     assert [character_of(C, _image_labels(C, cm)) for cm in (odd, even)] == oracle
     expected = trace_character(_matrix_copy(C)) - oracle[0] - oracle[1]
@@ -1097,10 +1137,10 @@ def oracle_tor_dims_via_minimal_covers(s, N, r_max):
         d = diffs[level]
         for f in range(src.dim):
             col_idx = free_mods[level].label_index[((0,) * N, f)]
-            for idx, coeff in d.column(col_idx).items():
+            for idx, coeff in column(d, col_idx).items():
                 mono, fp = dst_labels[idx]
                 for (r, c, num, den) in mono_action(mono).to_triplets():
-                    mat.add_to(fp * qdim + r, f * qdim + c, coeff * Fraction(num, den))
+                    vec_axpy(mat.rows[fp * qdim + r], coeff * Fraction(num, den), {f * qdim + c: 1})
         tensored.append(mat)
     ranks = [matrix_rank(m) for m in tensored]  # ranks[i] = rank of C_{i+1} -> C_i
     out = []
@@ -1149,8 +1189,8 @@ def test_stable_solutions_into_p_land_in_embedded_q():
             for b in range(a + 1):
                 N = max(a, b) + 2
                 emb = q_into_p_embedding(s, b, N)
-                span = SpanBasis(emb.matrix.columns(), emb.target.dim)
+                span = SpanBasis(columns(emb.matrix), emb.target.dim)
                 r = stable_hom(PQFamily("Q", s, a), PQFamily("P", s, b), N)
                 assert r.dim_stable > 0
                 for v in r.basis:
-                    assert span.contains(v)
+                    assert contains(span, v)

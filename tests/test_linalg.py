@@ -20,7 +20,7 @@ from equivar.linalg import (
     rank_of_vectors,
     solve_columns,
 )
-from reference import kron
+from reference import columns, contains, coords, from_entries, kron, scale, to_dense, transpose
 
 
 def dense_rank(dense):
@@ -57,21 +57,21 @@ def random_matrix(rng, m, n, density=0.5):
 
 
 def test_matmul_identity_and_known_product():
-    a = SparseRationalMatrix.from_entries(2, 2, [(0, 0, 1), (0, 1, 1), (1, 0, 1)])
-    b = SparseRationalMatrix.from_entries(2, 2, [(0, 1, 1), (1, 0, 1), (1, 1, 1)])
+    a = from_entries(2, 2, [(0, 0, 1), (0, 1, 1), (1, 0, 1)])
+    b = from_entries(2, 2, [(0, 1, 1), (1, 0, 1), (1, 1, 1)])
     c = a @ b
-    assert c.to_dense() == [[1, 2], [0, 1]]
+    assert to_dense(c) == [[1, 2], [0, 1]]
     eye = SparseRationalMatrix.identity(2)
     assert (a @ eye) == a and (eye @ a) == a
 
 
 def test_add_sub_scale_transpose():
-    a = SparseRationalMatrix.from_entries(2, 3, [(0, 0, 2), (1, 2, -1)])
-    b = a.scale(Fraction(1, 2))
-    assert b.get(0, 0) == 1 and b.get(1, 2) == Fraction(-1, 2)
+    a = from_entries(2, 3, [(0, 0, 2), (1, 2, -1)])
+    b = scale(a, Fraction(1, 2))
+    assert b.rows[0][0] == 1 and b.rows[1][2] == Fraction(-1, 2)
     assert (a - a).is_zero()
-    assert a.transpose().get(2, 1) == -1
-    assert (a + a) == a.scale(2)
+    assert transpose(a).rows[2][1] == -1
+    assert (a + a) == scale(a, 2)
 
 
 def test_rank_and_nullspace_against_dense_oracle():
@@ -81,7 +81,7 @@ def test_rank_and_nullspace_against_dense_oracle():
         n = rng.randint(1, 6)
         mat = random_matrix(rng, m, n)
         r = matrix_rank(mat)
-        assert r == dense_rank(mat.to_dense())
+        assert r == dense_rank(to_dense(mat))
         kernel = nullspace(mat)
         assert len(kernel) == n - r
         for v in kernel:
@@ -89,7 +89,7 @@ def test_rank_and_nullspace_against_dense_oracle():
 
 
 def test_nullspace_free_column_form():
-    mat = SparseRationalMatrix.from_entries(1, 3, [(0, 0, 1), (0, 1, 2), (0, 2, 3)])
+    mat = from_entries(1, 3, [(0, 0, 1), (0, 1, 2), (0, 2, 3)])
     kernel = nullspace(mat)
     assert len(kernel) == 2
     frees = []
@@ -121,9 +121,9 @@ def test_span_basis_membership_and_coords():
     span = SpanBasis([v1, v2, {0: Fraction(2), 1: Fraction(2), 2: Fraction(2)}], 3)
     assert span.dim == 2
     w = {0: Fraction(3), 1: Fraction(-1), 2: Fraction(3)}
-    coeffs = span.coords(w)
+    coeffs = coords(span, w)
     assert len(coeffs) == 2
-    assert not span.contains({2: Fraction(1)})
+    assert not contains(span, {2: Fraction(1)})
 
 
 def test_span_basis_residue_against_dense_oracle():
@@ -152,19 +152,19 @@ def test_span_basis_residue_against_dense_oracle():
         members = [combine(n, [(rng.randint(-2, 2), r) for r in family]) for _ in range(2)]
         for w in random_matrix(rng, 3, n).rows + members:
             inside = dense_rank([[r.get(j, 0) for j in range(n)] for r in family + [w]]) == rank
-            assert (span.residue(w) == {}) == inside == span.contains(w)
+            assert (span.residue(w) == {}) == inside == contains(span, w)
             if inside:
-                assert span.coords(w) == former_coords(span, w)
+                assert coords(span, w) == former_coords(span, w)
             else:
                 with pytest.raises(ValueError):
-                    span.coords(w)
+                    coords(span, w)
         u, w = random_matrix(rng, 2, n).rows
         assert span.residue(combine(n, [(2, u), (-1, w)])) == \
             combine(n, [(2, span.residue(u)), (-1, span.residue(w))])
 
 
 def test_solve_columns():
-    a = SparseRationalMatrix.from_entries(3, 2, [(0, 0, 2), (1, 1, 3), (2, 0, 1), (2, 1, 1)])
+    a = from_entries(3, 2, [(0, 0, 2), (1, 1, 3), (2, 0, 1), (2, 1, 1)])
     y = {0: Fraction(4), 1: Fraction(6), 2: Fraction(4)}
     (x,) = solve_columns(a, [y])
     assert a.apply(x) == y
@@ -183,7 +183,7 @@ def test_echelon_deterministic():
 
 
 def test_power_and_vstack():
-    n = SparseRationalMatrix.from_entries(2, 2, [(0, 1, 1)])
+    n = from_entries(2, 2, [(0, 1, 1)])
     assert n.power(2).is_zero()
     stacked = SparseRationalMatrix.vstack([n, SparseRationalMatrix.identity(2)])
     assert stacked.nrows == 4 and matrix_rank(stacked) == 2
@@ -194,12 +194,12 @@ def test_kron_against_dense_oracle():
     for m, n, p, q in itertools.product(range(4), repeat=4):
         a = random_matrix(rng, m, n, 0.8)
         b = random_matrix(rng, p, q, 0.8)
-        da, db = a.to_dense(), b.to_dense()
+        da, db = to_dense(a), to_dense(b)
         expected = [[da[i][j] * db[p][q] for j in range(a.ncols) for q in range(b.ncols)]
                     for i in range(a.nrows) for p in range(b.nrows)]
         got = kron(a, b)
         assert (got.nrows, got.ncols) == (a.nrows * b.nrows, a.ncols * b.ncols)
-        assert got.to_dense() == expected
+        assert to_dense(got) == expected
         assert all(v for row in got.rows for v in row.values())
 
 
@@ -210,7 +210,7 @@ def test_joint_kernel_against_dense_oracle():
         blocks = [random_matrix(rng, rng.randint(1, 3), ncols, 0.4)
                   for _ in range(rng.randint(1, 3))]
         kernel = joint_kernel(blocks, ncols)
-        stacked = [row for blk in blocks for row in blk.to_dense()]
+        stacked = [row for blk in blocks for row in to_dense(blk)]
         assert len(kernel) == ncols - dense_rank(stacked)
         for v in kernel:
             for blk in blocks:
@@ -227,28 +227,28 @@ def test_joint_kernel_without_blocks_is_the_standard_basis():
 
 def test_subspace_restrict_and_coords():
     # the vectors of Q^3 fixed by swapping the first two coordinates
-    swap = SparseRationalMatrix.from_entries(3, 3, [(0, 1, 1), (1, 0, 1), (2, 2, 1)])
+    swap = from_entries(3, 3, [(0, 1, 1), (1, 0, 1), (2, 2, 1)])
     sub = Subspace(nullspace(swap - SparseRationalMatrix.identity(3)), 3)
     assert sub.basis == [{0: 1, 1: 1}, {2: 1}] and sub.free == {0: 0, 2: 1}
-    act = SparseRationalMatrix.from_entries(3, 3, [(0, 1, 1), (1, 0, 1), (2, 2, 2)])
-    assert sub.restrict(act).to_dense() == [[1, 0], [0, 2]]
-    assert [sub.coords(v) for v in sub.basis] == [[1, 0], [0, 1]]
-    assert sub.coords({0: 3, 1: 3, 2: -1}) == [3, -1]
+    act = from_entries(3, 3, [(0, 1, 1), (1, 0, 1), (2, 2, 2)])
+    assert to_dense(sub.restrict(act)) == [[1, 0], [0, 2]]
+    assert [coords(sub, v) for v in sub.basis] == [[1, 0], [0, 1]]
+    assert coords(sub, {0: 3, 1: 3, 2: -1}) == [3, -1]
 
 
 def test_subspace_check_fails_outside_the_subspace():
     sub = Subspace([{0: Fraction(1), 1: Fraction(1)}], 2)  # the line through (1, 1)
-    stretch = SparseRationalMatrix.from_entries(2, 2, [(0, 0, 1), (1, 1, 2)])
+    stretch = from_entries(2, 2, [(0, 0, 1), (1, 1, 2)])
     with pytest.raises(AssemblyError):
         sub.restrict(stretch)
     with pytest.raises(ValueError):
-        sub.coords({0: Fraction(1)})
+        coords(sub, {0: Fraction(1)})
     with pytest.raises(AssemblyError):  # no free row: not in free-column form
         Subspace([{0: Fraction(2)}], 1)
     # a map into or out of another ambient space is refused by its shape
     plane = Subspace([{0: 1}, {1: 1}], 3)
     with pytest.raises(ValueError, match="shape mismatch"):
-        plane.restrict(SparseRationalMatrix.from_entries(2, 3, [(0, 0, 1), (1, 1, 1)]))
+        plane.restrict(from_entries(2, 3, [(0, 0, 1), (1, 1, 1)]))
     with pytest.raises(ValueError, match="shape mismatch"):
         plane.restrict(SparseRationalMatrix.identity(3), sub)
 
@@ -269,7 +269,7 @@ def subspace_actions(draw):
 
 def _inclusion(sub):
     """The matrix whose column k is sub's basis vector k."""
-    return SparseRationalMatrix.from_entries(
+    return from_entries(
         sub.ambient_dim, sub.dim, [(r, k, v) for k, vec in enumerate(sub.basis)
                                    for r, v in vec.items()])
 
@@ -293,7 +293,7 @@ def test_subspace_restrict_matches_coords_of_the_product(case):
     # entries; the rectangular input maps ker A into ker A x Q, one row more
     n, *dense = case
     for wrap in (int, Fraction):
-        A, Y, C, W, E = [SparseRationalMatrix.from_entries(
+        A, Y, C, W, E = [from_entries(
             len(d), len(d[0]) if d else n, [(i, j, wrap(v)) for i, row in enumerate(d)
                                            for j, v in enumerate(row)]) for d in dense]
         sub = Subspace(nullspace(A), n)
@@ -320,14 +320,14 @@ def _all_ints(mat):
 
 
 def test_integer_entries_stay_integers():
-    a = SparseRationalMatrix.from_entries(2, 3, [(0, 0, 2), (0, 2, -1), (1, 1, 3)])
-    b = SparseRationalMatrix.from_entries(3, 2, [(0, 1, 1), (2, 0, -4), (1, 1, 5)])
+    a = from_entries(2, 3, [(0, 0, 2), (0, 2, -1), (1, 1, 3)])
+    b = from_entries(3, 2, [(0, 1, 1), (2, 0, -4), (1, 1, 5)])
     P = build_P(1, 2, 3)
     built = [a, b, SparseRationalMatrix.identity(3), kron(a, b), a @ b, a + a,
-             a - a.scale(2), a.transpose(), SparseRationalMatrix.vstack([a, b.transpose()]),
+             a - scale(a, 2), transpose(a), SparseRationalMatrix.vstack([a, transpose(b)]),
              _map_matrix([2, None, 0], 4), *P.xmul, *P.coxeter]
     for mat in built:
-        assert mat.nnz() and _all_ints(mat)
+        assert not mat.is_zero() and _all_ints(mat)
     # a lead of 1 or -1 divides nothing; any other lead makes Fractions
     ech = Echelon(3)
     ech.add({0: 1, 1: 3})
@@ -353,7 +353,7 @@ def _eliminations(dense, x, wrap):
     """The elimination answers on dense's entries and y = dense @ x, each
     entry passed through wrap first."""
     m, n = len(dense), len(dense[0])
-    A = SparseRationalMatrix.from_entries(
+    A = from_entries(
         m, n, [(i, j, wrap(v)) for i, row in enumerate(dense) for j, v in enumerate(row)])
     y = {i: wrap(sum(a * b for a, b in zip(row, x))) for i, row in enumerate(dense)}
     y = {i: v for i, v in y.items() if v}
@@ -362,7 +362,7 @@ def _eliminations(dense, x, wrap):
     except ValueError:  # rank-deficient
         solved = None
     return {"rank": matrix_rank(A), "nullspace": nullspace(A),
-            "span": SpanBasis(A.rows, n).basis, "kernel": kernel_of_vectors(A.columns()),
+            "span": SpanBasis(A.rows, n).basis, "kernel": kernel_of_vectors(columns(A)),
             "solved": solved}
 
 

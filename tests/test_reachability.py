@@ -51,7 +51,7 @@ INVOCATIONS = [
     ["cas", "--op", "compare", "--m", "1", "--n", "1", "--s", "1", "--N", "3"],
 ]
 VERIFY = ["--format", "json", "verify", "--suite", "all", "--max-N", "3"]
-METHOD_MODULES = {"equivariant", "fi_layer"}
+METHOD_MODULES = {"equivariant", "fi_layer", "groth", "linalg"}
 
 
 def reached_functions() -> set:
