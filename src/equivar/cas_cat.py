@@ -11,7 +11,6 @@ two-path cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .combinat import combine, injection_count, injections
 from .linalg import SparseRationalMatrix, joint_kernel
@@ -53,17 +52,10 @@ class CasMorphism:
             pairs.append(((f, mono), c))
         return cls(m, n, s, tuple(sorted(combine(pairs).items())))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __add__(self, other: "CasMorphism") -> "CasMorphism":
         if (self.m, self.n, self.s) != (other.m, other.n, other.s):
             raise ValueError("shape mismatch")
         return CasMorphism.make(self.m, self.n, self.s, list(self.terms) + list(other.terms))
-
-    def scale(self, c) -> "CasMorphism":
-        return CasMorphism.make(self.m, self.n, self.s,
-                                [(key, Fraction(c) * v) for key, v in self.terms])
 
 
 def compose(g: CasMorphism, f: CasMorphism) -> CasMorphism:

@@ -12,13 +12,13 @@ source's, one basis map per arrangement.
 
 The dimension guard refuses jobs whose modules would exceed ``--max-dim``
 basis elements (default 50000, overridable via EQUIVAR_MAX_DIM).  ``hom``
-charges its target at level N, whose labels it lists; level N+1 is only
-counted, so it is charged nothing.  Both Ext modes build slot strands,
-whose last term holds one copy per composition of max_i + 1 into n parts
-(a single copy when s or n is 0, or for a P source).
-Stable Ext charges one P module at level N+1, and the last term of the
-target's coresolution, copies times dim P(s, n, N); it builds neither (its
-cochains are copies of the stable space inside P), so this is an upper
+and ``cas --op compare`` charge their target at level N, whose labels they
+list; level N+1 is only counted, so it is charged nothing.  Both Ext modes
+build slot strands, whose last term holds one copy per composition of
+max_i + 1 into n parts (a single copy when s or n is 0, or for a P source).
+Stable Ext charges the last term of the target's coresolution, copies
+times dim P(s, n, N); it builds no P (its cochains are copies of the stable
+space inside P, listed at level N and counted at N+1), so this is an upper
 bound.  Truncated Ext charges its source, and copies times the
 dimension of the target: an upper bound on the cochains of its last strand
 term, copies times the dimension of the solution space in the target.
@@ -45,9 +45,8 @@ class ParameterError(Exception):
 
 
 def _check_bounds(args, requests, copies: int = 1) -> None:
-    """requests: list of (kind, s, n, N) the command intends to build, each
-    as a direct sum of ``copies`` modules; the guard also accounts for the
-    stabilization level N+1 when asked."""
+    """requests: list of (kind, s, n, N) the command intends to build or
+    list, each as a direct sum of ``copies`` modules."""
     from .equivariant import pq_dimension
 
     cap = args.cap_N
@@ -148,7 +147,6 @@ def cmd_ext(args) -> dict:
 
     if args.mode == "stable":
         n = args.n_target
-        _check_bounds(args, [("P", args.s, n, args.N + 1)])
         _check_bounds(args, [("P", args.s, n, args.N)], _strand_copies("Q", args.s, n, args.max_i))
         dims = ext_stable(args.s, args.n_source, args.n_target, args.N, args.max_i)
         return {"mode": "stable", "dims": dims, "degrees": list(range(args.max_i + 1))}
@@ -234,7 +232,8 @@ def cmd_cas(args) -> dict:
         return {"dim": info.dim, "socle_dim": info.socle_dim}
     if args.op == "compare":
         N = args.N if args.N is not None else args.m + args.n + 1
-        _check_bounds(args, [("P", args.s, max(args.m, args.n), N + 1)])
+        # stable_hom lists the level-N orbits of its target P(s, m, N)
+        _check_bounds(args, [("P", args.s, args.m, N)])
         return {"N": N, "match": compare_with_P_homs(args.m, args.n, args.s, N)}
     raise ParameterError(f"unknown cas op {args.op!r}")
 

@@ -14,8 +14,9 @@ filtration layers, the periodic Tor complex, the functor images of
 the actions are integer label maps: ``xmaps[i][t]`` is the label that x_i
 sends label t to, or None where x_i kills it, and ``swaps[j]`` is the label
 permutation of the swap (j, j+1).  ``label_perm`` composes the swaps along a
-word, and a character counts fixed labels.  The 0/1 matrices ``xmul`` and
-``coxeter`` are derived from the maps on first access and kept.
+word, a character counts fixed labels, and ``Subspace.restrict`` reads a
+label map on a subspace, so no action is held as a matrix; ``_map_matrix``
+gives the 0/1 matrix of a label map where one is printed or multiplied.
 
 Modules are immutable after construction; submodules and quotients are new
 objects.  The two standard families:
@@ -71,8 +72,7 @@ class EquivModule:
     else None.
     """
 
-    __slots__ = ("cfg", "labels", "label_index", "xmaps", "swaps", "_xmul", "_coxeter",
-                 "grading", "name", "family")
+    __slots__ = ("cfg", "labels", "label_index", "xmaps", "swaps", "grading", "name", "family")
 
     def __init__(self, cfg, labels, xmaps, swaps, grading=None, name="", family=None):
         self.cfg = cfg
@@ -85,7 +85,6 @@ class EquivModule:
             raise ValueError("expected one action per variable and per adjacent swap")
         if any(len(cm) != self.dim for cm in self.xmaps + self.swaps):
             raise ValueError("a label map has the wrong length")
-        self._xmul = self._coxeter = None
         self.grading = list(grading) if grading is not None else None
         self.name = name
         self.family = family
@@ -93,20 +92,6 @@ class EquivModule:
     @property
     def dim(self) -> int:
         return len(self.labels)
-
-    @property
-    def xmul(self) -> list:
-        """One 0/1 multiplication matrix per variable."""
-        if self._xmul is None:
-            self._xmul = [_map_matrix(cm) for cm in self.xmaps]
-        return self._xmul
-
-    @property
-    def coxeter(self) -> list:
-        """One permutation matrix per adjacent transposition."""
-        if self._coxeter is None:
-            self._coxeter = [_map_matrix(cm) for cm in self.swaps]
-        return self._coxeter
 
     def label_perm(self, g) -> list:
         """The label permutation of an arbitrary permutation g: the label maps
@@ -126,8 +111,8 @@ class EquivModule:
             "cfg": {"N": self.cfg.N, "s": self.cfg.s},
             "dim": self.dim,
             "labels": [_label_to_json(lab) for lab in self.labels],
-            "xmul": [m.to_triplets() for m in self.xmul],
-            "coxeter": [m.to_triplets() for m in self.coxeter],
+            "xmul": [_map_matrix(cm).to_triplets() for cm in self.xmaps],
+            "coxeter": [_map_matrix(cm).to_triplets() for cm in self.swaps],
         }
         if self.grading is not None:
             out["grading"] = [list(d) for d in self.grading]

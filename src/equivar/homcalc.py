@@ -33,9 +33,9 @@ or Q source by its slot strands, the same ``_strand_complex`` that
 into n parts (one P in all for a P source, or when s = 0).  The invariant
 maps from one P into T are its generator images, a subspace S of T that
 every variable keeps, so the Hom complex is the strand complex over S:
-``_strand_cohomology`` restricts each slot variable to S once, by
-``Subspace.restrict``, and takes its s-th power there.  The source must
-have a family.
+``_strand_cohomology`` restricts the label map of each slot variable (T's
+``xmaps``) to S once, by ``Subspace.restrict``, and takes its s-th power
+there.  The source must have a family.
 
 Stable Ext: ``ext_stable`` is the cohomology of the stable-Hom complex
 of the coresolution of the target Q family by P terms, and builds neither
@@ -44,12 +44,13 @@ P, and the source constraints are label maps acting on each copy alone, so
 the stable space of a term is b_k copies of the stable space S of P at N
 into P at N+1, solved once per request by ``_family_stable_space``.  The
 cochain complex is the strand complex over S, read by the same
-``_strand_cohomology`` from the slot variables of P, which
+``_strand_cohomology`` from the slot variables of P, whose label maps
 ``_slot_variable`` reads off P's label arithmetic on S's support alone
 (restricting one checks exactly that it keeps S).  ``coresolution_Q``
-builds and checks the complex itself; ``verify`` and the tests run it.  Both
-Ext paths read their dimensions off the ranks of their restricted
-differentials, ``_cohomology``.
+builds and checks the complex itself, its blocks the 0/1 matrices of
+powers of the same label maps on all of P; ``verify`` and the tests run
+it.  Both Ext paths read their dimensions off the ranks of their
+restricted differentials, ``_cohomology``.
 """
 
 from __future__ import annotations
@@ -430,12 +431,6 @@ def stable_hom(source: PQFamily, target: PQFamily, N: int) -> StableHomResult:
 # coresolutions and Ext
 
 
-def _tuple_power_map(P: EquivModule, pos: int, exp: int) -> list:
-    """Label map of multiplication by (variable at tuple slot pos)^exp on a P module."""
-    powers = P.xmaps if exp == 1 else [_power_map(cm, exp) for cm in P.xmaps]
-    return [powers[T[pos]][col] for col, (T, _) in enumerate(P.labels)]
-
-
 def _strand_complex(s: int, n: int, length: int, dim: int, block):
     """The first ``length`` terms of the tensor product of n slot strands, each
     strand multiplying by its slot's variable and by its s-th power in turn,
@@ -473,16 +468,20 @@ def coresolution_Q(s: int, n: int, N: int, length: int) -> Complex:
     """The augmented exact complex 0 -> Q -> P^(b_0) -> P^(b_1) -> ...
 
     The P terms are the slot strands of ``_strand_complex`` over P, where
-    x_pos acts as the variable at tuple slot pos; ``length`` is the number of
-    P-type terms.  Exactness is verified by rank bookkeeping and composite
+    x_pos acts as the variable at tuple slot pos (``_slot_variable``);
+    ``length`` is the number of P-type terms.  Exactness is verified by rank bookkeeping and composite
     checks; failures raise AssemblyError with the offending position.
     """
     if length < 1:
         raise ValueError("need at least one coresolution term")
     embedding = q_into_p_embedding(s, n, N)
     Q, P = embedding.source, embedding.target
-    terms, diffs = _strand_complex(s, n, length, P.dim,
-                                   lambda pos, exp: _map_matrix(_tuple_power_map(P, pos, exp)))
+    tuples = injections(n, N)
+
+    def block(pos, exp):
+        return _map_matrix(_power_map(_slot_variable(s, N, tuples, range(P.dim), pos), exp))
+
+    terms, diffs = _strand_complex(s, n, length, P.dim, block)
     zero = EquivModule(RingConfig(N, s), [], name="0", xmaps=[[]] * N, swaps=[[]] * max(N - 1, 0))
     modules = [Q] + [direct_sum([P] * len(t)) if len(t) > 1 else P if t else zero for t in terms]
     maps = [embedding] + [EquivMap(a, b, d) for a, b, d in zip(modules[1:], modules[2:], diffs)]
@@ -503,27 +502,29 @@ def _cohomology(dims: list, diffs: list) -> list:
 
 def _strand_cohomology(s: int, n: int, length: int, sub: Subspace, slot) -> list:
     """Cohomology of the first ``length`` strand terms over the subspace sub,
-    slot(pos) being the variable at tuple slot pos on sub's ambient space:
-    each is restricted to sub once (``restrict`` checks that it keeps sub),
-    and its powers are taken there."""
+    slot(pos) being the label map of the variable at tuple slot pos on sub's
+    ambient labels, defined at least on sub's support: each is restricted to
+    sub once (``restrict`` checks that it keeps sub), and its powers are
+    taken there."""
     xs = [sub.restrict(slot(pos)) for pos in range(n)]
     terms, diffs = _strand_complex(s, n, length, sub.dim, lambda pos, exp: xs[pos].power(exp))
     return _cohomology([len(t) * sub.dim for t in terms], diffs)
 
 
-def _slot_variable(s: int, N: int, tuples: list, labels, pos: int) -> SparseRationalMatrix:
-    """The variable at tuple slot pos on P(s, n, N), whose tuples are
-    ``injections(n, N)``, evaluated on the given labels only, by label
-    arithmetic: label t = a * (s+1)^N + rank has tuple U = tuples[a], and
-    x_(U[pos]) adds the stride (s+1)^U[pos] to the rank when that digit of
-    the rank is below s, and kills t otherwise."""
+def _slot_variable(s: int, N: int, tuples: list, labels, pos: int) -> list:
+    """The label map of the variable at tuple slot pos on P(s, n, N), whose
+    tuples are ``injections(n, N)``, evaluated on the given labels only (it
+    is None on the others), by label arithmetic: label t = a * (s+1)^N +
+    rank has tuple U = tuples[a], and x_(U[pos]) adds the stride
+    (s+1)^U[pos] to the rank when that digit of the rank is below s, and
+    kills t otherwise."""
     size = (s + 1) ** N  # labels per tuple
     cm = [None] * (len(tuples) * size)
     for t in labels:
         stride = (s + 1) ** tuples[t // size][pos]
         if t % size // stride % (s + 1) < s:
             cm[t] = t + stride
-    return _map_matrix(cm)
+    return cm
 
 
 def ext_stable(s: int, n_source: int, n_target: int, N: int, max_degree: int) -> list:
@@ -570,7 +571,7 @@ def ext_truncated(M: EquivModule, T: EquivModule, max_i: int) -> list:
     kind, s, n = M.family
     sub = Subspace(_mapping_solutions(PQFamily("P", s, n), T), T.dim)
     return _strand_cohomology(s, n if kind == "Q" else 0, max_i + 2, sub,
-                              lambda pos: T.xmul[pos])
+                              lambda pos: T.xmaps[pos])
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ and hash alike, so results are the same whichever type holds a value.  All elimi
 deterministically and never touch floating point, so ranks and nullities
 are exact integers and repeated runs are byte-for-byte reproducible.
 A span is one type, ``Subspace``, whose ``SpanBasis`` constructor brings
-any spanning family to its reduced form.
+any spanning family to its reduced form; a label map restricts to it.
 """
 
 from __future__ import annotations
@@ -41,16 +41,6 @@ def vec_axpy(target: dict, coef, source: dict) -> None:
             target[k] = w
         else:
             target.pop(k, None)
-
-
-def apply_columns(cols, vec: dict) -> dict:
-    """A matrix times a column vector, given the matrix's columns as dicts,
-    in a list or in a dict holding at least the columns vec touches: the
-    cost is the nnz of those columns, not of the whole matrix."""
-    out: dict = {}
-    for j, w in vec.items():
-        vec_axpy(out, w, cols[j])
-    return out
 
 
 class SparseRationalMatrix:
@@ -263,7 +253,9 @@ class Subspace:
     other basis vector vanishes there, so a member's coordinates are its
     entries at the free rows.  A kernel basis from ``nullspace`` or
     ``joint_kernel`` is in this form as it comes, and so are indicators of
-    disjoint label sets."""
+    disjoint label sets.  A map acts on it as a partial label map of the
+    ambient labels, the form of every action the package builds, and
+    ``restrict`` gives its matrix on the subspace."""
 
     __slots__ = ("ambient_dim", "basis", "free")
 
@@ -297,24 +289,26 @@ class Subspace:
             return NotImplemented
         return self.free == other.free and self.basis == other.basis
 
-    def restrict(self, mat: SparseRationalMatrix, source=None) -> SparseRationalMatrix:
-        """The matrix of mat from the subspace source (by default this one)
-        to this one: column k holds the coordinates of mat applied to
-        source's basis vector k.  Each image is read off the columns of mat
-        it touches; raises AssemblyError when one leaves this subspace."""
-        source = self if source is None else source
-        if (mat.nrows, mat.ncols) != (self.ambient_dim, source.ambient_dim):
-            raise ValueError(f"shape mismatch: {mat.nrows}x{mat.ncols} != "
-                             f"{self.ambient_dim}x{source.ambient_dim}")
-        cols: dict = {j: {} for v in source.basis for j in v}
-        for i, row in enumerate(mat.rows):
-            for j, x in row.items():
-                col = cols.get(j)
-                if col is not None:
-                    col[i] = x
-        out = SparseRationalMatrix(self.dim, source.dim)
-        for k, v in enumerate(source.basis):
-            image = apply_columns(cols, v)
+    def restrict(self, cm) -> SparseRationalMatrix:
+        """The matrix on this subspace of the partial label map cm of its
+        ambient space: cm[t] is the label that t goes to, or None where t is
+        killed.  Column k holds the coordinates of the image of basis vector
+        k, read off that vector's support alone; raises AssemblyError when
+        an image leaves this subspace."""
+        if len(cm) != self.ambient_dim:
+            raise ValueError(f"shape mismatch: a label map of {len(cm)} labels "
+                             f"on {self.ambient_dim} coordinates")
+        out = SparseRationalMatrix(self.dim, self.dim)
+        for k, v in enumerate(self.basis):
+            image: dict = {}
+            for t, x in v.items():
+                u = cm[t]
+                if u is not None:
+                    w = image.get(u, ZERO) + x
+                    if w:
+                        image[u] = w
+                    else:
+                        del image[u]
             if self.residue(image):
                 raise AssemblyError("a vector leaves the subspace")
             for r, x in image.items():

@@ -6,9 +6,8 @@ Each suite function returns a list of check records::
      "expected": ..., "got": ..., "ok": bool, "runtime_ms": int}
 
 ``max_N`` clamps every truncation level a suite would request (grid points
-needing a larger level are skipped); stabilization still builds one level
-above the requested one.  Suites only read immutable shared state, so
-independent checks can run in parallel processes.
+needing a larger level are skipped).  Suites only read immutable shared
+state, so independent checks can run in parallel processes.
 """
 
 from __future__ import annotations

@@ -20,13 +20,14 @@ from math import factorial
 
 from equivar.cas_cat import CasMorphism
 from equivar.combinat import ClassFunction, Partition, _check_partition, partitions
-from equivar.equivariant import EquivMap, EquivModule, _map_matrix
+from equivar.equivariant import EquivMap, EquivModule, _label_to_json, _map_matrix
 from equivar.homcalc import (
     PQFamily,
     _build_family,
     _cohomology,
     _kept_combinations,
     _orbit_relations,
+    _power_map,
     _source_constraints,
 )
 from equivar.linalg import (
@@ -36,7 +37,6 @@ from equivar.linalg import (
     SparseRationalMatrix,
     Subspace,
     _entry,
-    apply_columns,
     joint_kernel,
     matrix_rank,
     nullspace,
@@ -97,6 +97,44 @@ def contains(span: Subspace, w: dict) -> bool:
     return not span.residue(w)
 
 
+def apply_columns(cols, vec: dict) -> dict:
+    """A matrix times a column vector, given the matrix's columns as dicts,
+    in a list or in a dict holding at least the columns vec touches: the
+    cost is the nnz of those columns, not of the whole matrix."""
+    out: dict = {}
+    for j, w in vec.items():
+        vec_axpy(out, w, cols[j])
+    return out
+
+
+def restrict(sub: Subspace, mat: SparseRationalMatrix, source=None) -> SparseRationalMatrix:
+    """The matrix of mat from the subspace source (by default sub) to sub:
+    column k holds the coordinates of mat applied to source's basis vector
+    k.  Each image is read off the columns of mat it touches; raises
+    AssemblyError when one leaves sub.  The matrix form of
+    ``Subspace.restrict``, which takes a label map."""
+    source = sub if source is None else source
+    if (mat.nrows, mat.ncols) != (sub.ambient_dim, source.ambient_dim):
+        raise ValueError(f"shape mismatch: {mat.nrows}x{mat.ncols} != "
+                         f"{sub.ambient_dim}x{source.ambient_dim}")
+    cols: dict = {j: {} for v in source.basis for j in v}
+    for i, row in enumerate(mat.rows):
+        for j, x in row.items():
+            col = cols.get(j)
+            if col is not None:
+                col[i] = x
+    out = SparseRationalMatrix(sub.dim, source.dim)
+    for k, v in enumerate(source.basis):
+        image = apply_columns(cols, v)
+        if sub.residue(image):
+            raise AssemblyError("a vector leaves the subspace")
+        for r, x in image.items():
+            t = sub.free.get(r)
+            if t is not None:
+                out.rows[t][k] = x
+    return out
+
+
 def kron(a: SparseRationalMatrix, b: SparseRationalMatrix) -> SparseRationalMatrix:
     """The Kronecker product: entry (i * b.nrows + p, j * b.ncols + q) is
     a[i, j] * b[p, q]."""
@@ -127,8 +165,8 @@ def _word_product(gens, dim: int, word) -> SparseRationalMatrix:
 class MatrixModule:
     """A module given by its action matrices alone, one per variable and
     one per adjacent swap: free covers, their kernels, modules in a skewed
-    basis, and copies of package modules whose actions are read off the
-    matrices and not off the label maps."""
+    basis, and the matrix form of package modules (``matrix_module``), on
+    which the references below read the actions."""
 
     def __init__(self, cfg, labels, xmul, coxeter, grading=None, name=""):
         self.cfg = cfg
@@ -139,12 +177,41 @@ class MatrixModule:
         self.name = name
 
     dim = EquivModule.dim
-    to_json_dict = EquivModule.to_json_dict
     __repr__ = EquivModule.__repr__
+
+    def to_json_dict(self) -> dict:
+        """The layout of ``EquivModule.to_json_dict``, the actions read off
+        the matrices."""
+        out = {
+            "cfg": {"N": self.cfg.N, "s": self.cfg.s},
+            "dim": self.dim,
+            "labels": [_label_to_json(lab) for lab in self.labels],
+            "xmul": [m.to_triplets() for m in self.xmul],
+            "coxeter": [m.to_triplets() for m in self.coxeter],
+        }
+        if self.grading is not None:
+            out["grading"] = [list(d) for d in self.grading]
+        return out
 
     def perm_matrix(self, g) -> SparseRationalMatrix:
         """The action of an arbitrary permutation, along a reduced word."""
         return _word_product(self.coxeter, self.dim, coxeter_word(g))
+
+
+def matrix_module(M) -> MatrixModule:
+    """M with its actions as matrices: a package module's label maps as
+    0/1 matrices (``_map_matrix``), a MatrixModule as it is."""
+    if isinstance(M, MatrixModule):
+        return M
+    return MatrixModule(M.cfg, M.labels, [_map_matrix(cm) for cm in M.xmaps],
+                        [_map_matrix(cm) for cm in M.swaps], grading=M.grading, name=M.name)
+
+
+def _tuple_power_map(P: EquivModule, pos: int, exp: int) -> list:
+    """Label map of multiplication by (variable at tuple slot pos)^exp on a P
+    module, read off its built label maps."""
+    powers = P.xmaps if exp == 1 else [_power_map(cm, exp) for cm in P.xmaps]
+    return [powers[T[pos]][col] for col, (T, _) in enumerate(P.labels)]
 
 
 def trace_character(M) -> ClassFunction:
@@ -163,11 +230,12 @@ def check_equivariance(f: EquivMap) -> None:
     adjacent transposition."""
     if f.source.cfg.N != f.target.cfg.N:
         raise ValueError("truncation levels differ")
-    for i in range(f.source.cfg.N):
-        if (f.matrix @ f.source.xmul[i]) != (f.target.xmul[i] @ f.matrix):
+    source, target = matrix_module(f.source), matrix_module(f.target)
+    for i in range(source.cfg.N):
+        if (f.matrix @ source.xmul[i]) != (target.xmul[i] @ f.matrix):
             raise AssertionError(f"map does not commute with x_{i}")
-    for j in range(f.source.cfg.N - 1):
-        if (f.matrix @ f.source.coxeter[j]) != (f.target.coxeter[j] @ f.matrix):
+    for j in range(source.cfg.N - 1):
+        if (f.matrix @ source.coxeter[j]) != (target.coxeter[j] @ f.matrix):
             raise AssertionError(f"map does not commute with swap {j}")
 
 
@@ -303,6 +371,7 @@ def identity_morphism(n: int, s: int) -> CasMorphism:
 
 def check_axioms(M: EquivModule) -> None:
     """Assert every structural identity of an equivariant module, exactly."""
+    M = matrix_module(M)
     N, s = M.cfg.N, M.cfg.s
     eye = SparseRationalMatrix.identity(M.dim)
     for i in range(N):
@@ -371,6 +440,7 @@ def embed_label(lab, N_new: int):
 def _mapping_solutions_generic(profile: PQFamily, T: EquivModule) -> list:
     """The reference solver: elimination on the stacked constraint matrices."""
     kills, swaps = _source_constraints(profile, T.cfg)
+    T = matrix_module(T)
     eye = SparseRationalMatrix.identity(T.dim)
     return joint_kernel([T.xmul[i].power(e) for i, e in kills]
                         + [T.coxeter[j] - eye for j in swaps], T.dim)
@@ -385,7 +455,7 @@ def map_from_generator_value(profile: PQFamily, source: EquivModule,
     along any permutation sending (0..n-1) to T.
     """
     N = target.cfg.N
-    n = profile.n
+    xmul = matrix_module(target).xmul
     mat = SparseRationalMatrix(target.dim, source.dim)
     perm_cache: dict = {}
     for col, (tup, mono) in enumerate(source.labels):
@@ -393,7 +463,7 @@ def map_from_generator_value(profile: PQFamily, source: EquivModule,
             rest = [p for p in range(N) if p not in tup]
             perm = tuple(list(tup) + rest)  # position k maps to perm[k]
             perm_cache[tup] = apply_columns(columns(target.perm_matrix(perm)), v)
-        xmono = _word_product(target.xmul, target.dim, monomial_word(mono))
+        xmono = _word_product(xmul, target.dim, monomial_word(mono))
         for r, val in apply_columns(columns(xmono), perm_cache[tup]).items():
             mat.set(r, col, val)
     return EquivMap(source, target, mat)
@@ -407,9 +477,10 @@ def hom_generic(M: EquivModule, T: EquivModule) -> list:
     if M.cfg != T.cfg:
         raise ValueError(f"config mismatch: {M.cfg} != {T.cfg}")
     dm, dt = M.dim, T.dim
+    plain_m, plain_t = matrix_module(M), matrix_module(T)
     eye_m, eye_t = SparseRationalMatrix.identity(dm), SparseRationalMatrix.identity(dt)
     blocks = [kron(transpose(a), eye_t) - kron(eye_m, b)
-              for a, b in zip(M.xmul + M.coxeter, T.xmul + T.coxeter)]
+              for a, b in zip(plain_m.xmul + plain_m.coxeter, plain_t.xmul + plain_t.coxeter)]
     maps = []
     for vec in joint_kernel(blocks, dm * dt):
         mat = SparseRationalMatrix(dt, dm)
@@ -482,6 +553,7 @@ def _quotient_by_radical(M: EquivModule):
     representation and an equivariant section of the reduction.  The section
     is the lift of the free coordinates when it commutes with every swap,
     else the lift averaged over the group; both are checked to split."""
+    M = matrix_module(M)
     radical = SpanBasis([c for x in M.xmul for c in columns(x)], M.dim)
     free = [t for t in range(M.dim) if t not in radical.free]
     pos = {f: t for t, f in enumerate(free)}
@@ -523,9 +595,10 @@ def _quotient_by_radical(M: EquivModule):
 def _free_cover(M: EquivModule):
     """Minimal equivariant free cover: returns (F, d, rep) with d: F -> M
     surjective, F the free module on the radical fiber of M."""
+    M = matrix_module(M)
     rep, sec = _quotient_by_radical(M)
     cfg = M.cfg
-    ring = _build_family("P", cfg.s, 0, cfg.N)  # the ring itself, labels ((), mono) in rank order
+    ring = matrix_module(_build_family("P", cfg.s, 0, cfg.N))  # labels ((), mono) in rank order
     dimF = ring.dim * rep.dim
     # label (mono, f) sits at rank(mono) * dim V + f: F is the ring tensor V,
     # with the variables acting on the ring and a swap on both factors
@@ -561,7 +634,7 @@ def _kernel_module(F: EquivModule, d: SparseRationalMatrix):
     """The kernel of d as a module, with its basis in F (label t is vector t)."""
     ker = Subspace(nullspace(d), F.dim)
     K = MatrixModule(F.cfg, [("ker", t) for t in range(ker.dim)],
-                     [ker.restrict(m) for m in F.xmul], [ker.restrict(m) for m in F.coxeter],
+                     [restrict(ker, m) for m in F.xmul], [restrict(ker, m) for m in F.coxeter],
                      name=f"ker({F.name})")
     return K, ker.basis
 
@@ -595,6 +668,7 @@ def _hom_invariants_generic(rep: SnRep, T: EquivModule) -> list:
     an invariant map is fixed by X -> rho_T @ X @ rho_V for each swap, which
     on that vector is kron(rho_V^T, rho_T)."""
     ncols = rep.dim * T.dim
+    T = matrix_module(T)
     eye = SparseRationalMatrix.identity(ncols)
     return joint_kernel([kron(transpose(rv), rt) - eye for rv, rt in zip(rep.coxeter, T.coxeter)],
                         ncols)
@@ -608,6 +682,7 @@ def _ext_by_free_covers(M: EquivModule, T: EquivModule, max_i: int) -> list:
     actions are Kronecker products, and only the image of each generator of
     F_i in F_(i-1) is kept."""
     reps, gens, free_mods = _resolution(M, max_i + 2)
+    T = matrix_module(T)
 
     @lru_cache(maxsize=None)
     def mono_action(mono):
@@ -629,6 +704,6 @@ def _ext_by_free_covers(M: EquivModule, T: EquivModule, max_i: int) -> list:
         return d
 
     subs = [Subspace(_hom_invariants_generic(rep, T), rep.dim * T.dim) for rep in reps]
-    diffs = [subs[level].restrict(induced_differential(level), subs[level - 1])
+    diffs = [restrict(subs[level], induced_differential(level), subs[level - 1])
              for level in range(1, max_i + 2)]
     return _cohomology([sub.dim for sub in subs], diffs)

@@ -261,6 +261,34 @@ def test_hom_guard_charges_only_level_n(capsys, src, dst, N, dims):
     capsys.readouterr()
 
 
+STABLE_EXT = ["ext", "--mode", "stable", "--s", "1", "--n-source", "3", "--n-target", "1",
+              "--max-i", "2"]
+
+
+@pytest.mark.parametrize("argv, up, result", [
+    ([*STABLE_EXT, "--N", "5"], [*STABLE_EXT, "--N", "6"], {"dims": [3, 3, 3]}),
+    (["cas", "--op", "compare", "--m", "2", "--n", "2", "--s", "1"],
+     ["cas", "--op", "compare", "--m", "2", "--n", "2", "--s", "1", "--N", "6"],
+     {"N": 5, "match": True}),
+    (["cas", "--op", "compare", "--m", "1", "--n", "2", "--s", "2", "--N", "5"],
+     ["cas", "--op", "compare", "--m", "1", "--n", "2", "--s", "2", "--N", "6"],
+     {"N": 5, "match": True}),
+    (["ext", "--mode", "stable", "--s", "3", "--n-target", "3", "--N", "4", "--max-i", "0"],
+     ["ext", "--mode", "stable", "--s", "3", "--n-target", "3", "--N", "5", "--max-i", "0"],
+     {"dims": [0]}),
+], ids=["ext-stable", "compare-default-N", "compare", "ext-stable-max-dim"])
+def test_stable_guards_charge_only_level_n(capsys, argv, up, result):
+    # stable Ext and cas compare count level N+1 and list level N, so
+    # neither N + 1 = 6 above the cap 5 nor P(3, 3, 5) of dimension 61440
+    # above --max-dim 50000 refuses
+    code, lines = run_json(capsys, argv)
+    assert code == 0
+    assert result.items() <= lines[-1]["result"].items()
+    # one level up, the listed level is over the bounds
+    assert main(up) == 2
+    capsys.readouterr()
+
+
 def test_max_dim_bounds_free_covers(capsys):
     # both modules fit in 50 basis elements, but the strand cochains of
     # degree 2 are C(3, 1) = 3 copies of the target P(1, 1, 3)

@@ -17,7 +17,14 @@ from equivar.equivariant import (
 )
 from equivar.linalg import SparseRationalMatrix, matrix_rank
 from equivar.truncated_ring import RingConfig, all_monomials
-from reference import _embed_vector, check_axioms, check_equivariance, column, embed_label
+from reference import (
+    _embed_vector,
+    check_axioms,
+    check_equivariance,
+    column,
+    embed_label,
+    matrix_module,
+)
 
 
 def test_dimension_examples():
@@ -108,11 +115,12 @@ def test_filtration_dimension_bookkeeping():
 
 def test_filtration_prefixes_are_submodules():
     P, layers = filtration_layers(1, 2, 3)
+    plain = matrix_module(P)
     taken = set()
     for layer in layers:
         taken |= set(layer.labels)
         cols = set(P.label_index[lab] for lab in taken)
-        for mat in P.xmul + P.coxeter:
+        for mat in plain.xmul + plain.coxeter:
             for j in cols:
                 for r in column(mat, j):
                     assert r in cols  # the partial union is closed under the action

@@ -43,14 +43,12 @@ from equivar.homcalc import (
     _strand_cohomology,
     _strand_complex,
     _tor_label_maps,
-    _tuple_power_map,
 )
 from equivar.linalg import (
     ONE,
     SpanBasis,
     SparseRationalMatrix,
     Subspace,
-    apply_columns,
     kernel_of_vectors,
     matrix_rank,
     nullspace,
@@ -71,6 +69,8 @@ from reference import (
     _quotient_by_radical,
     _resolution,
     _stable_subspace,
+    _tuple_power_map,
+    apply_columns,
     check_equivariance,
     column,
     columns,
@@ -79,7 +79,9 @@ from reference import (
     from_entries,
     hom_generic,
     map_from_generator_value,
+    matrix_module,
     regular_rep,
+    restrict,
     scale,
     trace_character,
 )
@@ -287,15 +289,10 @@ def test_stable_subspace_maps_match_blocks(kind):
         for small, big in zip(_targets(s, m, N), _targets(s, m, N + 1)):
             sols = _mapping_solutions(profile, small)
             big_sols = _mapping_solutions(profile, big)
-            plain_small, plain_big = _matrix_copy(small), _matrix_copy(big)
+            plain_small, plain_big = matrix_module(small), matrix_module(big)
             stable = _stable_subspace(sols, big_sols, small, big)
             reference = _stable_subspace(sols, big_sols, plain_small, plain_big)
             assert stable == reference
-
-
-def _matrix_copy(mod):
-    return MatrixModule(mod.cfg, mod.labels, mod.xmul, mod.coxeter,
-                        grading=mod.grading, name=mod.name)
 
 
 def test_orbit_relations_on_merged_orbits():
@@ -331,10 +328,10 @@ def test_orbit_relations_match_the_residue_path(s):
                 for small, big in zip(_targets(s, m, N), _targets(s, m, N + 1)):
                     sols = _mapping_solutions(profile, small)
                     stable = _stable_subspace(sols, _mapping_solutions(profile, big), small, big)
-                    plain_big = _matrix_copy(big)
+                    plain_big = matrix_module(big)
                     reference = _stable_subspace(
                         sols, _mapping_solutions_generic(profile, plain_big),
-                        _matrix_copy(small), plain_big)
+                        matrix_module(small), plain_big)
                     assert stable == reference, (kind, r, n, m, N, big.name)
 
 
@@ -665,16 +662,19 @@ def test_ext_stable_matches_the_closed_form():
 
 @pytest.mark.parametrize("s", range(4))
 def test_slot_variable_matches_the_p_module(s):
-    # on every label, and on every other label with the rest of the columns
-    # zero, against the slot variable read off the built P module
+    # on every label, with each power up to s, and on every other label with
+    # the rest of the map None, against the slot variable read off the built
+    # P module
     for N in range(1, 4):
         for n in range(1, N + 1):
             P = build_P(s, n, N)
             for pos in range(n):
-                cm = _tuple_power_map(P, pos, 1)
-                assert _slot_variable(s, N, injections(n, N), range(P.dim), pos) == _map_matrix(cm)
-                half = _map_matrix([u if t % 2 else None for t, u in enumerate(cm)])
-                assert _slot_variable(s, N, injections(n, N), range(1, P.dim, 2), pos) == half
+                whole = _slot_variable(s, N, injections(n, N), range(P.dim), pos)
+                for exp in range(1, s + 1):
+                    assert _power_map(whole, exp) == _tuple_power_map(P, pos, exp)
+                half = _slot_variable(s, N, injections(n, N), range(1, P.dim, 2), pos)
+                assert half == [u if t % 2 else None
+                                for t, u in enumerate(_tuple_power_map(P, pos, 1))]
 
 
 def _ext_stable_by_coresolution(s, n_source, n_target, N, max_degree, complexes):
@@ -689,7 +689,7 @@ def _ext_stable_by_coresolution(s, n_source, n_target, N, max_degree, complexes)
     P = complexes[key].modules[1]
     _, _, stable = _family_stable_space(PQFamily("Q", s, n_source), ("P", s, n_target), N)
     return _strand_cohomology(s, n_target, max_degree + 2, Subspace(stable, P.dim),
-                              lambda pos: _map_matrix(_tuple_power_map(P, pos, 1)))
+                              lambda pos: _tuple_power_map(P, pos, 1))
 
 
 def _ext_stable_bench_grid():
@@ -814,7 +814,7 @@ def test_group_walk_reaches_every_permutation_once(N):
     lambda: build_Q(1, 1, 4), lambda: _kernel_of_cover(build_Q(1, 1, 3)),
 ], ids=["Q113", "Q123", "P213", "Q114", "kernel"])
 def test_walk_section_matches_average_over_all_words(build):
-    M = build()
+    M = matrix_module(build())
     N = M.cfg.N
     rep, sec = _quotient_by_radical(M)
     # the reference: average perm_matrix(g) @ lift @ rep.matrix(g^-1) over
@@ -843,8 +843,9 @@ def test_skewed_basis_takes_the_averaged_section():
     C.set(1, 0, 1)
     C_inv = SparseRationalMatrix.identity(P.dim)
     C_inv.set(1, 0, -1)
-    M = MatrixModule(P.cfg, P.labels, [C_inv @ x @ C for x in P.xmul],
-                     [C_inv @ c @ C for c in P.coxeter], name="skewed P(1,0,2)")
+    plain = matrix_module(P)
+    M = MatrixModule(P.cfg, P.labels, [C_inv @ x @ C for x in plain.xmul],
+                     [C_inv @ c @ C for c in plain.coxeter], name="skewed P(1,0,2)")
     rep, sec = _quotient_by_radical(M)
     assert sorted({v for row in sec.rows for v in row.values()}) == [
         Fraction(-1, 2), Fraction(1, 2), 1]
@@ -879,7 +880,7 @@ def test_ext_truncated_generic_branch_matches_label_maps():
     for src, tgt in [(build_Q(1, 1, 3), build_P(1, 1, 3)), (build_Q(1, 2, 3), build_P(1, 2, 3)),
                      (build_Q(2, 1, 2), build_Q(2, 1, 2))]:
         _, s, n = src.family
-        plain = _matrix_copy(tgt)
+        plain = matrix_module(tgt)
         profile = PQFamily("P", s, n)
         assert (SpanBasis(_mapping_solutions(profile, tgt), tgt.dim)
                 == SpanBasis(_mapping_solutions_generic(profile, plain), tgt.dim))
@@ -973,16 +974,17 @@ def test_strand_cochain_differentials_compose_to_zero(s):
     # with T's blocks and with their restriction to Hom(P(s, n, N), T)
     for N in range(1, 4):
         for n in range(1, N + 1):
-            targets = [*_targets(s, min(n, 2), N), _matrix_copy(build_Q(s, 1, N)),
+            targets = [*_targets(s, min(n, 2), N), matrix_module(build_Q(s, 1, N)),
                        _zero_module(s, N)]
             for T in targets:
                 # the orbit solver takes label maps only
                 solve = (_mapping_solutions if isinstance(T, EquivModule)
                          else _mapping_solutions_generic)
                 sub = Subspace(solve(PQFamily("P", s, n), T), T.dim)
-                for dim, block in ((T.dim, lambda pos, exp, T=T: T.xmul[pos].power(exp)),
-                                   (sub.dim, lambda pos, exp, T=T, sub=sub:
-                                    sub.restrict(T.xmul[pos].power(exp)))):
+                xmul = matrix_module(T).xmul
+                for dim, block in ((T.dim, lambda pos, exp, xmul=xmul: xmul[pos].power(exp)),
+                                   (sub.dim, lambda pos, exp, xmul=xmul, sub=sub:
+                                    restrict(sub, xmul[pos].power(exp)))):
                     _, diffs = _strand_complex(s, n, 5, dim, block)
                     for d, e in zip(diffs, diffs[1:]):
                         assert (e @ d).is_zero(), (N, n, T.name, dim)
@@ -1055,7 +1057,7 @@ def test_tor_counts_match_elimination_oracle(s, N):
     oracle = [_subspace_character(C, SpanBasis((c for c in columns(_map_matrix(cm)) if c), C.dim))
               for cm in (odd, even)]
     assert [character_of(C, _image_labels(C, cm)) for cm in (odd, even)] == oracle
-    expected = trace_character(_matrix_copy(C)) - oracle[0] - oracle[1]
+    expected = trace_character(matrix_module(C)) - oracle[0] - oracle[1]
     assert tor_periodic(s, N) == expected
 
 
@@ -1080,7 +1082,7 @@ def test_character_of_counts_match_traces():
                 P, Q = build_P(s, n, N), build_Q(s, n, N)
                 mods += [P, Q, direct_sum([P, Q]), *filtration_layers(s, n, N)[1]]
             for mod in mods:
-                assert character_of(mod) == trace_character(_matrix_copy(mod))
+                assert character_of(mod) == trace_character(matrix_module(mod))
 
 
 def test_tor_dimension_formula():
@@ -1108,7 +1110,7 @@ def oracle_tor_dims_via_minimal_covers(s, N, r_max):
     covers (a different algorithm from the explicit periodic complex), tensor
     the resolution down to its generator fibers, and take homology ranks."""
     Q = build_Q(s, 1, N)
-    qdim = Q.dim
+    qdim, xmul = Q.dim, matrix_module(Q).xmul
     current, inclusion = Q, None
     reps, diffs, free_mods = [], [], []
     for _ in range(r_max + 2):
@@ -1124,7 +1126,7 @@ def oracle_tor_dims_via_minimal_covers(s, N, r_max):
         m = SparseRationalMatrix.identity(qdim)
         for i, e in enumerate(mono):
             for _ in range(e):
-                m = Q.xmul[i] @ m
+                m = xmul[i] @ m
         return m
 
     from equivar.linalg import SparseRationalMatrix

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equivar.equivariant import _map_matrix, build_P
@@ -20,7 +20,18 @@ from equivar.linalg import (
     rank_of_vectors,
     solve_columns,
 )
-from reference import columns, contains, coords, from_entries, kron, scale, to_dense, transpose
+from reference import (
+    columns,
+    contains,
+    coords,
+    from_entries,
+    kron,
+    matrix_module,
+    restrict,
+    scale,
+    to_dense,
+    transpose,
+)
 
 
 def dense_rank(dense):
@@ -231,7 +242,9 @@ def test_subspace_restrict_and_coords():
     sub = Subspace(nullspace(swap - SparseRationalMatrix.identity(3)), 3)
     assert sub.basis == [{0: 1, 1: 1}, {2: 1}] and sub.free == {0: 0, 2: 1}
     act = from_entries(3, 3, [(0, 1, 1), (1, 0, 1), (2, 2, 2)])
-    assert to_dense(sub.restrict(act)) == [[1, 0], [0, 2]]
+    assert to_dense(restrict(sub, act)) == [[1, 0], [0, 2]]
+    # the label map sending labels 0 and 1 to 2 and killing 2
+    assert to_dense(sub.restrict([2, 2, None])) == [[0, 0], [2, 0]]
     assert [coords(sub, v) for v in sub.basis] == [[1, 0], [0, 1]]
     assert coords(sub, {0: 3, 1: 3, 2: -1}) == [3, -1]
 
@@ -240,7 +253,12 @@ def test_subspace_check_fails_outside_the_subspace():
     sub = Subspace([{0: Fraction(1), 1: Fraction(1)}], 2)  # the line through (1, 1)
     stretch = from_entries(2, 2, [(0, 0, 1), (1, 1, 2)])
     with pytest.raises(AssemblyError):
-        sub.restrict(stretch)
+        restrict(sub, stretch)
+    for cm in ([0, None], [1, 1]):  # (1, 1) goes to (1, 0) and to (0, 2)
+        with pytest.raises(AssemblyError):
+            restrict(sub, _map_matrix(cm))
+        with pytest.raises(AssemblyError):
+            sub.restrict(cm)
     with pytest.raises(ValueError):
         coords(sub, {0: Fraction(1)})
     with pytest.raises(AssemblyError):  # no free row: not in free-column form
@@ -248,23 +266,31 @@ def test_subspace_check_fails_outside_the_subspace():
     # a map into or out of another ambient space is refused by its shape
     plane = Subspace([{0: 1}, {1: 1}], 3)
     with pytest.raises(ValueError, match="shape mismatch"):
-        plane.restrict(from_entries(2, 3, [(0, 0, 1), (1, 1, 1)]))
+        restrict(plane, from_entries(2, 3, [(0, 0, 1), (1, 1, 1)]))
     with pytest.raises(ValueError, match="shape mismatch"):
-        plane.restrict(SparseRationalMatrix.identity(3), sub)
+        restrict(plane, SparseRationalMatrix.identity(3), sub)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        plane.restrict([0, 1])
 
 
 @st.composite
 def subspace_actions(draw):
-    """n and dense small integer matrices (A, Y, C, W, E), A having n
-    columns: the subspace is ker A, and B @ Y @ C + W @ A (B its inclusion,
-    Y and C cut to its dimension) preserves it."""
+    """n, dense small integer matrices (A, Y, C, W, E), A having n columns,
+    and a partial label map on n labels: the subspace is ker A, and
+    B @ Y @ C + W @ A (B its inclusion, Y and C cut to its dimension)
+    preserves it."""
     n, m = draw(st.integers(1, 5)), draw(st.integers(0, 3))
 
     def dense(rows, cols):
         return draw(st.lists(st.lists(st.integers(-2, 2), min_size=cols, max_size=cols),
                              min_size=rows, max_size=rows))
 
-    return n, dense(m, n), dense(n, n), dense(n, n), dense(n, m), dense(n, n)
+    cm = draw(st.lists(st.none() | st.integers(0, n - 1), min_size=n, max_size=n))
+    return n, dense(m, n), dense(n, n), dense(n, n), dense(n, m), dense(n, n), cm
+
+
+def _zeros(rows, cols):
+    return [[0] * cols for _ in range(rows)]
 
 
 def _inclusion(sub):
@@ -286,12 +312,19 @@ def _former_coords(sub, prod):
     return out
 
 
+# ker A = span{(1, 1, 0), (0, 0, 1)}: labels 0 and 1 merge into 2, and the
+# image stays inside; ker A = span{(1, 1)}: killing label 1 leaves it
+@example((3, [[1, -1, 0]], _zeros(3, 3), _zeros(3, 3), _zeros(3, 1), _zeros(3, 3),
+          [2, 2, None]))
+@example((2, [[1, -1]], _zeros(2, 2), _zeros(2, 2), _zeros(2, 1), _zeros(2, 2), [0, None]))
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(subspace_actions())
 def test_subspace_restrict_matches_coords_of_the_product(case):
-    # the oracle is the former restrict, coords(mat @ B), on int and Fraction
-    # entries; the rectangular input maps ker A into ker A x Q, one row more
-    n, *dense = case
+    # the oracle of the reference restrict is the former restrict,
+    # coords(mat @ B), on int and Fraction entries; the rectangular input
+    # maps ker A into ker A x Q, one row more.  Subspace.restrict of the
+    # label map cm must agree with the reference restrict of its 0/1 matrix
+    n, *dense, cm = case
     for wrap in (int, Fraction):
         A, Y, C, W, E = [from_entries(
             len(d), len(d[0]) if d else n, [(i, j, wrap(v)) for i, row in enumerate(d)
@@ -310,9 +343,16 @@ def test_subspace_restrict_matches_coords_of_the_product(case):
                 except AssemblyError:
                     assert not inside
                     with pytest.raises(AssemblyError):
-                        target.restrict(mat, sub)
+                        restrict(target, mat, sub)
                     continue
-                assert target.restrict(mat, sub) == expected
+                assert restrict(target, mat, sub) == expected
+        try:
+            expected = restrict(sub, _map_matrix(cm))
+        except AssemblyError:
+            with pytest.raises(AssemblyError):
+                sub.restrict(cm)
+        else:
+            assert sub.restrict(cm) == expected
 
 
 def _all_ints(mat):
@@ -322,10 +362,11 @@ def _all_ints(mat):
 def test_integer_entries_stay_integers():
     a = from_entries(2, 3, [(0, 0, 2), (0, 2, -1), (1, 1, 3)])
     b = from_entries(3, 2, [(0, 1, 1), (2, 0, -4), (1, 1, 5)])
-    P = build_P(1, 2, 3)
+    P = matrix_module(build_P(1, 2, 3))
     built = [a, b, SparseRationalMatrix.identity(3), kron(a, b), a @ b, a + a,
              a - scale(a, 2), transpose(a), SparseRationalMatrix.vstack([a, transpose(b)]),
-             _map_matrix([2, None, 0], 4), *P.xmul, *P.coxeter]
+             _map_matrix([2, None, 0], 4), *P.xmul, *P.coxeter,
+             Subspace([{0: 1, 1: 1}, {2: 1}], 3).restrict([2, 2, None])]
     for mat in built:
         assert not mat.is_zero() and _all_ints(mat)
     # a lead of 1 or -1 divides nothing; any other lead makes Fractions
