@@ -12,13 +12,14 @@ source's, one basis map per arrangement.
 
 The dimension guard refuses jobs whose modules would exceed ``--max-dim``
 basis elements (default 50000, overridable via EQUIVAR_MAX_DIM).  ``hom``
-and ``cas --op compare`` charge their target at level N, whose labels they
-list; level N+1 is only counted, so it is charged nothing.  Both Ext modes
-build slot strands, whose last term holds one copy per composition of
-max_i + 1 into n parts (a single copy when s or n is 0, or for a P source).
+and ``cas --op compare`` charge their target at level N, an upper bound, as
+its orbits are keyed, not listed; level N+1 is only counted, so it is charged
+nothing.  Both Ext modes build slot strands, whose last term holds one copy
+per composition of max_i + 1 into n parts (a single copy when s or n is 0,
+or for a P source).
 Stable Ext charges the last term of the target's coresolution, copies
 times dim P(s, n, N); it builds no P (its cochains are copies of the stable
-space inside P, listed at level N and counted at N+1), so this is an upper
+space inside P, keyed at level N and counted at N+1), so this is an upper
 bound.  Truncated Ext charges its source, and copies times the
 dimension of the target: an upper bound on the cochains of its last strand
 term, copies times the dimension of the solution space in the target.
@@ -120,7 +121,7 @@ def cmd_hom(args) -> dict:
     dst = _parse_family(args.dst)
     if src[0] != "Q":
         raise ParameterError("the source family must be Q-type (determined by one generator)")
-    # level N's labels are listed; level N+1 is only counted
+    # level N's orbits are keyed, not listed (an upper bound); N+1 is counted
     _check_bounds(args, [(dst[0], dst[1], dst[2], args.N)])
     from .homcalc import PQFamily, stable_hom
 
@@ -232,7 +233,7 @@ def cmd_cas(args) -> dict:
         return {"dim": info.dim, "socle_dim": info.socle_dim}
     if args.op == "compare":
         N = args.N if args.N is not None else args.m + args.n + 1
-        # stable_hom lists the level-N orbits of its target P(s, m, N)
+        # stable_hom keys the level-N orbits of its target P(s, m, N), an upper bound
         _check_bounds(args, [("P", args.s, args.m, N)])
         return {"N": N, "match": compare_with_P_homs(args.m, args.n, args.s, N)}
     raise ParameterError(f"unknown cas op {args.op!r}")

@@ -15,15 +15,16 @@ solutions whose push along the canonical basis-label inclusion into level
 N+1 lies in the span of the level-(N+1) solutions.  Both bases are
 indicators of residual-group orbits, so this is a set of equal-or-zero
 relations on the coefficients.  The target is a P or Q family and is never
-built: ``_family_stable_space`` lists the level-N orbits off the label index
-a * (s+1)^F + rank, each with its key (slot pattern, low digits, slot
-digits, multiset of the other high digits), and only counts those at level
-N+1.  The push keeps the rank and moves only the tuple index, since the new
-position N is the top free digit and is 0, so an orbit lands in the
-level-(N+1) orbit whose multiset has one more 0.  That orbit is a solution
-unless the source bound r is below s, and the push covers it exactly when
-the two orbits have the same size, which each key gives.  The three
-dimensions (at N, at N+1, stable) are always reported separately.
+built and no label of it is listed: ``_family_stable_space`` keys the
+level-N orbits of the label index a * (s+1)^F + rank, each by its first
+label and its key (slot pattern, low digits, slot digits, multiset of the
+other high digits), and only counts those at level N+1.  The push keeps the
+rank and moves only the tuple index, since the new position N is the top
+free digit and is 0, so an orbit lands in the level-(N+1) orbit whose
+multiset has one more 0.  That orbit is a solution unless the source bound
+r is below s, and the push covers it exactly when the two orbits have the
+same size, which each key gives; so a kept orbit is a single label.  The
+three dimensions (at N, at N+1, stable) are always reported separately.
 
 Truncated Ext: over k[x]/(x^(s+1)), k[x]/(x) has the 2-periodic free
 resolution ... -> A -x^s-> A -x-> A, and Q(s, n, N) is a sum of such
@@ -57,7 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, product, repeat
+from itertools import combinations_with_replacement, compress, product, repeat
 from math import comb, factorial
 from operator import is_not, mul
 
@@ -80,7 +81,6 @@ from .linalg import (
     Subspace,
     kernel_of_vectors,
     matrix_rank,
-    vec_axpy,
 )
 from .truncated_ring import RingConfig
 
@@ -271,17 +271,6 @@ def _orbit_relations(count: int, meets: dict, sizes) -> list:
     return columns
 
 
-def _kept_combinations(solutions, columns) -> list:
-    """The members sum_k c_k solutions[k], for c in the kernel of the columns."""
-    kept = []
-    for coeffs in kernel_of_vectors(columns):
-        vec: dict = {}
-        for t, c in coeffs.items():
-            vec_axpy(vec, c, solutions[t])
-        kept.append(vec)
-    return kept
-
-
 def _position_digits(profile: PQFamily, s: int, N: int) -> list:
     """The digits that a label of a level-N target over k[x]/(x^(s+1)) may
     carry at each position under the profile's kills: d at position p
@@ -293,10 +282,11 @@ def _position_digits(profile: PQFamily, s: int, N: int) -> list:
             for p in range(N)]
 
 
-def _family_orbits(profile: PQFamily, family: tuple, N: int):
-    """``_mapping_solutions(profile, T)`` for T the P or Q module of
-    family (kind, s, n) at N, the same list, read off T's label arithmetic
-    with no module built, and the key of each orbit: (orbits, keys).
+def _family_keys(profile: PQFamily, family: tuple, N: int) -> list:
+    """The orbits of ``_mapping_solutions(profile, T)`` for T the P or Q
+    module of family (kind, s, n) at N, in the same order, keyed with no
+    label listed: one row (first label, key, size at N, size at N+1 of the
+    orbit whose multiset has one more 0) per orbit, sorted by first label.
 
     Label (a, rank) of T has tuple U = injections(n, N)[a] and digits d_p at
     its free positions.  A kill (i, e) allows it when i is not free or
@@ -306,7 +296,9 @@ def _family_orbits(profile: PQFamily, family: tuple, N: int):
     free positions below m, the slot digits at positions >= m (P only) and
     the multiset of the other high digits, as a sorted tuple.  So each orbit
     is one low part, over the tuples of one pattern, with every arrangement
-    of one multiset on each tuple's other high positions.
+    of one multiset on each tuple's other high positions, and its first
+    label lies on the pattern's first tuple, with the multiset's sorted
+    digits on the descending strides of the other high positions.
     """
     kind, s, n = family
     RingConfig(N, s)  # _build_pq's ValueErrors, in its order
@@ -314,42 +306,33 @@ def _family_orbits(profile: PQFamily, family: tuple, N: int):
     size = pq_dimension(kind, s, n, N) // len(tuples)  # labels per tuple
     digits = _position_digits(profile, s, N)
     m = profile.n
-    by_pattern: dict = {}
+    first_tuple: dict = {}  # slot pattern -> (a, U) of its first tuple
     for a, U in enumerate(tuples):
-        by_pattern.setdefault(tuple(t if t < m else None for t in U), []).append((a, U))
+        first_tuple.setdefault(tuple(t if t < m else None for t in U), (a, U))
     high_digits = digits[m] if m < N else []
-    high_ranks: dict = {}  # strides -> {multiset: ranks of the digits there}
-
-    def other_ranks(U):
-        """{multiset: ascending ranks} of the digits at U's other high positions."""
-        free = [p for p in range(N) if kind == "P" or p not in U]
-        strides = tuple((s + 1) ** k for k, p in enumerate(free) if p >= m and p not in U)[::-1]
-        if strides not in high_ranks:
-            table = high_ranks[strides] = {}
-            for ds in product(high_digits, repeat=len(strides)):  # ascending ranks
-                table.setdefault(tuple(sorted(ds)), []).append(sum(map(mul, ds, strides)))
-        return high_ranks[strides]
-
-    orbits = []  # (labels, key)
-    for pattern, members in by_pattern.items():
-        U0 = members[0][1]
+    rows = []
+    for pattern, (a, U) in first_tuple.items():
         # the free low positions with their strides, the high slots and the
         # number of other high positions are the same for every tuple of the
-        # pattern, so are the multisets
-        low = [p for p in range(m) if kind == "P" or p not in U0]
-        low_strides = [(s + 1) ** (p - sum(t < p for t in U0) if kind == "Q" else p) for p in low]
-        slots = [k for k in range(n) if U0[k] >= m] if kind == "P" else []
-        tables = [(a * size, [(s + 1) ** U[k] for k in slots], other_ranks(U)) for a, U in members]
-        for low_ds in product(*(digits[p] for p in low)):
-            base = sum(map(mul, low_ds, low_strides))
-            for slot_ds in product(high_digits, repeat=len(slots)):
-                offsets = [(off + base + sum(map(mul, slot_ds, slot_strides)), table)
-                           for off, slot_strides, table in tables]
-                for multiset in tables[0][2]:
-                    orbits.append(([off + r for off, table in offsets for r in table[multiset]],
-                                   (pattern, low_ds, slot_ds, multiset)))
-    orbits.sort(key=lambda orbit: orbit[0][0])
-    return [dict.fromkeys(labels, ONE) for labels, _ in orbits], [key for _, key in orbits]
+        # pattern, so are the multisets and both sizes
+        free = [p for p in range(N) if kind == "P" or p not in U]
+        strides = {p: (s + 1) ** k for k, p in enumerate(free)}
+        low = [p for p in free if p < m]
+        slots = [(s + 1) ** U[k] for k in range(n) if U[k] >= m] if kind == "P" else []
+        others = [strides[p] for p in reversed(free) if p >= m and p not in U]
+        parts = [(low_ds, slot_ds, sum(d * strides[p] for d, p in zip(low_ds, low))
+                   + sum(map(mul, slot_ds, slots)))
+                 for low_ds in product(*(digits[p] for p in low))
+                 for slot_ds in product(high_digits, repeat=len(slots))]
+        for multiset in combinations_with_replacement(high_digits, len(others)):
+            offset = a * size + sum(map(mul, multiset, others))
+            # _orbit_size reads only the pattern and the multiset of a key
+            sizes = (_orbit_size((pattern, (), (), multiset), m, N),
+                     _orbit_size((pattern, (), (), (0, *multiset)), m, N + 1))
+            rows += [(offset + part, (pattern, low_ds, slot_ds, multiset), *sizes)
+                     for low_ds, slot_ds, part in parts]
+    rows.sort()
+    return rows
 
 
 def _orbit_size(key: tuple, m: int, N: int) -> int:
@@ -365,8 +348,8 @@ def _orbit_size(key: tuple, m: int, N: int) -> int:
 
 
 def _family_orbit_count(profile: PQFamily, family: tuple, N: int) -> int:
-    """The number of orbits that ``_family_orbits`` lists, counted with no
-    label listed, as a sum over the number j of high slots.  There are
+    """The number of orbits that ``_family_keys`` keys, counted with no
+    key formed, as a sum over the number j of high slots.  There are
     C(n, j) * injection_count(n - j, m) slot patterns with j high slots
     (which slots are high, and the low positions of the others), and each
     has as many keys as low-digit choices at its free positions below m,
@@ -388,10 +371,11 @@ def _family_orbit_count(profile: PQFamily, family: tuple, N: int) -> int:
 
 
 def _family_stable_space(profile: PQFamily, family: tuple, N: int):
-    """(solutions at N, the number of solutions at N+1, stable space) for
+    """(the number of solutions at N, the number at N+1, stable space) for
     maps from the profile into the P or Q family (kind, s, n): the solutions
     at N whose push lies in the span of the solutions at N+1, with no module
-    built and no level-(N+1) label listed.
+    built and no label listed at either level; level N is keyed
+    (``_family_keys``) and level N+1 counted.
 
     The push keeps a label's rank and moves only its tuple index, because
     the new position N is the top free digit and is 0; so it sends the
@@ -399,32 +383,41 @@ def _family_stable_space(profile: PQFamily, family: tuple, N: int):
     whose multiset has one more 0.  That orbit is a solution unless the
     kills forbid digit 0 at the high positions (source bound r below s), and
     it meets no other push; the push covers it exactly when both orbits have
-    the same size, ``_orbit_size``."""
-    sols, keys = _family_orbits(profile, family, N)
+    the same size, ``_orbit_size``.  Equal sizes need injection_count(j,
+    N - m) = injection_count(j, N + 1 - m), so no high slot (j = 0), and an
+    extra 0 that adds no arrangement, so every other high digit 0: a kept
+    orbit is a single label, its first.  The kernel of the relations is
+    certified to keep only such orbits (AssemblyError otherwise)."""
+    rows = _family_keys(profile, family, N)
     big_count = _family_orbit_count(profile, family, N + 1)
-    if not sols:
-        return sols, big_count, []
-    m = profile.n
-    zero = 0 in _position_digits(profile, family[1], N + 1)[m]
+    if not rows:
+        return 0, big_count, []
+    zero = 0 in _position_digits(profile, family[1], N + 1)[profile.n]
     meets: dict = {}  # level-(N+1) key (None: no solution) -> {k: labels of push k in it}
-    for k, (orbit, (pattern, low_ds, slot_ds, multiset)) in enumerate(zip(sols, keys)):
+    sizes: dict = {}  # level-(N+1) key -> its number of labels
+    for k, (_, (pattern, low_ds, slot_ds, multiset), size, big_size) in enumerate(rows):
         big = (pattern, low_ds, slot_ds, (0, *multiset)) if zero else None
-        meets.setdefault(big, {})[k] = len(orbit)
-    sizes = {big: _orbit_size(big, m, N + 1) for big in meets if big is not None}
-    return sols, big_count, _kept_combinations(sols, _orbit_relations(len(sols), meets, sizes))
+        meets.setdefault(big, {})[k] = size
+        sizes[big] = big_size
+    stable = []
+    for coeffs in kernel_of_vectors(_orbit_relations(len(rows), meets, sizes)):
+        if any(rows[k][2] != 1 for k in coeffs):
+            raise AssemblyError("a kept orbit has more than one label")
+        stable.append({rows[k][0]: c for k, c in coeffs.items()})
+    return len(rows), big_count, stable
 
 
 def stable_hom(source: PQFamily, target: PQFamily, N: int) -> StableHomResult:
     """Solve for maps source -> target at truncation N, then keep the
     solutions that survive the canonical inclusion into truncation N+1.
     The target family is solved by ``_family_stable_space`` from its label
-    arithmetic: the level-N orbits are listed, the level-(N+1) ones only
-    counted, and each push is sized by its orbit key; no module is built.
-    A target that is not a PQFamily is a ValueError."""
+    arithmetic: the level-N orbits are keyed, the level-(N+1) ones only
+    counted, and each push is sized by its orbit key; no module is built and
+    no label is listed.  A target that is not a PQFamily is a ValueError."""
     if not isinstance(target, PQFamily):
         raise ValueError(f"stable_hom needs a PQFamily target, got {target!r}")
-    sols, big_count, stable = _family_stable_space(source, (target.kind, target.s, target.n), N)
-    return StableHomResult(len(sols), big_count, len(stable), stable)
+    dim, big_count, stable = _family_stable_space(source, (target.kind, target.s, target.n), N)
+    return StableHomResult(dim, big_count, len(stable), stable)
 
 
 # ---------------------------------------------------------------------------

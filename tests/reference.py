@@ -4,10 +4,11 @@ fixtures that the tests feed it.
 The package keeps one path per computation.  The definitions here are the
 other paths: elimination on full constraint matrices where the package
 chases labels, the stable space of built modules where it reads label
-arithmetic, Ext by a resolution of minimal free covers where it builds slot
-strands, modules given by matrices alone where it keeps label maps, and
-brute-force oracles.  Each one is named by some test, which
-``tests/test_reachability.py`` checks.
+arithmetic, the listed level-N orbits where it keys them, Ext by a
+resolution of minimal free covers where it builds slot strands, modules
+given by matrices alone where it keeps label maps, and brute-force oracles.
+Each one is named by some test, which ``tests/test_reachability.py``
+checks.
 """
 
 from __future__ import annotations
@@ -16,17 +17,19 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import factorial
+from operator import mul
 
 from equivar.cas_cat import CasMorphism
-from equivar.combinat import ClassFunction, Partition, _check_partition, partitions
-from equivar.equivariant import EquivMap, EquivModule, _label_to_json, _map_matrix
+from equivar.combinat import ClassFunction, Partition, _check_partition, injections, partitions
+from equivar.equivariant import EquivMap, EquivModule, _label_to_json, _map_matrix, pq_dimension
 from equivar.homcalc import (
     PQFamily,
     _build_family,
     _cohomology,
-    _kept_combinations,
     _orbit_relations,
+    _position_digits,
     _power_map,
     _source_constraints,
 )
@@ -38,11 +41,12 @@ from equivar.linalg import (
     Subspace,
     _entry,
     joint_kernel,
+    kernel_of_vectors,
     matrix_rank,
     nullspace,
     vec_axpy,
 )
-from equivar.truncated_ring import coxeter_word, representative_permutation
+from equivar.truncated_ring import RingConfig, coxeter_word, representative_permutation
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +518,17 @@ def _label_meets(pushed, big_solutions) -> dict:
     return meets
 
 
+def _kept_combinations(solutions, columns) -> list:
+    """The members sum_k c_k solutions[k], for c in the kernel of the columns."""
+    kept = []
+    for coeffs in kernel_of_vectors(columns):
+        vec: dict = {}
+        for t, c in coeffs.items():
+            vec_axpy(vec, c, solutions[t])
+        kept.append(vec)
+    return kept
+
+
 def _stable_subspace(solutions, big_solutions, small: EquivModule,
                      big: EquivModule) -> list:
     """Members of span(solutions) whose push along the label inclusion into
@@ -528,6 +543,65 @@ def _stable_subspace(solutions, big_solutions, small: EquivModule,
         span = Subspace(big_solutions, big.dim)
         columns = [span.residue(w) for w in pushed]
     return _kept_combinations(solutions, columns)
+
+
+def _family_orbits(profile: PQFamily, family: tuple, N: int):
+    """``_mapping_solutions(profile, T)`` for T the P or Q module of
+    family (kind, s, n) at N, the same list, read off T's label arithmetic
+    with no module built, and the key of each orbit: (orbits, keys).
+
+    Label (a, rank) of T has tuple U = injections(n, N)[a] and digits d_p at
+    its free positions.  A kill (i, e) allows it when i is not free or
+    d_i + e > s.  Two allowed labels share an orbit of the residual group
+    Sym{m, ..., N-1} (m the source's tuple size) exactly when they agree on
+    the key: the slot pattern (U[k] if U[k] < m, else None), the digits at
+    free positions below m, the slot digits at positions >= m (P only) and
+    the multiset of the other high digits, as a sorted tuple.  So each orbit
+    is one low part, over the tuples of one pattern, with every arrangement
+    of one multiset on each tuple's other high positions.
+    """
+    kind, s, n = family
+    RingConfig(N, s)  # _build_pq's ValueErrors, in its order
+    tuples = injections(n, N)
+    size = pq_dimension(kind, s, n, N) // len(tuples)  # labels per tuple
+    digits = _position_digits(profile, s, N)
+    m = profile.n
+    by_pattern: dict = {}
+    for a, U in enumerate(tuples):
+        by_pattern.setdefault(tuple(t if t < m else None for t in U), []).append((a, U))
+    high_digits = digits[m] if m < N else []
+    high_ranks: dict = {}  # strides -> {multiset: ranks of the digits there}
+
+    def other_ranks(U):
+        """{multiset: ascending ranks} of the digits at U's other high positions."""
+        free = [p for p in range(N) if kind == "P" or p not in U]
+        strides = tuple((s + 1) ** k for k, p in enumerate(free) if p >= m and p not in U)[::-1]
+        if strides not in high_ranks:
+            table = high_ranks[strides] = {}
+            for ds in product(high_digits, repeat=len(strides)):  # ascending ranks
+                table.setdefault(tuple(sorted(ds)), []).append(sum(map(mul, ds, strides)))
+        return high_ranks[strides]
+
+    orbits = []  # (labels, key)
+    for pattern, members in by_pattern.items():
+        U0 = members[0][1]
+        # the free low positions with their strides, the high slots and the
+        # number of other high positions are the same for every tuple of the
+        # pattern, so are the multisets
+        low = [p for p in range(m) if kind == "P" or p not in U0]
+        low_strides = [(s + 1) ** (p - sum(t < p for t in U0) if kind == "Q" else p) for p in low]
+        slots = [k for k in range(n) if U0[k] >= m] if kind == "P" else []
+        tables = [(a * size, [(s + 1) ** U[k] for k in slots], other_ranks(U)) for a, U in members]
+        for low_ds in product(*(digits[p] for p in low)):
+            base = sum(map(mul, low_ds, low_strides))
+            for slot_ds in product(high_digits, repeat=len(slots)):
+                offsets = [(off + base + sum(map(mul, slot_ds, slot_strides)), table)
+                           for off, slot_strides, table in tables]
+                for multiset in tables[0][2]:
+                    orbits.append(([off + r for off, table in offsets for r in table[multiset]],
+                                   (pattern, low_ds, slot_ds, multiset)))
+    orbits.sort(key=lambda orbit: orbit[0][0])
+    return [dict.fromkeys(labels, ONE) for labels, _ in orbits], [key for _, key in orbits]
 
 
 def _group_walk(N: int) -> list:

@@ -31,8 +31,8 @@ from equivar.homcalc import (
     hom_mapping_property,
     stable_hom,
     tor_periodic,
+    _family_keys,
     _family_orbit_count,
-    _family_orbits,
     _family_stable_space,
     _image_labels,
     _mapping_solutions,
@@ -60,6 +60,7 @@ from reference import (
     MatrixModule,
     _embed_vector,
     _ext_by_free_covers,
+    _family_orbits,
     _free_cover,
     _group_walk,
     _hom_invariants_generic,
@@ -376,8 +377,8 @@ def test_family_stable_space_matches_the_module_path(kind, s):
                         assert pushed.keys() <= into.keys()
                 got = _family_stable_space(profile, (kind, s, n), N)
                 assert got[1] == len(big_sols)
-                assert [_items(got[0]), _items(got[2])] == [
-                    _items(sols), _items(_stable_subspace(sols, big_sols, T, big))]
+                assert [got[0], _items(got[2])] == [
+                    len(sols), _items(_stable_subspace(sols, big_sols, T, big))]
 
 
 @pytest.mark.parametrize("kind", ["P", "Q"])
@@ -400,17 +401,54 @@ def test_family_orbit_count_and_sizes_match_the_listing(kind, s):
                 assert [_orbit_size(key, m, N) for key in keys] == list(map(len, orbits))
 
 
+@pytest.mark.parametrize("kind", ["P", "Q"])
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_family_keys_match_the_listing(kind, s):
+    # each keyed row against the listed orbit in its place: the first label
+    # is the orbit's smallest, the key is the listed key, the size at N is
+    # the orbit's length, and the size at N+1 is that of the key with one
+    # more 0; on the grid of the count/size test above
+    for n in range(4):
+        for N in range(n, 8):
+            if N == 7 and pq_dimension(kind, s, n, N) > 20_000:
+                continue
+            for src_kind, m, r in itertools.product("PQ", range(min(3, N) + 1), (s - 1, s, s + 1)):
+                if r < 0:
+                    continue
+                profile = PQFamily(src_kind, r, m)
+                orbits, keys = _family_orbits(profile, (kind, s, n), N)
+                rows = _family_keys(profile, (kind, s, n), N)
+                assert len(rows) == len(orbits)
+                for (first, key, size, big_size), orbit, listed_key in zip(rows, orbits, keys):
+                    pattern, low_ds, slot_ds, multiset = listed_key
+                    assert (first, key, size) == (min(orbit), listed_key, len(orbit))
+                    assert big_size == _orbit_size(
+                        (pattern, low_ds, slot_ds, (0, *multiset)), m, N + 1)
+
+
+def test_family_stable_space_refuses_a_kept_orbit_of_several_labels(monkeypatch):
+    # with no relation every orbit is kept, and Q(1, 1, 3) has orbits of
+    # three labels under a Q source of tuple size 0
+    profile, family = PQFamily("Q", 1, 0), ("Q", 1, 1)
+    assert max(row[2] for row in _family_keys(profile, family, 3)) > 1
+    monkeypatch.setattr("equivar.homcalc._orbit_relations",
+                        lambda count, meets, sizes: [{} for _ in range(count)])
+    with pytest.raises(AssemblyError, match="more than one label"):
+        _family_stable_space(profile, family, 3)
+
+
 def test_family_orbits_raise_the_module_path_errors():
-    for kind, build in (("P", build_P), ("Q", build_Q)):
+    for (kind, build), orbits_of in itertools.product((("P", build_P), ("Q", build_Q)),
+                                                      (_family_orbits, _family_keys)):
         with pytest.raises(ValueError) as built:
             build(1, 3, 2)
         with pytest.raises(ValueError) as helper:
-            _family_orbits(PQFamily("Q", 1, 1), (kind, 1, 3), 2)
+            orbits_of(PQFamily("Q", 1, 1), (kind, 1, 3), 2)
         assert str(helper.value) == str(built.value)
         with pytest.raises(ValueError) as solved:
             _mapping_solutions(PQFamily("Q", 1, 3), build(1, 1, 2))
         with pytest.raises(ValueError) as helper:
-            _family_orbits(PQFamily("Q", 1, 3), (kind, 1, 1), 2)
+            orbits_of(PQFamily("Q", 1, 3), (kind, 1, 1), 2)
         assert str(helper.value) == str(solved.value)
 
 
