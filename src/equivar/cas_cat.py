@@ -10,7 +10,7 @@ two-path cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .combinat import combine, injection_count, injections
 from .linalg import SparseRationalMatrix, joint_kernel
@@ -30,15 +30,12 @@ def _check_monomial(mono, n, s):
         raise ValueError(f"not a monomial in {n} variables bounded by {s}: {mono!r}")
 
 
-@dataclass(frozen=True)
-class CasMorphism:
+class CasMorphism(namedtuple("CasMorphism", "m n s terms")):
     """A morphism [m] -> [n]: sparse rational combination of (injection,
-    target monomial) pairs, exponents bounded by s."""
+    target monomial) pairs, exponents bounded by s; terms is sorted
+    ((injection, monomial), Fraction) pairs."""
 
-    m: int
-    n: int
-    s: int
-    terms: tuple  # sorted ((injection, monomial), Fraction)
+    __slots__ = ()
 
     @classmethod
     def make(cls, m, n, s, terms) -> "CasMorphism":
@@ -87,11 +84,10 @@ def hom_dimension(m: int, n: int, s: int) -> int:
     return injection_count(m, n) * (s + 1) ** n
 
 
-@dataclass
-class InjectiveInfo:
-    dim: int
-    socle_dim: int
-    socle_basis: list  # at the top level only; dual-basis labels
+class InjectiveInfo(namedtuple("InjectiveInfo", "dim socle_dim socle_basis")):
+    """socle_basis: dual-basis labels, at the top level only."""
+
+    __slots__ = ()
 
 
 def _hom_basis(m: int, n: int, s: int) -> list:

@@ -35,7 +35,7 @@ the label maps are built by rank arithmetic, not by enumerating the ring.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .combinat import (
     ClassFunction,
@@ -139,17 +139,15 @@ def _label_to_json(lab):
     return {"raw": repr(lab)}
 
 
-@dataclass
-class EquivMap:
+class EquivMap(namedtuple("EquivMap", "source target matrix")):
     """A module map: matrix is dim(target) x dim(source)."""
 
-    source: EquivModule
-    target: EquivModule
-    matrix: SparseRationalMatrix
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.matrix.nrows != self.target.dim or self.matrix.ncols != self.source.dim:
+    def __new__(cls, source: EquivModule, target: EquivModule, matrix: SparseRationalMatrix):
+        if matrix.nrows != target.dim or matrix.ncols != source.dim:
             raise ValueError("map shape does not match the modules")
+        return super().__new__(cls, source, target, matrix)
 
 
 def pq_dimension(kind: str, s: int, n: int, N: int) -> int:

@@ -23,7 +23,7 @@ and torsion modules with the Q family through an explicit label bijection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .combinat import injection_count, injections
 from .equivariant import EquivModule, build_Q
@@ -147,13 +147,11 @@ def phi_s(M: Principal, s: int, N: int) -> EquivModule:
                        name=f"phi_{s}({M!r})")
 
 
-@dataclass
-class PhiComparison:
+class PhiComparison(namedtuple("PhiComparison", "ok mismatch")):
     """Outcome of matching a functor image against a Q-type module through
     the canonical label correspondence."""
 
-    ok: bool
-    mismatch: str
+    __slots__ = ()
 
 
 def _compare_with_q(A: EquivModule, B: EquivModule, correspondence) -> PhiComparison:

@@ -19,7 +19,7 @@ every transform from the Q side to the P side exposes denominators.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -50,12 +50,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class KClassRep:
-    """A finitely supported combination of irreducibles at one level."""
+class KClassRep(namedtuple("KClassRep", "level mult")):
+    """A finitely supported combination of irreducibles at one level; mult
+    is sorted ((partition, Fraction), ...)."""
 
-    level: int
-    mult: tuple  # sorted ((partition, Fraction), ...)
+    __slots__ = ()
 
     @classmethod
     def make(cls, level: int, mult: dict) -> "KClassRep":

@@ -56,7 +56,7 @@ restricted differentials, ``_cohomology``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations_with_replacement, compress, product, repeat
 from math import comb, factorial
@@ -98,19 +98,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PQFamily:
+class PQFamily(namedtuple("PQFamily", "kind s n")):
     """A P- or Q-type module family: kind, intrinsic exponent bound, tuple size."""
 
-    kind: str
-    s: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("P", "Q"):
-            raise ValueError(f"unknown family kind {self.kind!r}")
-        if self.s < 0 or self.n < 0:
+    def __new__(cls, kind: str, s: int, n: int):
+        if kind not in ("P", "Q"):
+            raise ValueError(f"unknown family kind {kind!r}")
+        if s < 0 or n < 0:
             raise ValueError("family parameters must be nonnegative")
+        return super().__new__(cls, kind, s, n)
 
     def build(self, N: int) -> EquivModule:
         return _build_family(self.kind, self.s, self.n, N)
@@ -124,25 +122,24 @@ def _build_family(kind: str, s: int, n: int, N: int) -> EquivModule:
     return build_Q(s, n, N)
 
 
-@dataclass
-class StableHomResult:
-    dim_at_N: int
-    dim_at_N_plus_1: int
-    dim_stable: int
-    basis: list  # stable solution vectors at level N
+class StableHomResult(namedtuple("StableHomResult",
+                                 "dim_at_N dim_at_N_plus_1 dim_stable basis")):
+    """Solution counts at N and N+1, the stable dimension, and the stable
+    solution vectors at level N (basis)."""
 
-    def __post_init__(self):
-        if self.dim_stable > min(self.dim_at_N, self.dim_at_N_plus_1):
+    __slots__ = ()
+
+    def __new__(cls, dim_at_N: int, dim_at_N_plus_1: int, dim_stable: int, basis: list):
+        if dim_stable > min(dim_at_N, dim_at_N_plus_1):
             raise AssemblyError("stable dimension exceeds a truncation dimension")
+        return super().__new__(cls, dim_at_N, dim_at_N_plus_1, dim_stable, basis)
 
 
-@dataclass
-class Complex:
+class Complex(namedtuple("Complex", "modules maps")):
     """A sequence of modules with maps[k]: modules[k] -> modules[k+1];
     consecutive composites must vanish exactly."""
 
-    modules: list
-    maps: list
+    __slots__ = ()
 
     def check_composites(self) -> None:
         for k in range(len(self.maps) - 1):
@@ -310,11 +307,13 @@ def _family_keys(profile: PQFamily, family: tuple, N: int) -> list:
     for a, U in enumerate(tuples):
         first_tuple.setdefault(tuple(t if t < m else None for t in U), (a, U))
     high_digits = digits[m] if m < N else []
+    sized: dict = {}  # high-slot count -> [(multiset, size at N, size at N+1)]
     rows = []
     for pattern, (a, U) in first_tuple.items():
         # the free low positions with their strides, the high slots and the
         # number of other high positions are the same for every tuple of the
-        # pattern, so are the multisets and both sizes
+        # pattern; the multisets and both sizes depend only on its number of
+        # high slots (_orbit_size reads only that and the multiset)
         free = [p for p in range(N) if kind == "P" or p not in U]
         strides = {p: (s + 1) ** k for k, p in enumerate(free)}
         low = [p for p in free if p < m]
@@ -324,11 +323,13 @@ def _family_keys(profile: PQFamily, family: tuple, N: int) -> list:
                    + sum(map(mul, slot_ds, slots)))
                  for low_ds in product(*(digits[p] for p in low))
                  for slot_ds in product(high_digits, repeat=len(slots))]
-        for multiset in combinations_with_replacement(high_digits, len(others)):
+        j = pattern.count(None)
+        if j not in sized:
+            sized[j] = [(multiset, _orbit_size((pattern, (), (), multiset), m, N),
+                         _orbit_size((pattern, (), (), (0, *multiset)), m, N + 1))
+                        for multiset in combinations_with_replacement(high_digits, len(others))]
+        for multiset, *sizes in sized[j]:
             offset = a * size + sum(map(mul, multiset, others))
-            # _orbit_size reads only the pattern and the multiset of a key
-            sizes = (_orbit_size((pattern, (), (), multiset), m, N),
-                     _orbit_size((pattern, (), (), (0, *multiset)), m, N + 1))
             rows += [(offset + part, (pattern, low_ds, slot_ds, multiset), *sizes)
                      for low_ds, slot_ds, part in parts]
     rows.sort()

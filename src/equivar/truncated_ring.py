@@ -11,19 +11,18 @@ values here are immutable; every function is pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class RingConfig:
+class RingConfig(namedtuple("RingConfig", "N s")):
     """N variables, exponent bound s (so (s+1)st powers vanish)."""
 
-    N: int
-    s: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.N < 0 or self.s < 0:
+    def __new__(cls, N: int, s: int):
+        if N < 0 or s < 0:
             raise ValueError("RingConfig requires N >= 0 and s >= 0")
+        return super().__new__(cls, N, s)
 
     @property
     def monomial_count(self) -> int:

@@ -1,9 +1,12 @@
 """Every name a package module imports is used there or re-exported, every
-name it exports is bound there, and every function, class or method it
-defines is named somewhere else in the sources."""
+name it exports is bound there, every function, class or method it defines
+is named somewhere else in the sources, and importing the package loads no
+introspection modules."""
 
 import ast
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -128,3 +131,20 @@ def test_unreferenced_method_is_reported():
                     "    @property\n    def g(self):\n        return 1\n"
                     "    def h(self):\n        pass\n"}
     assert unreferenced_definitions(modules, ["C().h()"]) == ["a.C.g"]
+
+
+def modules_loaded_by(statement: str) -> set:
+    """The module names in ``sys.modules`` of a fresh interpreter, started
+    with the package's ``src`` first on its path, after ``statement`` ran."""
+    code = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); {statement}; "
+            "print(' '.join(sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    return set(out.stdout.split())
+
+
+def test_package_import_loads_no_introspection_modules():
+    # site hooks may preload modules, so compare with a bare interpreter
+    bare = modules_loaded_by("pass")
+    added = modules_loaded_by("import equivar.cli, equivar.verify, equivar.homcalc") - bare
+    assert "equivar.verify" in added
+    assert {"dataclasses", "inspect"} & added == set()
