@@ -26,6 +26,10 @@ objects.  The two standard families:
 - ``build_Q(s, n, N)``: its quotient where each variable listed in the tuple
   annihilates that tuple's generator.
 
+Both, and ``homcalc.PQFamily.build``, call the one builder ``_build_family``,
+which keeps the last 64 modules it built, so a P or Q module is built once
+per process however many callers ask for it.
+
 Their labels (T, mono) list the tuples in lexicographic order, and within a
 tuple the monomials on its F free positions (all N for P, the N - n outside
 T for Q) in rank order: label (a, rank) sits at index a * (s+1)^F + rank, so
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
+from functools import lru_cache
 
 from .combinat import (
     ClassFunction,
@@ -162,7 +167,9 @@ def pq_dimension(kind: str, s: int, n: int, N: int) -> int:
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def _build_pq(kind: str, s: int, n: int, N: int) -> EquivModule:
+@lru_cache(maxsize=64)
+def _build_family(kind: str, s: int, n: int, N: int) -> EquivModule:
+    # modules are immutable after construction, so sharing them is safe
     cfg = RingConfig(N, s)
     if n > N:
         raise ValueError(f"tuple size n={n} exceeds truncation N={N}")
@@ -212,13 +219,13 @@ def _build_pq(kind: str, s: int, n: int, N: int) -> EquivModule:
 
 def build_P(s: int, n: int, N: int) -> EquivModule:
     """Free module on ordered n-tuples: labels (T, mono) with mono unconstrained."""
-    return _build_pq("P", s, n, N)
+    return _build_family("P", s, n, N)
 
 
 def build_Q(s: int, n: int, N: int) -> EquivModule:
     """Quotient family: labels (T, mono) with mono zero on T, and the listed
     variables annihilate their tuple's generator."""
-    return _build_pq("Q", s, n, N)
+    return _build_family("Q", s, n, N)
 
 
 def direct_sum(mods) -> EquivModule:

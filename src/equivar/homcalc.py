@@ -32,11 +32,15 @@ quotients, one variable per tuple slot.  So ``ext_truncated`` resolves a P
 or Q source by its slot strands, the same ``_strand_complex`` that
 ``coresolution_Q`` builds: degree j is one P(s, n, N) per composition of j
 into n parts (one P in all for a P source, or when s = 0).  The invariant
-maps from one P into T are its generator images, a subspace S of T that
-every variable keeps, so the Hom complex is the strand complex over S:
-``_strand_cohomology`` restricts the label map of each slot variable (T's
-``xmaps``) to S once, by ``Subspace.restrict``, and takes its s-th power
-there.  The source must have a family.
+maps from one P into T are its generator images, the orbit sums S of T's
+labels under Sym{n, ..., N-1}, which every variable x_pos (pos < n) keeps,
+so the Hom complex is the strand complex over S.  T must be a P or Q
+module, and S is read off its family's label arithmetic, not off T: one
+index per orbit key of ``_slot_patterns`` (the enumeration that
+``_family_keys`` walks, with no first label, size or sort), and x_pos is
+the partial map on keys that raises the low digit at pos, killing the key
+at digit s or when pos is in a Q target's tuple (``_hom_keys``).  Only the
+families and the ring of source and target are read.
 
 Stable Ext: ``ext_stable`` is the cohomology of the stable-Hom complex
 of the coresolution of the target Q family by P terms, and builds neither
@@ -45,19 +49,19 @@ P, and the source constraints are label maps acting on each copy alone, so
 the stable space of a term is b_k copies of the stable space S of P at N
 into P at N+1, solved once per request by ``_family_stable_space``.  The
 cochain complex is the strand complex over S, read by the same
-``_strand_cohomology`` from the slot variables of P, whose label maps
-``_slot_variable`` reads off P's label arithmetic on S's support alone
-(restricting one checks exactly that it keeps S).  ``coresolution_Q``
-builds and checks the complex itself, its blocks the 0/1 matrices of
-powers of the same label maps on all of P; ``verify`` and the tests run
-it.  Both Ext paths read their dimensions off the ranks of their
-restricted differentials, ``_cohomology``.
+``_strand_cohomology`` from the slot variables of P restricted to S, their
+label maps read by ``_slot_variable`` off P's label arithmetic on S's
+support alone (restricting one checks exactly that it keeps S).
+``coresolution_Q`` builds and checks the complex itself, its blocks the
+0/1 matrices of powers of the same label maps on all of P; ``verify`` and
+the tests run it.  Both Ext paths end in ``_strand_cohomology``, which
+reads their dimensions off the ranks of the differentials over S,
+``_cohomology``.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 from itertools import combinations_with_replacement, compress, product, repeat
 from math import comb, factorial
 from operator import is_not, mul
@@ -66,9 +70,8 @@ from .combinat import ClassFunction, _compositions, injection_count, injections
 from .equivariant import (
     EquivMap,
     EquivModule,
+    _build_family,
     _map_matrix,
-    build_P,
-    build_Q,
     character_of,
     direct_sum,
     pq_dimension,
@@ -112,14 +115,6 @@ class PQFamily(namedtuple("PQFamily", "kind s n")):
 
     def build(self, N: int) -> EquivModule:
         return _build_family(self.kind, self.s, self.n, N)
-
-
-@lru_cache(maxsize=64)
-def _build_family(kind: str, s: int, n: int, N: int) -> EquivModule:
-    # modules are immutable after construction, so sharing them is safe
-    if kind == "P":
-        return build_P(s, n, N)
-    return build_Q(s, n, N)
 
 
 class StableHomResult(namedtuple("StableHomResult",
@@ -196,14 +191,18 @@ def _power_map(cm, k: int) -> list:
     return out
 
 
-def _mapping_solutions(profile: PQFamily, T: EquivModule) -> list:
-    """Basis of the joint kernel of the source constraints inside T, as
-    orbit sums.
+def hom_mapping_property(profile: PQFamily, T: EquivModule) -> list:
+    """Solution vectors v in T for maps out of the profile module: v is fixed
+    by every swap beyond the first n positions and annihilated by the first n
+    variables (and by (r+1)st powers elsewhere when r is below the ring bound),
+    as orbit sums.
 
     The x-type constraints are partial injections on labels, so a solution
     must vanish on every label they move; the swap constraints make it
     constant on orbits of the residual symmetric group.
     """
+    if profile.kind != "Q":
+        raise ValueError("the mapping-property solver expects a Q-type source")
     kills, swaps = _source_constraints(profile, T.cfg)
     dim = T.dim
     allowed = bytearray(b"\x01") * dim
@@ -229,15 +228,6 @@ def _mapping_solutions(profile: PQFamily, T: EquivModule) -> list:
         if all(map(allowed.__getitem__, orbit)):
             basis.append(dict.fromkeys(sorted(orbit), ONE))
     return basis
-
-
-def hom_mapping_property(profile: PQFamily, T: EquivModule) -> list:
-    """Solution vectors v in T for maps out of the profile module: v is fixed
-    by every swap beyond the first n positions and annihilated by the first n
-    variables (and by (r+1)st powers elsewhere when r is below the ring bound)."""
-    if profile.kind != "Q":
-        raise ValueError("the mapping-property solver expects a Q-type source")
-    return _mapping_solutions(profile, T)
 
 
 def _orbit_relations(count: int, meets: dict, sizes) -> list:
@@ -273,63 +263,87 @@ def _position_digits(profile: PQFamily, s: int, N: int) -> list:
     carry at each position under the profile's kills: d at position p
     unless a kill (p, e) has d + e <= s.  The kills treat every position
     below m (the profile's tuple size) alike, and every position >= m
-    alike, as the residual group Sym{m, ..., N-1} must."""
+    alike, as the residual group Sym{m, ..., N-1} must; so the first N
+    entries at N+1 are the digits at N."""
     kills, _ = _source_constraints(profile, RingConfig(N, s))
     return [[d for d in range(s + 1) if all(d + e > s for i, e in kills if i == p)]
             for p in range(N)]
 
 
-def _family_keys(profile: PQFamily, family: tuple, N: int) -> list:
-    """The orbits of ``_mapping_solutions(profile, T)`` for T the P or Q
-    module of family (kind, s, n) at N, in the same order, keyed with no
-    label listed: one row (first label, key, size at N, size at N+1 of the
-    orbit whose multiset has one more 0) per orbit, sorted by first label.
+def _slot_patterns(profile: PQFamily, family: tuple, N: int, digits: list):
+    """The orbit keys of the residual group Sym{m, ..., N-1} (m the
+    profile's tuple size) on the labels of the P or Q module of family
+    (kind, s, n) at N that the profile's kills allow, digits[p] being the
+    allowed digits at each position p < N (``_position_digits``): one row
+    (pattern, a, U, low, lows, slots, multisets) per slot pattern.
 
-    Label (a, rank) of T has tuple U = injections(n, N)[a] and digits d_p at
-    its free positions.  A kill (i, e) allows it when i is not free or
-    d_i + e > s.  Two allowed labels share an orbit of the residual group
-    Sym{m, ..., N-1} (m the source's tuple size) exactly when they agree on
-    the key: the slot pattern (U[k] if U[k] < m, else None), the digits at
-    free positions below m, the slot digits at positions >= m (P only) and
-    the multiset of the other high digits, as a sorted tuple.  So each orbit
-    is one low part, over the tuples of one pattern, with every arrangement
-    of one multiset on each tuple's other high positions, and its first
-    label lies on the pattern's first tuple, with the multiset's sorted
-    digits on the descending strides of the other high positions.
+    Label (a, rank) of the module has tuple U = injections(n, N)[a] and
+    digits d_p at its free positions (all N for P, those outside U for Q).
+    Two allowed labels share an orbit exactly when they agree on the key
+    (pattern, low_ds, slot_ds, multiset): the slot pattern (U[k] if
+    U[k] < m, else None), the digits at the free positions below m, the
+    slot digits at positions >= m (P only) and the multiset of the other
+    high digits, as a sorted tuple.  The keys of a row are those with
+    low_ds in ``lows`` (the digits at the positions ``low``), slot_ds in
+    ``slots`` and multiset in ``multisets``, in that order, the first the
+    slowest; U is the pattern's first tuple, with index a.
     """
     kind, s, n = family
-    RingConfig(N, s)  # _build_pq's ValueErrors, in its order
-    tuples = injections(n, N)
-    size = pq_dimension(kind, s, n, N) // len(tuples)  # labels per tuple
-    digits = _position_digits(profile, s, N)
     m = profile.n
     first_tuple: dict = {}  # slot pattern -> (a, U) of its first tuple
-    for a, U in enumerate(tuples):
+    for a, U in enumerate(injections(n, N)):
         first_tuple.setdefault(tuple(t if t < m else None for t in U), (a, U))
     high_digits = digits[m] if m < N else []
+    slots: dict = {}  # number j of high slots -> the slot digits on them
+    multisets: dict = {}  # j -> the multisets on the other N - m - j high positions
+    for pattern, (a, U) in first_tuple.items():
+        # the free low positions and the number of high slots are the same
+        # for every tuple of the pattern
+        low = [p for p in range(m) if kind == "P" or p not in U]
+        j = pattern.count(None)
+        if j not in slots:
+            slots[j] = list(product(high_digits, repeat=j if kind == "P" else 0))
+            multisets[j] = list(combinations_with_replacement(high_digits, N - m - j))
+        yield pattern, a, U, low, list(product(*(digits[p] for p in low))), slots[j], multisets[j]
+
+
+def _family_keys(profile: PQFamily, family: tuple, N: int, digits: list) -> list:
+    """The orbits of the orbit solver (``hom_mapping_property``) for maps
+    from the profile into the P or Q module of family (kind, s, n) at N, in
+    the same order, keyed with no label listed: one row (first label, key,
+    size at N, size at N+1 of the orbit whose multiset has one more 0) per
+    key of ``_slot_patterns``, sorted by first label.
+
+    Each orbit is one low part, over the tuples of one pattern, with every
+    arrangement of one multiset on each tuple's other high positions, and
+    its first label lies on the pattern's first tuple, with the multiset's
+    sorted digits on the descending strides of the other high positions.
+    """
+    kind, s, _ = family
+    m = profile.n
     sized: dict = {}  # high-slot count -> [(multiset, size at N, size at N+1)]
     rows = []
-    for pattern, (a, U) in first_tuple.items():
-        # the free low positions with their strides, the high slots and the
-        # number of other high positions are the same for every tuple of the
-        # pattern; the multisets and both sizes depend only on its number of
-        # high slots (_orbit_size reads only that and the multiset)
+    for pattern, a, U, low, lows, slot_choices, multisets in _slot_patterns(
+            profile, family, N, digits):
+        # the strides of the free positions differ from tuple to tuple of a
+        # Q pattern, so they are read on the first tuple; both sizes depend
+        # only on the number of high slots and the multiset (_orbit_size)
         free = [p for p in range(N) if kind == "P" or p not in U]
         strides = {p: (s + 1) ** k for k, p in enumerate(free)}
-        low = [p for p in free if p < m]
-        slots = [(s + 1) ** U[k] for k in range(n) if U[k] >= m] if kind == "P" else []
+        low_strides = [strides[p] for p in low]
+        slots = [strides[t] for t in U if t >= m] if kind == "P" else []
         others = [strides[p] for p in reversed(free) if p >= m and p not in U]
-        parts = [(low_ds, slot_ds, sum(d * strides[p] for d, p in zip(low_ds, low))
-                   + sum(map(mul, slot_ds, slots)))
-                 for low_ds in product(*(digits[p] for p in low))
-                 for slot_ds in product(high_digits, repeat=len(slots))]
+        parts = [(low_ds, slot_ds,
+                  sum(map(mul, low_ds, low_strides)) + sum(map(mul, slot_ds, slots)))
+                 for low_ds in lows for slot_ds in slot_choices]
         j = pattern.count(None)
         if j not in sized:
             sized[j] = [(multiset, _orbit_size((pattern, (), (), multiset), m, N),
                          _orbit_size((pattern, (), (), (0, *multiset)), m, N + 1))
-                        for multiset in combinations_with_replacement(high_digits, len(others))]
+                        for multiset in multisets]
+        first = a * (s + 1) ** len(free)
         for multiset, *sizes in sized[j]:
-            offset = a * size + sum(map(mul, multiset, others))
+            offset = first + sum(map(mul, multiset, others))
             rows += [(offset + part, (pattern, low_ds, slot_ds, multiset), *sizes)
                      for low_ds, slot_ds, part in parts]
     rows.sort()
@@ -348,9 +362,10 @@ def _orbit_size(key: tuple, m: int, N: int) -> int:
     return injection_count(pattern.count(None), N - m) * arrangements
 
 
-def _family_orbit_count(profile: PQFamily, family: tuple, N: int) -> int:
+def _family_orbit_count(profile: PQFamily, family: tuple, N: int, digits: list) -> int:
     """The number of orbits that ``_family_keys`` keys, counted with no
-    key formed, as a sum over the number j of high slots.  There are
+    key formed, as a sum over the number j of high slots, digits[p] being
+    the allowed digits at each position p < N.  There are
     C(n, j) * injection_count(n - j, m) slot patterns with j high slots
     (which slots are high, and the low positions of the others), and each
     has as many keys as low-digit choices at its free positions below m,
@@ -358,7 +373,6 @@ def _family_orbit_count(profile: PQFamily, family: tuple, N: int) -> int:
     other high digits, C(h + D - 1, D - 1) for D allowed high digits."""
     kind, s, n = family
     m = profile.n
-    digits = _position_digits(profile, s, N)
     low = len(digits[0]) if m else 0
     high = len(digits[m]) if m < N else 0
     count = 0
@@ -376,7 +390,8 @@ def _family_stable_space(profile: PQFamily, family: tuple, N: int):
     maps from the profile into the P or Q family (kind, s, n): the solutions
     at N whose push lies in the span of the solutions at N+1, with no module
     built and no label listed at either level; level N is keyed
-    (``_family_keys``) and level N+1 counted.
+    (``_family_keys``) and level N+1 counted, both from the position digits
+    at N+1.
 
     The push keeps a label's rank and moves only its tuple index, because
     the new position N is the top free digit and is 0; so it sends the
@@ -389,11 +404,16 @@ def _family_stable_space(profile: PQFamily, family: tuple, N: int):
     extra 0 that adds no arrangement, so every other high digit 0: a kept
     orbit is a single label, its first.  The kernel of the relations is
     certified to keep only such orbits (AssemblyError otherwise)."""
-    rows = _family_keys(profile, family, N)
-    big_count = _family_orbit_count(profile, family, N + 1)
+    kind, s, n = family
+    cfg = RingConfig(N, s)  # the level-N ValueErrors of _build_family, then of the kills
+    pq_dimension(kind, s, n, N)
+    _source_constraints(profile, cfg)
+    digits = _position_digits(profile, s, N + 1)
+    rows = _family_keys(profile, family, N, digits)
+    big_count = _family_orbit_count(profile, family, N + 1, digits)
     if not rows:
         return 0, big_count, []
-    zero = 0 in _position_digits(profile, family[1], N + 1)[profile.n]
+    zero = 0 in digits[profile.n]
     meets: dict = {}  # level-(N+1) key (None: no solution) -> {k: labels of push k in it}
     sizes: dict = {}  # level-(N+1) key -> its number of labels
     for k, (_, (pattern, low_ds, slot_ds, multiset), size, big_size) in enumerate(rows):
@@ -494,15 +514,12 @@ def _cohomology(dims: list, diffs: list) -> list:
     return [dims[i] - ranks[i] - (ranks[i - 1] if i else 0) for i in range(len(ranks))]
 
 
-def _strand_cohomology(s: int, n: int, length: int, sub: Subspace, slot) -> list:
-    """Cohomology of the first ``length`` strand terms over the subspace sub,
-    slot(pos) being the label map of the variable at tuple slot pos on sub's
-    ambient labels, defined at least on sub's support: each is restricted to
-    sub once (``restrict`` checks that it keeps sub), and its powers are
-    taken there."""
-    xs = [sub.restrict(slot(pos)) for pos in range(n)]
-    terms, diffs = _strand_complex(s, n, length, sub.dim, lambda pos, exp: xs[pos].power(exp))
-    return _cohomology([len(t) * sub.dim for t in terms], diffs)
+def _strand_cohomology(s: int, n: int, length: int, dim: int, block) -> list:
+    """Cohomology of the first ``length`` strand terms over a cochain space
+    of dimension dim, block(pos, exp) being the matrix there of the exp-th
+    power of the variable at tuple slot pos."""
+    terms, diffs = _strand_complex(s, n, length, dim, block)
+    return _cohomology([len(t) * dim for t in terms], diffs)
 
 
 def _slot_variable(s: int, N: int, tuples: list, labels, pos: int) -> list:
@@ -530,42 +547,81 @@ def ext_stable(s: int, n_source: int, n_target: int, N: int, max_degree: int) ->
     support from ``_slot_variable``."""
     if max_degree < 0:
         raise ValueError("the degree bound must be nonnegative")
-    RingConfig(N, s)  # the target's ValueErrors, in _build_pq's order
+    RingConfig(N, s)  # the target's ValueErrors, in _build_family's order
     dim = pq_dimension("P", s, n_target, N)
     tuples = injections(n_target, N)
     _, _, stable = _family_stable_space(PQFamily("Q", s, n_source), ("P", s, n_target), N)
     support = {t for v in stable for t in v}
-    return _strand_cohomology(s, n_target, max_degree + 2, Subspace(stable, dim),
-                              lambda pos: _slot_variable(s, N, tuples, support, pos))
+    sub = Subspace(stable, dim)
+    # restricting each slot variable to S checks exactly that it keeps S
+    xs = [sub.restrict(_slot_variable(s, N, tuples, support, pos)) for pos in range(n_target)]
+    return _strand_cohomology(s, n_target, max_degree + 2, sub.dim,
+                              lambda pos, exp: xs[pos].power(exp))
 
 
 # ---------------------------------------------------------------------------
 # truncated equivariant Ext
 
 
+def _hom_keys(s: int, n: int, family: tuple, N: int):
+    """The invariant maps from P(s, n, N) into T, the P or Q module of
+    family at N, as orbit keys, and the n slot variables on them: (keys,
+    xs).
+
+    By Frobenius reciprocity these maps are the generator images, the
+    vectors of T fixed by Sym{n, ..., N-1} (a P generator has no kill): the
+    orbit sums of T's labels, one per key of ``_slot_patterns``.  x_pos, for
+    pos < n, commutes with that group and sends an orbit onto an orbit label
+    by label, so it acts on the orbit sums as the partial map xs[pos] on key
+    indices: it raises the low digit at pos, and kills the key at digit s,
+    or when pos is in a Q target's tuple (then it is no low position).
+    """
+    profile = PQFamily("P", s, n)
+    keys: list = []
+    xs: list = [[] for _ in range(n)]
+    for pattern, _, _, low, lows, slots, multisets in _slot_patterns(
+            profile, family, N, _position_digits(profile, s, N)):
+        base = len(keys)
+        keys += [(pattern, low_ds, slot_ds, multiset)
+                 for low_ds in lows for slot_ds in slots for multiset in multisets]
+        block = len(keys) - base
+        for pos, cm in enumerate(xs):
+            if pos not in low:
+                cm += [None] * block
+                continue
+            # every low digit runs over 0..s, the first the slowest, so
+            # raising the one at pos moves a key on by step places
+            step = block // (s + 1) ** (low.index(pos) + 1)
+            cm += [k + step if (k - base) // step % (s + 1) < s else None
+                   for k in range(base, base + block)]
+    return keys, xs
+
+
 def ext_truncated(M: EquivModule, T: EquivModule, max_i: int) -> list:
-    """Equivariant Ext at the truncation, degrees 0..max_i.
+    """Equivariant Ext at the truncation, degrees 0..max_i, read off the
+    families of M and T and their ring; nothing else of either is read.
 
     A P or Q source is resolved by its slot strands: term j of the
     resolution of Q(s, n, N) is one P(s, n, N) per composition of j into n
     parts (Eisenbud, Trans. AMS 260, 1980), and P is free.  By Frobenius
-    reciprocity the invariant maps from one P into T are the generator
-    images ``_mapping_solutions(PQFamily("P", s, n), T)``, and the Hom
-    complex is the strand complex over their span, x_pos acting as T's
-    variable pos restricted to it.  A source without a family is a
-    ValueError.  Exact at the truncation; stable answers across truncations
-    are the business of ``ext_stable``.
+    reciprocity the invariant maps from one P into T are the orbit sums of
+    T's labels under Sym{n, ..., N-1}, one per orbit key (``_hom_keys``),
+    and the Hom complex is the strand complex over them, x_pos acting as
+    the partial map on keys that raises the low digit at pos.  A source or
+    target without a family is a ValueError.  Exact at the truncation;
+    stable answers across truncations are the business of ``ext_stable``.
     """
     if max_i < 0:
         raise ValueError("the degree bound must be nonnegative")
     if M.cfg != T.cfg:
         raise ValueError(f"config mismatch: {M.cfg} != {T.cfg}")
-    if M.family is None:
-        raise ValueError(f"ext_truncated needs a P or Q source; {M!r} has no family")
+    for role, X in (("source", M), ("target", T)):
+        if X.family is None:
+            raise ValueError(f"ext_truncated needs a P or Q {role}; {X!r} has no family")
     kind, s, n = M.family
-    sub = Subspace(_mapping_solutions(PQFamily("P", s, n), T), T.dim)
-    return _strand_cohomology(s, n if kind == "Q" else 0, max_i + 2, sub,
-                              lambda pos: T.xmaps[pos])
+    keys, xs = _hom_keys(s, n, T.family, T.cfg.N)
+    return _strand_cohomology(s, n if kind == "Q" else 0, max_i + 2, len(keys),
+                              lambda pos, exp: _map_matrix(_power_map(xs[pos], exp)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ fixtures that the tests feed it.
 The package keeps one path per computation.  The definitions here are the
 other paths: elimination on full constraint matrices where the package
 chases labels, the stable space of built modules where it reads label
-arithmetic, the listed level-N orbits where it keys them, Ext by a
+arithmetic, the orbit solver on built modules (for P and Q sources; the
+package keeps it for Q sources only, in ``hom_mapping_property``) and the
+listed level-N orbits where it keys them, Ext by a
 resolution of minimal free covers where it builds slot strands, modules
 given by matrices alone where it keeps label maps, and brute-force oracles.
 Each one is named by some test, which ``tests/test_reachability.py``
@@ -17,16 +19,22 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import compress, product, repeat
 from math import factorial
-from operator import mul
+from operator import is_not, mul
 
 from equivar.cas_cat import CasMorphism
 from equivar.combinat import ClassFunction, Partition, _check_partition, injections, partitions
-from equivar.equivariant import EquivMap, EquivModule, _label_to_json, _map_matrix, pq_dimension
+from equivar.equivariant import (
+    EquivMap,
+    EquivModule,
+    _build_family,
+    _label_to_json,
+    _map_matrix,
+    pq_dimension,
+)
 from equivar.homcalc import (
     PQFamily,
-    _build_family,
     _cohomology,
     _orbit_relations,
     _position_digits,
@@ -441,6 +449,42 @@ def embed_label(lab, N_new: int):
 # minimal free covers
 
 
+def _mapping_solutions(profile: PQFamily, T: EquivModule) -> list:
+    """Basis of the joint kernel of the source constraints inside T, as
+    orbit sums, for a P or a Q source: the orbit solver of
+    ``hom_mapping_property``, which takes only Q sources.
+
+    The x-type constraints are partial injections on labels, so a solution
+    must vanish on every label they move; the swap constraints make it
+    constant on orbits of the residual symmetric group.
+    """
+    kills, swaps = _source_constraints(profile, T.cfg)
+    dim = T.dim
+    allowed = bytearray(b"\x01") * dim
+    for i, e in kills:
+        cm = T.xmaps[i] if e == 1 else _power_map(T.xmaps[i], e)
+        for t in compress(range(dim), map(is_not, cm, repeat(None))):
+            allowed[t] = 0
+    swap_maps = [T.swaps[j] for j in swaps]
+    # orbits of the residual group on labels; those inside allowed are solutions
+    seen = bytearray(dim)
+    basis = []
+    for t in compress(range(dim), allowed):
+        if seen[t]:
+            continue
+        seen[t] = 1
+        orbit = [t]
+        for u in orbit:
+            for cm in swap_maps:
+                w = cm[u]
+                if not seen[w]:
+                    seen[w] = 1
+                    orbit.append(w)
+        if all(map(allowed.__getitem__, orbit)):
+            basis.append(dict.fromkeys(sorted(orbit), ONE))
+    return basis
+
+
 def _mapping_solutions_generic(profile: PQFamily, T: EquivModule) -> list:
     """The reference solver: elimination on the stacked constraint matrices."""
     kills, swaps = _source_constraints(profile, T.cfg)
@@ -561,7 +605,7 @@ def _family_orbits(profile: PQFamily, family: tuple, N: int):
     of one multiset on each tuple's other high positions.
     """
     kind, s, n = family
-    RingConfig(N, s)  # _build_pq's ValueErrors, in its order
+    RingConfig(N, s)  # _build_family's ValueErrors, in its order
     tuples = injections(n, N)
     size = pq_dimension(kind, s, n, N) // len(tuples)  # labels per tuple
     digits = _position_digits(profile, s, N)

@@ -107,8 +107,9 @@ def test_tor_guard_counts_the_complex(capsys, monkeypatch, argv, message):
         raise AssertionError("the complex was built")
 
     monkeypatch.setattr(equivar.homcalc, "tor_periodic", refuse)
-    monkeypatch.setattr(equivar.homcalc, "build_Q", refuse)
-    monkeypatch.setattr(equivar.equivariant, "build_Q", refuse)
+    # the one P/Q builder, under both names that call it
+    monkeypatch.setattr(equivar.homcalc, "_build_family", refuse)
+    monkeypatch.setattr(equivar.equivariant, "_build_family", refuse)
     assert main(["--format", "json", *argv]) == 2
     out = capsys.readouterr()
     assert out.out == "" and message in out.err
@@ -146,24 +147,17 @@ def test_tor_runtime_is_bounded(capsys):
     assert elapsed < 3.0
 
 
-def test_tor_builds_q_once(capsys, monkeypatch):
-    # the complex and the matches_Q comparison share one cached Q(s, 1, N)
-    import equivar.equivariant
-    import equivar.homcalc
+def test_tor_builds_q_once(capsys):
+    # the complex and the matches_Q comparison share one cached Q(s, 1, N):
+    # the builder runs once, and that once for Q(2, 1, 3)
+    from equivar.equivariant import _build_family
 
-    calls = []
-    build_Q = equivar.equivariant.build_Q
-
-    def counting(*args):
-        calls.append(args)
-        return build_Q(*args)
-
-    monkeypatch.setattr(equivar.homcalc, "build_Q", counting)
-    monkeypatch.setattr(equivar.equivariant, "build_Q", counting)
-    equivar.homcalc._build_family.cache_clear()
+    _build_family.cache_clear()
     code, lines = run_json(capsys, ["tor", "--s", "2", "--r", "1", "--N", "3"])
     assert code == 0 and lines[-1]["result"]["matches_Q"] is True
-    assert calls == [(2, 1, 3)]
+    assert _build_family.cache_info().misses == 1
+    _build_family("Q", 2, 1, 3)
+    assert _build_family.cache_info().misses == 1
 
 
 def test_kclass_commands(capsys):

@@ -186,7 +186,7 @@ def test_perm_matrix_matches_label_action():
 def _enumerated_pq(kind, s, n, N):
     """The P or Q module built by enumerating every (tuple, monomial) pair of
     the ring and dropping, for Q, the pairs nonzero on the tuple: the oracle
-    for the rank arithmetic of ``_build_pq``."""
+    for the rank arithmetic of ``_build_family``."""
     monos = all_monomials(RingConfig(N, s))
     tuples = injections(n, N)
     mono_index = {m: b for b, m in enumerate(monos)}

@@ -4,6 +4,7 @@ import json
 import random
 from fractions import Fraction
 from math import comb, factorial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from equivar.cli import _class_function_table
 from equivar.combinat import ClassFunction, injections, partitions
 from equivar.equivariant import (
     EquivModule,
+    _build_family,
     _map_matrix,
     build_P,
     build_Q,
@@ -34,10 +36,11 @@ from equivar.homcalc import (
     _family_keys,
     _family_orbit_count,
     _family_stable_space,
+    _hom_keys,
     _image_labels,
-    _mapping_solutions,
     _orbit_relations,
     _orbit_size,
+    _position_digits,
     _power_map,
     _slot_variable,
     _strand_cohomology,
@@ -66,6 +69,7 @@ from reference import (
     _hom_invariants_generic,
     _kernel_module,
     _label_meets,
+    _mapping_solutions,
     _mapping_solutions_generic,
     _quotient_by_radical,
     _resolution,
@@ -397,7 +401,8 @@ def test_family_orbit_count_and_sizes_match_the_listing(kind, s):
                     continue
                 profile = PQFamily(src_kind, r, m)
                 orbits, keys = _family_orbits(profile, (kind, s, n), N)
-                assert _family_orbit_count(profile, (kind, s, n), N) == len(orbits)
+                digits = _position_digits(profile, s, N)
+                assert _family_orbit_count(profile, (kind, s, n), N, digits) == len(orbits)
                 assert [_orbit_size(key, m, N) for key in keys] == list(map(len, orbits))
 
 
@@ -417,7 +422,7 @@ def test_family_keys_match_the_listing(kind, s):
                     continue
                 profile = PQFamily(src_kind, r, m)
                 orbits, keys = _family_orbits(profile, (kind, s, n), N)
-                rows = _family_keys(profile, (kind, s, n), N)
+                rows = _family_keys(profile, (kind, s, n), N, _position_digits(profile, s, N))
                 assert len(rows) == len(orbits)
                 for (first, key, size, big_size), orbit, listed_key in zip(rows, orbits, keys):
                     pattern, low_ds, slot_ds, multiset = listed_key
@@ -430,7 +435,8 @@ def test_family_stable_space_refuses_a_kept_orbit_of_several_labels(monkeypatch)
     # with no relation every orbit is kept, and Q(1, 1, 3) has orbits of
     # three labels under a Q source of tuple size 0
     profile, family = PQFamily("Q", 1, 0), ("Q", 1, 1)
-    assert max(row[2] for row in _family_keys(profile, family, 3)) > 1
+    rows = _family_keys(profile, family, 3, _position_digits(profile, 1, 3))
+    assert max(row[2] for row in rows) > 1
     monkeypatch.setattr("equivar.homcalc._orbit_relations",
                         lambda count, meets, sizes: [{} for _ in range(count)])
     with pytest.raises(AssemblyError, match="more than one label"):
@@ -439,7 +445,7 @@ def test_family_stable_space_refuses_a_kept_orbit_of_several_labels(monkeypatch)
 
 def test_family_orbits_raise_the_module_path_errors():
     for (kind, build), orbits_of in itertools.product((("P", build_P), ("Q", build_Q)),
-                                                      (_family_orbits, _family_keys)):
+                                                      (_family_orbits, _family_stable_space)):
         with pytest.raises(ValueError) as built:
             build(1, 3, 2)
         with pytest.raises(ValueError) as helper:
@@ -726,8 +732,10 @@ def _ext_stable_by_coresolution(s, n_source, n_target, N, max_degree, complexes)
         complexes[key] = coresolution_Q(*key)
     P = complexes[key].modules[1]
     _, _, stable = _family_stable_space(PQFamily("Q", s, n_source), ("P", s, n_target), N)
-    return _strand_cohomology(s, n_target, max_degree + 2, Subspace(stable, P.dim),
-                              lambda pos: _tuple_power_map(P, pos, 1))
+    sub = Subspace(stable, P.dim)
+    xs = [sub.restrict(_tuple_power_map(P, pos, 1)) for pos in range(n_target)]
+    return _strand_cohomology(s, n_target, max_degree + 2, sub.dim,
+                              lambda pos, exp: xs[pos].power(exp))
 
 
 def _ext_stable_bench_grid():
@@ -774,6 +782,7 @@ def test_ext_stable_builds_no_module(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(EquivModule, "__init__", counting)
+    _build_family.cache_clear()  # else an earlier test's Q(1, 1, 2) answers from the cache
     build_Q(1, 1, 2)
     assert built == [1]  # the wrap is live
     built.clear()
@@ -823,6 +832,67 @@ def test_ext_truncated_self_ext_diagnostic_runs():
 def test_ext_truncated_config_mismatch():
     with pytest.raises(ValueError):
         ext_truncated(build_Q(1, 1, 2), build_P(1, 1, 3), 1)
+
+
+def _label_key(label, kind, m):
+    """The orbit key under Sym{m, ..., N-1} of the label (U, mono) of a P or
+    Q module, read off the label itself: slot pattern, low digits, slot
+    digits (P only), sorted multiset of the other high digits."""
+    U, mono = label
+    return (tuple(t if t < m else None for t in U),
+            tuple(mono[p] for p in range(m) if kind == "P" or p not in U),
+            tuple(mono[t] for t in U if t >= m) if kind == "P" else (),
+            tuple(sorted(mono[p] for p in range(m, len(mono)) if p not in U)))
+
+
+@pytest.mark.parametrize("kind", ["P", "Q"])
+@pytest.mark.parametrize("s", range(3))
+def test_hom_keys_match_the_orbit_solver(kind, s):
+    # the keys of Hom(P(s, n, N), T) against the orbits of the orbit solver
+    # on the built T, one key per orbit and each the key of all its labels,
+    # and the key map of every slot variable x_pos, pos < n, against the
+    # restriction of T's label map to the orbit sums; N <= 4 and n, d <= 3
+    for N in range(5):
+        for d in range(min(3, N) + 1):
+            T = _build_family(kind, s, d, N)
+            for n in range(min(3, N) + 1):
+                orbits = _mapping_solutions(PQFamily("P", s, n), T)
+                keys, xs = _hom_keys(s, n, (kind, s, d), N)
+                assert len(keys) == len(orbits)
+                orbit_of = {}
+                for k, orbit in enumerate(orbits):
+                    (key,) = {_label_key(T.labels[t], kind, n) for t in orbit}
+                    orbit_of[key] = k
+                place = [orbit_of[key] for key in keys]
+                assert sorted(place) == list(range(len(orbits)))
+                sub = Subspace(orbits, T.dim)
+                for pos, cm in enumerate(xs):
+                    on_orbits = [None] * len(orbits)
+                    for k, u in enumerate(cm):
+                        if u is not None:
+                            on_orbits[place[k]] = place[u]
+                    assert _map_matrix(on_orbits) == sub.restrict(T.xmaps[pos]), (N, d, n, pos)
+
+
+def test_ext_truncated_reads_only_families_and_the_ring(monkeypatch):
+    # on the ext-vanish grid, stand-ins that carry only a family and a ring
+    # give the built modules' answers, and no module is built for them
+    built = [(build_Q(s, n, N), build_P(s, d, N))
+             for s, n, N in EXT_VANISH_SOURCES for d in range(min(2, N) + 1)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a module was built")
+
+    monkeypatch.setattr(EquivModule, "__init__", refuse)
+    for M, T in built:
+        stand_ins = [SimpleNamespace(family=X.family, cfg=X.cfg) for X in (M, T)]
+        assert ext_truncated(*stand_ins, 2) == ext_truncated(M, T, 2), (M, T)
+
+
+def test_one_build_per_family():
+    for s, n, N in [(0, 0, 1), (1, 1, 2), (2, 2, 3)]:
+        assert build_P(s, n, N) is PQFamily("P", s, n).build(N)
+        assert build_Q(s, n, N) is PQFamily("Q", s, n).build(N)
 
 
 def _zero_module(s, N):
@@ -1205,6 +1275,11 @@ def test_fast_path_matches_elimination_larger_case():
 def test_ext_truncated_refuses_a_source_without_a_family():
     with pytest.raises(ValueError, match="no family"):
         ext_truncated(direct_sum([build_Q(1, 1, 2)]), build_P(1, 1, 2), 1)
+
+
+def test_ext_truncated_refuses_a_target_without_a_family():
+    with pytest.raises(ValueError, match="P or Q target; .* has no family"):
+        ext_truncated(build_Q(1, 1, 2), direct_sum([build_P(1, 1, 2)]), 1)
 
 
 def test_stable_hom_refuses_a_target_that_is_not_a_family():
