@@ -35,12 +35,15 @@ into n parts (one P in all for a P source, or when s = 0).  The invariant
 maps from one P into T are its generator images, the orbit sums S of T's
 labels under Sym{n, ..., N-1}, which every variable x_pos (pos < n) keeps,
 so the Hom complex is the strand complex over S.  T must be a P or Q
-module, and S is read off its family's label arithmetic, not off T: one
-index per orbit key of ``_slot_patterns`` (the enumeration that
-``_family_keys`` walks, with no first label, size or sort), and x_pos is
-the partial map on keys that raises the low digit at pos, killing the key
-at digit s or when pos is in a Q target's tuple (``_hom_keys``).  Only the
-families and the ring of source and target are read.
+module, and S is read off its family's label arithmetic, not off T.  Its
+orbit keys (those of ``_slot_patterns``) that share slot pattern, slot
+digits and multiset form the full grid [0..s]^low of digits at the
+pattern's low positions, and x_pos raises grid digit pos when pos is low
+and is zero otherwise.  So the complex is a direct sum of copies of the
+strand complex over one grid per set of low positions; ``_hom_blocks``
+counts the copies with no key listed, each distinct grid is eliminated
+once, and its dimensions count once per copy.  Only the families and the
+ring of source and target are read.
 
 Stable Ext: ``ext_stable`` is the cohomology of the stable-Hom complex
 of the coresolution of the target Q family by P terms, and builds neither
@@ -62,7 +65,7 @@ reads their dimensions off the ranks of the differentials over S,
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import combinations_with_replacement, compress, product, repeat
+from itertools import combinations, combinations_with_replacement, compress, product, repeat
 from math import comb, factorial
 from operator import is_not, mul
 
@@ -563,38 +566,47 @@ def ext_stable(s: int, n_source: int, n_target: int, N: int, max_degree: int) ->
 # truncated equivariant Ext
 
 
-def _hom_keys(s: int, n: int, family: tuple, N: int):
+def _hom_blocks(s: int, n: int, family: tuple, N: int) -> dict:
     """The invariant maps from P(s, n, N) into T, the P or Q module of
-    family at N, as orbit keys, and the n slot variables on them: (keys,
-    xs).
+    family (kind, s, d) at N, as blocks of one grid: {low positions:
+    copies}, counted with no key formed.
 
     By Frobenius reciprocity these maps are the generator images, the
     vectors of T fixed by Sym{n, ..., N-1} (a P generator has no kill): the
-    orbit sums of T's labels, one per key of ``_slot_patterns``.  x_pos, for
-    pos < n, commutes with that group and sends an orbit onto an orbit label
-    by label, so it acts on the orbit sums as the partial map xs[pos] on key
-    indices: it raises the low digit at pos, and kills the key at digit s,
-    or when pos is in a Q target's tuple (then it is no low position).
+    orbit sums of T's labels, one per key of ``_slot_patterns``.  The keys
+    of one slot pattern, slot digits and multiset form the full grid
+    [0..s]^low of digits at the pattern's low positions (all n for a P
+    target, those off the tuple for a Q target), and x_pos (pos < n)
+    raises grid digit pos when pos is low and kills the key otherwise.  So
+    the Hom complex is a direct sum of copies of the complex over the grid,
+    and only the low positions tell copies apart.  With j high slots, a
+    pattern has C(d, j) choices of those slots, (s+1)^j slot digits (P
+    only) and C(h + s, s) multisets of its h = N - n - j other high digits;
+    its d - j low slots fill any d - j positions below n in any order, which
+    leaves every position low for a P target and the others for a Q one.
     """
-    profile = PQFamily("P", s, n)
-    keys: list = []
-    xs: list = [[] for _ in range(n)]
-    for pattern, _, _, low, lows, slots, multisets in _slot_patterns(
-            profile, family, N, _position_digits(profile, s, N)):
-        base = len(keys)
-        keys += [(pattern, low_ds, slot_ds, multiset)
-                 for low_ds in lows for slot_ds in slots for multiset in multisets]
-        block = len(keys) - base
-        for pos, cm in enumerate(xs):
-            if pos not in low:
-                cm += [None] * block
-                continue
-            # every low digit runs over 0..s, the first the slowest, so
-            # raising the one at pos moves a key on by step places
-            step = block // (s + 1) ** (low.index(pos) + 1)
-            cm += [k + step if (k - base) // step % (s + 1) < s else None
-                   for k in range(base, base + block)]
-    return keys, xs
+    kind, _, d = family
+    every = tuple(range(n))
+    blocks: dict = {}
+    for j in range(max(d - n, 0), min(d, N - n) + 1):
+        copies = comb(d, j) * comb(N - n - j + s, s)
+        if kind == "P":
+            blocks[every] = blocks.get(every, 0) + copies * (s + 1) ** j * injection_count(d - j, n)
+        else:
+            for taken in combinations(every, d - j):
+                blocks[tuple(p for p in every if p not in taken)] = copies * factorial(d - j)
+    return blocks
+
+
+def _grid_variable(s: int, low: tuple, pos: int) -> list:
+    """The label map of x_pos on the grid [0..s]^low of digits at the low
+    positions, the first the slowest: it raises the digit at pos, killing a
+    label at digit s, and kills every label when pos is not low."""
+    size = (s + 1) ** len(low)
+    if pos not in low:
+        return [None] * size
+    step = (s + 1) ** (len(low) - 1 - low.index(pos))
+    return [k + step if k // step % (s + 1) < s else None for k in range(size)]
 
 
 def ext_truncated(M: EquivModule, T: EquivModule, max_i: int) -> list:
@@ -605,11 +617,15 @@ def ext_truncated(M: EquivModule, T: EquivModule, max_i: int) -> list:
     resolution of Q(s, n, N) is one P(s, n, N) per composition of j into n
     parts (Eisenbud, Trans. AMS 260, 1980), and P is free.  By Frobenius
     reciprocity the invariant maps from one P into T are the orbit sums of
-    T's labels under Sym{n, ..., N-1}, one per orbit key (``_hom_keys``),
-    and the Hom complex is the strand complex over them, x_pos acting as
-    the partial map on keys that raises the low digit at pos.  A source or
-    target without a family is a ValueError.  Exact at the truncation;
-    stable answers across truncations are the business of ``ext_stable``.
+    T's labels under Sym{n, ..., N-1}, a direct sum of copies of one grid
+    of low digits per set of low positions (``_hom_blocks``), and x_pos
+    keeps each copy.  So the Hom complex is a direct sum of strand
+    complexes over grids: each distinct grid is eliminated once
+    (``_strand_cohomology``, x_pos acting by ``_grid_variable``), and its
+    dimensions count once per copy.  A source or target without a family,
+    or with one that no module over T's ring carries (another s, or a tuple
+    larger than N), is a ValueError.  Exact at the truncation; stable
+    answers across truncations are the business of ``ext_stable``.
     """
     if max_i < 0:
         raise ValueError("the degree bound must be nonnegative")
@@ -619,9 +635,21 @@ def ext_truncated(M: EquivModule, T: EquivModule, max_i: int) -> list:
         if X.family is None:
             raise ValueError(f"ext_truncated needs a P or Q {role}; {X!r} has no family")
     kind, s, n = M.family
-    keys, xs = _hom_keys(s, n, T.family, T.cfg.N)
-    return _strand_cohomology(s, n if kind == "Q" else 0, max_i + 2, len(keys),
-                              lambda pos, exp: _map_matrix(_power_map(xs[pos], exp)))
+    cfg = T.cfg
+    _source_constraints(PQFamily("P", s, n), cfg)  # the source's tuple size against N
+    for role, X in (("source", M), ("target", T)):
+        family = PQFamily(*X.family)
+        if family.s != cfg.s:
+            raise ValueError(f"the {role} family {family} is not over the ring's s={cfg.s}")
+        if family.n > cfg.N:
+            raise ValueError(f"{role} tuple size n={family.n} exceeds truncation N={cfg.N}")
+    dims = [0] * (max_i + 1)
+    for low, copies in _hom_blocks(s, n, T.family, cfg.N).items():
+        grid = _strand_cohomology(
+            s, n if kind == "Q" else 0, max_i + 2, (s + 1) ** len(low),
+            lambda pos, exp: _map_matrix(_power_map(_grid_variable(s, low, pos), exp)))
+        dims = [a + copies * b for a, b in zip(dims, grid)]
+    return dims
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ other paths: elimination on full constraint matrices where the package
 chases labels, the stable space of built modules where it reads label
 arithmetic, the orbit solver on built modules (for P and Q sources; the
 package keeps it for Q sources only, in ``hom_mapping_property``) and the
-listed level-N orbits where it keys them, Ext by a
+listed level-N orbits where it keys them, the listed orbit keys of
+truncated Ext where it counts their blocks, Ext by a
 resolution of minimal free covers where it builds slot strands, modules
 given by matrices alone where it keeps label maps, and brute-force oracles.
 Each one is named by some test, which ``tests/test_reachability.py``
@@ -39,6 +40,7 @@ from equivar.homcalc import (
     _orbit_relations,
     _position_digits,
     _power_map,
+    _slot_patterns,
     _source_constraints,
 )
 from equivar.linalg import (
@@ -646,6 +648,40 @@ def _family_orbits(profile: PQFamily, family: tuple, N: int):
                                    (pattern, low_ds, slot_ds, multiset)))
     orbits.sort(key=lambda orbit: orbit[0][0])
     return [dict.fromkeys(labels, ONE) for labels, _ in orbits], [key for _, key in orbits]
+
+
+def _hom_keys(s: int, n: int, family: tuple, N: int):
+    """The invariant maps from P(s, n, N) into T, the P or Q module of
+    family at N, as orbit keys, and the n slot variables on them: (keys,
+    xs).
+
+    By Frobenius reciprocity these maps are the generator images, the
+    vectors of T fixed by Sym{n, ..., N-1} (a P generator has no kill): the
+    orbit sums of T's labels, one per key of ``_slot_patterns``.  x_pos, for
+    pos < n, commutes with that group and sends an orbit onto an orbit label
+    by label, so it acts on the orbit sums as the partial map xs[pos] on key
+    indices: it raises the low digit at pos, and kills the key at digit s,
+    or when pos is in a Q target's tuple (then it is no low position).
+    """
+    profile = PQFamily("P", s, n)
+    keys: list = []
+    xs: list = [[] for _ in range(n)]
+    for pattern, _, _, low, lows, slots, multisets in _slot_patterns(
+            profile, family, N, _position_digits(profile, s, N)):
+        base = len(keys)
+        keys += [(pattern, low_ds, slot_ds, multiset)
+                 for low_ds in lows for slot_ds in slots for multiset in multisets]
+        block = len(keys) - base
+        for pos, cm in enumerate(xs):
+            if pos not in low:
+                cm += [None] * block
+                continue
+            # every low digit runs over 0..s, the first the slowest, so
+            # raising the one at pos moves a key on by step places
+            step = block // (s + 1) ** (low.index(pos) + 1)
+            cm += [k + step if (k - base) // step % (s + 1) < s else None
+                   for k in range(base, base + block)]
+    return keys, xs
 
 
 def _group_walk(N: int) -> list:

@@ -36,7 +36,7 @@ from equivar.homcalc import (
     _family_keys,
     _family_orbit_count,
     _family_stable_space,
-    _hom_keys,
+    _hom_blocks,
     _image_labels,
     _orbit_relations,
     _orbit_size,
@@ -67,6 +67,7 @@ from reference import (
     _free_cover,
     _group_walk,
     _hom_invariants_generic,
+    _hom_keys,
     _kernel_module,
     _label_meets,
     _mapping_solutions,
@@ -872,6 +873,108 @@ def test_hom_keys_match_the_orbit_solver(kind, s):
                         if u is not None:
                             on_orbits[place[k]] = place[u]
                     assert _map_matrix(on_orbits) == sub.restrict(T.xmaps[pos]), (N, d, n, pos)
+
+
+@pytest.mark.parametrize("kind", ["P", "Q"])
+@pytest.mark.parametrize("s", range(3))
+def test_hom_blocks_match_the_listed_keys(kind, s):
+    # on the grid of test_hom_keys_match_the_orbit_solver: the listed keys,
+    # grouped by their low positions, are whole grids [0..s]^low that
+    # _hom_blocks counts, and the strand complex over all the listed keys
+    # with their key maps has the cohomology that ext_truncated sums over
+    # the blocks, for P and Q sources
+    for N in range(5):
+        for d in range(min(3, N) + 1):
+            T = _build_family(kind, s, d, N)
+            for n in range(min(3, N) + 1):
+                keys, xs = _hom_keys(s, n, (kind, s, d), N)
+                listed: dict = {}  # low positions (off a Q target's tuple) -> keys
+                for pattern, *_ in keys:
+                    low = tuple(p for p in range(n) if kind == "P" or p not in pattern)
+                    listed[low] = listed.get(low, 0) + 1
+                grids = {low: divmod(count, (s + 1) ** len(low)) for low, count in listed.items()}
+                assert all(rest == 0 for _, rest in grids.values()), (N, d, n)
+                assert _hom_blocks(s, n, (kind, s, d), N) == {
+                    low: copies for low, (copies, _) in grids.items()}, (N, d, n)
+                for src_kind in "PQ":
+                    M = _build_family(src_kind, s, n, N)
+                    assert ext_truncated(M, T, 3) == _strand_cohomology(
+                        s, n if src_kind == "Q" else 0, 5, len(keys),
+                        lambda pos, exp: _map_matrix(_power_map(xs[pos], exp))), (src_kind, N, d, n)
+
+
+def _closed_form_ext(src_kind, s, n, T, max_i):
+    """Ext^i(P or Q(s, n, N), T) for i <= max_i from blocks read off the
+    orbit solver on the built T: orbits that agree on slot pattern, slot
+    digits and multiset form one block, with z = n - (its low positions)
+    dead strands.  Each strand on a low position is the resolution of k
+    mapped into k[x]/(x^(s+1)), exact but in degree 0, which it leaves one
+    dimension; a dead strand is k in every degree.  So a Q source with
+    s >= 1 gives C(i + z - 1, z - 1) per block for z > 0 and delta_i0 for
+    z = 0, and a P source, s = 0 or n = 0 gives the orbit count in degree 0
+    and nothing above it."""
+    kind = T.family[0]
+    orbits = _mapping_solutions(PQFamily("P", s, n), T)
+    if src_kind == "P" or s == 0 or n == 0:
+        return [len(orbits)] + [0] * max_i
+    blocks = {}  # (pattern, slot digits, multiset) -> dead strands
+    for orbit in orbits:
+        pattern, low_ds, slot_ds, multiset = _label_key(T.labels[next(iter(orbit))], kind, n)
+        blocks[pattern, slot_ds, multiset] = n - len(low_ds)
+    return [sum(comb(i + z - 1, z - 1) if z else int(i == 0) for z in blocks.values())
+            for i in range(max_i + 1)]
+
+
+@pytest.mark.parametrize("kind", ["P", "Q"])
+@pytest.mark.parametrize("s", range(4))
+def test_ext_truncated_matches_the_closed_form(kind, s):
+    # an oracle that shares no code with _hom_blocks: dimensions of the
+    # strand complexes of the blocks, counted on the orbit solver's orbits;
+    # N <= 5, n, d <= 3 and dim T <= 3000
+    for N in range(6):
+        for d in range(min(3, N) + 1):
+            if pq_dimension(kind, s, d, N) > 3000:
+                continue
+            T = _build_family(kind, s, d, N)
+            for n in range(min(3, N) + 1):
+                for src_kind in "PQ":
+                    M = _build_family(src_kind, s, n, N)
+                    assert ext_truncated(M, T, 4) == _closed_form_ext(src_kind, s, n, T, 4), (
+                        src_kind, N, d, n)
+
+
+def _stand_in(family, N, s):
+    return SimpleNamespace(family=family, cfg=RingConfig(N, s))
+
+
+@pytest.mark.parametrize("source,target,max_i,match", [
+    (_stand_in(("Q", 1, 1), 2, 1), _stand_in(("P", 1, 1), 2, 1), -1, "nonnegative"),
+    (_stand_in(("Q", 1, 1), 2, 1), _stand_in(("P", 1, 1), 3, 1), 1, "config mismatch"),
+    (_stand_in(None, 2, 1), _stand_in(("P", 1, 1), 2, 1), 1, "P or Q source; .* has no family"),
+    (_stand_in(("Q", 1, 1), 2, 1), _stand_in(None, 2, 1), 1, "P or Q target; .* has no family"),
+    (_stand_in(("Q", 1, 3), 2, 1), _stand_in(("P", 1, 1), 2, 1), 1,
+     "profile tuple size 3 exceeds truncation 2"),
+    (_stand_in(("Q", 1, 1), 2, 1), _stand_in(("P", 1, 3), 2, 1), 1,
+     r"target tuple size n=3 exceeds truncation N=2"),
+    (_stand_in(("Q", 2, 1), 2, 1), _stand_in(("P", 1, 1), 2, 1), 1,
+     r"source family .* is not over the ring's s=1"),
+    (_stand_in(("Q", 1, 1), 2, 1), _stand_in(("P", 2, 1), 2, 1), 1,
+     r"target family .* is not over the ring's s=1"),
+    (_stand_in(("R", 1, 1), 2, 1), _stand_in(("P", 1, 1), 2, 1), 1, "unknown family kind"),
+    # with several faults, the first in this order is reported
+    (_stand_in(None, 2, 1), _stand_in(None, 3, 1), -1, "nonnegative"),
+    (_stand_in(None, 2, 1), _stand_in(("P", 1, 1), 3, 1), 1, "config mismatch"),
+    (_stand_in(None, 2, 1), _stand_in(("P", 1, 3), 2, 1), 1, "source; .* has no family"),
+    (_stand_in(("Q", 2, 3), 2, 1), _stand_in(("P", 2, 3), 2, 1), 1, "profile tuple size"),
+    (_stand_in(("Q", 2, 1), 2, 1), _stand_in(("P", 1, 3), 2, 1), 1, "source family"),
+], ids=["negative-degree", "config-mismatch", "source-without-family",
+        "target-without-family", "source-tuple-over-N", "target-tuple-over-N",
+        "source-s-off-the-ring", "target-s-off-the-ring", "unknown-kind",
+        "order-degree-first", "order-config-before-family", "order-family-before-sizes",
+        "order-source-size-before-s", "order-source-before-target"])
+def test_ext_truncated_refuses_impossible_stand_ins(source, target, max_i, match):
+    with pytest.raises(ValueError, match=match):
+        ext_truncated(source, target, max_i)
 
 
 def test_ext_truncated_reads_only_families_and_the_ring(monkeypatch):
