@@ -170,6 +170,12 @@ class ClassFunction:
         self._check_level(other)
         return ClassFunction(self.level, {mu: v * other.values[mu] for mu, v in self.values.items()})
 
+    def __truediv__(self, other):
+        """Pointwise quotient, the inverse of tensoring with a character
+        that vanishes nowhere (a zero value is a ZeroDivisionError)."""
+        self._check_level(other)
+        return ClassFunction(self.level, {mu: v / other.values[mu] for mu, v in self.values.items()})
+
     def scale(self, coef):
         coef = Fraction(coef)
         return ClassFunction(self.level, {mu: coef * v for mu, v in self.values.items()})

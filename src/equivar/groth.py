@@ -3,6 +3,12 @@ multiplication-by-the-truncated-ring operator, exact basis changes between
 the two families, the rank-(s+1) expansion, and the dimension identity for
 tensors of tuple modules.
 
+Tensoring with the ring S is pointwise multiplication of characters by
+chi_S(mu) = (s+1)^(number of cycles of mu), so the P-to-Q change multiplies
+and the Q-to-P change divides by that character, which vanishes nowhere
+(the plethysm s_lam[X/(s+1)]; Macdonald, Symmetric functions and Hall
+polynomials, I.7-I.8).  No basis change solves a linear system.
+
 Class data lives at three levels:
 
 - ``KClassRep``: an integer (or rational) combination of irreducibles at one
@@ -33,7 +39,7 @@ from .combinat import (
     partitions,
     schur,
 )
-from .linalg import SparseRationalMatrix, matrix_rank, solve_columns
+from .linalg import SparseRationalMatrix
 from .truncated_ring import RingConfig, fixed_monomial_count
 
 __all__ = [
@@ -147,7 +153,8 @@ class KModClass:
 def char_of_S(n: int, s: int) -> ClassFunction:
     """Character of the truncated ring in n variables as a permutation module:
     the trace of a permutation is its count of fixed monomials, which is
-    (s+1)^(number of cycles) and in particular strictly positive."""
+    (s+1)^(number of cycles) and in particular strictly positive, so
+    ``q_class_in_p_basis`` can divide by it."""
     cfg = RingConfig(n, s)
     return ClassFunction(n, {mu: fixed_monomial_count(mu, cfg) for mu in partitions(n)})
 
@@ -187,17 +194,12 @@ def p_class_in_q_basis(lam, s: int) -> KGenClass:
 
 
 def q_class_in_p_basis(lam, s: int) -> KGenClass:
-    """Expand a Q-family class rationally in the P-family classes: invert the
-    multiplication-by-the-ring matrix (invertible because the ring character
-    never vanishes; a singular matrix here is an internal error)."""
+    """Expand a Q-family class rationally in the P-family classes: the
+    inverse of ``p_class_in_q_basis``, which multiplies by the ring
+    character, is pointwise division by it."""
     lam = tuple(lam)
-    n = sum(lam)
-    mat, ps, index = mu_matrix(n, s)
-    if matrix_rank(mat) != len(ps):
-        raise AssertionError("multiplication-by-ring matrix is singular")
-    target = {index[lam]: Fraction(1)}
-    (sol,) = solve_columns(mat, [target])
-    return KGenClass({("P", s, ps[i]): c for i, c in sol.items()})
+    quotient = irreducible_class_function(lam) / char_of_S(sum(lam), s)
+    return KGenClass({("P", s, mu): c for mu, c in decompose(quotient).items()})
 
 
 def rank_expand(cls: KGenClass) -> KModClass:

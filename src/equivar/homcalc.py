@@ -40,10 +40,11 @@ orbit keys (those of ``_slot_patterns``) that share slot pattern, slot
 digits and multiset form the full grid [0..s]^low of digits at the
 pattern's low positions, and x_pos raises grid digit pos when pos is low
 and is zero otherwise.  So the complex is a direct sum of copies of the
-strand complex over one grid per set of low positions; ``_hom_blocks``
-counts the copies with no key listed, each distinct grid is eliminated
-once, and its dimensions count once per copy.  Only the families and the
-ring of source and target are read.
+strand complex over one grid per set of low positions, whose cohomology
+depends only on how many positions are low; ``_hom_blocks`` counts the
+copies by that number with no key listed, each grid [0..s]^k is
+eliminated once, and its dimensions count once per copy.  Only the
+families and the ring of source and target are read.
 
 Stable Ext: ``ext_stable`` is the cohomology of the stable-Hom complex
 of the coresolution of the target Q family by P terms, and builds neither
@@ -65,7 +66,7 @@ reads their dimensions off the ranks of the differentials over S,
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import combinations, combinations_with_replacement, compress, product, repeat
+from itertools import combinations_with_replacement, compress, product, repeat
 from math import comb, factorial
 from operator import is_not, mul
 
@@ -568,8 +569,8 @@ def ext_stable(s: int, n_source: int, n_target: int, N: int, max_degree: int) ->
 
 def _hom_blocks(s: int, n: int, family: tuple, N: int) -> dict:
     """The invariant maps from P(s, n, N) into T, the P or Q module of
-    family (kind, s, d) at N, as blocks of one grid: {low positions:
-    copies}, counted with no key formed.
+    family (kind, s, d) at N, as blocks of one grid: {number of low
+    positions: copies}, counted with no key formed.
 
     By Frobenius reciprocity these maps are the generator images, the
     vectors of T fixed by Sym{n, ..., N-1} (a P generator has no kill): the
@@ -579,34 +580,34 @@ def _hom_blocks(s: int, n: int, family: tuple, N: int) -> dict:
     target, those off the tuple for a Q target), and x_pos (pos < n)
     raises grid digit pos when pos is low and kills the key otherwise.  So
     the Hom complex is a direct sum of copies of the complex over the grid,
-    and only the low positions tell copies apart.  With j high slots, a
+    whose cohomology depends only on how many positions are low, since the
+    strand complex is symmetric in the positions.  With j high slots, a
     pattern has C(d, j) choices of those slots, (s+1)^j slot digits (P
     only) and C(h + s, s) multisets of its h = N - n - j other high digits;
     its d - j low slots fill any d - j positions below n in any order, which
-    leaves every position low for a P target and the others for a Q one.
+    leaves all n positions low for a P target and n - (d - j) for a Q one.
     """
     kind, _, d = family
-    every = tuple(range(n))
     blocks: dict = {}
     for j in range(max(d - n, 0), min(d, N - n) + 1):
-        copies = comb(d, j) * comb(N - n - j + s, s)
+        copies = comb(d, j) * comb(N - n - j + s, s) * injection_count(d - j, n)
         if kind == "P":
-            blocks[every] = blocks.get(every, 0) + copies * (s + 1) ** j * injection_count(d - j, n)
+            low, copies = n, copies * (s + 1) ** j
         else:
-            for taken in combinations(every, d - j):
-                blocks[tuple(p for p in every if p not in taken)] = copies * factorial(d - j)
+            low = n - (d - j)
+        blocks[low] = blocks.get(low, 0) + copies
     return blocks
 
 
-def _grid_variable(s: int, low: tuple, pos: int) -> list:
-    """The label map of x_pos on the grid [0..s]^low of digits at the low
-    positions, the first the slowest: it raises the digit at pos, killing a
-    label at digit s, and kills every label when pos is not low."""
-    size = (s + 1) ** len(low)
-    if pos not in low:
+def _grid_variable(s: int, k: int, pos: int) -> list:
+    """The label map of x_pos on the grid [0..s]^k of digits at the low
+    positions 0..k-1, the first the slowest: it raises the digit at pos,
+    killing a label at digit s, and kills every label when pos >= k."""
+    size = (s + 1) ** k
+    if pos >= k:
         return [None] * size
-    step = (s + 1) ** (len(low) - 1 - low.index(pos))
-    return [k + step if k // step % (s + 1) < s else None for k in range(size)]
+    step = (s + 1) ** (k - 1 - pos)
+    return [t + step if t // step % (s + 1) < s else None for t in range(size)]
 
 
 def ext_truncated(M: EquivModule, T: EquivModule, max_i: int) -> list:
@@ -618,7 +619,7 @@ def ext_truncated(M: EquivModule, T: EquivModule, max_i: int) -> list:
     parts (Eisenbud, Trans. AMS 260, 1980), and P is free.  By Frobenius
     reciprocity the invariant maps from one P into T are the orbit sums of
     T's labels under Sym{n, ..., N-1}, a direct sum of copies of one grid
-    of low digits per set of low positions (``_hom_blocks``), and x_pos
+    of low digits per number of low positions (``_hom_blocks``), and x_pos
     keeps each copy.  So the Hom complex is a direct sum of strand
     complexes over grids: each distinct grid is eliminated once
     (``_strand_cohomology``, x_pos acting by ``_grid_variable``), and its
@@ -646,7 +647,7 @@ def ext_truncated(M: EquivModule, T: EquivModule, max_i: int) -> list:
     dims = [0] * (max_i + 1)
     for low, copies in _hom_blocks(s, n, T.family, cfg.N).items():
         grid = _strand_cohomology(
-            s, n if kind == "Q" else 0, max_i + 2, (s + 1) ** len(low),
+            s, n if kind == "Q" else 0, max_i + 2, (s + 1) ** low,
             lambda pos, exp: _map_matrix(_power_map(_grid_variable(s, low, pos), exp)))
         dims = [a + copies * b for a, b in zip(dims, grid)]
     return dims

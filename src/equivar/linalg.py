@@ -327,34 +327,3 @@ class SpanBasis(Subspace):
         ech = Echelon(ambient_dim, vectors)
         ech.back_substitute()
         super().__init__([ech.pivots[c] for c in sorted(ech.pivots)], ambient_dim)
-
-
-def solve_columns(A: SparseRationalMatrix, ys) -> list:
-    """Solve A @ x = y for each y in ys; A must have full column rank.
-
-    Returns the solution vectors as dicts over range(A.ncols).  Raises
-    ValueError on an inconsistent system or rank-deficient A.
-    """
-    ys = list(ys)
-    n = A.ncols
-    ech = Echelon(n + len(ys))
-    for i, row in enumerate(A.rows):
-        full = dict(row)
-        for t, y in enumerate(ys):
-            v = y.get(i)
-            if v is not None:
-                full[n + t] = v
-        if full:
-            ech.add(full)
-    for c in ech.pivots:
-        if c >= n:
-            raise ValueError("inconsistent system")
-    if ech.rank != n:
-        raise ValueError("matrix does not have full column rank")
-    ech.back_substitute()
-    sols: list = [dict() for _ in ys]
-    for c, row in ech.pivots.items():
-        for j, v in row.items():
-            if j >= n and v:
-                sols[j - n][c] = v
-    return sols

@@ -9,7 +9,9 @@ package keeps it for Q sources only, in ``hom_mapping_property``) and the
 listed level-N orbits where it keys them, the listed orbit keys of
 truncated Ext where it counts their blocks, Ext by a
 resolution of minimal free covers where it builds slot strands, modules
-given by matrices alone where it keeps label maps, and brute-force oracles.
+given by matrices alone where it keeps label maps, the linear solve
+(``solve_columns``) that inverts the multiplication-by-the-ring matrix
+where the package divides characters, and brute-force oracles.
 Each one is named by some test, which ``tests/test_reachability.py``
 checks.
 """
@@ -46,6 +48,7 @@ from equivar.homcalc import (
 from equivar.linalg import (
     ONE,
     AssemblyError,
+    Echelon,
     SpanBasis,
     SparseRationalMatrix,
     Subspace,
@@ -160,6 +163,37 @@ def kron(a: SparseRationalMatrix, b: SparseRationalMatrix) -> SparseRationalMatr
                 for q, bv in brow.items():
                     row[j * b.ncols + q] = av * bv
     return out
+
+
+def solve_columns(A: SparseRationalMatrix, ys) -> list:
+    """Solve A @ x = y for each y in ys; A must have full column rank.
+
+    Returns the solution vectors as dicts over range(A.ncols).  Raises
+    ValueError on an inconsistent system or rank-deficient A.
+    """
+    ys = list(ys)
+    n = A.ncols
+    ech = Echelon(n + len(ys))
+    for i, row in enumerate(A.rows):
+        full = dict(row)
+        for t, y in enumerate(ys):
+            v = y.get(i)
+            if v is not None:
+                full[n + t] = v
+        if full:
+            ech.add(full)
+    for c in ech.pivots:
+        if c >= n:
+            raise ValueError("inconsistent system")
+    if ech.rank != n:
+        raise ValueError("matrix does not have full column rank")
+    ech.back_substitute()
+    sols: list = [dict() for _ in ys]
+    for c, row in ech.pivots.items():
+        for j, v in row.items():
+            if j >= n and v:
+                sols[j - n][c] = v
+    return sols
 
 
 def _word_product(gens, dim: int, word) -> SparseRationalMatrix:

@@ -12,6 +12,7 @@ import pytest
 import equivar.cli
 from equivar.cli import _emit as cli_emit
 from equivar.cli import main
+from equivar.combinat import partitions
 
 DOCS = pathlib.Path(__file__).resolve().parents[1] / "docs"
 PAYLOAD_SCHEMA = json.loads((DOCS / "cli_output.schema.json").read_text())
@@ -170,6 +171,26 @@ def test_kclass_commands(capsys):
     assert lines[-1]["result"]["expansion"] == {"1": {"1": [1, 2]}}
     code, lines = run_json(capsys, ["kclass", "--op", "char", "--s", "1", "--n", "2"])
     assert lines[-1]["result"]["values"] == {"1,1": "4", "2": "2"}
+
+
+# the sha256 of the JSON results of p2q, q2p and expand (P and Q), in that
+# order, for s <= 2 and every partition of 0..7, taken before q2p divided
+KCLASS_GRID_SHA256 = "a6a8080639624400a5fc2522bafee1183b59e8e37759a65e339542b4b7ba45af"
+
+
+def test_kclass_grid_is_pinned():
+    parser = equivar.cli.build_parser()
+    results = []
+    for op in (["p2q"], ["q2p"], ["expand", "--kind", "P"], ["expand", "--kind", "Q"]):
+        for s in range(3):
+            for n in range(8):
+                for lam in partitions(n):
+                    args = parser.parse_args(["--format", "json", "kclass", "--op", *op,
+                                              "--s", str(s),
+                                              "--lambda", ",".join(map(str, lam)) or "0"])
+                    results.append(args.func(args))
+    blob = json.dumps(results, sort_keys=True, default=str)  # as _emit writes a result
+    assert hashlib.sha256(blob.encode()).hexdigest() == KCLASS_GRID_SHA256
 
 
 def test_cas_commands(capsys):

@@ -25,7 +25,7 @@ from equivar.groth import (
     truncation_dim_check,
 )
 from equivar.linalg import matrix_rank
-from reference import specht_dimension
+from reference import solve_columns, specht_dimension
 
 
 def test_char_of_s_examples():
@@ -67,6 +67,20 @@ def test_class_bounds_are_nonnegative():
 def test_q_class_examples():
     assert q_class_in_p_basis((1,), 1) == KGenClass({("P", 1, (1,)): Fraction(1, 2)})
     assert q_class_in_p_basis((1,), 0) == KGenClass({("P", 0, (1,)): 1})
+
+
+@pytest.mark.parametrize("s", range(4))
+def test_division_matches_the_reference_inversion(s):
+    # q_class_in_p_basis divides by the ring character; the reference solves
+    # the multiplication-by-the-ring matrix for the lam-th unit vector
+    for n in range(8):
+        mat, ps, index = mu_matrix(n, s)
+        for lam in ps:
+            (sol,) = solve_columns(mat, [{index[lam]: Fraction(1)}])
+            expected = KGenClass({("P", s, ps[i]): c for i, c in sol.items()})
+            got = q_class_in_p_basis(lam, s)
+            assert got == expected and repr(got) == repr(expected), (lam, s)
+            assert all(type(c) is Fraction for c in got.coeffs.values())
 
 
 @pytest.mark.parametrize("s", [0, 1, 2])

@@ -879,8 +879,8 @@ def test_hom_keys_match_the_orbit_solver(kind, s):
 @pytest.mark.parametrize("s", range(3))
 def test_hom_blocks_match_the_listed_keys(kind, s):
     # on the grid of test_hom_keys_match_the_orbit_solver: the listed keys,
-    # grouped by their low positions, are whole grids [0..s]^low that
-    # _hom_blocks counts, and the strand complex over all the listed keys
+    # grouped by their number of low positions, are whole grids [0..s]^low
+    # that _hom_blocks counts, and the strand complex over all the listed keys
     # with their key maps has the cohomology that ext_truncated sums over
     # the blocks, for P and Q sources
     for N in range(5):
@@ -888,11 +888,11 @@ def test_hom_blocks_match_the_listed_keys(kind, s):
             T = _build_family(kind, s, d, N)
             for n in range(min(3, N) + 1):
                 keys, xs = _hom_keys(s, n, (kind, s, d), N)
-                listed: dict = {}  # low positions (off a Q target's tuple) -> keys
+                listed: dict = {}  # number of low positions (off a Q target's tuple) -> keys
                 for pattern, *_ in keys:
-                    low = tuple(p for p in range(n) if kind == "P" or p not in pattern)
+                    low = sum(1 for p in range(n) if kind == "P" or p not in pattern)
                     listed[low] = listed.get(low, 0) + 1
-                grids = {low: divmod(count, (s + 1) ** len(low)) for low, count in listed.items()}
+                grids = {low: divmod(count, (s + 1) ** low) for low, count in listed.items()}
                 assert all(rest == 0 for _, rest in grids.values()), (N, d, n)
                 assert _hom_blocks(s, n, (kind, s, d), N) == {
                     low: copies for low, (copies, _) in grids.items()}, (N, d, n)

@@ -18,7 +18,6 @@ from equivar.linalg import (
     matrix_rank,
     nullspace,
     rank_of_vectors,
-    solve_columns,
 )
 from reference import (
     columns,
@@ -29,6 +28,7 @@ from reference import (
     matrix_module,
     restrict,
     scale,
+    solve_columns,
     to_dense,
     transpose,
 )
