@@ -176,10 +176,6 @@ class ClassFunction:
         self._check_level(other)
         return ClassFunction(self.level, {mu: v / other.values[mu] for mu, v in self.values.items()})
 
-    def scale(self, coef):
-        coef = Fraction(coef)
-        return ClassFunction(self.level, {mu: coef * v for mu, v in self.values.items()})
-
     def _check_level(self, other):
         if self.level != other.level:
             raise ValueError(f"level mismatch: {self.level} != {other.level}")

@@ -9,10 +9,8 @@ and the Q-to-P change divides by that character, which vanishes nowhere
 (the plethysm s_lam[X/(s+1)]; Macdonald, Symmetric functions and Hall
 polynomials, I.7-I.8).  No basis change solves a linear system.
 
-Class data lives at three levels:
+Class data lives at two levels:
 
-- ``KClassRep``: an integer (or rational) combination of irreducibles at one
-  symmetric-group level;
 - ``KGenClass``: a rational combination of family classes keyed by
   (kind, exponent bound, partition);
 - ``KModClass``: a combination  sum_r f_r * [ring at bound r]  with symmetric
@@ -25,7 +23,6 @@ every transform from the Q side to the P side exposes denominators.
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -43,41 +40,15 @@ from .linalg import SparseRationalMatrix
 from .truncated_ring import RingConfig, fixed_monomial_count
 
 __all__ = [
-    "KClassRep",
     "KGenClass",
     "KModClass",
     "char_of_S",
-    "mu_n",
     "mu_matrix",
     "p_class_in_q_basis",
     "q_class_in_p_basis",
     "rank_expand",
     "truncation_dim_check",
 ]
-
-
-class KClassRep(namedtuple("KClassRep", "level mult")):
-    """A finitely supported combination of irreducibles at one level; mult
-    is sorted ((partition, Fraction), ...)."""
-
-    __slots__ = ()
-
-    @classmethod
-    def make(cls, level: int, mult: dict) -> "KClassRep":
-        items = sorted(mult.items(), reverse=True)
-        for lam, _ in items:
-            if sum(lam) != level:
-                raise ValueError(f"partition {lam} is not of size {level}")
-        return cls(level, tuple(combine(items).items()))
-
-    def character(self) -> ClassFunction:
-        out = None
-        for lam, c in self.mult:
-            term = irreducible_class_function(lam).scale(c)
-            out = term if out is None else out + term
-        if out is None:
-            return ClassFunction(self.level, {mu: 0 for mu in partitions(self.level)})
-        return out
 
 
 class KGenClass:
@@ -162,35 +133,23 @@ def char_of_S(n: int, s: int) -> ClassFunction:
 @lru_cache(maxsize=None)
 def mu_matrix(n: int, s: int):
     """Multiplication-by-the-ring-class matrix on the irreducible basis at
-    level n: column lam lists the multiplicities of the tensor of the ring
-    with the lam-irreducible."""
+    level n: column lam is ``p_class_in_q_basis(lam, s)``."""
     ps = partitions(n)
-    chi_s = char_of_S(n, s)
-    cols = {}
-    for lam in ps:
-        prod = chi_s * irreducible_class_function(lam)
-        cols[lam] = decompose(prod)
-    mat = SparseRationalMatrix(len(ps), len(ps))
     index = {lam: i for i, lam in enumerate(ps)}
-    for lam, col in cols.items():
-        for mu, c in col.items():
+    mat = SparseRationalMatrix(len(ps), len(ps))
+    for lam in ps:
+        for (_, _, mu), c in p_class_in_q_basis(lam, s).coeffs.items():
             mat.set(index[mu], index[lam], c)
     return mat, ps, index
 
 
-def mu_n(V: KClassRep, s: int) -> KClassRep:
-    """Tensor V with the truncated ring at its level and redecompose."""
-    chi_s = char_of_S(V.level, s)
-    prod = chi_s * V.character()
-    return KClassRep.make(V.level, decompose(prod))
-
-
 def p_class_in_q_basis(lam, s: int) -> KGenClass:
     """Expand a P-family class integrally in the Q-family classes at the same
-    bound: the multiplicities of the ring tensored with the irreducible."""
+    bound: the multiplicities of the ring tensored with the irreducible,
+    whose character is the pointwise product with the ring character."""
     lam = tuple(lam)
-    expanded = mu_n(KClassRep.make(sum(lam), {lam: 1}), s)
-    return KGenClass({("Q", s, mu): c for mu, c in expanded.mult})
+    product = char_of_S(sum(lam), s) * irreducible_class_function(lam)
+    return KGenClass({("Q", s, mu): c for mu, c in decompose(product).items()})
 
 
 def q_class_in_p_basis(lam, s: int) -> KGenClass:

@@ -18,13 +18,14 @@ relations on the coefficients.  The target is a P or Q family and is never
 built and no label of it is listed: ``_family_stable_space`` keys the
 level-N orbits of the label index a * (s+1)^F + rank, each by its first
 label and its key (slot pattern, low digits, slot digits, multiset of the
-other high digits), and only counts those at level N+1.  The push keeps the
-rank and moves only the tuple index, since the new position N is the top
-free digit and is 0, so an orbit lands in the level-(N+1) orbit whose
-multiset has one more 0.  That orbit is a solution unless the source bound
-r is below s, and the push covers it exactly when the two orbits have the
-same size, which each key gives; so a kept orbit is a single label.  The
-three dimensions (at N, at N+1, stable) are always reported separately.
+other high digits), and only counts those at level N+1 (``_orbit_census``,
+times the low-digit choices).  The push keeps the rank and moves only the
+tuple index, since the new position N is the top free digit and is 0, so
+an orbit lands in the level-(N+1) orbit whose multiset has one more 0.
+That orbit is a solution unless the source bound r is below s, and the
+push covers it exactly when the two orbits have the same size, which each
+key gives; so a kept orbit is a single label.  The three dimensions (at
+N, at N+1, stable) are always reported separately.
 
 Truncated Ext: over k[x]/(x^(s+1)), k[x]/(x) has the 2-periodic free
 resolution ... -> A -x^s-> A -x-> A, and Q(s, n, N) is a sum of such
@@ -41,10 +42,11 @@ digits and multiset form the full grid [0..s]^low of digits at the
 pattern's low positions, and x_pos raises grid digit pos when pos is low
 and is zero otherwise.  So the complex is a direct sum of copies of the
 strand complex over one grid per set of low positions, whose cohomology
-depends only on how many positions are low; ``_hom_blocks`` counts the
-copies by that number with no key listed, each grid [0..s]^k is
-eliminated once, and its dimensions count once per copy.  Only the
-families and the ring of source and target are read.
+depends only on how many positions are low, since the strand complex is
+symmetric in the positions; ``_orbit_census``, the count of stable Hom's
+level N+1, gives the copies by that number with no key listed, each grid
+[0..s]^k is eliminated once, and its dimensions count once per copy.
+Only the families and the ring of source and target are read.
 
 Stable Ext: ``ext_stable`` is the cohomology of the stable-Hom complex
 of the coresolution of the target Q family by P terms, and builds neither
@@ -366,27 +368,26 @@ def _orbit_size(key: tuple, m: int, N: int) -> int:
     return injection_count(pattern.count(None), N - m) * arrangements
 
 
-def _family_orbit_count(profile: PQFamily, family: tuple, N: int, digits: list) -> int:
-    """The number of orbits that ``_family_keys`` keys, counted with no
-    key formed, as a sum over the number j of high slots, digits[p] being
-    the allowed digits at each position p < N.  There are
+def _orbit_census(kind: str, n: int, m: int, N: int, high: int) -> dict:
+    """The orbit keys of the P or Q family ``kind`` with tuple size n at
+    level N, for a source of tuple size m, counted with no key formed:
+    {number k of free low positions: keys per choice of their low digits},
+    high being the number of allowed digits at each position >= m.
+
+    The sum runs over the number j of high slots.  There are
     C(n, j) * injection_count(n - j, m) slot patterns with j high slots
-    (which slots are high, and the low positions of the others), and each
-    has as many keys as low-digit choices at its free positions below m,
-    times slot-digit choices (P only), times multisets of its h = N - m - j
-    other high digits, C(h + D - 1, D - 1) for D allowed high digits."""
-    kind, s, n = family
-    m = profile.n
-    low = len(digits[0]) if m else 0
-    high = len(digits[m]) if m < N else 0
-    count = 0
+    (which slots are high, and the low positions of the others); each has
+    k = m free low positions for P and m - (n - j) for Q, high^j slot
+    digits (P only) and C(h + high - 1, h) multisets of its h = N - m - j
+    other high digits."""
+    census: dict = {}
     for j in range(max(n - m, 0), min(n, N - m) + 1):
         h = N - m - j
-        free_low = m if kind == "P" else m - (n - j)
+        k = m if kind == "P" else m - (n - j)
         slot_choices = high ** j if kind == "P" else 1
-        multisets = comb(h + high - 1, h) if h else 1  # with m = N, no high digit is defined
-        count += comb(n, j) * injection_count(n - j, m) * low ** free_low * slot_choices * multisets
-    return count
+        keys = comb(n, j) * injection_count(n - j, m) * slot_choices * comb(h + high - 1, h)
+        census[k] = census.get(k, 0) + keys
+    return census
 
 
 def _family_stable_space(profile: PQFamily, family: tuple, N: int):
@@ -394,8 +395,8 @@ def _family_stable_space(profile: PQFamily, family: tuple, N: int):
     maps from the profile into the P or Q family (kind, s, n): the solutions
     at N whose push lies in the span of the solutions at N+1, with no module
     built and no label listed at either level; level N is keyed
-    (``_family_keys``) and level N+1 counted, both from the position digits
-    at N+1.
+    (``_family_keys``) and level N+1 counted (``_orbit_census``), both from
+    the position digits at N+1.
 
     The push keeps a label's rank and moves only its tuple index, because
     the new position N is the top free digit and is 0; so it sends the
@@ -414,10 +415,12 @@ def _family_stable_space(profile: PQFamily, family: tuple, N: int):
     _source_constraints(profile, cfg)
     digits = _position_digits(profile, s, N + 1)
     rows = _family_keys(profile, family, N, digits)
-    big_count = _family_orbit_count(profile, family, N + 1, digits)
+    m = profile.n
+    census = _orbit_census(kind, n, m, N + 1, len(digits[m]))
+    big_count = sum(keys * len(digits[0]) ** k for k, keys in census.items())
     if not rows:
         return 0, big_count, []
-    zero = 0 in digits[profile.n]
+    zero = 0 in digits[m]
     meets: dict = {}  # level-(N+1) key (None: no solution) -> {k: labels of push k in it}
     sizes: dict = {}  # level-(N+1) key -> its number of labels
     for k, (_, (pattern, low_ds, slot_ds, multiset), size, big_size) in enumerate(rows):
@@ -567,38 +570,6 @@ def ext_stable(s: int, n_source: int, n_target: int, N: int, max_degree: int) ->
 # truncated equivariant Ext
 
 
-def _hom_blocks(s: int, n: int, family: tuple, N: int) -> dict:
-    """The invariant maps from P(s, n, N) into T, the P or Q module of
-    family (kind, s, d) at N, as blocks of one grid: {number of low
-    positions: copies}, counted with no key formed.
-
-    By Frobenius reciprocity these maps are the generator images, the
-    vectors of T fixed by Sym{n, ..., N-1} (a P generator has no kill): the
-    orbit sums of T's labels, one per key of ``_slot_patterns``.  The keys
-    of one slot pattern, slot digits and multiset form the full grid
-    [0..s]^low of digits at the pattern's low positions (all n for a P
-    target, those off the tuple for a Q target), and x_pos (pos < n)
-    raises grid digit pos when pos is low and kills the key otherwise.  So
-    the Hom complex is a direct sum of copies of the complex over the grid,
-    whose cohomology depends only on how many positions are low, since the
-    strand complex is symmetric in the positions.  With j high slots, a
-    pattern has C(d, j) choices of those slots, (s+1)^j slot digits (P
-    only) and C(h + s, s) multisets of its h = N - n - j other high digits;
-    its d - j low slots fill any d - j positions below n in any order, which
-    leaves all n positions low for a P target and n - (d - j) for a Q one.
-    """
-    kind, _, d = family
-    blocks: dict = {}
-    for j in range(max(d - n, 0), min(d, N - n) + 1):
-        copies = comb(d, j) * comb(N - n - j + s, s) * injection_count(d - j, n)
-        if kind == "P":
-            low, copies = n, copies * (s + 1) ** j
-        else:
-            low = n - (d - j)
-        blocks[low] = blocks.get(low, 0) + copies
-    return blocks
-
-
 def _grid_variable(s: int, k: int, pos: int) -> list:
     """The label map of x_pos on the grid [0..s]^k of digits at the low
     positions 0..k-1, the first the slowest: it raises the digit at pos,
@@ -618,9 +589,13 @@ def ext_truncated(M: EquivModule, T: EquivModule, max_i: int) -> list:
     resolution of Q(s, n, N) is one P(s, n, N) per composition of j into n
     parts (Eisenbud, Trans. AMS 260, 1980), and P is free.  By Frobenius
     reciprocity the invariant maps from one P into T are the orbit sums of
-    T's labels under Sym{n, ..., N-1}, a direct sum of copies of one grid
-    of low digits per number of low positions (``_hom_blocks``), and x_pos
-    keeps each copy.  So the Hom complex is a direct sum of strand
+    T's labels under Sym{n, ..., N-1}, one per orbit key, a direct sum of
+    copies of one grid [0..s]^k of low digits per number k of low positions
+    (all n for a P target, those off the tuple for a Q target), and x_pos
+    keeps each copy: it raises grid digit pos when pos is low and is zero
+    otherwise.  The copies are the keys per low-digit choice that
+    ``_orbit_census`` counts for a source of tuple size n and the s + 1
+    digits of a high position.  So the Hom complex is a direct sum of strand
     complexes over grids: each distinct grid is eliminated once
     (``_strand_cohomology``, x_pos acting by ``_grid_variable``), and its
     dimensions count once per copy.  A source or target without a family,
@@ -645,7 +620,8 @@ def ext_truncated(M: EquivModule, T: EquivModule, max_i: int) -> list:
         if family.n > cfg.N:
             raise ValueError(f"{role} tuple size n={family.n} exceeds truncation N={cfg.N}")
     dims = [0] * (max_i + 1)
-    for low, copies in _hom_blocks(s, n, T.family, cfg.N).items():
+    target_kind, _, d = T.family
+    for low, copies in _orbit_census(target_kind, d, n, cfg.N, s + 1).items():
         grid = _strand_cohomology(
             s, n if kind == "Q" else 0, max_i + 2, (s + 1) ** low,
             lambda pos, exp: _map_matrix(_power_map(_grid_variable(s, low, pos), exp)))

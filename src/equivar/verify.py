@@ -16,7 +16,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .cas_cat import compare_with_P_homs, hom_dimension, injective_I
 from .combinat import (
@@ -314,11 +314,15 @@ def suite_tensor(max_N: int = 8) -> list:
             for lam in partitions(da):
                 for mu in partitions(db):
                     t0 = time.perf_counter()
-                    ind = induce_character([
-                        (da, irreducible_class_function(lam)),
-                        (db, irreducible_class_function(mu)),
-                    ])
-                    ok = frobenius_char(ind) == schur(lam) * schur(mu)
+                    chi_lam, chi_mu = irreducible_class_function(lam), irreducible_class_function(mu)
+                    product = frobenius_char(induce_character([(da, chi_lam), (db, chi_mu)]))
+                    # schur(lam) * schur(mu) runs this same induction, so the
+                    # degree [S_(da+db) : S_da x S_db] f^lam f^mu, read off
+                    # the irreducibles, is the side that does not go through it
+                    degree = sum(c * irreducible_class_function(nu).dim()
+                                 for nu, c in product.coeffs.items())
+                    ok = (product == schur(lam) * schur(mu)
+                          and degree == comb(da + db, da) * chi_lam.dim() * chi_mu.dim())
                     out.append(_record(
                         "tensor", f"frobenius_product_{lam}_{mu}",
                         {"lam": list(lam), "mu": list(mu)}, True, ok, t0))

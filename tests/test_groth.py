@@ -13,12 +13,10 @@ from equivar.combinat import (
     schur,
 )
 from equivar.groth import (
-    KClassRep,
     KGenClass,
     KModClass,
     char_of_S,
     mu_matrix,
-    mu_n,
     p_class_in_q_basis,
     q_class_in_p_basis,
     rank_expand,
@@ -41,9 +39,14 @@ def test_char_of_s_strictly_positive(n, s):
 
 
 def test_mu_examples():
-    assert mu_n(KClassRep.make(1, {(1,): 1}), 0).mult == (((1,), 1),)
-    assert mu_n(KClassRep.make(1, {(1,): 1}), 1).mult == (((1,), 2),)
-    assert mu_n(KClassRep.make(2, {(2,): 1}), 1).mult == (((2,), 3), ((1, 1), 1))
+    # the ring tensored with an irreducible, as p_class_in_q_basis and as
+    # the column of mu_matrix that it fills
+    for lam, s, mult in [((1,), 0, {(1,): 1}), ((1,), 1, {(1,): 2}),
+                         ((2,), 1, {(2,): 3, (1, 1): 1})]:
+        assert {mu: c for (_, _, mu), c in p_class_in_q_basis(lam, s).coeffs.items()} == mult
+        mat, ps, index = mu_matrix(sum(lam), s)
+        assert {mu: mat.rows[index[mu]].get(index[lam], 0) for mu in ps} == {
+            mu: mult.get(mu, 0) for mu in ps}
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -57,6 +60,20 @@ def test_p_class_examples():
     assert p_class_in_q_basis((1,), 0) == KGenClass({("Q", 0, (1,)): 1})
     assert p_class_in_q_basis((1,), 1) == KGenClass({("Q", 1, (1,)): 2})
     assert p_class_in_q_basis((2,), 1) == KGenClass({("Q", 1, (2,)): 3, ("Q", 1, (1, 1)): 1})
+
+
+@pytest.mark.parametrize("lam, s, p2q, q2p", [
+    ((1, 2), 1, "not a partition: (1, 2)", "not a partition: (1, 2)"),
+    ((2, -1), 1, "not a partition: (2, -1)", "not a partition: (2, -1)"),
+    ((2, 1), -1, "RingConfig requires", "RingConfig requires"),
+    # p2q reads the ring character first, q2p the irreducible
+    ((1, 2), -1, "RingConfig requires", "not a partition: (1, 2)"),
+])
+def test_basis_changes_refuse_bad_input(lam, s, p2q, q2p):
+    for change, message in ((p_class_in_q_basis, p2q), (q_class_in_p_basis, q2p)):
+        with pytest.raises(ValueError) as raised:
+            change(lam, s)
+        assert type(raised.value) is ValueError and str(raised.value).startswith(message)
 
 
 def test_class_bounds_are_nonnegative():

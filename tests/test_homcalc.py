@@ -34,10 +34,9 @@ from equivar.homcalc import (
     stable_hom,
     tor_periodic,
     _family_keys,
-    _family_orbit_count,
     _family_stable_space,
-    _hom_blocks,
     _image_labels,
+    _orbit_census,
     _orbit_relations,
     _orbit_size,
     _position_digits,
@@ -402,8 +401,11 @@ def test_family_orbit_count_and_sizes_match_the_listing(kind, s):
                     continue
                 profile = PQFamily(src_kind, r, m)
                 orbits, keys = _family_orbits(profile, (kind, s, n), N)
-                digits = _position_digits(profile, s, N)
-                assert _family_orbit_count(profile, (kind, s, n), N, digits) == len(orbits)
+                # the first N entries at N+1 are the digits at N, and there is
+                # a high position even when m = N
+                digits = _position_digits(profile, s, N + 1)
+                census = _orbit_census(kind, n, m, N, len(digits[m]))
+                assert sum(keys * len(digits[0]) ** k for k, keys in census.items()) == len(orbits)
                 assert [_orbit_size(key, m, N) for key in keys] == list(map(len, orbits))
 
 
@@ -880,7 +882,7 @@ def test_hom_keys_match_the_orbit_solver(kind, s):
 def test_hom_blocks_match_the_listed_keys(kind, s):
     # on the grid of test_hom_keys_match_the_orbit_solver: the listed keys,
     # grouped by their number of low positions, are whole grids [0..s]^low
-    # that _hom_blocks counts, and the strand complex over all the listed keys
+    # that _orbit_census counts, and the strand complex over all the listed keys
     # with their key maps has the cohomology that ext_truncated sums over
     # the blocks, for P and Q sources
     for N in range(5):
@@ -894,7 +896,7 @@ def test_hom_blocks_match_the_listed_keys(kind, s):
                     listed[low] = listed.get(low, 0) + 1
                 grids = {low: divmod(count, (s + 1) ** low) for low, count in listed.items()}
                 assert all(rest == 0 for _, rest in grids.values()), (N, d, n)
-                assert _hom_blocks(s, n, (kind, s, d), N) == {
+                assert _orbit_census(kind, d, n, N, s + 1) == {
                     low: copies for low, (copies, _) in grids.items()}, (N, d, n)
                 for src_kind in "PQ":
                     M = _build_family(src_kind, s, n, N)
@@ -928,7 +930,7 @@ def _closed_form_ext(src_kind, s, n, T, max_i):
 @pytest.mark.parametrize("kind", ["P", "Q"])
 @pytest.mark.parametrize("s", range(4))
 def test_ext_truncated_matches_the_closed_form(kind, s):
-    # an oracle that shares no code with _hom_blocks: dimensions of the
+    # an oracle that shares no code with _orbit_census: dimensions of the
     # strand complexes of the blocks, counted on the orbit solver's orbits;
     # N <= 5, n, d <= 3 and dim T <= 3000
     for N in range(6):

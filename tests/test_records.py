@@ -9,7 +9,6 @@ import pytest
 from equivar.cas_cat import CasMorphism, injective_I
 from equivar.equivariant import EquivModule, EquivMap, build_P, build_Q
 from equivar.fi_layer import verify_phi_P
-from equivar.groth import KClassRep
 from equivar.homcalc import AssemblyError, PQFamily, StableHomResult, coresolution_Q, stable_hom
 from equivar.linalg import SparseRationalMatrix
 from equivar.truncated_ring import RingConfig
@@ -61,7 +60,6 @@ RECORDS = {
     "PhiComparison": lambda: verify_phi_P(1, 1, 2),
     "CasMorphism": lambda: CasMorphism.make(1, 2, 1, {((1,), (0, 1)): 2}),
     "InjectiveInfo": lambda: injective_I(1, 2, 2),
-    "KClassRep": lambda: KClassRep.make(2, {(2,): 1, (1, 1): 3}),
 }
 
 
