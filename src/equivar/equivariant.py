@@ -28,7 +28,12 @@ objects.  The two standard families:
 
 Both, and ``homcalc.PQFamily.build``, call the one builder ``_build_family``,
 which keeps the last 64 modules it built, so a P or Q module is built once
-per process however many callers ask for it.
+per process however many callers ask for it.  The builder checks its
+arguments and returns a module that holds only its ring, name and family;
+the labels, label index, label maps and grading are filled on the first
+read of any of them, through ``EquivModule.__init__``.  A caller that reads
+only the family (``homcalc.ext_truncated``) pays for no label.  Filling is
+idempotent, so a module may be shared before it is filled.
 
 Their labels (T, mono) list the tuples in lexicographic order, and within a
 tuple the monomials on its F free positions (all N for P, the N - n outside
@@ -69,12 +74,16 @@ __all__ = [
 ]
 
 
+# the slots a module from _build_family fills on first read
+_DATA_SLOTS = frozenset(("labels", "label_index", "xmaps", "swaps", "grading"))
+
+
 class EquivModule:
     """A finite-dimensional module with commuting variable actions and a
     compatible symmetric-group action stored on adjacent transpositions, both
     as label maps (``xmaps``, ``swaps``); see the module docstring.
     ``family`` is (kind, s, n) on a module ``build_P`` or ``build_Q`` made,
-    else None.
+    else None; such a module fills its data slots on first read.
     """
 
     __slots__ = ("cfg", "labels", "label_index", "xmaps", "swaps", "grading", "name", "family")
@@ -93,6 +102,17 @@ class EquivModule:
         self.grading = list(grading) if grading is not None else None
         self.name = name
         self.family = family
+
+    def __getattr__(self, name):
+        # reached only for an unset slot: the data of a module that
+        # _build_family returned unfilled; pickle and copy probe other names
+        if name not in _DATA_SLOTS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        kind, s, n = self.family
+        labels, grading, xmaps, swaps = _family_data(kind, s, n, self.cfg.N)
+        EquivModule.__init__(self, self.cfg, labels, grading=grading, name=self.name,
+                             xmaps=xmaps, swaps=swaps, family=self.family)
+        return object.__getattribute__(self, name)
 
     @property
     def dim(self) -> int:
@@ -169,10 +189,22 @@ def pq_dimension(kind: str, s: int, n: int, N: int) -> int:
 
 @lru_cache(maxsize=64)
 def _build_family(kind: str, s: int, n: int, N: int) -> EquivModule:
-    # modules are immutable after construction, so sharing them is safe
+    # every ValueError is raised here; the data is filled on first read
+    # (EquivModule.__getattr__), and a filled module is immutable, so
+    # sharing one is safe
     cfg = RingConfig(N, s)
     if n > N:
         raise ValueError(f"tuple size n={n} exceeds truncation N={N}")
+    if n < 0:
+        raise ValueError("sizes must be >= 0")
+    module = EquivModule.__new__(EquivModule)
+    module.cfg, module.name, module.family = cfg, f"{kind}(s={s},n={n})", (kind, s, n)
+    return module
+
+
+def _family_data(kind: str, s: int, n: int, N: int):
+    """(labels, grading, xmaps, swaps) of the P or Q module of family
+    (kind, s, n) at N, by rank arithmetic (see the module docstring)."""
     # Tuple a has F free positions (all N for P, the N - n outside it for Q);
     # its labels are the monomials on them in rank order, label (a, rank) at
     # index a * (s+1)^F + rank.  x_i adds the stride of i's place among the
@@ -213,8 +245,7 @@ def _build_family(kind: str, s: int, n: int, N: int) -> EquivModule:
             b = tuple_index[tuple(j + 1 if t == j else j if t == j + 1 else t for t in T)]
             dst = idx[b * size:(b + 1) * size]
             cm.extend(map(dst.__getitem__, moves[j]) if j in moves else dst)
-    return EquivModule(cfg, labels, grading=grading, name=f"{kind}(s={s},n={n})",
-                       xmaps=xmaps, swaps=swaps, family=(kind, s, n))
+    return labels, grading, xmaps, swaps
 
 
 def build_P(s: int, n: int, N: int) -> EquivModule:

@@ -45,8 +45,9 @@ strand complex over one grid per set of low positions, whose cohomology
 depends only on how many positions are low, since the strand complex is
 symmetric in the positions; ``_orbit_census``, the count of stable Hom's
 level N+1, gives the copies by that number with no key listed, each grid
-[0..s]^k is eliminated once, and its dimensions count once per copy.
-Only the families and the ring of source and target are read.
+[0..s]^k is eliminated once per process (``_grid_cohomology``), and its
+dimensions count once per copy.  Only the families and the ring of source
+and target are read, so neither module fills its labels.
 
 Stable Ext: ``ext_stable`` is the cohomology of the stable-Hom complex
 of the coresolution of the target Q family by P terms, and builds neither
@@ -68,6 +69,7 @@ reads their dimensions off the ranks of the differentials over S,
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 from itertools import combinations_with_replacement, compress, product, repeat
 from math import comb, factorial
 from operator import is_not, mul
@@ -581,6 +583,16 @@ def _grid_variable(s: int, k: int, pos: int) -> list:
     return [t + step if t // step % (s + 1) < s else None for t in range(size)]
 
 
+@lru_cache(maxsize=256)
+def _grid_cohomology(s: int, strands: int, length: int, low: int) -> tuple:
+    """The cohomology of the first ``length`` terms of the strand complex
+    of ``strands`` strands over the grid [0..s]^low (``_strand_cohomology``,
+    x_pos acting by ``_grid_variable``), eliminated once per process."""
+    return tuple(_strand_cohomology(
+        s, strands, length, (s + 1) ** low,
+        lambda pos, exp: _map_matrix(_power_map(_grid_variable(s, low, pos), exp))))
+
+
 def ext_truncated(M: EquivModule, T: EquivModule, max_i: int) -> list:
     """Equivariant Ext at the truncation, degrees 0..max_i, read off the
     families of M and T and their ring; nothing else of either is read.
@@ -596,12 +608,12 @@ def ext_truncated(M: EquivModule, T: EquivModule, max_i: int) -> list:
     otherwise.  The copies are the keys per low-digit choice that
     ``_orbit_census`` counts for a source of tuple size n and the s + 1
     digits of a high position.  So the Hom complex is a direct sum of strand
-    complexes over grids: each distinct grid is eliminated once
-    (``_strand_cohomology``, x_pos acting by ``_grid_variable``), and its
-    dimensions count once per copy.  A source or target without a family,
-    or with one that no module over T's ring carries (another s, or a tuple
-    larger than N), is a ValueError.  Exact at the truncation; stable
-    answers across truncations are the business of ``ext_stable``.
+    complexes over grids: each distinct grid is eliminated once per process
+    (``_grid_cohomology``), and its dimensions count once per copy.  A
+    source or target without a family, or with one that no module over T's
+    ring carries (another s, or a tuple larger than N), is a ValueError.
+    Exact at the truncation; stable answers across truncations are the
+    business of ``ext_stable``.
     """
     if max_i < 0:
         raise ValueError("the degree bound must be nonnegative")
@@ -622,9 +634,7 @@ def ext_truncated(M: EquivModule, T: EquivModule, max_i: int) -> list:
     dims = [0] * (max_i + 1)
     target_kind, _, d = T.family
     for low, copies in _orbit_census(target_kind, d, n, cfg.N, s + 1).items():
-        grid = _strand_cohomology(
-            s, n if kind == "Q" else 0, max_i + 2, (s + 1) ** low,
-            lambda pos, exp: _map_matrix(_power_map(_grid_variable(s, low, pos), exp)))
+        grid = _grid_cohomology(s, n if kind == "Q" else 0, max_i + 2, low)
         dims = [a + copies * b for a, b in zip(dims, grid)]
     return dims
 

@@ -1,4 +1,8 @@
+import copy
+import hashlib
 import itertools
+import json
+import pickle
 from fractions import Fraction
 from math import factorial
 
@@ -6,6 +10,8 @@ import pytest
 
 from equivar.combinat import ClassFunction, injections, partitions
 from equivar.equivariant import (
+    EquivModule,
+    _build_family,
     build_P,
     build_Q,
     character_of,
@@ -15,6 +21,7 @@ from equivar.equivariant import (
     pq_dimension,
     q_into_p_embedding,
 )
+from equivar.homcalc import PQFamily
 from equivar.linalg import SparseRationalMatrix, matrix_rank
 from equivar.truncated_ring import RingConfig, all_monomials
 from reference import (
@@ -48,6 +55,63 @@ def test_bad_parameters():
         build_P(1, 3, 2)
     with pytest.raises(ValueError):
         pq_dimension("Q", 1, 4, 3)
+
+
+@pytest.mark.parametrize("s,n,N,message", [
+    (1, -1, 2, "sizes must be >= 0"),
+    (-1, 1, 2, "RingConfig requires N >= 0 and s >= 0"),
+    (1, 1, 0, "tuple size n=1 exceeds truncation N=0"),
+    (1, 3, 2, "tuple size n=3 exceeds truncation N=2"),
+], ids=["negative-n", "negative-s", "n-over-N0", "n-over-N"])
+def test_refusals_are_raised_at_the_build_call(monkeypatch, s, n, N, message):
+    # through build_P, build_Q and PQFamily.build (a record made with
+    # _make skips PQFamily's own sign check), before any data is filled
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a module was filled")
+
+    monkeypatch.setattr(EquivModule, "__init__", refuse)
+    calls = [lambda: build_P(s, n, N), lambda: build_Q(s, n, N),
+             lambda: PQFamily._make(("P", s, n)).build(N),
+             lambda: PQFamily._make(("Q", s, n)).build(N)]
+    for call in calls:
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert type(raised.value) is ValueError and str(raised.value) == message
+
+
+# the sha256 of [kind, s, n, N, to_json_dict(), grading] for every P and Q
+# module with s <= 2, N <= 4 and n <= N, in that order, taken while the
+# builder still listed every module at the build call
+PQ_MODULES_SHA256 = "a52b8731fc86698891d27d10b1060fd6e56aa11253ea80ff6dd6129168b5ca35"
+DATA_SLOTS = ("labels", "label_index", "xmaps", "swaps", "grading")
+
+
+def test_filled_modules_are_pinned():
+    # each module is built afresh, and its first read is one of the five
+    # data slots in turn
+    _build_family.cache_clear()
+    rows = []
+    for kind in "PQ":
+        for s in range(3):
+            for N in range(5):
+                for n in range(N + 1):
+                    M = _build_family(kind, s, n, N)
+                    getattr(M, DATA_SLOTS[len(rows) % len(DATA_SLOTS)])
+                    rows.append([kind, s, n, N, M.to_json_dict(), [list(g) for g in M.grading]])
+    blob = json.dumps(rows, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == PQ_MODULES_SHA256
+
+
+def test_unfilled_modules_copy_and_pickle():
+    # copy and pickle probe names other than the data slots, and a copy of
+    # an unfilled module fills itself to the same content
+    _build_family.cache_clear()
+    made = [_build_family("Q", 1, 1, 3) for _ in range(3)]
+    copies = [copy.copy(made[0]), copy.deepcopy(made[1]), pickle.loads(pickle.dumps(made[2]))]
+    assert not hasattr(made[0], "xmul")
+    for M in copies:
+        assert M is not made[0] and M.family == ("Q", 1, 1)
+        assert M.to_json_dict() == made[0].to_json_dict()
 
 
 @pytest.mark.parametrize("N,n,s,kind", [

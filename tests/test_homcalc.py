@@ -35,6 +35,8 @@ from equivar.homcalc import (
     tor_periodic,
     _family_keys,
     _family_stable_space,
+    _grid_cohomology,
+    _grid_variable,
     _image_labels,
     _orbit_census,
     _orbit_relations,
@@ -786,7 +788,7 @@ def test_ext_stable_builds_no_module(monkeypatch):
 
     monkeypatch.setattr(EquivModule, "__init__", counting)
     _build_family.cache_clear()  # else an earlier test's Q(1, 1, 2) answers from the cache
-    build_Q(1, 1, 2)
+    build_Q(1, 1, 2).labels
     assert built == [1]  # the wrap is live
     built.clear()
     for grid in ("bench", "table"):
@@ -992,6 +994,64 @@ def test_ext_truncated_reads_only_families_and_the_ring(monkeypatch):
     for M, T in built:
         stand_ins = [SimpleNamespace(family=X.family, cfg=X.cfg) for X in (M, T)]
         assert ext_truncated(*stand_ins, 2) == ext_truncated(M, T, 2), (M, T)
+
+
+def test_ext_truncated_fills_no_module(monkeypatch):
+    # the ext-vanish grid and the truncated path of cmd_ext build their
+    # modules and read only the families, so no module is ever filled
+    from equivar import verify
+    from equivar.cli import main
+
+    filled = []
+    init = EquivModule.__init__
+
+    def counting(self, *args, **kwargs):
+        filled.append(self.name)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(EquivModule, "__init__", counting)
+    _build_family.cache_clear()  # else modules an earlier test filled answer from the cache
+    build_Q(1, 1, 2).labels
+    assert filled == ["Q(s=1,n=1)"]  # the wrap is live
+    filled.clear()
+    checks = verify.run_suite("ext-vanish", 3)
+    assert len(checks) == 66 and all(c["ok"] for c in checks)
+    assert main(["--format", "json", "ext", "--mode", "truncated", "--s", "3",
+                 "--src", "Q,3,1", "--dst", "P,3,3", "--N", "4"]) == 0
+    assert filled == []
+
+
+def test_grid_cache_keeps_every_argument(monkeypatch):
+    # every truncated Ext of a P or Q source into a P or Q target, s <= 3,
+    # N <= 5, n, d <= 3, in sweeps of max_i = 0, ..., 4: each sweep reads a
+    # cache that holds every grid already, at a shorter length, and strand
+    # count 0 (P source) and n (Q source) meet on one grid; the answers
+    # match the same sweeps with each grid's _strand_cohomology called
+    # directly (once per distinct s, strand count, length and grid size)
+    requests = [(src_kind, kind, s, N, n, d)
+                for s in range(4) for N in range(6)
+                for n in range(min(3, N) + 1) for d in range(min(3, N) + 1)
+                for kind in "PQ" for src_kind in "PQ"]
+
+    def sweeps():
+        return [ext_truncated(_build_family(src_kind, s, n, N), _build_family(kind, s, d, N), max_i)
+                for max_i in range(5) for src_kind, kind, s, N, n, d in requests]
+
+    _grid_cohomology.cache_clear()
+    cached = sweeps()
+    assert _grid_cohomology.cache_info().hits > len(cached) // 2
+    grids = {}
+
+    def uncached(s, strands, length, low):
+        key = (s, strands, length, low)
+        if key not in grids:
+            grids[key] = _strand_cohomology(
+                s, strands, length, (s + 1) ** low,
+                lambda pos, exp: _map_matrix(_power_map(_grid_variable(s, low, pos), exp)))
+        return grids[key]
+
+    monkeypatch.setattr("equivar.homcalc._grid_cohomology", uncached)
+    assert cached == sweeps()
 
 
 def test_one_build_per_family():
