@@ -13,16 +13,18 @@ source's, one basis map per arrangement.
 The dimension guard refuses jobs whose modules would exceed ``--max-dim``
 basis elements (default 50000, overridable via EQUIVAR_MAX_DIM).  ``hom``
 and ``cas --op compare`` charge their target at level N, an upper bound, as
-its orbits are keyed, not listed; level N+1 is only counted, so it is charged
-nothing.  Both Ext modes build slot strands, whose last term holds one copy
-per composition of max_i + 1 into n parts (a single copy when s or n is 0,
-or for a P source).
+only its unslotted orbits are keyed and no label is listed; the orbits of
+levels N and N+1 are counted, and level N+1 is charged nothing.  Both Ext
+modes build slot strands, whose last term holds one copy per composition
+of max_i + 1 into n parts (a single copy when s or n is 0, or for a P
+source).
 Stable Ext charges the last term of the target's coresolution, copies
 times dim P(s, n, N); it builds no P (its cochains are copies of the stable
-space inside P, keyed at level N and counted at N+1), so this is an upper
-bound.  Truncated Ext charges its source, and copies times the
-dimension of the target: an upper bound on the cochains of its last strand
-term, copies times the dimension of the solution space in the target.
+space inside P, whose unslotted orbits are keyed at level N and whose
+orbits at N and N+1 are counted), so this is an upper bound.  Truncated
+Ext charges its source, and copies times the dimension of the target: an
+upper bound on the cochains of its last strand term, copies times the
+dimension of the solution space in the target.
 ``tor`` applies it to its complex, N copies of Q(s, 1, N), one per position;
 building Q touches only Q's own monomials, so nothing larger is charged.
 ``cas --op injective`` at m = n applies it to the morphism space [n] -> [n].
@@ -121,7 +123,7 @@ def cmd_hom(args) -> dict:
     dst = _parse_family(args.dst)
     if src[0] != "Q":
         raise ParameterError("the source family must be Q-type (determined by one generator)")
-    # level N's orbits are keyed, not listed (an upper bound); N+1 is counted
+    # an upper bound: only level N's unslotted orbits are keyed, levels N and N+1 counted
     _check_bounds(args, [(dst[0], dst[1], dst[2], args.N)])
     from .homcalc import PQFamily, stable_hom
 
@@ -233,7 +235,8 @@ def cmd_cas(args) -> dict:
         return {"dim": info.dim, "socle_dim": info.socle_dim}
     if args.op == "compare":
         N = args.N if args.N is not None else args.m + args.n + 1
-        # stable_hom keys the level-N orbits of its target P(s, m, N), an upper bound
+        # an upper bound: stable_hom keys the unslotted level-N orbits of its
+        # target P(s, m, N) and counts levels N and N+1
         _check_bounds(args, [("P", args.s, args.m, N)])
         return {"N": N, "match": compare_with_P_homs(args.m, args.n, args.s, N)}
     raise ParameterError(f"unknown cas op {args.op!r}")

@@ -16,7 +16,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import cache
 from math import factorial
 
@@ -146,6 +145,7 @@ class ClassFunction:
         expected = set(partitions(level))
         if keys != expected:
             raise ValueError(f"class function at level {level} must be defined on all cycle types")
+        from fractions import Fraction
         self.level = level
         self.values = {mu: Fraction(values[mu]) for mu in sorted(values, reverse=True)}
 
@@ -198,6 +198,7 @@ def inner_product(f: ClassFunction, g: ClassFunction) -> Fraction:
     """Standard pairing: sum over cycle types of f*g weighted by 1/z_mu."""
     if f.level != g.level:
         raise ValueError(f"level mismatch: {f.level} != {g.level}")
+    from fractions import Fraction
     return sum((f.values[mu] * g.values[mu] / z_order(mu) for mu in f.values), Fraction(0))
 
 
@@ -215,6 +216,7 @@ def combine(pairs) -> dict:
     """The sparse rational combination of (key, coefficient) pairs, as
     {key: Fraction}: coefficients of equal keys add up, and a key whose sum
     is zero is dropped."""
+    from fractions import Fraction
     out: dict = {}
     for key, c in pairs:
         w = out.get(key, 0) + Fraction(c)
@@ -246,6 +248,7 @@ class SymFunc:
         return self + other.scale(-1)
 
     def scale(self, coef):
+        from fractions import Fraction
         coef = Fraction(coef)
         return SymFunc({lam: coef * c for lam, c in self.coeffs.items()})
 
@@ -321,6 +324,7 @@ def induce_from_young(sizes, value_fn) -> ClassFunction:
     of cycle types (one per block) and returns the value of the inducing class
     function on an element with those types.
     """
+    from fractions import Fraction
     n = sum(sizes)
     vals = {}
     for mu in partitions(n):
@@ -349,6 +353,7 @@ def induce_character(factors) -> ClassFunction:
             raise ValueError("declared level disagrees with the class function")
     if len(factors) == 1:
         return factors[0][1]
+    from fractions import Fraction
     sizes = tuple(lvl for lvl, _ in factors)
     fns = [f for _, f in factors]
 

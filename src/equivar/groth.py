@@ -23,7 +23,6 @@ every transform from the Q side to the P side exposes denominators.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 
 from .combinat import (
@@ -70,6 +69,7 @@ class KGenClass:
         return KGenClass(combine(itertools.chain(self.coeffs.items(), other.coeffs.items())))
 
     def scale(self, c):
+        from fractions import Fraction
         c = Fraction(c)
         return KGenClass({k: c * v for k, v in self.coeffs.items()})
 

@@ -15,17 +15,20 @@ solutions whose push along the canonical basis-label inclusion into level
 N+1 lies in the span of the level-(N+1) solutions.  Both bases are
 indicators of residual-group orbits, so this is a set of equal-or-zero
 relations on the coefficients.  The target is a P or Q family and is never
-built and no label of it is listed: ``_family_stable_space`` keys the
-level-N orbits of the label index a * (s+1)^F + rank, each by its first
-label and its key (slot pattern, low digits, slot digits, multiset of the
-other high digits), and only counts those at level N+1 (``_orbit_census``,
-times the low-digit choices).  The push keeps the rank and moves only the
-tuple index, since the new position N is the top free digit and is 0, so
-an orbit lands in the level-(N+1) orbit whose multiset has one more 0.
+built and no label of it is listed.  An orbit of the label index
+a * (s+1)^F + rank has a key (slot pattern, low digits, slot digits,
+multiset of the other high digits); the push keeps the rank and moves only
+the tuple index, since the new position N is the top free digit and is 0,
+so an orbit lands in the level-(N+1) orbit whose multiset has one more 0.
 That orbit is a solution unless the source bound r is below s, and the
 push covers it exactly when the two orbits have the same size, which each
-key gives; so a kept orbit is a single label.  The three dimensions (at
-N, at N+1, stable) are always reported separately.
+key gives.  An orbit with a high slot (a tuple entry at or above the
+source's tuple size m) grows at N+1, so it is never kept.  So
+``_family_stable_space`` keys only the unslotted level-N orbits, those
+whose tuple lies inside positions 0..m-1, each by its first label and key,
+and counts the orbits of level N and of level N+1 (``_orbit_census``, times
+the low-digit choices); a kept orbit is a single label.  The three
+dimensions (at N, at N+1, stable) are always reported separately.
 
 Truncated Ext: over k[x]/(x^(s+1)), k[x]/(x) has the 2-periodic free
 resolution ... -> A -x^s-> A -x-> A, and Q(s, n, N) is a sum of such
@@ -316,44 +319,45 @@ def _slot_patterns(profile: PQFamily, family: tuple, N: int, digits: list):
 
 
 def _family_keys(profile: PQFamily, family: tuple, N: int, digits: list) -> list:
-    """The orbits of the orbit solver (``hom_mapping_property``) for maps
-    from the profile into the P or Q module of family (kind, s, n) at N, in
-    the same order, keyed with no label listed: one row (first label, key,
-    size at N, size at N+1 of the orbit whose multiset has one more 0) per
-    key of ``_slot_patterns``, sorted by first label.
+    """The unslotted orbits of the orbit solver (``hom_mapping_property``)
+    for maps from the profile into the P or Q module of family (kind, s, n)
+    at N, in the same order, keyed with no label listed: one row (first
+    label, key, size at N, size at N+1 of the orbit whose multiset has one
+    more 0) per key whose slot pattern has no high slot, sorted by first
+    label.  The slotted orbits are only counted (``_orbit_census``).
 
-    Each orbit is one low part, over the tuples of one pattern, with every
-    arrangement of one multiset on each tuple's other high positions, and
-    its first label lies on the pattern's first tuple, with the multiset's
-    sorted digits on the descending strides of the other high positions.
+    An unslotted orbit is one tuple U inside positions 0..m-1 (m the
+    profile's tuple size), with one low part and every arrangement of one
+    multiset on the N - m high positions.  So its patterns, low positions
+    and low digits are those of ``_slot_patterns`` at level m, where every
+    tuple is unslotted, and there are none when n > m.  Its first label has
+    U's index among injections(n, N) and the multiset's sorted digits on the
+    descending strides of the high positions.
     """
-    kind, s, _ = family
+    kind, s, n = family
     m = profile.n
-    sized: dict = {}  # high-slot count -> [(multiset, size at N, size at N+1)]
+    if n > m:
+        return []
+    base = s + 1
+    # a high position p sits at place p - n among a Q label's free positions
+    shift = n if kind == "Q" else 0
+    others = [base ** (p - shift) for p in reversed(range(m, N))]
+    # both sizes depend only on the multiset when there is no high slot
+    sized = [(multiset, _orbit_size(((), (), (), multiset), m, N),
+              _orbit_size(((), (), (), (0, *multiset)), m, N + 1))
+             for multiset in combinations_with_replacement(digits[m] if m < N else (), N - m)]
+    tuple_labels = base ** (N - shift)
     rows = []
-    for pattern, a, U, low, lows, slot_choices, multisets in _slot_patterns(
-            profile, family, N, digits):
-        # the strides of the free positions differ from tuple to tuple of a
-        # Q pattern, so they are read on the first tuple; both sizes depend
-        # only on the number of high slots and the multiset (_orbit_size)
-        free = [p for p in range(N) if kind == "P" or p not in U]
-        strides = {p: (s + 1) ** k for k, p in enumerate(free)}
-        low_strides = [strides[p] for p in low]
-        slots = [strides[t] for t in U if t >= m] if kind == "P" else []
-        others = [strides[p] for p in reversed(free) if p >= m and p not in U]
-        parts = [(low_ds, slot_ds,
-                  sum(map(mul, low_ds, low_strides)) + sum(map(mul, slot_ds, slots)))
-                 for low_ds in lows for slot_ds in slot_choices]
-        j = pattern.count(None)
-        if j not in sized:
-            sized[j] = [(multiset, _orbit_size((pattern, (), (), multiset), m, N),
-                         _orbit_size((pattern, (), (), (0, *multiset)), m, N + 1))
-                        for multiset in multisets]
-        first = a * (s + 1) ** len(free)
-        for multiset, *sizes in sized[j]:
-            offset = first + sum(map(mul, multiset, others))
-            rows += [(offset + part, (pattern, low_ds, slot_ds, multiset), *sizes)
-                     for low_ds, slot_ds, part in parts]
+    for U, _, _, low, lows, _, _ in _slot_patterns(profile, family, m, digits):
+        # the number of injections(n, N) before U, lexicographically
+        a = sum((t - sum(u < t for u in U[:k])) * injection_count(n - 1 - k, N - 1 - k)
+                for k, t in enumerate(U))
+        low_strides = [base ** (p - sum(t < p for t in U) if kind == "Q" else p) for p in low]
+        parts = [(low_ds, a * tuple_labels + sum(map(mul, low_ds, low_strides)))
+                 for low_ds in lows]
+        for multiset, *sizes in sized:
+            offset = sum(map(mul, multiset, others))
+            rows += [(offset + part, (U, low_ds, (), multiset), *sizes) for low_ds, part in parts]
     rows.sort()
     return rows
 
@@ -396,9 +400,10 @@ def _family_stable_space(profile: PQFamily, family: tuple, N: int):
     """(the number of solutions at N, the number at N+1, stable space) for
     maps from the profile into the P or Q family (kind, s, n): the solutions
     at N whose push lies in the span of the solutions at N+1, with no module
-    built and no label listed at either level; level N is keyed
-    (``_family_keys``) and level N+1 counted (``_orbit_census``), both from
-    the position digits at N+1.
+    built and no label listed at either level.  Both levels are counted
+    (``_orbit_census``, times the low-digit choices), and only the
+    unslotted orbits at N are keyed (``_family_keys``), all from the
+    position digits at N+1.
 
     The push keeps a label's rank and moves only its tuple index, because
     the new position N is the top free digit and is 0; so it sends the
@@ -407,8 +412,9 @@ def _family_stable_space(profile: PQFamily, family: tuple, N: int):
     kills forbid digit 0 at the high positions (source bound r below s), and
     it meets no other push; the push covers it exactly when both orbits have
     the same size, ``_orbit_size``.  Equal sizes need injection_count(j,
-    N - m) = injection_count(j, N + 1 - m), so no high slot (j = 0), and an
-    extra 0 that adds no arrangement, so every other high digit 0: a kept
+    N - m) = injection_count(j, N + 1 - m), so no high slot (j = 0): an
+    orbit with a high slot is never kept, and is not keyed.  They also need
+    an extra 0 that adds no arrangement, so every other high digit 0: a kept
     orbit is a single label, its first.  The kernel of the relations is
     certified to keep only such orbits (AssemblyError otherwise)."""
     kind, s, n = family
@@ -416,12 +422,13 @@ def _family_stable_space(profile: PQFamily, family: tuple, N: int):
     pq_dimension(kind, s, n, N)
     _source_constraints(profile, cfg)
     digits = _position_digits(profile, s, N + 1)
-    rows = _family_keys(profile, family, N, digits)
     m = profile.n
-    census = _orbit_census(kind, n, m, N + 1, len(digits[m]))
-    big_count = sum(keys * len(digits[0]) ** k for k, keys in census.items())
+    dim, big_count = (sum(keys * len(digits[0]) ** k for k, keys in
+                          _orbit_census(kind, n, m, level, len(digits[m])).items())
+                      for level in (N, N + 1))
+    rows = _family_keys(profile, family, N, digits)
     if not rows:
-        return 0, big_count, []
+        return dim, big_count, []
     zero = 0 in digits[m]
     meets: dict = {}  # level-(N+1) key (None: no solution) -> {k: labels of push k in it}
     sizes: dict = {}  # level-(N+1) key -> its number of labels
@@ -434,16 +441,17 @@ def _family_stable_space(profile: PQFamily, family: tuple, N: int):
         if any(rows[k][2] != 1 for k in coeffs):
             raise AssemblyError("a kept orbit has more than one label")
         stable.append({rows[k][0]: c for k, c in coeffs.items()})
-    return len(rows), big_count, stable
+    return dim, big_count, stable
 
 
 def stable_hom(source: PQFamily, target: PQFamily, N: int) -> StableHomResult:
     """Solve for maps source -> target at truncation N, then keep the
     solutions that survive the canonical inclusion into truncation N+1.
     The target family is solved by ``_family_stable_space`` from its label
-    arithmetic: the level-N orbits are keyed, the level-(N+1) ones only
-    counted, and each push is sized by its orbit key; no module is built and
-    no label is listed.  A target that is not a PQFamily is a ValueError."""
+    arithmetic: the unslotted level-N orbits are keyed, the orbits of levels
+    N and N+1 counted, and each keyed push is sized by its orbit key; no
+    module is built and no label is listed.  A target that is not a
+    PQFamily is a ValueError."""
     if not isinstance(target, PQFamily):
         raise ValueError(f"stable_hom needs a PQFamily target, got {target!r}")
     dim, big_count, stable = _family_stable_space(source, (target.kind, target.s, target.n), N)

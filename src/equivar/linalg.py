@@ -16,7 +16,6 @@ any spanning family to its reduced form; a label map restricts to it.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 
 ZERO = 0
 ONE = 1
@@ -28,7 +27,10 @@ class AssemblyError(AssertionError):
 
 def _entry(v):
     """A matrix entry: an int or a Fraction as it is, anything else as a Fraction."""
-    return v if isinstance(v, (int, Fraction)) else Fraction(v)
+    if isinstance(v, int):
+        return v
+    from fractions import Fraction
+    return v if isinstance(v, Fraction) else Fraction(v)
 
 
 def vec_axpy(target: dict, coef, source: dict) -> None:
@@ -177,6 +179,7 @@ class Echelon:
             for k in row:
                 row[k] = -row[k]
         elif lead != ONE:
+            from fractions import Fraction
             inv = Fraction(lead.denominator, lead.numerator)
             for k in row:
                 row[k] *= inv

@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from fractions import Fraction
 from math import comb, factorial
 
 from .cas_cat import compare_with_P_homs, hom_dimension, injective_I
@@ -332,6 +331,8 @@ def suite_tensor(max_N: int = 8) -> list:
 def suite_cascat(max_N: int = 5) -> list:
     """Associativity on seeded random triples, the dimension comparison with
     stable module maps, and the socle of the dual representables."""
+    from fractions import Fraction
+
     from .cas_cat import CasMorphism, compose
 
     out = []

@@ -411,35 +411,58 @@ def test_family_orbit_count_and_sizes_match_the_listing(kind, s):
                 assert [_orbit_size(key, m, N) for key in keys] == list(map(len, orbits))
 
 
-@pytest.mark.parametrize("kind", ["P", "Q"])
-@pytest.mark.parametrize("s", [0, 1, 2])
-def test_family_keys_match_the_listing(kind, s):
-    # each keyed row against the listed orbit in its place: the first label
-    # is the orbit's smallest, the key is the listed key, the size at N is
-    # the orbit's length, and the size at N+1 is that of the key with one
-    # more 0; on the grid of the count/size test above
+def _listing_grid(kind, s):
+    """(profile, family, N) on the grid of the count/size test above."""
     for n in range(4):
         for N in range(n, 8):
             if N == 7 and pq_dimension(kind, s, n, N) > 20_000:
                 continue
             for src_kind, m, r in itertools.product("PQ", range(min(3, N) + 1), (s - 1, s, s + 1)):
-                if r < 0:
-                    continue
-                profile = PQFamily(src_kind, r, m)
-                orbits, keys = _family_orbits(profile, (kind, s, n), N)
-                rows = _family_keys(profile, (kind, s, n), N, _position_digits(profile, s, N))
-                assert len(rows) == len(orbits)
-                for (first, key, size, big_size), orbit, listed_key in zip(rows, orbits, keys):
-                    pattern, low_ds, slot_ds, multiset = listed_key
-                    assert (first, key, size) == (min(orbit), listed_key, len(orbit))
-                    assert big_size == _orbit_size(
-                        (pattern, low_ds, slot_ds, (0, *multiset)), m, N + 1)
+                if r >= 0:
+                    yield PQFamily(src_kind, r, m), (kind, s, n), N
+
+
+@pytest.mark.parametrize("kind", ["P", "Q"])
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_family_keys_match_the_listing(kind, s):
+    # each keyed row against the listed unslotted orbit (no None in its slot
+    # pattern) in its place: the first label is the orbit's smallest, the key
+    # is the listed key, the size at N is the orbit's length, and the size at
+    # N+1 is that of the key with one more 0; on the grid of the count/size
+    # test above
+    for profile, family, N in _listing_grid(kind, s):
+        m = profile.n
+        orbits, keys = _family_orbits(profile, family, N)
+        unslotted = [(orbit, key) for orbit, key in zip(orbits, keys) if None not in key[0]]
+        rows = _family_keys(profile, family, N, _position_digits(profile, s, N))
+        assert len(rows) == len(unslotted)
+        for (first, key, size, big_size), (orbit, listed_key) in zip(rows, unslotted):
+            pattern, low_ds, slot_ds, multiset = listed_key
+            assert (first, key, size) == (min(orbit), listed_key, len(orbit))
+            assert big_size == _orbit_size(
+                (pattern, low_ds, slot_ds, (0, *multiset)), m, N + 1)
+
+
+@pytest.mark.parametrize("kind", ["P", "Q"])
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_slotted_orbits_grow_at_the_next_level(kind, s):
+    # the orbits that _family_keys leaves out are never kept: the level-(N+1)
+    # orbit that a slotted orbit pushes into is strictly larger, so the push
+    # never covers it; on the grid of the count/size test above
+    for profile, family, N in _listing_grid(kind, s):
+        m = profile.n
+        _, keys = _family_orbits(profile, family, N)
+        for pattern, low_ds, slot_ds, multiset in keys:
+            if None in pattern:
+                assert _orbit_size((pattern, low_ds, slot_ds, (0, *multiset)), m, N + 1) > \
+                    _orbit_size((pattern, low_ds, slot_ds, multiset), m, N)
 
 
 def test_family_stable_space_refuses_a_kept_orbit_of_several_labels(monkeypatch):
-    # with no relation every orbit is kept, and Q(1, 1, 3) has orbits of
-    # three labels under a Q source of tuple size 0
-    profile, family = PQFamily("Q", 1, 0), ("Q", 1, 1)
+    # with no relation every keyed orbit is kept, and Q(1, 1, 3) has an
+    # unslotted orbit of two labels (multiset (0, 1)) under a Q source of
+    # tuple size 1
+    profile, family = PQFamily("Q", 1, 1), ("Q", 1, 1)
     rows = _family_keys(profile, family, 3, _position_digits(profile, 1, 3))
     assert max(row[2] for row in rows) > 1
     monkeypatch.setattr("equivar.homcalc._orbit_relations",

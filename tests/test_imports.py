@@ -1,7 +1,7 @@
 """Every name a package module imports is used there or re-exported, every
 name it exports is bound there, every function, class or method it defines
 is named somewhere else in the sources, and importing the package loads no
-introspection modules."""
+introspection modules and no ``fractions``."""
 
 import ast
 import re
@@ -143,8 +143,23 @@ def modules_loaded_by(statement: str) -> set:
 
 
 def test_package_import_loads_no_introspection_modules():
-    # site hooks may preload modules, so compare with a bare interpreter
+    # site hooks may preload modules, so compare with a bare interpreter;
+    # fractions (which loads decimal) is imported where a Fraction is made
     bare = modules_loaded_by("pass")
     added = modules_loaded_by("import equivar.cli, equivar.verify, equivar.homcalc") - bare
     assert "equivar.verify" in added
-    assert {"dataclasses", "inspect"} & added == set()
+    assert {"dataclasses", "inspect", "fractions", "decimal"} & added == set()
+
+
+def test_integer_requests_load_no_fractions():
+    # stable Hom and both Ext paths stay on integer arithmetic, on requests
+    # with nonzero answers (2; [2, 4, 6, 8]; [21, 0, 0])
+    bare = modules_loaded_by("pass")
+    added = modules_loaded_by(
+        "from equivar.homcalc import PQFamily, stable_hom, ext_stable, ext_truncated; "
+        "from equivar.equivariant import build_P, build_Q; "
+        "stable_hom(PQFamily('Q', 1, 2), PQFamily('P', 1, 1), 4); "
+        "ext_stable(2, 2, 2, 4, 3); "
+        "ext_truncated(build_Q(2, 2, 4), build_P(2, 1, 4), 2)") - bare
+    assert "equivar.homcalc" in added
+    assert {"fractions", "decimal"} & added == set()
