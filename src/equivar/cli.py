@@ -249,7 +249,7 @@ def cmd_verify(args) -> tuple:
         raise ParameterError("--max-N must be at least 1")
     names = SUITE_NAMES if args.suite == "all" else [args.suite]
     try:
-        checks = run_suites(names, max_N=args.max_N, jobs=args.jobs)
+        checks = run_suites(names, max_N=args.max_N)
     except KeyError as exc:
         raise ParameterError(exc.args[0]) from None
     if not checks:
@@ -337,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", default="all")
     p.add_argument("--max-N", type=int, default=5, dest="max_N")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_verify)
 
     return parser

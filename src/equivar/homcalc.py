@@ -57,16 +57,17 @@ of the coresolution of the target Q family by P terms, and builds neither
 the coresolution nor any module.  Term k is a direct sum of b_k copies of
 P, and the source constraints are label maps acting on each copy alone, so
 the stable space of a term is b_k copies of the stable space S of P at N
-into P at N+1, solved once per request by ``_family_stable_space``.  The
-cochain complex is the strand complex over S, read by the same
-``_strand_cohomology`` from the slot variables of P restricted to S, their
-label maps read by ``_slot_variable`` off P's label arithmetic on S's
-support alone (restricting one checks exactly that it keeps S).
-``coresolution_Q`` builds and checks the complex itself, its blocks the
-0/1 matrices of powers of the same label maps on all of P; ``verify`` and
-the tests run it.  Both Ext paths end in ``_strand_cohomology``, which
-reads their dimensions off the ranks of the differentials over S,
-``_cohomology``.
+into P at N+1, solved once per request by ``_family_stable_space``.  S is
+a sorted list of single labels, and the cochain complex is the strand
+complex over it, read by the same ``_strand_cohomology`` (``_stable_ext``):
+each slot variable of P, whose label map ``_slot_variable`` reads off P's
+label arithmetic on S's labels alone, is a partial map of S's indices,
+checked exactly to keep S, and its blocks are the 0/1 matrices of powers
+of that map, as on a grid of truncated Ext.  ``coresolution_Q`` builds and
+checks the complex itself, its blocks the 0/1 matrices of powers of the
+same label maps on all of P; ``verify`` and the tests run it.  Both Ext
+paths end in ``_strand_cohomology``, which reads their dimensions off the
+ranks of the differentials over S, ``_cohomology``.
 """
 
 from __future__ import annotations
@@ -92,7 +93,6 @@ from .linalg import (
     ONE,
     AssemblyError,
     SparseRationalMatrix,
-    Subspace,
     kernel_of_vectors,
     matrix_rank,
 )
@@ -545,7 +545,8 @@ def _slot_variable(s: int, N: int, tuples: list, labels, pos: int) -> list:
     is None on the others), by label arithmetic: label t = a * (s+1)^N +
     rank has tuple U = tuples[a], and x_(U[pos]) adds the stride
     (s+1)^U[pos] to the rank when that digit of the rank is below s, and
-    kills t otherwise."""
+    kills t otherwise.  With the one tuple (k-1, ..., 0) at N = k it is x_pos
+    on the grid [0..s]^k of digits, the first the slowest."""
     size = (s + 1) ** N  # labels per tuple
     cm = [None] * (len(tuples) * size)
     for t in labels:
@@ -555,50 +556,64 @@ def _slot_variable(s: int, N: int, tuples: list, labels, pos: int) -> list:
     return cm
 
 
+def _stable_ext(profile: PQFamily, s: int, n: int, N: int, length: int) -> list:
+    """The cohomology of the first ``length`` strand terms over the stable
+    space S of maps from the profile into P(s, n) at N into N+1
+    (``_family_stable_space``), with S as the sorted list of its labels,
+    each certified to be one label with coefficient 1.  On S's indices the
+    variable at tuple slot pos sends label t to the index of t + stride
+    (``_slot_variable``) or kills it; an image outside S raises
+    AssemblyError, so the maps are checked exactly to keep S."""
+    tuples = injections(n, N)
+    _, _, stable = _family_stable_space(profile, ("P", s, n), N)
+    labels = []
+    for v in stable:
+        if list(v.values()) != [ONE]:
+            raise AssemblyError("a stable vector is not a single label")
+        labels += v
+    index = {t: i for i, t in enumerate(labels)}
+    xs = []
+    for pos in range(n):
+        cm = _slot_variable(s, N, tuples, labels, pos)
+        if not {cm[t] for t in labels} - {None} <= index.keys():
+            raise AssemblyError("a slot variable leaves S")
+        xs.append([index.get(cm[t]) for t in labels])
+    return _strand_cohomology(s, n, length, len(labels),
+                              lambda pos, exp: _map_matrix(_power_map(xs[pos], exp)))
+
+
 def ext_stable(s: int, n_source: int, n_target: int, N: int, max_degree: int) -> list:
     """Stable self/cross Ext of Q families in degrees 0..max_degree, as
     cohomology of the stable-Hom complex of the coresolution of the target
     by P terms (``coresolution_Q``), to one term beyond ``max_degree + 1``.
     No module is built: the stable space S of P(s, n_target) at N into N+1
-    comes from ``_family_stable_space``, and the slot variables of P on S's
-    support from ``_slot_variable``."""
+    is a sorted list of labels, and the slot variables of P act on it as
+    partial maps of its indices (``_stable_ext``)."""
     if max_degree < 0:
         raise ValueError("the degree bound must be nonnegative")
     RingConfig(N, s)  # the target's ValueErrors, in _build_family's order
-    dim = pq_dimension("P", s, n_target, N)
-    tuples = injections(n_target, N)
-    _, _, stable = _family_stable_space(PQFamily("Q", s, n_source), ("P", s, n_target), N)
-    support = {t for v in stable for t in v}
-    sub = Subspace(stable, dim)
-    # restricting each slot variable to S checks exactly that it keeps S
-    xs = [sub.restrict(_slot_variable(s, N, tuples, support, pos)) for pos in range(n_target)]
-    return _strand_cohomology(s, n_target, max_degree + 2, sub.dim,
-                              lambda pos, exp: xs[pos].power(exp))
+    pq_dimension("P", s, n_target, N)
+    return _stable_ext(PQFamily("Q", s, n_source), s, n_target, N, max_degree + 2)
 
 
 # ---------------------------------------------------------------------------
 # truncated equivariant Ext
 
 
-def _grid_variable(s: int, k: int, pos: int) -> list:
-    """The label map of x_pos on the grid [0..s]^k of digits at the low
-    positions 0..k-1, the first the slowest: it raises the digit at pos,
-    killing a label at digit s, and kills every label when pos >= k."""
-    size = (s + 1) ** k
-    if pos >= k:
-        return [None] * size
-    step = (s + 1) ** (k - 1 - pos)
-    return [t + step if t // step % (s + 1) < s else None for t in range(size)]
-
-
 @lru_cache(maxsize=256)
 def _grid_cohomology(s: int, strands: int, length: int, low: int) -> tuple:
     """The cohomology of the first ``length`` terms of the strand complex
-    of ``strands`` strands over the grid [0..s]^low (``_strand_cohomology``,
-    x_pos acting by ``_grid_variable``), eliminated once per process."""
-    return tuple(_strand_cohomology(
-        s, strands, length, (s + 1) ** low,
-        lambda pos, exp: _map_matrix(_power_map(_grid_variable(s, low, pos), exp))))
+    of ``strands`` strands over the grid [0..s]^low (``_strand_cohomology``),
+    eliminated once per process: x_pos raises grid digit pos
+    (``_slot_variable`` on the grid) and is zero when pos >= low."""
+    size = (s + 1) ** low
+    grid = [tuple(reversed(range(low)))]
+
+    def block(pos, exp):
+        cm = _slot_variable(s, low, grid, range(size), pos) if pos < low else [None] * size
+        return _map_matrix(_power_map(cm, exp))
+
+    return tuple(_strand_cohomology(s, strands, length, size, block))
 
 
 def ext_truncated(M: EquivModule, T: EquivModule, max_i: int) -> list:

@@ -9,13 +9,10 @@ signs therefore stay on integer arithmetic, and ints and Fractions compare
 and hash alike, so results are the same whichever type holds a value.  All eliminations pick the leading column
 deterministically and never touch floating point, so ranks and nullities
 are exact integers and repeated runs are byte-for-byte reproducible.
-A span is one type, ``Subspace``, whose ``SpanBasis`` constructor brings
-any spanning family to its reduced form; a label map restricts to it.
+``SpanBasis`` brings any spanning family to its reduced row-echelon form.
 """
 
 from __future__ import annotations
-
-from collections import Counter
 
 ZERO = 0
 ONE = 1
@@ -56,10 +53,6 @@ class SparseRationalMatrix:
         self.ncols = ncols
         self.rows = rows if rows is not None else [dict() for _ in range(nrows)]
 
-    @classmethod
-    def identity(cls, n: int) -> "SparseRationalMatrix":
-        return cls(n, n, [{i: ONE} for i in range(n)])
-
     def set(self, i: int, j: int, v) -> None:
         v = _entry(v)
         if v:
@@ -97,14 +90,6 @@ class SparseRationalMatrix:
     def __sub__(self, other):
         return self + SparseRationalMatrix(other.nrows, other.ncols,
                                            [{j: -v for j, v in r.items()} for r in other.rows])
-
-    def power(self, k: int) -> "SparseRationalMatrix":
-        if self.nrows != self.ncols:
-            raise ValueError("power of a non-square matrix")
-        out = SparseRationalMatrix.identity(self.nrows)
-        for _ in range(k):
-            out = out @ self
-        return out
 
     @classmethod
     def vstack(cls, mats) -> "SparseRationalMatrix":
@@ -250,83 +235,23 @@ def kernel_of_vectors(columns) -> list:
     return Echelon(len(columns), (rows.pop(i) for i in sorted(rows))).kernel_basis()
 
 
-class Subspace:
-    """A span inside Q^ambient_dim, its basis in reduced form: ``free``
-    maps, in basis order, a row r to k when ``basis[k]`` is 1 at r and every
-    other basis vector vanishes there, so a member's coordinates are its
-    entries at the free rows.  A kernel basis from ``nullspace`` or
-    ``joint_kernel`` is in this form as it comes, and so are indicators of
-    disjoint label sets.  A map acts on it as a partial label map of the
-    ambient labels, the form of every action the package builds, and
-    ``restrict`` gives its matrix on the subspace."""
+class SpanBasis:
+    """The reduced row-echelon basis of the span of any family of
+    dict-vectors in Q^ambient_dim, sorted by leading index: ``free`` maps
+    the leading index of ``basis[k]`` to k, and no other basis vector is
+    nonzero there, so a member's coordinates are its entries at the free
+    rows."""
 
     __slots__ = ("ambient_dim", "basis", "free")
-
-    def __init__(self, basis, ambient_dim: int):
-        self.ambient_dim = ambient_dim
-        self.basis = basis
-        counts = Counter(k for v in basis for k in v)
-        self.free: dict = {}
-        for t, v in enumerate(basis):
-            cands = [k for k, val in v.items() if val == ONE and counts[k] == 1]
-            if not cands:
-                raise AssemblyError("basis is not in free-column form")
-            self.free[min(cands)] = t
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def residue(self, w: dict) -> dict:
-        """w minus the member of the span that agrees with it at the free
-        rows: linear in w, empty exactly when w is in the span."""
-        out = dict(w)
-        for r, x in w.items():
-            t = self.free.get(r)
-            if t is not None:
-                vec_axpy(out, -x, self.basis[t])
-        return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        return self.free == other.free and self.basis == other.basis
-
-    def restrict(self, cm) -> SparseRationalMatrix:
-        """The matrix on this subspace of the partial label map cm of its
-        ambient space: cm[t] is the label that t goes to, or None where t is
-        killed.  Column k holds the coordinates of the image of basis vector
-        k, read off that vector's support alone; raises AssemblyError when
-        an image leaves this subspace."""
-        if len(cm) != self.ambient_dim:
-            raise ValueError(f"shape mismatch: a label map of {len(cm)} labels "
-                             f"on {self.ambient_dim} coordinates")
-        out = SparseRationalMatrix(self.dim, self.dim)
-        for k, v in enumerate(self.basis):
-            image: dict = {}
-            for t, x in v.items():
-                u = cm[t]
-                if u is not None:
-                    w = image.get(u, ZERO) + x
-                    if w:
-                        image[u] = w
-                    else:
-                        del image[u]
-            if self.residue(image):
-                raise AssemblyError("a vector leaves the subspace")
-            for r, x in image.items():
-                t = self.free.get(r)
-                if t is not None:
-                    out.rows[t][k] = x
-        return out
-
-
-class SpanBasis(Subspace):
-    """The reduced row-echelon basis of the span of any family of
-    dict-vectors, as a ``Subspace``: each basis vector's free row is its
-    leading index, and the basis is sorted by it."""
 
     def __init__(self, vectors, ambient_dim: int):
         ech = Echelon(ambient_dim, vectors)
         ech.back_substitute()
-        super().__init__([ech.pivots[c] for c in sorted(ech.pivots)], ambient_dim)
+        self.ambient_dim = ambient_dim
+        self.free = {c: k for k, c in enumerate(sorted(ech.pivots))}
+        self.basis = [ech.pivots[c] for c in self.free]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SpanBasis):
+            return NotImplemented
+        return self.free == other.free and self.basis == other.basis

@@ -6,8 +6,7 @@ Each suite function returns a list of check records::
      "expected": ..., "got": ..., "ok": bool, "runtime_ms": int}
 
 ``max_N`` clamps every truncation level a suite would request (grid points
-needing a larger level are skipped).  Suites only read immutable shared
-state, so independent checks can run in parallel processes.
+needing a larger level are skipped).
 """
 
 from __future__ import annotations
@@ -408,21 +407,9 @@ def run_suite(name: str, max_N: int = 5) -> list:
     return _SUITES[name](max_N=max_N)
 
 
-def run_suites(names, max_N: int = 5, jobs: int = 1) -> list:
+def run_suites(names, max_N: int = 5) -> list:
     names = list(names)
     for name in names:
         if name not in _SUITES:
             raise KeyError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
-    if jobs <= 1 or len(names) <= 1:
-        out = []
-        for name in names:
-            out.extend(run_suite(name, max_N=max_N))
-        return out
-    from concurrent.futures import ProcessPoolExecutor
-
-    out = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(run_suite, name, max_N) for name in names]
-        for fut in futures:
-            out.extend(fut.result())
-    return out
+    return [check for name in names for check in run_suite(name, max_N=max_N)]

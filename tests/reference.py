@@ -19,6 +19,7 @@ checks.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -51,7 +52,6 @@ from equivar.linalg import (
     Echelon,
     SpanBasis,
     SparseRationalMatrix,
-    Subspace,
     _entry,
     joint_kernel,
     kernel_of_vectors,
@@ -103,15 +103,102 @@ def to_dense(mat: SparseRationalMatrix) -> list:
     return [[row.get(j, 0) for j in range(mat.ncols)] for row in mat.rows]
 
 
-def coords(span: Subspace, w: dict) -> list:
+def identity(n: int) -> SparseRationalMatrix:
+    return SparseRationalMatrix(n, n, [{i: ONE} for i in range(n)])
+
+
+def power(mat: SparseRationalMatrix, k: int) -> SparseRationalMatrix:
+    """The k-th power of a square matrix, by k products."""
+    if mat.nrows != mat.ncols:
+        raise ValueError("power of a non-square matrix")
+    out = identity(mat.nrows)
+    for _ in range(k):
+        out = out @ mat
+    return out
+
+
+def residue(span, w: dict) -> dict:
+    """w minus the member of the span (a ``Subspace`` or a ``SpanBasis``)
+    that agrees with it at the free rows: linear in w, empty exactly when w
+    is in the span."""
+    out = dict(w)
+    for r, x in w.items():
+        t = span.free.get(r)
+        if t is not None:
+            vec_axpy(out, -x, span.basis[t])
+    return out
+
+
+def coords(span, w: dict) -> list:
     """Coordinates of w in the span's basis; raises ValueError if w is outside."""
-    if span.residue(w):
+    if residue(span, w):
         raise ValueError("vector is not in the span")
     return [w.get(r, 0) for r in span.free]
 
 
-def contains(span: Subspace, w: dict) -> bool:
-    return not span.residue(w)
+def contains(span, w: dict) -> bool:
+    return not residue(span, w)
+
+
+class Subspace:
+    """A span inside Q^ambient_dim given by a basis in reduced form: ``free``
+    maps, in basis order, a row r to k when ``basis[k]`` is 1 at r and every
+    other basis vector vanishes there, so a member's coordinates are its
+    entries at the free rows.  A kernel basis from ``nullspace`` or
+    ``joint_kernel`` is in this form as it comes, and so are indicators of
+    disjoint label sets.  A partial label map of the ambient labels acts on
+    it by ``restrict``: the span form of the stable space that ``ext_stable``
+    reads as a list of labels."""
+
+    __slots__ = ("ambient_dim", "basis", "free")
+
+    def __init__(self, basis, ambient_dim: int):
+        self.ambient_dim = ambient_dim
+        self.basis = basis
+        counts = Counter(k for v in basis for k in v)
+        self.free: dict = {}
+        for t, v in enumerate(basis):
+            cands = [k for k, val in v.items() if val == ONE and counts[k] == 1]
+            if not cands:
+                raise AssemblyError("basis is not in free-column form")
+            self.free[min(cands)] = t
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Subspace):
+            return NotImplemented
+        return self.free == other.free and self.basis == other.basis
+
+    def restrict(self, cm) -> SparseRationalMatrix:
+        """The matrix on this subspace of the partial label map cm of its
+        ambient space: cm[t] is the label that t goes to, or None where t is
+        killed.  Column k holds the coordinates of the image of basis vector
+        k, read off that vector's support alone; raises AssemblyError when
+        an image leaves this subspace."""
+        if len(cm) != self.ambient_dim:
+            raise ValueError(f"shape mismatch: a label map of {len(cm)} labels "
+                             f"on {self.ambient_dim} coordinates")
+        out = SparseRationalMatrix(self.dim, self.dim)
+        for k, v in enumerate(self.basis):
+            image: dict = {}
+            for t, x in v.items():
+                u = cm[t]
+                if u is not None:
+                    w = image.get(u, 0) + x
+                    if w:
+                        image[u] = w
+                    else:
+                        del image[u]
+            if residue(self, image):
+                raise AssemblyError("a vector leaves the subspace")
+            for r, x in image.items():
+                t = self.free.get(r)
+                if t is not None:
+                    out.rows[t][k] = x
+        return out
 
 
 def apply_columns(cols, vec: dict) -> dict:
@@ -124,7 +211,7 @@ def apply_columns(cols, vec: dict) -> dict:
     return out
 
 
-def restrict(sub: Subspace, mat: SparseRationalMatrix, source=None) -> SparseRationalMatrix:
+def restrict(sub, mat: SparseRationalMatrix, source=None) -> SparseRationalMatrix:
     """The matrix of mat from the subspace source (by default sub) to sub:
     column k holds the coordinates of mat applied to source's basis vector
     k.  Each image is read off the columns of mat it touches; raises
@@ -143,7 +230,7 @@ def restrict(sub: Subspace, mat: SparseRationalMatrix, source=None) -> SparseRat
     out = SparseRationalMatrix(sub.dim, source.dim)
     for k, v in enumerate(source.basis):
         image = apply_columns(cols, v)
-        if sub.residue(image):
+        if residue(sub, image):
             raise AssemblyError("a vector leaves the subspace")
         for r, x in image.items():
             t = sub.free.get(r)
@@ -200,7 +287,7 @@ def _word_product(gens, dim: int, word) -> SparseRationalMatrix:
     """The product of the generator matrices along a word, first entry acting
     first: a permutation's action along its ``coxeter_word``, one matrix per
     adjacent swap."""
-    m = SparseRationalMatrix.identity(dim)
+    m = identity(dim)
     for j in word:
         m = gens[j] @ m
     return m
@@ -421,13 +508,13 @@ def check_axioms(M: EquivModule) -> None:
     """Assert every structural identity of an equivariant module, exactly."""
     M = matrix_module(M)
     N, s = M.cfg.N, M.cfg.s
-    eye = SparseRationalMatrix.identity(M.dim)
+    eye = identity(M.dim)
     for i in range(N):
         for j in range(i + 1, N):
             if (M.xmul[i] @ M.xmul[j]) != (M.xmul[j] @ M.xmul[i]):
                 raise AssertionError(f"x_{i} and x_{j} do not commute")
     for i in range(N):
-        if not M.xmul[i].power(s + 1).is_zero():
+        if not power(M.xmul[i], s + 1).is_zero():
             raise AssertionError(f"x_{i}^(s+1) is nonzero")
     for j in range(N - 1):
         if (M.coxeter[j] @ M.coxeter[j]) != eye:
@@ -525,8 +612,8 @@ def _mapping_solutions_generic(profile: PQFamily, T: EquivModule) -> list:
     """The reference solver: elimination on the stacked constraint matrices."""
     kills, swaps = _source_constraints(profile, T.cfg)
     T = matrix_module(T)
-    eye = SparseRationalMatrix.identity(T.dim)
-    return joint_kernel([T.xmul[i].power(e) for i, e in kills]
+    eye = identity(T.dim)
+    return joint_kernel([power(T.xmul[i], e) for i, e in kills]
                         + [T.coxeter[j] - eye for j in swaps], T.dim)
 
 
@@ -562,7 +649,7 @@ def hom_generic(M: EquivModule, T: EquivModule) -> list:
         raise ValueError(f"config mismatch: {M.cfg} != {T.cfg}")
     dm, dt = M.dim, T.dim
     plain_m, plain_t = matrix_module(M), matrix_module(T)
-    eye_m, eye_t = SparseRationalMatrix.identity(dm), SparseRationalMatrix.identity(dt)
+    eye_m, eye_t = identity(dm), identity(dt)
     blocks = [kron(transpose(a), eye_t) - kron(eye_m, b)
               for a, b in zip(plain_m.xmul + plain_m.coxeter, plain_t.xmul + plain_t.coxeter)]
     maps = []
@@ -621,7 +708,7 @@ def _stable_subspace(solutions, big_solutions, small: EquivModule,
                                    [len(vec) for vec in big_solutions])
     else:
         span = Subspace(big_solutions, big.dim)
-        columns = [span.residue(w) for w in pushed]
+        columns = [residue(span, w) for w in pushed]
     return _kept_combinations(solutions, columns)
 
 
@@ -749,7 +836,7 @@ def _quotient_by_radical(M: EquivModule):
     def pi_matrix(mat: SparseRationalMatrix) -> SparseRationalMatrix:
         out = SparseRationalMatrix(len(free), mat.ncols)
         for j, col in enumerate(columns(mat)):
-            for k, v in radical.residue(col).items():
+            for k, v in residue(radical, col).items():
                 out.set(pos[k], j, v)
         return out
 
@@ -775,7 +862,7 @@ def _quotient_by_radical(M: EquivModule):
         sec = scale(acc, Fraction(1, len(walk)))
         if any(M.coxeter[j] @ sec != sec @ rep.coxeter[j] for j in range(N - 1)):
             raise AssemblyError("section is not equivariant")
-    if pi_matrix(sec) != SparseRationalMatrix.identity(len(free)):
+    if pi_matrix(sec) != identity(len(free)):
         raise AssemblyError("section does not split the reduction")
     return rep, sec
 
@@ -791,7 +878,7 @@ def _free_cover(M: EquivModule):
     # label (mono, f) sits at rank(mono) * dim V + f: F is the ring tensor V,
     # with the variables acting on the ring and a swap on both factors
     labels = [(mono, f) for _, mono in ring.labels for f in range(rep.dim)]
-    eye = SparseRationalMatrix.identity(rep.dim)
+    eye = identity(rep.dim)
     xmul = [kron(x, eye) for x in ring.xmul]
     coxeter = [kron(c, r) for c, r in zip(ring.coxeter, rep.coxeter)]
     F = MatrixModule(cfg, labels, xmul, coxeter, name=f"free_cover({M.name})")
@@ -857,7 +944,7 @@ def _hom_invariants_generic(rep: SnRep, T: EquivModule) -> list:
     on that vector is kron(rho_V^T, rho_T)."""
     ncols = rep.dim * T.dim
     T = matrix_module(T)
-    eye = SparseRationalMatrix.identity(ncols)
+    eye = identity(ncols)
     return joint_kernel([kron(transpose(rv), rt) - eye for rv, rt in zip(rep.coxeter, T.coxeter)],
                         ncols)
 

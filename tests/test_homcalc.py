@@ -36,7 +36,6 @@ from equivar.homcalc import (
     _family_keys,
     _family_stable_space,
     _grid_cohomology,
-    _grid_variable,
     _image_labels,
     _orbit_census,
     _orbit_relations,
@@ -44,6 +43,7 @@ from equivar.homcalc import (
     _position_digits,
     _power_map,
     _slot_variable,
+    _stable_ext,
     _strand_cohomology,
     _strand_complex,
     _tor_label_maps,
@@ -52,7 +52,6 @@ from equivar.linalg import (
     ONE,
     SpanBasis,
     SparseRationalMatrix,
-    Subspace,
     kernel_of_vectors,
     matrix_rank,
     nullspace,
@@ -62,6 +61,7 @@ from equivar.linalg import (
 from equivar.truncated_ring import RingConfig, representative_permutation
 from reference import (
     MatrixModule,
+    Subspace,
     _embed_vector,
     _ext_by_free_covers,
     _family_orbits,
@@ -85,9 +85,12 @@ from reference import (
     coords,
     from_entries,
     hom_generic,
+    identity,
     map_from_generator_value,
     matrix_module,
+    power,
     regular_rep,
+    residue,
     restrict,
     scale,
     trace_character,
@@ -320,7 +323,7 @@ def test_orbit_relations_on_merged_orbits():
                 big.append({t: ONE for t in merged})
         span = SpanBasis(big, len(labels))
         columns = _orbit_relations(len(pushed), _label_meets(pushed, big), [len(b) for b in big])
-        assert kernel_of_vectors(columns) == kernel_of_vectors([span.residue(w) for w in pushed])
+        assert kernel_of_vectors(columns) == kernel_of_vectors([residue(span, w) for w in pushed])
 
 
 @pytest.mark.parametrize("s", [0, 1, 2])
@@ -763,7 +766,7 @@ def _ext_stable_by_coresolution(s, n_source, n_target, N, max_degree, complexes)
     sub = Subspace(stable, P.dim)
     xs = [sub.restrict(_tuple_power_map(P, pos, 1)) for pos in range(n_target)]
     return _strand_cohomology(s, n_target, max_degree + 2, sub.dim,
-                              lambda pos, exp: xs[pos].power(exp))
+                              lambda pos, exp: power(xs[pos], exp))
 
 
 def _ext_stable_bench_grid():
@@ -799,6 +802,65 @@ def test_ext_stable_matches_the_coresolution_path(grid):
                 == _outcome(_ext_stable_by_coresolution, *case, complexes)), case
     if grid == "bench":
         assert len(complexes) == 14
+
+
+def test_stable_ext_matches_the_subspace_reference():
+    # the label list against S held in the reference Subspace of the built
+    # P, each slot variable read off P's label maps, restricted to S (which
+    # checks that it keeps S) and raised to powers as a matrix: P and Q
+    # profiles at r in {s-1, s, s+1}, a, b <= 3, N <= 5 and dim P <= 20,000,
+    # with the ValueErrors of the requests that no module carries
+    moving = []
+
+    def on_subspace(profile, s, n, N, length):
+        _, _, stable = _family_stable_space(profile, ("P", s, n), N)
+        labels = [t for v in stable for t in v]
+        assert labels == sorted(labels)
+        P = _build_family("P", s, n, N)
+        sub = Subspace(stable, P.dim)
+        xs = [sub.restrict(_tuple_power_map(P, pos, 1)) for pos in range(n)]
+        moving.extend(x for x in xs if not x.is_zero())
+        return _strand_cohomology(s, n, length, sub.dim, lambda pos, exp: power(xs[pos], exp))
+
+    answered = 0
+    for s, kind in itertools.product(range(1, 4), "PQ"):
+        for r, a, b, N in itertools.product((s - 1, s, s + 1), range(4), range(4), range(1, 6)):
+            if b <= N and pq_dimension("P", s, b, N) > 20000:
+                continue
+            profile = PQFamily(kind, r, a)
+            got = _outcome(_stable_ext, profile, s, b, N, 4)
+            assert got == _outcome(on_subspace, profile, s, b, N, 4), (profile, s, b, N)
+            answered += not isinstance(got, str)
+    assert answered == 1050
+    assert moving  # some slot variable acts on S, so the check is not of zero maps
+
+
+def test_stable_ext_certifies_its_labels_and_their_closure(monkeypatch):
+    # P(1, 1) into P(1, 1) at N = 2: S is labels 0 and 1, and x_0 sends 0 to 1
+    profile = PQFamily("P", 1, 1)
+    dim, big, stable = _family_stable_space(profile, ("P", 1, 1), 2)
+    assert stable == [{0: 1}, {1: 1}]
+    assert _stable_ext(profile, 1, 1, 2, 4) == [1, 0, 0]
+    for space, message in (([{0: 1}], "leaves S"), ([{0: 1, 1: 1}], "single label"),
+                           ([{0: 2}, {1: 1}], "single label")):
+        monkeypatch.setattr("equivar.homcalc._family_stable_space",
+                            lambda *args, space=space: (dim, big, space))
+        with pytest.raises(AssemblyError, match=message):
+            _stable_ext(profile, 1, 1, 2, 4)
+
+
+@pytest.mark.parametrize("s", range(1, 4))
+def test_slot_variable_on_the_grid_raises_one_digit(s):
+    # x_pos on the grid [0..s]^k, the first digit the slowest, against the
+    # digit tuples listed by itertools.product
+    for k in range(5):
+        grid = list(itertools.product(range(s + 1), repeat=k))
+        index = {d: t for t, d in enumerate(grid)}
+        for pos in range(k):
+            expected = [index[d[:pos] + (d[pos] + 1,) + d[pos + 1:]] if d[pos] < s else None
+                        for d in grid]
+            assert _slot_variable(s, k, [tuple(reversed(range(k)))], range(len(grid)), pos) \
+                == expected
 
 
 def test_ext_stable_builds_no_module(monkeypatch):
@@ -1070,7 +1132,9 @@ def test_grid_cache_keeps_every_argument(monkeypatch):
         if key not in grids:
             grids[key] = _strand_cohomology(
                 s, strands, length, (s + 1) ** low,
-                lambda pos, exp: _map_matrix(_power_map(_grid_variable(s, low, pos), exp)))
+                lambda pos, exp: _map_matrix(_power_map(
+                    _slot_variable(s, low, [tuple(reversed(range(low)))], range((s + 1) ** low), pos)
+                    if pos < low else [None] * (s + 1) ** low, exp)))
         return grids[key]
 
     monkeypatch.setattr("equivar.homcalc._grid_cohomology", uncached)
@@ -1135,9 +1199,9 @@ def test_skewed_basis_takes_the_averaged_section():
     # free coordinate no longer commutes with the swap, so the section is
     # the group average, and it must still split and be equivariant
     P = build_P(1, 0, 2)
-    C = SparseRationalMatrix.identity(P.dim)
+    C = identity(P.dim)
     C.set(1, 0, 1)
-    C_inv = SparseRationalMatrix.identity(P.dim)
+    C_inv = identity(P.dim)
     C_inv.set(1, 0, -1)
     plain = matrix_module(P)
     M = MatrixModule(P.cfg, P.labels, [C_inv @ x @ C for x in plain.xmul],
@@ -1147,7 +1211,7 @@ def test_skewed_basis_takes_the_averaged_section():
         Fraction(-1, 2), Fraction(1, 2), 1]
     radical = SpanBasis([c for x in M.xmul for c in columns(x)], M.dim)
     free = [t for t in range(M.dim) if t not in set(radical.free)]
-    assert [radical.residue(col) for col in columns(sec)] == [{t: 1} for t in free]
+    assert [residue(radical, col) for col in columns(sec)] == [{t: 1} for t in free]
     for j in range(M.cfg.N - 1):
         assert M.coxeter[j] @ sec == sec @ rep.coxeter[j]
     T = build_P(1, 1, 2)
@@ -1278,9 +1342,9 @@ def test_strand_cochain_differentials_compose_to_zero(s):
                          else _mapping_solutions_generic)
                 sub = Subspace(solve(PQFamily("P", s, n), T), T.dim)
                 xmul = matrix_module(T).xmul
-                for dim, block in ((T.dim, lambda pos, exp, xmul=xmul: xmul[pos].power(exp)),
+                for dim, block in ((T.dim, lambda pos, exp, xmul=xmul: power(xmul[pos], exp)),
                                    (sub.dim, lambda pos, exp, xmul=xmul, sub=sub:
-                                    restrict(sub, xmul[pos].power(exp)))):
+                                    restrict(sub, power(xmul[pos], exp)))):
                     _, diffs = _strand_complex(s, n, 5, dim, block)
                     for d, e in zip(diffs, diffs[1:]):
                         assert (e @ d).is_zero(), (N, n, T.name, dim)
@@ -1417,9 +1481,7 @@ def oracle_tor_dims_via_minimal_covers(s, N, r_max):
         current, inclusion = _kernel_with_inclusion(F, cover.matrix)
 
     def mono_action(mono):
-        from equivar.linalg import SparseRationalMatrix
-
-        m = SparseRationalMatrix.identity(qdim)
+        m = identity(qdim)
         for i, e in enumerate(mono):
             for _ in range(e):
                 m = xmul[i] @ m

@@ -1,7 +1,8 @@
 """Every name a package module imports is used there or re-exported, every
 name it exports is bound there, every function, class or method it defines
-is named somewhere else in the sources, and importing the package loads no
-introspection modules and no ``fractions``."""
+is named somewhere else in the sources, importing the package loads no
+introspection modules and no ``fractions``, and a verify run loads no
+process-pool module."""
 
 import ast
 import re
@@ -163,3 +164,12 @@ def test_integer_requests_load_no_fractions():
         "ext_truncated(build_Q(2, 2, 4), build_P(2, 1, 4), 2)") - bare
     assert "equivar.homcalc" in added
     assert {"fractions", "decimal"} & added == set()
+
+
+def test_verify_runs_in_one_process():
+    # every suite runs in the calling process, with no pool of workers
+    bare = modules_loaded_by("pass")
+    added = modules_loaded_by(
+        "from equivar.verify import SUITE_NAMES, run_suites; run_suites(SUITE_NAMES, 2)") - bare
+    assert "equivar.verify" in added
+    assert {"concurrent.futures", "multiprocessing"} & added == set()

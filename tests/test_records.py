@@ -1,6 +1,6 @@
 """The package's records are namedtuple subclasses: each keeps its field
-checks, messages and repr, and survives a pickle round trip (``verify
---jobs`` sends results between processes)."""
+checks, messages and repr, and survives a pickle round trip (unpickling
+calls the checked ``__new__`` with the record's own fields)."""
 
 import pickle
 
