@@ -14,10 +14,10 @@ filtration layers, the periodic Tor complex, the functor images of
 the actions are integer label maps: ``xmaps[i][t]`` is the label that x_i
 sends label t to, or None where x_i kills it, and ``swaps[j]`` is the label
 permutation of the swap (j, j+1).  ``label_perm`` composes the swaps along a
-word, a character counts fixed labels, and stable Ext reads a label map
-as a partial map of its stable labels, so no action is held as a matrix;
-``_map_matrix`` gives the 0/1 matrix of a label map where one is printed or
-multiplied.
+word, a character counts fixed labels, and stable Ext reads its stable
+labels' slot digits off the label arithmetic, so no action is held as a
+matrix; ``_map_matrix`` gives the 0/1 matrix of a label map where one is
+printed or multiplied.
 
 Modules are immutable after construction; submodules and quotients are new
 objects.  The two standard families:

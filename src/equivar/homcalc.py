@@ -58,16 +58,19 @@ the coresolution nor any module.  Term k is a direct sum of b_k copies of
 P, and the source constraints are label maps acting on each copy alone, so
 the stable space of a term is b_k copies of the stable space S of P at N
 into P at N+1, solved once per request by ``_family_stable_space``.  S is
-a sorted list of single labels, and the cochain complex is the strand
-complex over it, read by the same ``_strand_cohomology`` (``_stable_ext``):
-each slot variable of P, whose label map ``_slot_variable`` reads off P's
-label arithmetic on S's labels alone, is a partial map of S's indices,
-checked exactly to keep S, and its blocks are the 0/1 matrices of powers
-of that map, as on a grid of truncated Ext.  ``coresolution_Q`` builds and
-checks the complex itself, its blocks the 0/1 matrices of powers of the
-same label maps on all of P; ``verify`` and the tests run it.  Both Ext
-paths end in ``_strand_cohomology``, which reads their dimensions off the
-ranks of the differentials over S, ``_cohomology``.
+a set of single labels, and the cochain complex is the strand complex over
+it, on which each slot variable raises the label's slot digit, read off
+P's label arithmetic on S's labels alone.  ``_stable_ext`` certifies that
+raising keeps S and that S is copies of one grid of slot digits: [0..s]^0
+when every slot digit is s (every slot variable is zero on S), or
+[0..s]^n, one grid per label whose slot digits are all 0.  So its
+cohomology is the copies times that of the grid, the same cached
+``_grid_cohomology`` that truncated Ext sums.  ``coresolution_Q`` builds
+and checks the complex itself, its blocks the 0/1 matrices of powers of
+the slot variables' label maps on all of P (``_slot_variable``);
+``verify`` and the tests run it.  Both Ext paths end in
+``_strand_cohomology``, which reads their dimensions off the ranks of the
+differentials, ``_cohomology``.
 """
 
 from __future__ import annotations
@@ -277,8 +280,10 @@ def _position_digits(profile: PQFamily, s: int, N: int) -> list:
     alike, as the residual group Sym{m, ..., N-1} must; so the first N
     entries at N+1 are the digits at N."""
     kills, _ = _source_constraints(profile, RingConfig(N, s))
-    return [[d for d in range(s + 1) if all(d + e > s for i, e in kills if i == p)]
-            for p in range(N)]
+    least = [0] * N  # the least allowed digit at each position
+    for i, e in kills:
+        least[i] = max(least[i], s + 1 - e)
+    return [list(range(d, s + 1)) for d in least]
 
 
 def _slot_patterns(profile: PQFamily, family: tuple, N: int, digits: list):
@@ -546,7 +551,8 @@ def _slot_variable(s: int, N: int, tuples: list, labels, pos: int) -> list:
     rank has tuple U = tuples[a], and x_(U[pos]) adds the stride
     (s+1)^U[pos] to the rank when that digit of the rank is below s, and
     kills t otherwise.  With the one tuple (k-1, ..., 0) at N = k it is x_pos
-    on the grid [0..s]^k of digits, the first the slowest."""
+    on the grid [0..s]^k of digits, the first the slowest.  Its two readers,
+    ``coresolution_Q`` and ``_grid_cohomology``, pass every label."""
     size = (s + 1) ** N  # labels per tuple
     cm = [None] * (len(tuples) * size)
     for t in labels:
@@ -554,50 +560,6 @@ def _slot_variable(s: int, N: int, tuples: list, labels, pos: int) -> list:
         if t % size // stride % (s + 1) < s:
             cm[t] = t + stride
     return cm
-
-
-def _stable_ext(profile: PQFamily, s: int, n: int, N: int, length: int) -> list:
-    """The cohomology of the first ``length`` strand terms over the stable
-    space S of maps from the profile into P(s, n) at N into N+1
-    (``_family_stable_space``), with S as the sorted list of its labels,
-    each certified to be one label with coefficient 1.  On S's indices the
-    variable at tuple slot pos sends label t to the index of t + stride
-    (``_slot_variable``) or kills it; an image outside S raises
-    AssemblyError, so the maps are checked exactly to keep S."""
-    tuples = injections(n, N)
-    _, _, stable = _family_stable_space(profile, ("P", s, n), N)
-    labels = []
-    for v in stable:
-        if list(v.values()) != [ONE]:
-            raise AssemblyError("a stable vector is not a single label")
-        labels += v
-    index = {t: i for i, t in enumerate(labels)}
-    xs = []
-    for pos in range(n):
-        cm = _slot_variable(s, N, tuples, labels, pos)
-        if not {cm[t] for t in labels} - {None} <= index.keys():
-            raise AssemblyError("a slot variable leaves S")
-        xs.append([index.get(cm[t]) for t in labels])
-    return _strand_cohomology(s, n, length, len(labels),
-                              lambda pos, exp: _map_matrix(_power_map(xs[pos], exp)))
-
-
-def ext_stable(s: int, n_source: int, n_target: int, N: int, max_degree: int) -> list:
-    """Stable self/cross Ext of Q families in degrees 0..max_degree, as
-    cohomology of the stable-Hom complex of the coresolution of the target
-    by P terms (``coresolution_Q``), to one term beyond ``max_degree + 1``.
-    No module is built: the stable space S of P(s, n_target) at N into N+1
-    is a sorted list of labels, and the slot variables of P act on it as
-    partial maps of its indices (``_stable_ext``)."""
-    if max_degree < 0:
-        raise ValueError("the degree bound must be nonnegative")
-    RingConfig(N, s)  # the target's ValueErrors, in _build_family's order
-    pq_dimension("P", s, n_target, N)
-    return _stable_ext(PQFamily("Q", s, n_source), s, n_target, N, max_degree + 2)
-
-
-# ---------------------------------------------------------------------------
-# truncated equivariant Ext
 
 
 @lru_cache(maxsize=256)
@@ -614,6 +576,67 @@ def _grid_cohomology(s: int, strands: int, length: int, low: int) -> tuple:
         return _map_matrix(_power_map(cm, exp))
 
     return tuple(_strand_cohomology(s, strands, length, size, block))
+
+
+def _stable_ext(profile: PQFamily, s: int, n: int, N: int, length: int) -> list:
+    """The cohomology of the first ``length`` strand terms over the stable
+    space S of maps from the profile into P(s, n) at N into N+1
+    (``_family_stable_space``), as copies of one grid (``_grid_cohomology``).
+
+    Each vector of S is certified to be one label with coefficient 1.  Label
+    t = a * (s+1)^N + rank has tuple U = injections(n, N)[a] and slot digit
+    pos the digit of the rank at position U[pos], which the variable at slot
+    pos raises (``_slot_variable``); raising a digit below s must stay in S.
+    Then either every slot digit is s, so every slot variable is zero on S
+    and S is |S| copies of the grid [0..s]^0, or the labels whose slot
+    digits are all 0 number |S| / (s+1)^n: each raises to a grid [0..s]^n
+    inside S, on which the slot variables act as on ``_grid_cohomology``'s
+    grid, the grids are disjoint, and together they fill S.  Any other S
+    raises AssemblyError."""
+    tuples = injections(n, N)
+    _, _, stable = _family_stable_space(profile, ("P", s, n), N)
+    labels = set()
+    for v in stable:
+        if list(v.values()) != [ONE]:
+            raise AssemblyError("a stable vector is not a single label")
+        labels.update(v)
+    base = s + 1
+    size = base ** N  # labels per tuple
+    corners, top = 0, True
+    for t in labels:
+        strides = [base ** p for p in tuples[t // size]]
+        digits = [t % size // stride % base for stride in strides]
+        if any(d < s and t + stride not in labels for d, stride in zip(digits, strides)):
+            raise AssemblyError("a slot variable leaves S")
+        corners += not any(digits)
+        top = top and all(d == s for d in digits)
+    if top:
+        low = 0
+    elif corners * base ** n == len(labels):
+        low = n
+    else:
+        raise AssemblyError("S is not copies of one grid of slot digits")
+    copies = len(labels) // base ** low
+    return [copies * c for c in _grid_cohomology(s, n, length, low)]
+
+
+def ext_stable(s: int, n_source: int, n_target: int, N: int, max_degree: int) -> list:
+    """Stable self/cross Ext of Q families in degrees 0..max_degree, as
+    cohomology of the stable-Hom complex of the coresolution of the target
+    by P terms (``coresolution_Q``), to one term beyond ``max_degree + 1``.
+    No module is built and no strand complex over S is eliminated: the
+    stable space S of P(s, n_target) at N into N+1 is certified to be
+    copies of one grid of slot digits, and each grid is eliminated once per
+    process (``_stable_ext``, ``_grid_cohomology``)."""
+    if max_degree < 0:
+        raise ValueError("the degree bound must be nonnegative")
+    RingConfig(N, s)  # the target's ValueErrors, in _build_family's order
+    pq_dimension("P", s, n_target, N)
+    return _stable_ext(PQFamily("Q", s, n_source), s, n_target, N, max_degree + 2)
+
+
+# ---------------------------------------------------------------------------
+# truncated equivariant Ext
 
 
 def ext_truncated(M: EquivModule, T: EquivModule, max_i: int) -> list:

@@ -2,8 +2,11 @@ import hashlib
 import itertools
 import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb, factorial
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -735,6 +738,53 @@ def test_ext_stable_matches_the_closed_form():
                         (s, a, b, N)
 
 
+def test_ext_stable_is_stable_at_large_N():
+    # the closed form above at every N up to 12, where P(3, 3, 12) has about
+    # 2.2e10 labels, so S's labels are read off the arithmetic, never listed
+    requests = 0
+    for s, a, b in itertools.product(range(1, 4), range(4), range(4)):
+        copies = [comb(i + b - 1, b - 1) if b else int(i == 0) for i in range(4)]
+        for N in range(max(a, b, 1), 13):
+            assert ext_stable(s, a, b, N, 3) == [qq_expected(a, b) * c for c in copies], \
+                (s, a, b, N)
+            requests += 1
+    assert requests == 519
+
+
+def test_stable_ext_of_a_free_source_is_its_hom(monkeypatch):
+    # P(s, a) is free, so its stable Ext into Q(s, b) is Hom in degree 0,
+    # the Sym{a, ..., N-1}-orbits of Q(s, b, N), as many as Q(s, b, a) has
+    # labels; S is then whole grids [0..s]^b of slot digits
+    lows = []
+    grid = _grid_cohomology
+
+    def spy(s, strands, length, low):
+        lows.append((strands, low))
+        return grid(s, strands, length, low)
+
+    monkeypatch.setattr("equivar.homcalc._grid_cohomology", spy)
+    for s, a, b in itertools.product(range(1, 4), range(4), range(4)):
+        hom = pq_dimension("Q", s, b, a) if b <= a else 0
+        for N in range(max(a, b, 1), 7):
+            assert _stable_ext(PQFamily("P", s, a), s, b, N, 5) == [hom, 0, 0, 0], (s, a, b, N)
+    assert (3, 3) in lows  # the grid path runs, not only zero slot variables
+
+
+def test_large_stable_ext_allocates_little():
+    # in a fresh interpreter, so no cache of an earlier test is counted; one
+    # label map over all of P(2, 2, 12) (7e7 labels) would take over 500 MB,
+    # while the six labels of S and their grid take about 0.4 MB
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (f"import sys, tracemalloc; sys.path.insert(0, {src!r}); "
+            "from equivar.homcalc import ext_stable; tracemalloc.start(); "
+            "dims = ext_stable(2, 3, 2, 12, 3); "
+            "print(dims, tracemalloc.get_traced_memory()[1])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    dims, peak = out.stdout.rsplit(" ", 1)
+    assert dims == "[6, 12, 18, 24]"
+    assert int(peak) < 4 * 2 ** 20
+
+
 @pytest.mark.parametrize("s", range(4))
 def test_slot_variable_matches_the_p_module(s):
     # on every label, with each power up to s, and on every other label with
@@ -847,6 +897,19 @@ def test_stable_ext_certifies_its_labels_and_their_closure(monkeypatch):
                             lambda *args, space=space: (dim, big, space))
         with pytest.raises(AssemblyError, match=message):
             _stable_ext(profile, 1, 1, 2, 4)
+
+
+def test_stable_ext_certifies_copies_of_one_grid(monkeypatch):
+    # P(2, 1) into P(2, 1) at N = 2 with S = labels 1 and 2, slot digits 1
+    # and 2: raising keeps S, but S is neither all top digits nor whole grids
+    profile = PQFamily("P", 2, 1)
+    dim, big, stable = _family_stable_space(profile, ("P", 2, 1), 2)
+    assert [t for v in stable for t in v] == [0, 1, 2]
+    assert _stable_ext(profile, 2, 1, 2, 4) == [1, 0, 0]
+    monkeypatch.setattr("equivar.homcalc._family_stable_space",
+                        lambda *args: (dim, big, [{1: ONE}, {2: ONE}]))
+    with pytest.raises(AssemblyError, match="copies of one grid"):
+        _stable_ext(profile, 2, 1, 2, 4)
 
 
 @pytest.mark.parametrize("s", range(1, 4))
